@@ -271,7 +271,7 @@ class BenchSession {
         "replan wall-latency SLO budget in microseconds (0 = no SLO)");
     const bool timeline_wall = flags_.GetBool(
         "timeline_wall", false,
-        "include host-dependent columns (replan wall latency, memo hits) "
+        "include host-dependent columns (replan wall latency, pool fan-out) "
         "in the timeline export; off keeps the file byte-identical at any "
         "--threads");
     if (!timeline_path_.empty()) {
@@ -388,7 +388,6 @@ class BenchSession {
                        static_cast<double>(ts.samples));
       AddManifestValue("timeline.decimations",
                        static_cast<double>(ts.decimations));
-      AddManifestValue("plan.memo_hit_rate", ts.memo_hit_rate);
       AddManifestValue("pool.peak_groups",
                        static_cast<double>(ts.pool_peak_groups));
       AddManifestValue("replan.p50_us", ts.slo.p50_ns / 1e3);

@@ -300,15 +300,6 @@ SunflowSchedule ScheduleRequestsParallel(
   }
   planner.ImportReservations(merged);
   out.reservations = planner.prt().reservations();
-  // Memo accounting sums over the per-group planners. Unlike the
-  // reservation stream this is not serial-order-equivalent — the serial
-  // path hashes one global prefix while each group hashes its own — so
-  // consumers must treat it as host/thread-dependent telemetry (the
-  // timeline sampler export-gates it accordingly).
-  for (const SunflowSchedule& r : results) {
-    out.memo_hits += r.memo_hits;
-    out.memo_lookups += r.memo_lookups;
-  }
   out.parallel_groups = groups.size();
   return out;
 }

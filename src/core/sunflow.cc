@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <queue>
 #include <utility>
 
 #include "common/assert.h"
 #include "common/rng.h"
-#include "core/plan_memo.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace_sink.h"
@@ -692,82 +690,10 @@ SunflowSchedule SunflowPlanner::ScheduleAll(
 SunflowSchedule SunflowPlanner::ScheduleAll(
     const std::vector<const PlanRequest*>& requests) {
   // Declared first so its destructor runs last: the flushed deltas cover
-  // every nested ScheduleOne scratch frame and the key buffer below.
+  // every nested ScheduleOne scratch frame.
   const ArenaMetricsScope arena_metrics(runtime::ThisThreadArena());
   SunflowSchedule out;
-  // The memo stores per-request deltas against the PRT state left by the
-  // requests before them, so reuse needs a fresh PRT; a sink or callback
-  // would miss its emissions on a spliced prefix, so their presence turns
-  // the memo off (output bytes are identical either way).
-  const bool use_memo = config_.plan_reuse && sink_ == nullptr &&
-                        !callback_ && prt_.reservations().empty() &&
-                        !requests.empty();
-  if (!use_memo) {
-    for (const PlanRequest* req : requests) ScheduleOne(*req, out);
-    out.reservations = prt_.reservations();
-    return out;
-  }
-
-  static thread_local obs::Counter& cache_hits =
-      obs::GlobalMetrics().GetCounter("plan.cache_hits");
-  static thread_local obs::Counter& cache_misses =
-      obs::GlobalMetrics().GetCounter("plan.cache_misses");
-
-  PlanMemo& memo = GlobalPlanMemo();
-  // The rolling prefix-hash buffer is pure per-call scratch: arena-backed,
-  // rewound when this call returns.
-  runtime::Arena& arena = runtime::ThisThreadArena();
-  const runtime::ArenaScope scratch(arena);
-  runtime::ArenaVector<PlanMemo::Key> keys{
-      runtime::ArenaAllocator<PlanMemo::Key>(arena)};
-  std::vector<std::shared_ptr<const PlanMemo::Delta>> prefix;
-  {
-    SUNFLOW_PROFILE_SCOPE("core.plan.reuse");
-    PlanMemo::Key key = PlanMemo::BaseKey(prt_.num_ports(), config_, planes_,
-                                          established_, established_at_);
-    keys.reserve(requests.size());
-    for (const PlanRequest* req : requests) {
-      key = PlanMemo::Extend(key, *req);
-      keys.push_back(key);
-    }
-    prefix = memo.TakePrefix(keys.data(), keys.size());
-    // Splice the memoized prefix verbatim: the stored doubles are the
-    // planner's own prior output, so the PRT ends up byte-identical to
-    // re-planning these requests.
-    for (const auto& d : prefix) {
-      for (const CircuitReservation& r : d->reservations) prt_.Reserve(r);
-      for (const auto& [fk, t_fin] : d->flow_finish)
-        out.flow_finish[fk] = t_fin;
-      out.completion_time[d->coflow] = d->completion_time;
-      out.reservation_count[d->coflow] += d->reservation_count;
-    }
-  }
-  cache_hits.Increment(prefix.size());
-  cache_misses.Increment(requests.size() - prefix.size());
-  out.memo_hits = prefix.size();
-  out.memo_lookups = requests.size();
-
-  // Re-plan only the suffix, feeding each fresh delta back into the memo.
-  for (std::size_t i = prefix.size(); i < requests.size(); ++i) {
-    const PlanRequest& req = *requests[i];
-    const std::size_t first_new = prt_.reservations().size();
-    const Time finish = ScheduleOne(req, out);
-    PlanMemo::Delta d;
-    d.coflow = req.coflow;
-    d.completion_time = finish - req.start;
-    d.reservation_count =
-        static_cast<int>(prt_.reservations().size() - first_new);
-    d.reservations.assign(prt_.reservations().begin() +
-                              static_cast<std::ptrdiff_t>(first_new),
-                          prt_.reservations().end());
-    for (auto it = out.flow_finish.lower_bound(
-             FlowKey{req.coflow, std::numeric_limits<PortId>::min(),
-                     std::numeric_limits<PortId>::min()});
-         it != out.flow_finish.end() && it->first.coflow == req.coflow; ++it) {
-      d.flow_finish.emplace_back(it->first, it->second);
-    }
-    memo.Insert(keys[i], std::move(d));
-  }
+  for (const PlanRequest* req : requests) ScheduleOne(*req, out);
   out.reservations = prt_.reservations();
   return out;
 }

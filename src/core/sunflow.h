@@ -51,13 +51,6 @@ struct SunflowConfig {
   /// specific coflow's CCT is not monotone — greedy scheduling anomalies
   /// can shift it either way.
   Time demand_quantum = 0;
-  /// Reuse memoized plans across identical replans (core/plan_memo.h):
-  /// when a ScheduleAll call's priority-ordered request prefix hashes
-  /// equal to one already planned under the same config and established
-  /// circuits, the stored reservations are spliced verbatim instead of
-  /// re-derived. Output is byte-identical either way; disable to force
-  /// every replan through the planner (e.g. when benchmarking it).
-  bool plan_reuse = true;
   /// The switch planes the planner may assign circuits to (core/fabric.h).
   /// Empty (the default) means one plane inheriting (delta, bandwidth)
   /// from this config — the classic single-switch fabric, byte-identical
@@ -88,19 +81,10 @@ struct SunflowSchedule {
   /// All reservations, in the order they were created.
   std::vector<CircuitReservation> reservations;
 
-  /// Plan-memo accounting for this call: how many of the requests were
-  /// answered by splicing a memoized prefix (`memo_hits`) out of how many
-  /// the memo was consulted for (`memo_lookups`, == the request count on
-  /// the memo path, 0 when the memo was ineligible). Mirrors the
-  /// plan.cache_hits/misses counters, but per-plan so the timeline
-  /// sampler can chart the hit rate over sim time.
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_lookups = 0;
-
   /// Independent planning groups this call handed to the thread pool
   /// (ScheduleRequestsParallel) — the pool occupancy the replan offered.
-  /// 0 on the serial path, so like the memo fields it is thread-count-
-  /// dependent telemetry, not part of the deterministic plan.
+  /// 0 on the serial path, so it is thread-count-dependent telemetry, not
+  /// part of the deterministic plan.
   std::uint64_t parallel_groups = 0;
 
   Time MaxCompletion() const;

@@ -62,8 +62,6 @@ void TimelineSampler::BeginRun(PortId num_ports) {
   rolling_next_ = 0;
   slo_burn_ = 0;
   slo_first_breach_ = -1;
-  memo_hits_total_ = 0;
-  memo_lookups_total_ = 0;
   pool_peak_groups_ = 0;
 }
 
@@ -137,12 +135,8 @@ void TimelineSampler::NoteQueueDepth(Time t, std::size_t depth) {
 }
 
 void TimelineSampler::NoteReplan(Time t, double wall_ns,
-                                 std::uint64_t memo_hits,
-                                 std::uint64_t memo_lookups,
                                  std::uint64_t pool_groups) {
   replan_ns_.Record(wall_ns);
-  memo_hits_total_ += memo_hits;
-  memo_lookups_total_ += memo_lookups;
   pool_peak_groups_ = std::max(pool_peak_groups_, pool_groups);
   const double budget_ns = config_.slo_budget_us * 1e3;
   if (budget_ns > 0 && wall_ns > budget_ns) {
@@ -164,8 +158,6 @@ void TimelineSampler::NoteReplan(Time t, double wall_ns,
   w.replan_ns_sum += wall_ns;
   w.rolling_p50_ns = stats::Percentile(sorted, 50);
   w.rolling_p99_ns = stats::Percentile(sorted, 99);
-  w.memo_hits += memo_hits;
-  w.memo_lookups += memo_lookups;
   w.pool_groups_max = std::max(w.pool_groups_max, pool_groups);
 }
 
@@ -274,8 +266,6 @@ TimelineSample TimelineSampler::MergePair(TimelineSample a,
     a.rolling_p50_ns = b.rolling_p50_ns;
     a.rolling_p99_ns = b.rolling_p99_ns;
   }
-  a.memo_hits += b.memo_hits;
-  a.memo_lookups += b.memo_lookups;
   a.pool_groups_max = std::max(a.pool_groups_max, b.pool_groups_max);
   return a;
 }
@@ -323,10 +313,6 @@ TimelineSummary TimelineSampler::Summarize() const {
     if (horizon > kTimeEps)
       out.idle_fraction = std::clamp(1.0 - covered / horizon, 0.0, 1.0);
   }
-  if (memo_lookups_total_ > 0) {
-    out.memo_hit_rate = static_cast<double>(memo_hits_total_) /
-                        static_cast<double>(memo_lookups_total_);
-  }
   out.pool_peak_groups = pool_peak_groups_;
   out.slo.replans = replan_ns_.count();
   out.slo.p50_ns = replan_ns_.ValueAtPercentile(50);
@@ -350,7 +336,7 @@ void TimelineSampler::WriteCsv(std::ostream& os) const {
   os << ",engine_active_frac,active,queue_depth,admitted,blocked,replans";
   if (config_.include_wall) {
     os << ",replan_ns_max,replan_ns_sum,rolling_p50_ns,rolling_p99_ns,"
-          "memo_hits,memo_lookups,pool_groups_max";
+          "pool_groups_max";
   }
   os << "\n";
   for (const auto& s : samples_) {
@@ -374,8 +360,7 @@ void TimelineSampler::WriteCsv(std::ostream& os) const {
       os << ',' << FormatJsonNumber(s.replan_ns_max) << ','
          << FormatJsonNumber(s.replan_ns_sum) << ','
          << FormatJsonNumber(s.rolling_p50_ns) << ','
-         << FormatJsonNumber(s.rolling_p99_ns) << ',' << s.memo_hits << ','
-         << s.memo_lookups << ',' << s.pool_groups_max;
+         << FormatJsonNumber(s.rolling_p99_ns) << ',' << s.pool_groups_max;
     }
     os << "\n";
   }
@@ -417,8 +402,6 @@ void TimelineSampler::WriteJsonl(std::ostream& os) const {
          << ",\"replan_ns_sum\":" << FormatJsonNumber(s.replan_ns_sum)
          << ",\"rolling_p50_ns\":" << FormatJsonNumber(s.rolling_p50_ns)
          << ",\"rolling_p99_ns\":" << FormatJsonNumber(s.rolling_p99_ns)
-         << ",\"memo_hits\":" << s.memo_hits
-         << ",\"memo_lookups\":" << s.memo_lookups
          << ",\"pool_groups_max\":" << s.pool_groups_max;
     }
     os << "}\n";

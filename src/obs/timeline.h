@@ -1,18 +1,17 @@
 // Sim-time telemetry timelines: a sim-clock-driven sampler that turns one
 // engine replay into a bounded-memory time series — per-plane fabric
-// utilization, idle fraction, coflow/queue gauges, plan-memo hit rate and
-// replan wall latency with a rolling SLO check — plus CSV/JSONL export and
-// end-of-run aggregates for the run manifest.
+// utilization, idle fraction, coflow/queue gauges, planning-pool fan-out
+// and replan wall latency with a rolling SLO check — plus CSV/JSONL export
+// and end-of-run aggregates for the run manifest.
 //
 // Determinism contract (docs/observability.md "Telemetry timelines"):
 // every *default* column is derived from sim physics (reservations, the
 // sim clock, queue/coflow counts), so the exported file is byte-identical
-// at any --threads value — CI diffs it at 1 vs 8. Wall-clock and memo
-// columns (replan latency, rolling percentiles, cache hits) are
-// host-dependent AND thread-count-dependent (the parallel planner memoizes
-// per group), so they are export-gated behind `include_wall` and otherwise
-// surface only through Summarize() / the run manifest, which is never
-// byte-diffed.
+// at any --threads value — CI diffs it at 1 vs 8. Wall-clock and pool
+// columns (replan latency, rolling percentiles, pool fan-out) are
+// host-dependent AND thread-count-dependent, so they are export-gated
+// behind `include_wall` and otherwise surface only through Summarize() /
+// the run manifest, which is never byte-diffed.
 //
 // Memory contract: the sample buffer never exceeds `cap`. When a push
 // would reach the cap the buffer is decimated — adjacent samples merge
@@ -45,7 +44,7 @@ struct TimelineConfig {
   /// Number of most-recent replans in the rolling p50/p99 window.
   std::size_t rolling_window = 64;
   /// Export the host-dependent columns (wall latency, rolling
-  /// percentiles, memo hits) in WriteCsv/WriteJsonl. Off by default so
+  /// percentiles, pool fan-out) in WriteCsv/WriteJsonl. Off by default so
   /// the exported file honours the byte-determinism contract above.
   bool include_wall = false;
 };
@@ -85,8 +84,6 @@ struct TimelineSample {
   double replan_ns_sum = 0;
   double rolling_p50_ns = 0;  ///< rolling percentiles as of the window
   double rolling_p99_ns = 0;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_lookups = 0;
   /// Max planning groups a replan in this window offered the thread pool
   /// (SunflowSchedule::parallel_groups; 0 = every replan took the serial
   /// path).
@@ -129,7 +126,6 @@ struct TimelineSummary {
   /// executing spans (vs fast-forwarding over idle gaps).
   double engine_active_fraction = 0;
   std::size_t decimations = 0;
-  double memo_hit_rate = 0;  ///< memo hits / lookups over the run
   /// Peak pool occupancy: the largest group fan-out any replan offered
   /// the planning pool (0 when every replan planned serially).
   std::uint64_t pool_peak_groups = 0;
@@ -155,12 +151,10 @@ class TimelineSampler {
   void NoteAdmitted(Time arrival, Time tpl);
   /// Pending-release queue depth observed at the top of a loop iteration.
   void NoteQueueDepth(Time t, std::size_t depth);
-  /// One replan at sim time `t` that took `wall_ns` of host time, hit
-  /// the plan memo `memo_hits` times out of `memo_lookups` requests, and
+  /// One replan at sim time `t` that took `wall_ns` of host time and
   /// offered `pool_groups` independent planning groups to the pool (0 =
   /// serial path).
-  void NoteReplan(Time t, double wall_ns, std::uint64_t memo_hits,
-                  std::uint64_t memo_lookups, std::uint64_t pool_groups = 0);
+  void NoteReplan(Time t, double wall_ns, std::uint64_t pool_groups = 0);
   /// The engine executed a span covering [begin, end).
   void NoteEngineSpan(Time begin, Time end);
   /// Clipped circuit occupancy plus coflow gauges for the span
@@ -246,8 +240,6 @@ class TimelineSampler {
   std::size_t rolling_next_ = 0;
   std::uint64_t slo_burn_ = 0;
   Time slo_first_breach_ = -1;
-  std::uint64_t memo_hits_total_ = 0;
-  std::uint64_t memo_lookups_total_ = 0;
   std::uint64_t pool_peak_groups_ = 0;
 };
 

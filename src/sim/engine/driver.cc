@@ -184,15 +184,10 @@ void ReplayDriver::NoteReplan(Time t, const SunflowSchedule& plan,
   for (const auto& [id, count] : plan.reservation_count)
     result.reservations[id] += count;
   if (timeline_ != nullptr) {
-    timeline_->NoteReplan(t, plan_ns, plan.memo_hits, plan.memo_lookups,
-                          plan.parallel_groups);
+    timeline_->NoteReplan(t, plan_ns, plan.parallel_groups);
   }
   obs::GlobalMetrics().GetHistogram("scheduler.compute_ns").Record(plan_ns);
   obs::GlobalMetrics().GetCounter("replay.replans").Increment();
-  // Externally timed by the scenario (the same number the
-  // kAssignmentComputed event carries); lands next to the scope-measured
-  // engine.* phases so a manifest shows planning vs execution directly.
-  obs::GlobalProfiler().RecordNs("engine.plan", plan_ns);
   obs::Emit(state_.sink(),
             {.type = obs::EventType::kAssignmentComputed,
              .t = t,

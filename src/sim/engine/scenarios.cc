@@ -15,6 +15,7 @@
 
 #include "common/assert.h"
 #include "core/components.h"
+#include "obs/profiler.h"
 #include "packet/replay.h"
 #include "packet/varys.h"
 #include "sched/kcore.h"
@@ -219,6 +220,20 @@ class PlanRequestCache {
   std::vector<FlowDemand> scratch_;
 };
 
+// Runs one replan's planning call under the engine.plan profiler scope and
+// returns its wall time in ns — the number scheduler.compute_ns and the
+// kAssignmentComputed event carry.
+template <typename PlanFn>
+double TimedPlan(PlanFn&& plan) {
+  SUNFLOW_PROFILE_SCOPE("engine.plan");
+  const auto begin = std::chrono::steady_clock::now();
+  plan();
+  return static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - begin)
+          .count());
+}
+
 // InterCoflow over the active set in policy order: builds views, orders,
 // plans on a fresh PRT (optionally seeded with carried-over circuits) and
 // reports the replan through the driver. With a pool, port-disjoint groups
@@ -261,12 +276,10 @@ SunflowSchedule PlanActiveSet(ReplayDriver& driver,
     cache.NoteActive(sc.id);
   }
   cache.PruneTo(active.size());
-  const auto plan_begin = std::chrono::steady_clock::now();
-  SunflowSchedule plan = ScheduleRequestsParallel(planner, requests, pool);
-  const auto plan_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           std::chrono::steady_clock::now() - plan_begin)
-                           .count();
-  driver.NoteReplan(t, plan, static_cast<double>(plan_ns), requests.size());
+  SunflowSchedule plan;
+  const double plan_ns = TimedPlan(
+      [&] { plan = ScheduleRequestsParallel(planner, requests, pool); });
+  driver.NoteReplan(t, plan, plan_ns, requests.size());
   return plan;
 }
 
@@ -428,49 +441,10 @@ class KCorePerCoreScenario final : public ScenarioPolicy {
     }
     request_cache_.PruneTo(active.size());
 
-    const auto plan_begin = std::chrono::steady_clock::now();
-    const KCoreAssignment assignment =
-        AssignCoflowsToCores(requests, planes_, bandwidth);
-
-    // Each core plans independently on a single-plane planner whose
-    // implicit plane inherits that core's (δ, rate); the planner's demand
-    // scale (bandwidth / rate) stretches the canonical processing times
-    // exactly as the joint planner would. Requests keep their global
-    // priority order within the core.
     SunflowSchedule plan;
-    for (std::size_t p = 0; p < planes_.size(); ++p) {
-      std::vector<const PlanRequest*> core_requests;
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (assignment.plane_of[i] == static_cast<PlaneId>(p))
-          core_requests.push_back(requests[i]);
-      }
-      if (core_requests.empty()) continue;
-      SunflowConfig core_config = config_.sunflow;
-      core_config.fabric =
-          FabricSpec::Uniform(1, planes_[p].delta, planes_[p].rate);
-      SunflowPlanner planner(s.num_ports(), core_config);
-      if (config_.carry_over_circuits && !established_[p].empty())
-        planner.SetEstablishedCircuits(established_[p], t);
-      SunflowSchedule core_plan = planner.ScheduleAll(core_requests);
-      for (auto& r : core_plan.reservations)
-        r.plane = static_cast<PlaneId>(p);
-      plan.reservations.insert(plan.reservations.end(),
-                               core_plan.reservations.begin(),
-                               core_plan.reservations.end());
-      plan.completion_time.merge(core_plan.completion_time);
-      plan.reservation_count.merge(core_plan.reservation_count);
-      plan.flow_finish.merge(core_plan.flow_finish);
-      plan.memo_hits += core_plan.memo_hits;
-      plan.memo_lookups += core_plan.memo_lookups;
-      // Per-core plans run back to back; peak pool occupancy is the
-      // widest single core's group fan-out, not the sum.
-      plan.parallel_groups =
-          std::max(plan.parallel_groups, core_plan.parallel_groups);
-    }
-    const auto plan_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             std::chrono::steady_clock::now() - plan_begin)
-                             .count();
-    driver.NoteReplan(t, plan, static_cast<double>(plan_ns), requests.size());
+    const double plan_ns =
+        TimedPlan([&] { plan = PlanPerCore(requests, s.num_ports(), t); });
+    driver.NoteReplan(t, plan, plan_ns, requests.size());
     last_plan_ = t;
 
     Time t_next = kTimeInf;
@@ -511,6 +485,50 @@ class KCorePerCoreScenario final : public ScenarioPolicy {
   }
 
  private:
+  // Pins each coflow wholly to one core (sched/kcore.h), then plans every
+  // core independently.
+  SunflowSchedule PlanPerCore(const std::vector<const PlanRequest*>& requests,
+                              PortId num_ports, Time t) const {
+    const Bandwidth bandwidth = config_.sunflow.bandwidth;
+    const KCoreAssignment assignment =
+        AssignCoflowsToCores(requests, planes_, bandwidth);
+
+    // Each core plans independently on a single-plane planner whose
+    // implicit plane inherits that core's (δ, rate); the planner's demand
+    // scale (bandwidth / rate) stretches the canonical processing times
+    // exactly as the joint planner would. Requests keep their global
+    // priority order within the core.
+    SunflowSchedule plan;
+    for (std::size_t p = 0; p < planes_.size(); ++p) {
+      std::vector<const PlanRequest*> core_requests;
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        if (assignment.plane_of[i] == static_cast<PlaneId>(p))
+          core_requests.push_back(requests[i]);
+      }
+      if (core_requests.empty()) continue;
+      SunflowConfig core_config = config_.sunflow;
+      core_config.fabric =
+          FabricSpec::Uniform(1, planes_[p].delta, planes_[p].rate);
+      SunflowPlanner planner(num_ports, core_config);
+      if (config_.carry_over_circuits && !established_[p].empty())
+        planner.SetEstablishedCircuits(established_[p], t);
+      SunflowSchedule core_plan = planner.ScheduleAll(core_requests);
+      for (auto& r : core_plan.reservations)
+        r.plane = static_cast<PlaneId>(p);
+      plan.reservations.insert(plan.reservations.end(),
+                               core_plan.reservations.begin(),
+                               core_plan.reservations.end());
+      plan.completion_time.merge(core_plan.completion_time);
+      plan.reservation_count.merge(core_plan.reservation_count);
+      plan.flow_finish.merge(core_plan.flow_finish);
+      // Per-core plans run back to back; peak pool occupancy is the
+      // widest single core's group fan-out, not the sum.
+      plan.parallel_groups =
+          std::max(plan.parallel_groups, core_plan.parallel_groups);
+    }
+    return plan;
+  }
+
   const PriorityPolicy& policy_;
   EngineConfig config_;
   std::vector<PlaneSpec> planes_;

@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -258,6 +262,73 @@ TEST(ScenarioRegistry, RunExecutesByName) {
   EXPECT_EQ(result.replans, 1);
   EXPECT_GT(result.queue.pushes, 0u);
   EXPECT_EQ(result.queue.pushes, result.queue.pops);
+}
+
+// Bitwise, not numeric, equality: the two runs must agree to the last bit.
+void ExpectBitIdentical(const std::map<CoflowId, Time>& a,
+                        const std::map<CoflowId, Time>& b,
+                        const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (auto ia = a.begin(), ib = b.begin(); ia != a.end(); ++ia, ++ib) {
+    ASSERT_EQ(ia->first, ib->first) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ia->second),
+              std::bit_cast<std::uint64_t>(ib->second))
+        << what << " coflow " << ia->first;
+  }
+}
+
+TEST(ScenarioRegistry, RepeatedReplayIsBitIdentical) {
+  // Results are a pure function of (trace, policy, config): replaying one
+  // trace twice in the same process through every registered scenario
+  // must reproduce the first run bit for bit — no planner, cache or
+  // registry state may carry from one run into the next.
+  Trace trace;
+  trace.num_ports = 6;
+  trace.coflows.push_back(Coflow(1, 0.0, {{0, 1, MB(120)}, {1, 2, MB(60)}}));
+  trace.coflows.push_back(Coflow(2, 0.0, {{0, 1, MB(40)}, {2, 3, MB(30)}}));
+  trace.coflows.push_back(Coflow(3, 0.3, {{3, 4, MB(200)}, {4, 5, MB(80)}}));
+  trace.coflows.push_back(Coflow(4, 0.5, {{5, 0, MB(4)}}));  // hybrid offload
+  trace.coflows.push_back(Coflow(5, 0.9, {{2, 0, MB(90)}, {0, 3, MB(30)}}));
+  const auto policy = MakeShortestFirstPolicy();
+
+  struct Case {
+    std::string scenario;
+    bool plans;  // records per-coflow reservations
+    int planes;
+    bool kcore_joint;
+  };
+  const std::vector<Case> cases = {
+      {"circuit", true, 1, true},  {"guarded", true, 1, true},
+      {"rotor", false, 1, true},   {"hybrid", false, 1, true},
+      {"kcore", true, 2, true},    {"kcore", true, 2, false},
+  };
+  std::set<std::string> covered;
+  for (const Case& c : cases) {
+    EngineConfig ec = UnitConfig();
+    if (c.planes > 1) {
+      ec.sunflow.fabric = FabricSpec::Uniform(c.planes, ec.sunflow.delta,
+                                              ec.sunflow.bandwidth);
+    }
+    ec.kcore_joint = c.kcore_joint;
+    const std::string what =
+        c.scenario + (c.kcore_joint ? "" : " (per-core)");
+    const auto first =
+        ScenarioRegistry::Global().Run(c.scenario, trace, policy.get(), ec);
+    const auto second =
+        ScenarioRegistry::Global().Run(c.scenario, trace, policy.get(), ec);
+    ASSERT_EQ(first.cct.size(), trace.coflows.size()) << what;
+    ExpectBitIdentical(first.cct, second.cct, what + " cct");
+    ExpectBitIdentical(first.completion, second.completion,
+                       what + " completion");
+    if (c.plans) {
+      EXPECT_FALSE(first.reservations.empty()) << what;
+      EXPECT_EQ(first.reservations, second.reservations) << what;
+    }
+    EXPECT_EQ(first.replans, second.replans) << what;
+    covered.insert(c.scenario);
+  }
+  for (const auto& [name, description] : ScenarioRegistry::Global().List())
+    EXPECT_TRUE(covered.contains(name)) << name << " is not replayed twice";
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 
 #include "common/rng.h"
 #include "core/components.h"
-#include "core/plan_memo.h"
 #include "core/policy.h"
 #include "core/sunflow.h"
 #include "runtime/thread_pool.h"
@@ -88,13 +87,9 @@ TEST(PlannerParallel, MatchesSerialScheduleAllExactly) {
         rng, clusters, 3 + static_cast<int>(rng.UniformInt(0, 12)));
     const PortId ports = static_cast<PortId>(4 * clusters);
 
-    // Fresh memo per side so neither run can be served the other's plans
-    // (a hit is byte-identical anyway; this keeps the comparison honest).
-    GlobalPlanMemo().Clear();
     SunflowPlanner serial(ports, Config());
     const SunflowSchedule want = serial.ScheduleAll(Ptrs(reqs));
 
-    GlobalPlanMemo().Clear();
     SunflowPlanner parallel(ports, Config());
     const SunflowSchedule got =
         ScheduleRequestsParallel(parallel, Ptrs(reqs), &pool);
@@ -114,7 +109,6 @@ TEST(PlannerParallel, DeterministicAcrossPoolSizes) {
   std::vector<SunflowSchedule> results;
   for (const int threads : {1, 2, 8}) {
     runtime::ThreadPool pool(threads);
-    GlobalPlanMemo().Clear();
     SunflowPlanner planner(16, Config());
     results.push_back(ScheduleRequestsParallel(planner, Ptrs(reqs), &pool));
   }
@@ -133,10 +127,8 @@ TEST(PlannerParallel, GroupsFollowPortFootprints) {
   reqs.push_back({4, 0, {{8, 10, 0.05}}});  // its own group
   runtime::ThreadPool pool(4);
 
-  GlobalPlanMemo().Clear();
   SunflowPlanner serial(12, Config());
   const SunflowSchedule want = serial.ScheduleAll(Ptrs(reqs));
-  GlobalPlanMemo().Clear();
   SunflowPlanner parallel(12, Config());
   const SunflowSchedule got =
       ScheduleRequestsParallel(parallel, Ptrs(reqs), &pool);
@@ -148,13 +140,11 @@ TEST(PlannerParallel, FallsBackWhenPreconditionsFail) {
   const auto reqs = RandomClusteredRequests(rng, 3, 8);
   runtime::ThreadPool pool(4);
 
-  GlobalPlanMemo().Clear();
   SunflowPlanner oracle(12, Config());
   const SunflowSchedule want = oracle.ScheduleAll(Ptrs(reqs));
 
   {
     // Null pool → serial path, same output.
-    GlobalPlanMemo().Clear();
     SunflowPlanner p(12, Config());
     ExpectExactlyEqual(ScheduleRequestsParallel(p, Ptrs(reqs), nullptr), want);
   }
@@ -162,7 +152,6 @@ TEST(PlannerParallel, FallsBackWhenPreconditionsFail) {
     // A reservation callback must observe the stream in planning order, so
     // the parallel path declines; output is unchanged and the callback
     // fires once per reservation.
-    GlobalPlanMemo().Clear();
     SunflowPlanner p(12, Config());
     std::size_t fired = 0;
     p.SetReservationCallback([&](const CircuitReservation&) { ++fired; });
@@ -172,13 +161,11 @@ TEST(PlannerParallel, FallsBackWhenPreconditionsFail) {
   {
     // Non-empty PRT → the group planners could not reconstruct the prior
     // state, so the call must route through serial ScheduleAll.
-    GlobalPlanMemo().Clear();
     SunflowPlanner p(12, Config());
     SunflowSchedule scratch;
     PlanRequest occupant{99, 0, {{0, 2, 0.05}}};
     p.ScheduleOne(occupant, scratch);
 
-    GlobalPlanMemo().Clear();
     SunflowPlanner q(12, Config());
     SunflowSchedule scratch2;
     q.ScheduleOne(occupant, scratch2);
@@ -190,10 +177,8 @@ TEST(PlannerParallel, FallsBackWhenPreconditionsFail) {
     // Duplicate coflow ids break the merge keying → serial fallback.
     std::vector<PlanRequest> dup = reqs;
     dup.push_back(dup.front());
-    GlobalPlanMemo().Clear();
     SunflowPlanner a(12, Config());
     const SunflowSchedule want_dup = a.ScheduleAll(Ptrs(dup));
-    GlobalPlanMemo().Clear();
     SunflowPlanner b(12, Config());
     ExpectExactlyEqual(ScheduleRequestsParallel(b, Ptrs(dup), &pool),
                        want_dup);
@@ -210,7 +195,6 @@ TEST(PlannerParallel, EstablishedCircuitsCarryIntoGroups) {
   EstablishedCircuits established{{0, 2}};
   runtime::ThreadPool pool(4);
 
-  GlobalPlanMemo().Clear();
   SunflowPlanner serial(8, Config());
   serial.SetEstablishedCircuits(established, 1.0);
   const SunflowSchedule want = serial.ScheduleAll(Ptrs(reqs));
@@ -218,7 +202,6 @@ TEST(PlannerParallel, EstablishedCircuitsCarryIntoGroups) {
   // isn't exercising the carry-over path at all.
   ASSERT_EQ(want.reservations.at(0).setup, 0.0);
 
-  GlobalPlanMemo().Clear();
   SunflowPlanner parallel(8, Config());
   parallel.SetEstablishedCircuits(established, 1.0);
   ExpectExactlyEqual(ScheduleRequestsParallel(parallel, Ptrs(reqs), &pool),

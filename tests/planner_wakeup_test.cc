@@ -1,5 +1,5 @@
 // Tests for the event-indexed wakeup planner (ScheduleOne) and the
-// cross-replan plan memo.
+// InterCoflow loop built on it (ScheduleAll).
 //
 // ScheduleOne is differentially tested against ScheduleOneRescan, the
 // paper-literal release-chain walk it replaced: over randomized port
@@ -11,13 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
-#include "core/plan_memo.h"
 #include "core/sunflow.h"
-#include "obs/metrics.h"
 
 namespace sunflow {
 namespace {
@@ -70,7 +67,6 @@ SunflowConfig RandomConfig(Rng& rng) {
   cfg.order = kOrders[rng.UniformInt(0, 3)];
   cfg.shuffle_seed = rng.NextU64();
   cfg.demand_quantum = rng.Uniform(0, 1) < 0.3 ? 0.05 : 0.0;
-  cfg.plan_reuse = false;  // isolate the two ScheduleOne paths
   return cfg;
 }
 
@@ -139,7 +135,6 @@ TEST(PlannerWakeup, RetryOrderReplaysOrderedSequence) {
   cfg.bandwidth = 1.0;
   cfg.delta = 0.1;
   cfg.order = ReservationOrder::kSortedDemandDesc;
-  cfg.plan_reuse = false;
   SunflowPlanner planner(6, cfg);
   PlanRequest req;
   req.coflow = 1;
@@ -170,180 +165,43 @@ TEST(PlannerWakeup, RetryOrderReplaysOrderedSequence) {
   ExpectReservationsEqual(created, oracle.prt().reservations());
 }
 
-// ---------------------------------------------------------------------------
-// Plan memo (core/plan_memo.h).
-
-constexpr PortId kMemoPorts = 8;
-
-std::vector<PlanRequest> MemoRequests(Time start) {
-  Rng rng(1234);
-  std::vector<PlanRequest> reqs;
-  for (CoflowId id = 0; id < 3; ++id) {
-    reqs.push_back(RandomRequest(rng, kMemoPorts, id, start));
-    for (FlowDemand& d : reqs.back().demand) {
-      if (d.processing == 0.0) d.processing = 0.3;  // keep every flow live
-    }
-  }
-  return reqs;
-}
-
-SunflowConfig MemoConfig(bool reuse = true) {
-  SunflowConfig cfg;
-  cfg.bandwidth = 1.0;
-  cfg.delta = 0.05;
-  cfg.plan_reuse = reuse;
-  return cfg;
-}
-
-struct CounterDeltas {
-  std::uint64_t hits0;
-  std::uint64_t misses0;
-  CounterDeltas()
-      : hits0(obs::GlobalMetrics().GetCounter("plan.cache_hits").value()),
-        misses0(obs::GlobalMetrics().GetCounter("plan.cache_misses").value()) {
-  }
-  std::uint64_t hits() const {
-    return obs::GlobalMetrics().GetCounter("plan.cache_hits").value() - hits0;
-  }
-  std::uint64_t misses() const {
-    return obs::GlobalMetrics().GetCounter("plan.cache_misses").value() -
-           misses0;
-  }
-};
-
-TEST(PlanMemo, SecondReplanSplicesByteIdentically) {
-  GlobalPlanMemo().Clear();
-  const std::vector<PlanRequest> reqs = MemoRequests(/*start=*/1.5);
-
-  CounterDeltas first;
-  SunflowPlanner cold(kMemoPorts, MemoConfig());
-  const SunflowSchedule s1 = cold.ScheduleAll(reqs);
-  EXPECT_EQ(first.hits(), 0u);
-  EXPECT_EQ(first.misses(), reqs.size());
-  EXPECT_EQ(GlobalPlanMemo().entries(), reqs.size());
-
-  CounterDeltas second;
-  SunflowPlanner warm(kMemoPorts, MemoConfig());
-  const SunflowSchedule s2 = warm.ScheduleAll(reqs);
-  EXPECT_EQ(second.hits(), reqs.size());
-  EXPECT_EQ(second.misses(), 0u);
-  ExpectSchedulesEqual(s1, s2);
-  // The PRT must be populated on the hit path too (callers inspect it).
-  ExpectReservationsEqual(warm.prt().reservations(),
-                          cold.prt().reservations());
-
-  // Both must match the memo-free planner bit-for-bit.
-  SunflowPlanner off(kMemoPorts, MemoConfig(/*reuse=*/false));
-  ExpectSchedulesEqual(s1, off.ScheduleAll(reqs));
-}
-
-TEST(PlanMemo, DemandChangeInvalidatesSuffixOnly) {
-  GlobalPlanMemo().Clear();
-  std::vector<PlanRequest> reqs = MemoRequests(/*start=*/2.0);
-  SunflowPlanner cold(kMemoPorts, MemoConfig());
-  cold.ScheduleAll(reqs);
-
-  // Mutating the middle request's demand (a completion would do the same)
-  // keeps the prefix before it and invalidates everything from it on.
-  reqs[1].demand[0].processing += 0.25;
-  CounterDeltas d;
-  SunflowPlanner warm(kMemoPorts, MemoConfig());
-  const SunflowSchedule got = warm.ScheduleAll(reqs);
-  EXPECT_EQ(d.hits(), 1u);
-  EXPECT_EQ(d.misses(), 2u);
-
-  SunflowPlanner off(kMemoPorts, MemoConfig(/*reuse=*/false));
-  ExpectSchedulesEqual(got, off.ScheduleAll(reqs));
-}
-
-TEST(PlanMemo, ReplanInstantChangeMissesEverything) {
-  GlobalPlanMemo().Clear();
-  SunflowPlanner cold(kMemoPorts, MemoConfig());
-  cold.ScheduleAll(MemoRequests(/*start=*/1.0));
-
-  CounterDeltas d;
-  SunflowPlanner warm(kMemoPorts, MemoConfig());
-  const std::vector<PlanRequest> shifted = MemoRequests(/*start=*/1.25);
-  const SunflowSchedule got = warm.ScheduleAll(shifted);
-  EXPECT_EQ(d.hits(), 0u);
-  EXPECT_EQ(d.misses(), shifted.size());
-
-  SunflowPlanner off(kMemoPorts, MemoConfig(/*reuse=*/false));
-  ExpectSchedulesEqual(got, off.ScheduleAll(shifted));
-}
-
-TEST(PlanMemo, PriorityReorderMissesFromDivergence) {
-  GlobalPlanMemo().Clear();
-  std::vector<PlanRequest> reqs = MemoRequests(/*start=*/3.0);
-  SunflowPlanner cold(kMemoPorts, MemoConfig());
-  cold.ScheduleAll(reqs);
-
-  std::swap(reqs[0], reqs[1]);
-  CounterDeltas d;
-  SunflowPlanner warm(kMemoPorts, MemoConfig());
-  const SunflowSchedule got = warm.ScheduleAll(reqs);
-  EXPECT_EQ(d.hits(), 0u);  // first key already diverges
-  EXPECT_EQ(d.misses(), reqs.size());
-
-  SunflowPlanner off(kMemoPorts, MemoConfig(/*reuse=*/false));
-  ExpectSchedulesEqual(got, off.ScheduleAll(reqs));
-}
-
-TEST(PlanMemo, EstablishedCircuitChangeMissesEverything) {
-  GlobalPlanMemo().Clear();
-  const std::vector<PlanRequest> reqs = MemoRequests(/*start=*/1.5);
-  SunflowPlanner cold(kMemoPorts, MemoConfig());
-  cold.ScheduleAll(reqs);
-
-  CounterDeltas d;
-  SunflowPlanner warm(kMemoPorts, MemoConfig());
-  warm.SetEstablishedCircuits({{0, 1}}, /*at=*/1.5);
-  warm.ScheduleAll(reqs);
-  EXPECT_EQ(d.hits(), 0u);
-  EXPECT_EQ(d.misses(), reqs.size());
-}
-
-TEST(PlanMemo, DisabledPlannerBypassesMemoEntirely) {
-  GlobalPlanMemo().Clear();
-  const std::vector<PlanRequest> reqs = MemoRequests(/*start=*/1.5);
-  CounterDeltas d;
-  SunflowPlanner off(kMemoPorts, MemoConfig(/*reuse=*/false));
-  off.ScheduleAll(reqs);
-  EXPECT_EQ(d.hits(), 0u);
-  EXPECT_EQ(d.misses(), 0u);
-  EXPECT_EQ(GlobalPlanMemo().entries(), 0u);
-}
-
-// TSan coverage: concurrent planners sharing the global memo, mixing hits
-// (the common request set) and misses (per-thread variants), must all
-// produce the reference output.
-TEST(PlanMemo, ConcurrentReplansShareTheMemoSafely) {
-  GlobalPlanMemo().Clear();
-  SunflowPlanner ref_planner(kMemoPorts, MemoConfig(/*reuse=*/false));
-  const SunflowSchedule reference = ref_planner.ScheduleAll(
-      MemoRequests(/*start=*/1.5));
-
-  constexpr int kThreads = 4;
-  std::vector<std::thread> threads;
-  for (int w = 0; w < kThreads; ++w) {
-    threads.emplace_back([w, &reference] {
-      for (int iter = 0; iter < 25; ++iter) {
-        // Per-thread request copies: PlanRequest's Ordered() cache is not
-        // safe to share across planners running concurrently.
-        const std::vector<PlanRequest> reqs = MemoRequests(/*start=*/1.5);
-        SunflowPlanner planner(kMemoPorts, MemoConfig());
-        ExpectSchedulesEqual(planner.ScheduleAll(reqs), reference);
-        // A thread-distinct instant: misses for every thread but hits on
-        // this thread's own later iterations.
-        const std::vector<PlanRequest> own =
-            MemoRequests(/*start=*/10.0 + w);
-        SunflowPlanner other(kMemoPorts, MemoConfig());
-        other.ScheduleAll(own);
+// InterCoflow is a plain loop of IntraCoflow calls on one PRT: ScheduleAll
+// over N requests must equal N sequential ScheduleOne calls on a fresh
+// planner, and repeating the ScheduleAll on another fresh planner must
+// reproduce it bit for bit — no plan state survives across planners.
+TEST(PlannerWakeup, ScheduleAllEqualsSequentialScheduleOne) {
+  Rng rng(2718);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto ports = static_cast<PortId>(rng.UniformInt(2, 10));
+    const SunflowConfig cfg = RandomConfig(rng);
+    const Time start = rng.Uniform(0, 5.0);
+    EstablishedCircuits circuits;
+    if (rng.Uniform(0, 1) < 0.5) {
+      for (PortId p = 0; p < ports; ++p) {
+        if (rng.Uniform(0, 1) < 0.5)
+          circuits[p] = static_cast<PortId>(rng.UniformInt(0, ports - 1));
       }
-    });
+    }
+    std::vector<PlanRequest> reqs;
+    const int coflows = rng.UniformInt(1, 6);
+    for (CoflowId id = 0; id < coflows; ++id)
+      reqs.push_back(RandomRequest(rng, ports, id, start));
+
+    SunflowPlanner all(ports, cfg);
+    all.SetEstablishedCircuits(circuits, start);
+    const SunflowSchedule got = all.ScheduleAll(reqs);
+
+    SunflowPlanner seq(ports, cfg);
+    seq.SetEstablishedCircuits(circuits, start);
+    SunflowSchedule want;
+    for (const PlanRequest& req : reqs) seq.ScheduleOne(req, want);
+    want.reservations = seq.prt().reservations();
+    ExpectSchedulesEqual(got, want);
+
+    SunflowPlanner again(ports, cfg);
+    again.SetEstablishedCircuits(circuits, start);
+    ExpectSchedulesEqual(again.ScheduleAll(reqs), got);
   }
-  for (std::thread& t : threads) t.join();
-  EXPECT_GT(GlobalPlanMemo().entries(), 0u);
 }
 
 }  // namespace

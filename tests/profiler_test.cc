@@ -1,6 +1,7 @@
 // Locks in the phase-profiler contract (obs/profiler.h): nested-scope
 // attribution, the sharded merge's thread-count invariance, the disabled
-// fast path, and the run-manifest JSON round trip built on obs/json.h.
+// fast path, the engine's phase tree summing without double counting, and
+// the run-manifest JSON round trip built on obs/json.h.
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -10,11 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include "core/policy.h"
 #include "obs/json.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "runtime/thread_pool.h"
+#include "sim/engine/scenario.h"
+#include "trace/generator.h"
 
 namespace sunflow::obs {
 namespace {
@@ -156,6 +160,33 @@ TEST(ProfilerTest, RecordNsOverlaysExternallyTimedPhases) {
   EXPECT_DOUBLE_EQ(stats->total_ns, 2000.0);
   EXPECT_DOUBLE_EQ(stats->self_ns, 2000.0);
   EXPECT_DOUBLE_EQ(stats->max_ns, 1500.0);
+}
+
+TEST(ProfilerTest, ReplayPhaseTreeSumsToTheReplayTotal) {
+  // Every engine phase (engine.plan included) is a true scope nested under
+  // engine.replay, so the self times of a serial replay partition its
+  // inclusive total. A phase recorded flat beside its nested children
+  // would count planning twice and overshoot.
+  SyntheticTraceConfig cfg;
+  cfg.num_coflows = 30;
+  cfg.num_ports = 32;
+  cfg.seed = 20161212;
+  const Trace trace = GenerateSyntheticTrace(cfg);
+  const auto policy = MakeShortestFirstPolicy();
+  engine::EngineConfig ec;
+  ec.sunflow.bandwidth = Gbps(1);
+  ec.sunflow.delta = Millis(10);
+
+  GlobalProfiler().Reset();
+  engine::ScenarioRegistry::Global().Run("circuit", trace, policy.get(), ec);
+  const Profiler merged = GlobalProfiler().Merged();
+  const PhaseStats* replay = merged.FindPhase("engine.replay");
+  ASSERT_NE(replay, nullptr);
+  ASSERT_NE(merged.FindPhase("engine.plan"), nullptr);
+  ASSERT_NE(merged.FindPhase("core.plan"), nullptr);
+  double self_sum = 0;
+  for (const ProfileRow& row : merged.Rows()) self_sum += row.stats.self_ns;
+  EXPECT_LE(self_sum, 1.05 * replay->total_ns);
 }
 
 TEST(ProfilerTest, MergeFromIsCommutative) {

@@ -21,8 +21,7 @@
 // also cross-checks the δ-paying setup count against the producer's
 // executor.circuit_setups metric.
 // --manifest alone inspects a run manifest instead of an event trace: it
-// prints the plan-cache counters (plan.cache_hits / plan.cache_misses),
-// the parallel-planning counters (plan.parallel_fallbacks /
+// prints the parallel-planning counters (plan.parallel_fallbacks /
 // pool.waiter_steals) and each profiled phase's share of total self time —
 // the numbers the planner perf work is judged by.
 #include <algorithm>
@@ -212,7 +211,7 @@ int InspectTimeline(const std::string& path) {
   return 0;
 }
 
-// --manifest mode: plan-cache counters and per-phase self-time shares
+// --manifest mode: parallel-planning counters and per-phase self-time shares
 // from a run manifest (obs/manifest.h).
 int InspectManifest(const std::string& path) {
   obs::RunManifest m;
@@ -226,26 +225,10 @@ int InspectManifest(const std::string& path) {
   std::printf("tool: %s, wall %.2f ms, %d thread(s)\n", m.tool.c_str(),
               m.wall_ns / 1e6, m.threads);
 
-  double hits = -1, misses = -1;
   double parallel_fallbacks = -1, waiter_steals = -1;
   for (const obs::MetricRow& r : m.metrics) {
-    if (r.name == "plan.cache_hits") hits = r.value;
-    if (r.name == "plan.cache_misses") misses = r.value;
     if (r.name == "plan.parallel_fallbacks") parallel_fallbacks = r.value;
     if (r.name == "pool.waiter_steals") waiter_steals = r.value;
-  }
-  if (hits >= 0 || misses >= 0) {
-    hits = std::max(hits, 0.0);
-    misses = std::max(misses, 0.0);
-    const double total = hits + misses;
-    std::printf(
-        "plan cache: %.0f hits, %.0f misses (%.1f%% of %.0f replans "
-        "spliced from the memo)\n",
-        hits, misses, total > 0 ? 100.0 * hits / total : 0.0, total);
-  } else {
-    std::printf(
-        "plan cache: no plan.cache_* counters (run predates the plan memo "
-        "or never planned)\n");
   }
   if (parallel_fallbacks >= 0) {
     std::printf(
