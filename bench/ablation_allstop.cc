@@ -14,8 +14,7 @@
 #include "core/policy.h"
 #include "exp/intra_runner.h"
 #include "runtime/thread_pool.h"
-#include "sim/circuit_replay.h"
-#include "sim/rotor_replay.h"
+#include "sim/engine/scenario.h"
 #include "trace/generator.h"
 
 int main(int argc, char** argv) {
@@ -57,15 +56,16 @@ int main(int argc, char** argv) {
     const auto policy = MakeShortestFirstPolicy();
     // The two carry-over variants are independent replays — fan them out.
     const bool carry_options[] = {true, false};
-    CircuitReplayResult replays[2];
+    engine::EngineResult replays[2];
     {
       runtime::ThreadPool pool(std::min(threads, 2));
       pool.ParallelFor(0, 2, [&](std::size_t i) {
-        CircuitReplayConfig cfg;
+        engine::EngineConfig cfg;
         cfg.sunflow.bandwidth = Gbps(1);
         cfg.sunflow.delta = Millis(10);
         cfg.carry_over_circuits = carry_options[i];
-        replays[i] = ReplayCircuitTrace(w.trace, *policy, cfg);
+        replays[i] = engine::ScenarioRegistry::Global().Run(
+            "circuit", w.trace, policy.get(), cfg);
       });
     }
     for (std::size_t i = 0; i < 2; ++i) {
@@ -95,10 +95,10 @@ int main(int argc, char** argv) {
     TextTable table("Demand-aware (Sunflow) vs blind rotation (rotor)");
     table.SetHeader({"scheduler", "avg CCT", "p95 CCT"});
     const auto policy = MakeShortestFirstPolicy();
-    CircuitReplayConfig cc;
-    const auto sun = ReplayCircuitTrace(small, *policy, cc);
-    RotorReplayConfig rc;
-    const auto rotor = ReplayRotorTrace(small, rc);
+    auto& registry = engine::ScenarioRegistry::Global();
+    const engine::EngineConfig config;
+    const auto sun = registry.Run("circuit", small, policy.get(), config);
+    const auto rotor = registry.Run("rotor", small, /*policy=*/nullptr, config);
     for (const auto& [name, cct] :
          {std::pair{std::string("Sunflow (SCF)"), &sun.cct},
           std::pair{std::string("rotor (blind Φ rotation)"), &rotor.cct}}) {

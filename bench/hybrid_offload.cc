@@ -13,7 +13,7 @@
 #include "common/table.h"
 #include "core/policy.h"
 #include "runtime/thread_pool.h"
-#include "sim/hybrid_replay.h"
+#include "sim/engine/scenario.h"
 
 int main(int argc, char** argv) {
   using namespace sunflow;
@@ -38,21 +38,22 @@ int main(int argc, char** argv) {
   // coflows saw on the OCS (the baseline).
   const std::vector<double> thresholds_mb = {0.0, 10.0, 50.0, 200.0};
   std::map<CoflowId, Time> baseline;
-  std::vector<HybridReplayResult> sweeps(thresholds_mb.size());
+  std::vector<engine::EngineResult> sweeps(thresholds_mb.size());
   {
     runtime::ThreadPool pool(
         std::min<int>(threads, static_cast<int>(thresholds_mb.size()) + 1));
     pool.ParallelFor(0, thresholds_mb.size() + 1, [&](std::size_t i) {
-      HybridReplayConfig cfg;
-      cfg.circuit.sunflow.bandwidth = Gbps(1);
-      cfg.circuit.sunflow.delta = Millis(delta_ms);
+      auto& registry = engine::ScenarioRegistry::Global();
+      engine::EngineConfig cfg;
+      cfg.sunflow.bandwidth = Gbps(1);
+      cfg.sunflow.delta = Millis(delta_ms);
       if (i == 0) {
         cfg.offload_threshold = 0;
-        baseline = ReplayHybridTrace(w.trace, *policy, cfg).cct;
+        baseline = registry.Run("hybrid", w.trace, policy.get(), cfg).cct;
       } else {
         cfg.packet_bandwidth = Gbps(packet_gbps);
         cfg.offload_threshold = MB(thresholds_mb[i - 1]);
-        sweeps[i - 1] = ReplayHybridTrace(w.trace, *policy, cfg);
+        sweeps[i - 1] = registry.Run("hybrid", w.trace, policy.get(), cfg);
       }
     });
   }

@@ -19,7 +19,7 @@
 #include "packet/fair_share.h"
 #include "packet/replay.h"
 #include "packet/varys.h"
-#include "sim/circuit_replay.h"
+#include "sim/engine/scenario.h"
 #include "trace/bounds.h"
 #include "trace/generator.h"
 #include "trace/idleness.h"
@@ -58,14 +58,15 @@ int main(int argc, char** argv) {
   std::vector<Scheme> schemes;
 
   {
-    CircuitReplayConfig cfg;
+    auto& registry = engine::ScenarioRegistry::Global();
+    engine::EngineConfig cfg;
     cfg.sunflow.delta = Millis(delta_ms);
     const auto scf = MakeShortestFirstPolicy();
-    schemes.push_back(
-        {"Sunflow (OCS, SCF)", ReplayCircuitTrace(trace, *scf, cfg).cct});
+    schemes.push_back({"Sunflow (OCS, SCF)",
+                       registry.Run("circuit", trace, scf.get(), cfg).cct});
     const auto fifo = MakeFifoPolicy();
-    schemes.push_back(
-        {"Sunflow (OCS, FIFO)", ReplayCircuitTrace(trace, *fifo, cfg).cct});
+    schemes.push_back({"Sunflow (OCS, FIFO)",
+                       registry.Run("circuit", trace, fifo.get(), cfg).cct});
   }
   {
     packet::PacketReplayConfig cfg;

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   dag.AddDependency(2, 1);
   dag.AddDependency(3, 2);
 
-  CircuitReplayConfig config;
+  engine::EngineConfig config;
   config.sunflow.delta = Millis(delta_ms);
 
   std::printf("3-stage job (coflows 1 -> 2 -> 3) + ad-hoc query (coflow "

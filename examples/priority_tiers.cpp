@@ -15,8 +15,7 @@
 #include "common/cli.h"
 #include "core/policy.h"
 #include "core/starvation.h"
-#include "sim/circuit_replay.h"
-#include "sim/starvation_replay.h"
+#include "sim/engine/scenario.h"
 
 using namespace sunflow;
 
@@ -44,27 +43,25 @@ int main(int argc, char** argv) {
             });
 
   const auto policy = MakeClassPolicy({{regular_id, 1}}, /*default=*/0);
-  CircuitReplayConfig config;
+  auto& registry = engine::ScenarioRegistry::Global();
+  engine::EngineConfig config;
 
   std::printf("privileged stream: %d coflows, 440 ms demand each, every "
               "400 ms\nregular coflow: 40 MB on the same port pair\n\n",
               attackers);
 
   {
-    const auto result = ReplayCircuitTrace(trace, *policy, config);
+    const auto result = registry.Run("circuit", trace, policy.get(), config);
     std::printf("WITHOUT guard: regular coflow CCT = %.2f s (finishes only "
                 "after the\n               privileged stream drains — pure "
                 "priority starves it)\n",
                 result.cct.at(regular_id));
   }
   {
-    StarvationGuardConfig guard;
-    guard.enabled = true;
-    guard.big_interval = big_t;
-    guard.small_interval = tau;
-    const StarvationGuardTimeline timeline(guard, trace.num_ports);
-    const auto result =
-        ReplayWithStarvationGuard(trace, *policy, config, guard);
+    config.guard.big_interval = big_t;
+    config.guard.small_interval = tau;
+    const StarvationGuardTimeline timeline(config.guard, trace.num_ports);
+    const auto result = registry.Run("guarded", trace, policy.get(), config);
     std::printf("WITH guard (T=%.2fs, tau=%.2fs): regular coflow CCT = "
                 "%.2f s\n",
                 big_t, tau, result.cct.at(regular_id));

@@ -15,7 +15,6 @@
 namespace sunflow {
 
 struct StarvationGuardConfig {
-  bool enabled = false;
   Time big_interval = 1.0;     ///< T — priority-scheduled span
   Time small_interval = 0.05;  ///< τ — fixed-assignment span (τ > δ required)
 };

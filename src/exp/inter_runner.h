@@ -11,12 +11,12 @@
 #include <vector>
 
 #include "core/fabric.h"
-#include "sim/circuit_replay.h"
 #include "trace/coflow.h"
 #include "trace/source.h"
 
 namespace sunflow::obs {
 class TimelineSampler;
+class TraceSink;
 }  // namespace sunflow::obs
 
 namespace sunflow::exp {

@@ -4,9 +4,7 @@
 #include <functional>
 
 #include "common/assert.h"
-#include "sim/adapter_util.h"
 #include "sim/engine/driver.h"
-#include "sim/engine/scenario.h"
 
 namespace sunflow {
 
@@ -88,9 +86,9 @@ std::unique_ptr<PriorityPolicy> MakeStagePolicy(
   return std::make_unique<StagePolicy>(std::move(stage_of));
 }
 
-DagReplayResult ReplayDagTrace(const Trace& trace, const CoflowDag& dag,
-                               const PriorityPolicy& policy,
-                               const CircuitReplayConfig& config) {
+engine::EngineResult ReplayDagTrace(const Trace& trace, const CoflowDag& dag,
+                                    const PriorityPolicy& policy,
+                                    const engine::EngineConfig& config) {
   trace.Validate();
   dag.StageOf(trace);  // validates ids + acyclicity
 
@@ -107,7 +105,7 @@ DagReplayResult ReplayDagTrace(const Trace& trace, const CoflowDag& dag,
 
   // Gated coflows enter the kernel's release queue when their last
   // dependency completes; the rest are seeded up front.
-  engine::ReplayDriver driver(trace.num_ports, config.sink);
+  engine::ReplayDriver driver(trace.num_ports, config.sink, config.timeline);
   std::size_t initial = 0;
   for (const Coflow& c : trace.coflows) {
     if (unmet.find(c.id()) == unmet.end()) {
@@ -131,23 +129,11 @@ DagReplayResult ReplayDagTrace(const Trace& trace, const CoflowDag& dag,
     }
   };
 
-  auto scenario = engine::MakeCircuitScenario(
-      trace.num_ports, policy, sim_detail::ToEngineConfig(config), hook);
-  const engine::EngineResult engine_result = driver.Run(*scenario);
-  SUNFLOW_CHECK_MSG(engine_result.cct.size() == trace.coflows.size(),
+  auto scenario =
+      engine::MakeCircuitScenario(trace.num_ports, policy, config, hook);
+  engine::EngineResult result = driver.Run(*scenario);
+  SUNFLOW_CHECK_MSG(result.cct.size() == trace.coflows.size(),
                     "DAG replay finished with unreleased coflows");
-
-  DagReplayResult result;
-  result.cct = engine_result.cct;
-  result.completion = engine_result.completion;
-  Time first_arrival = kTimeInf;
-  for (const Coflow& c : trace.coflows)
-    first_arrival = std::min(first_arrival, c.arrival());
-  for (const auto& [id, completion] : engine_result.completion) {
-    result.release[id] = completion - engine_result.cct.at(id);
-  }
-  result.job_span = engine_result.makespan -
-                    (trace.coflows.empty() ? 0 : first_arrival);
   return result;
 }
 

@@ -15,7 +15,8 @@
 #include <vector>
 
 #include "core/policy.h"
-#include "sim/circuit_replay.h"
+#include "sim/engine/scenario.h"
+#include "trace/coflow.h"
 
 namespace sunflow {
 
@@ -43,19 +44,13 @@ class CoflowDag {
 std::unique_ptr<PriorityPolicy> MakeStagePolicy(
     std::map<CoflowId, int> stage_of);
 
-struct DagReplayResult {
-  /// CCT measured from each coflow's release (not its nominal arrival).
-  std::map<CoflowId, Time> cct;
-  std::map<CoflowId, Time> release;
-  std::map<CoflowId, Time> completion;
-  /// Job completion time: last completion minus first arrival.
-  Time job_span = 0;
-};
-
-/// Replays the trace with dependency gating: a coflow is released at
-/// max(its arrival, completion of all dependencies).
-DagReplayResult ReplayDagTrace(const Trace& trace, const CoflowDag& dag,
-                               const PriorityPolicy& policy,
-                               const CircuitReplayConfig& config);
+/// Replays the trace on the circuit scenario with dependency gating: a
+/// coflow is released at max(its arrival, completion of all dependencies).
+/// CCTs are measured from each coflow's release, not its nominal arrival,
+/// so a coflow's release instant is `completion - cct`, and the job
+/// completion time is `makespan` minus the first arrival.
+engine::EngineResult ReplayDagTrace(const Trace& trace, const CoflowDag& dag,
+                                    const PriorityPolicy& policy,
+                                    const engine::EngineConfig& config);
 
 }  // namespace sunflow

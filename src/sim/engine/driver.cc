@@ -1,6 +1,7 @@
 #include "sim/engine/driver.h"
 
 #include <algorithm>
+#include <iomanip>
 #include <set>
 
 #include "common/assert.h"
@@ -21,7 +22,12 @@ EngineResult ReplayDriver::Run(ScenarioPolicy& scenario) {
     // Every iteration consumes at least one release or strictly advances
     // time toward one; the budget trips non-advancing scenarios.
     SUNFLOW_CHECK_MSG(++steps < scenario.StepBudget(s),
-                      scenario.budget_message());
+                      scenario.budget_message()
+                          << ": scenario=" << scenario.name()
+                          << " t=" << std::setprecision(17) << t
+                          << " steps=" << steps
+                          << " active=" << s.active().size()
+                          << " pending_releases=" << s.releases().size());
 
     if (s.active().empty()) {
       t = std::max(t, s.NextReleaseTime());

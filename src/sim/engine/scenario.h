@@ -40,10 +40,11 @@ class ReplayDriver;
 struct EngineConfig {
   SunflowConfig sunflow;
   /// Re-reserve circuits that are mid-transmission at a replan instant
-  /// without a new setup δ ("circuit" scenario).
+  /// without a new setup δ ("circuit" and "kcore" scenarios).
   bool carry_over_circuits = true;
   /// Controller-load throttle: arrivals do not trigger a replan until at
-  /// least this long after the previous one ("circuit" scenario).
+  /// least this long after the previous one ("circuit" and "kcore"
+  /// scenarios).
   Time min_replan_interval = 0;
   /// Optional structured event tracer; the driver is the only emitter.
   obs::TraceSink* sink = nullptr;
@@ -127,7 +128,8 @@ using CompletionHook = std::function<void(SimState&, CoflowId, Time)>;
 // --- Built-in scenario factories (defined in scenarios.cc). -------------
 
 /// Sunflow circuit replay: Varys-like replan on arrivals/completions,
-/// optional carry-over and replan throttle. `hook` enables DAG gating.
+/// optional carry-over and replan throttle. `hook` enables DAG gating
+/// (sim/dag_replay.h).
 std::unique_ptr<ScenarioPolicy> MakeCircuitScenario(
     PortId num_ports, const PriorityPolicy& policy, const EngineConfig& config,
     CompletionHook hook = nullptr);
@@ -153,7 +155,7 @@ using ScenarioFn = std::function<EngineResult(
 class ScenarioRegistry {
  public:
   /// The process-wide registry, with the built-ins ("circuit", "guarded",
-  /// "rotor", "hybrid") registered on first use. Thread-safe.
+  /// "rotor", "hybrid", "kcore") registered on first use. Thread-safe.
   static ScenarioRegistry& Global();
 
   void Register(std::string name, std::string description, ScenarioFn run);

@@ -1,4 +1,5 @@
 // The built-in scenarios: "circuit" (Sunflow replan-on-events replay),
+// "kcore" (the same loop on K switch planes, joint or per-core planning),
 // "guarded" (the §4.2 starvation guard's (T + τ) cadence), "rotor" (blind
 // Φ rotation) and "hybrid" (circuit + companion packet fabric). Each is a
 // direct port of a former standalone engine loop onto the kernel; the
@@ -27,17 +28,17 @@ namespace sunflow::engine {
 
 namespace {
 
-// The effective per-plane link rates of a config's fabric, index-aligned
-// with CircuitReservation::plane. Mirrors the planner's resolution of the
-// empty spec: one plane at the config bandwidth (SunflowPlanner::planes()).
+// The effective planes of a config's fabric, index-aligned with
+// CircuitReservation::plane. Mirrors the planner's resolution of the empty
+// spec: one plane inheriting (delta, bandwidth) (SunflowPlanner::planes()).
+std::vector<PlaneSpec> Planes(const SunflowConfig& config) {
+  if (!config.fabric.is_default()) return config.fabric.planes;
+  return {{config.delta, config.bandwidth}};
+}
+
 std::vector<Bandwidth> PlaneRates(const SunflowConfig& config) {
   std::vector<Bandwidth> rates;
-  if (config.fabric.is_default()) {
-    rates.push_back(config.bandwidth);
-  } else {
-    rates.reserve(config.fabric.planes.size());
-    for (const PlaneSpec& p : config.fabric.planes) rates.push_back(p.rate);
-  }
+  for (const PlaneSpec& p : Planes(config)) rates.push_back(p.rate);
   return rates;
 }
 
@@ -220,35 +221,89 @@ class PlanRequestCache {
   std::vector<FlowDemand> scratch_;
 };
 
-// Runs one replan's planning call under the engine.plan profiler scope and
-// returns its wall time in ns — the number scheduler.compute_ns and the
-// kAssignmentComputed event carry.
-template <typename PlanFn>
-double TimedPlan(PlanFn&& plan) {
-  SUNFLOW_PROFILE_SCOPE("engine.plan");
-  const auto begin = std::chrono::steady_clock::now();
-  plan();
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - begin)
-          .count());
+// One replan's planning step: plans the priority-ordered `requests` at `t`
+// on a fresh fabric, seeded with the circuits `established` (per plane;
+// null for none) that are already up at t.
+using PlanStep = SunflowSchedule (*)(
+    const EngineConfig& config, PortId num_ports,
+    const std::vector<const PlanRequest*>& requests,
+    const FabricEstablished* established, Time t);
+
+// Joint planning: one plane-aware planner assigns every reservation to the
+// earliest feasible plane. With a pool, port-disjoint groups of the active
+// set plan concurrently (byte-identical output; the planner here never
+// carries a sink — the driver is the sole emitter — so the parallel path's
+// no-observer precondition always holds).
+SunflowSchedule PlanJoint(const EngineConfig& config, PortId num_ports,
+                          const std::vector<const PlanRequest*>& requests,
+                          const FabricEstablished* established, Time t) {
+  SunflowPlanner planner(num_ports, config.sunflow);
+  if (established != nullptr && AnyEstablished(*established)) {
+    SUNFLOW_CHECK(static_cast<int>(established->size()) ==
+                  planner.num_planes());
+    planner.SetEstablishedCircuitsByPlane(*established, t);
+  }
+  return ScheduleRequestsParallel(planner, requests, config.plan_pool);
+}
+
+// The per-core baseline from the K-core scheduling literature
+// (sched/kcore.h): each coflow is pinned wholly to one core —
+// shortest-effective-bottleneck-first onto the least loaded core — and
+// every core plans independently on a single-plane planner whose implicit
+// plane inherits that core's (δ, rate); the planner's demand scale
+// (bandwidth / rate) stretches the canonical processing times exactly as
+// the joint planner would. Requests keep their global priority order
+// within the core, and reservations are retagged with the owning plane so
+// execution, tracing and the plane-exclusivity audit see the true fabric.
+SunflowSchedule PlanPerCore(const EngineConfig& config, PortId num_ports,
+                            const std::vector<const PlanRequest*>& requests,
+                            const FabricEstablished* established, Time t) {
+  const std::vector<PlaneSpec> planes = Planes(config.sunflow);
+  const KCoreAssignment assignment =
+      AssignCoflowsToCores(requests, planes, config.sunflow.bandwidth);
+  SunflowSchedule plan;
+  for (std::size_t p = 0; p < planes.size(); ++p) {
+    std::vector<const PlanRequest*> core_requests;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (assignment.plane_of[i] == static_cast<PlaneId>(p))
+        core_requests.push_back(requests[i]);
+    }
+    if (core_requests.empty()) continue;
+    SunflowConfig core_config = config.sunflow;
+    core_config.fabric =
+        FabricSpec::Uniform(1, planes[p].delta, planes[p].rate);
+    SunflowPlanner planner(num_ports, core_config);
+    if (established != nullptr && !(*established)[p].empty())
+      planner.SetEstablishedCircuits((*established)[p], t);
+    SunflowSchedule core_plan = planner.ScheduleAll(core_requests);
+    for (auto& r : core_plan.reservations) r.plane = static_cast<PlaneId>(p);
+    plan.reservations.insert(plan.reservations.end(),
+                             core_plan.reservations.begin(),
+                             core_plan.reservations.end());
+    plan.completion_time.merge(core_plan.completion_time);
+    plan.reservation_count.merge(core_plan.reservation_count);
+    plan.flow_finish.merge(core_plan.flow_finish);
+    // Per-core plans run back to back; peak pool occupancy is the widest
+    // single core's group fan-out, not the sum.
+    plan.parallel_groups =
+        std::max(plan.parallel_groups, core_plan.parallel_groups);
+  }
+  return plan;
 }
 
 // InterCoflow over the active set in policy order: builds views, orders,
-// plans on a fresh PRT (optionally seeded with carried-over circuits) and
-// reports the replan through the driver. With a pool, port-disjoint groups
-// of the active set plan concurrently (byte-identical output; the planner
-// here never carries a sink — the driver is the sole emitter — so the
-// parallel path's no-observer precondition always holds).
+// refreshes the long-lived requests and runs `plan_step` under the
+// engine.plan profiler scope, then reports the replan through the driver
+// with the step's wall time in ns (the number scheduler.compute_ns and the
+// kAssignmentComputed event carry).
 SunflowSchedule PlanActiveSet(ReplayDriver& driver,
                               const PriorityPolicy& policy,
-                              const SunflowConfig& config,
+                              const EngineConfig& config, PlanStep plan_step,
                               const FabricEstablished* established, Time t,
-                              PlanRequestCache& cache,
-                              runtime::ThreadPool* pool) {
+                              PlanRequestCache& cache) {
   SimState& s = driver.state();
   auto& active = s.active();
-  const Bandwidth bandwidth = config.bandwidth;
+  const Bandwidth bandwidth = config.sunflow.bandwidth;
 
   std::vector<CoflowView> views;
   views.reserve(active.size());
@@ -261,12 +316,6 @@ SunflowSchedule PlanActiveSet(ReplayDriver& driver,
   const std::vector<std::size_t> order = policy.Order(views);
   SUNFLOW_CHECK(order.size() == active.size());
 
-  SunflowPlanner planner(s.num_ports(), config);
-  if (established != nullptr && AnyEstablished(*established)) {
-    SUNFLOW_CHECK(static_cast<int>(established->size()) ==
-                  planner.num_planes());
-    planner.SetEstablishedCircuitsByPlane(*established, t);
-  }
   cache.BeginReplan();
   std::vector<const PlanRequest*> requests;
   requests.reserve(active.size());
@@ -276,20 +325,38 @@ SunflowSchedule PlanActiveSet(ReplayDriver& driver,
     cache.NoteActive(sc.id);
   }
   cache.PruneTo(active.size());
+
   SunflowSchedule plan;
-  const double plan_ns = TimedPlan(
-      [&] { plan = ScheduleRequestsParallel(planner, requests, pool); });
+  double plan_ns = 0;
+  {
+    SUNFLOW_PROFILE_SCOPE("engine.plan");
+    const auto begin = std::chrono::steady_clock::now();
+    plan = plan_step(config, s.num_ports(), requests, established, t);
+    plan_ns = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - begin)
+            .count());
+  }
   driver.NoteReplan(t, plan, plan_ns, requests.size());
   return plan;
 }
 
-// --- "circuit": Sunflow's Varys-like replan on arrivals/completions. ----
+// --- "circuit" and "kcore": Sunflow's Varys-like replan on arrivals and
+// completions. ----------------------------------------------------------
+//
+// The one circuit span loop: plan the active set with `plan_step`, execute
+// the plan until the next event, carry the circuits still up across the
+// replan. "circuit" and joint "kcore" plan with PlanJoint, the per-core
+// "kcore" baseline with PlanPerCore.
 
 class CircuitScenario final : public ScenarioPolicy {
  public:
-  CircuitScenario(const PriorityPolicy& policy, const EngineConfig& config,
+  CircuitScenario(std::string name, PlanStep plan_step,
+                  const PriorityPolicy& policy, const EngineConfig& config,
                   CompletionHook hook)
-      : policy_(policy),
+      : name_(std::move(name)),
+        plan_step_(plan_step),
+        policy_(policy),
         config_(config),
         hook_(std::move(hook)),
         plane_rates_(PlaneRates(config_.sunflow)),
@@ -297,7 +364,7 @@ class CircuitScenario final : public ScenarioPolicy {
     SUNFLOW_CHECK(config_.sunflow.bandwidth > 0);
   }
 
-  std::string name() const override { return "circuit"; }
+  std::string name() const override { return name_; }
 
   void OnAdmit(SimCoflow& sc, const Coflow& coflow, Time /*now*/) override {
     sc.static_tpl = PacketLowerBound(coflow, config_.sunflow.bandwidth);
@@ -317,9 +384,9 @@ class CircuitScenario final : public ScenarioPolicy {
     auto& active = s.active();
 
     SunflowSchedule plan = PlanActiveSet(
-        driver, policy_, config_.sunflow,
+        driver, policy_, config_, plan_step_,
         config_.carry_over_circuits ? &established_ : nullptr, t,
-        request_cache_, config_.plan_pool);
+        request_cache_);
     last_plan_ = t;
 
     // Next event: a release or the earliest planned completion. A release
@@ -337,7 +404,7 @@ class CircuitScenario final : public ScenarioPolicy {
       t_next = std::min(t_next, t + it->second);
     }
     SUNFLOW_CHECK_MSG(t_next < kTimeInf && t_next > t,
-                      "circuit replay stalled at t=" << t);
+                      name_ << " replay stalled at t=" << t);
 
     ExecutePlanSpan(driver, active, plan, t, t_next, plane_rates_,
                     DrainRule::kCircuitDust, span_scratch_);
@@ -362,177 +429,14 @@ class CircuitScenario final : public ScenarioPolicy {
     // hook can only add each coflow once.
     return 10 * state.total_released() + 1000;
   }
-  const char* budget_message() const override {
-    return "circuit replay event explosion";
-  }
 
  private:
+  std::string name_;
+  PlanStep plan_step_;
   const PriorityPolicy& policy_;
   EngineConfig config_;
   CompletionHook hook_;
   std::vector<Bandwidth> plane_rates_;
-  FabricEstablished established_;  // carry-over per plane
-  PlanRequestCache request_cache_;
-  std::vector<const CircuitReservation*> span_scratch_;
-  Time last_plan_ = -kTimeInf;
-};
-
-// --- "kcore": K parallel switch planes (K-core OCS). --------------------
-//
-// Joint mode (EngineConfig::kcore_joint, the default) is the plane-aware
-// circuit scenario itself: one planner assigns every reservation to the
-// earliest feasible plane. This class is the comparison baseline from the
-// K-core scheduling literature (sched/kcore.h): each coflow is pinned
-// wholly to one core — shortest-effective-bottleneck-first onto the least
-// loaded core — and Sunflow runs independently per core on a single-plane
-// planner; the reservations are retagged with the owning plane so
-// execution, tracing and the plane-exclusivity audit see the true fabric.
-class KCorePerCoreScenario final : public ScenarioPolicy {
- public:
-  KCorePerCoreScenario(const PriorityPolicy& policy,
-                       const EngineConfig& config)
-      : policy_(policy), config_(config) {
-    SUNFLOW_CHECK(config_.sunflow.bandwidth > 0);
-    // Resolve the plane list exactly like the planner does.
-    if (config_.sunflow.fabric.is_default()) {
-      planes_.push_back({config_.sunflow.delta, config_.sunflow.bandwidth});
-    } else {
-      planes_ = config_.sunflow.fabric.planes;
-    }
-    rates_.reserve(planes_.size());
-    for (const PlaneSpec& p : planes_) rates_.push_back(p.rate);
-    established_.resize(planes_.size());
-  }
-
-  std::string name() const override { return "kcore"; }
-
-  void OnAdmit(SimCoflow& sc, const Coflow& coflow, Time /*now*/) override {
-    sc.static_tpl = PacketLowerBound(coflow, config_.sunflow.bandwidth);
-  }
-
-  void OnIdleGap(SimState& /*state*/, Time /*now*/) override {
-    for (auto& m : established_) m.clear();
-  }
-
-  Time ExecuteSpan(ReplayDriver& driver, Time t) override {
-    SimState& s = driver.state();
-    auto& active = s.active();
-    const Bandwidth bandwidth = config_.sunflow.bandwidth;
-
-    // Priority order + long-lived requests, exactly as in PlanActiveSet.
-    std::vector<CoflowView> views;
-    views.reserve(active.size());
-    for (const auto& sc : active) {
-      const Bytes remaining_bytes = sc.remaining_bytes();
-      views.push_back({sc.id, sc.arrival, sc.RemainingTpl(bandwidth),
-                       sc.static_tpl, remaining_bytes, sc.remaining.size(),
-                       std::max(0.0, sc.total - remaining_bytes)});
-    }
-    const std::vector<std::size_t> order = policy_.Order(views);
-    SUNFLOW_CHECK(order.size() == active.size());
-
-    request_cache_.BeginReplan();
-    std::vector<const PlanRequest*> requests;
-    requests.reserve(active.size());
-    for (std::size_t idx : order) {
-      const SimCoflow& sc = active[idx];
-      requests.push_back(request_cache_.Refresh(sc, bandwidth, t));
-      request_cache_.NoteActive(sc.id);
-    }
-    request_cache_.PruneTo(active.size());
-
-    SunflowSchedule plan;
-    const double plan_ns =
-        TimedPlan([&] { plan = PlanPerCore(requests, s.num_ports(), t); });
-    driver.NoteReplan(t, plan, plan_ns, requests.size());
-    last_plan_ = t;
-
-    Time t_next = kTimeInf;
-    if (s.HasPendingReleases()) {
-      t_next = std::max(s.NextReleaseTime(),
-                        last_plan_ + config_.min_replan_interval);
-    }
-    for (const auto& sc : active) {
-      auto it = plan.completion_time.find(sc.id);
-      SUNFLOW_CHECK(it != plan.completion_time.end());
-      t_next = std::min(t_next, t + it->second);
-    }
-    SUNFLOW_CHECK_MSG(t_next < kTimeInf && t_next > t,
-                      "kcore replay stalled at t=" << t);
-
-    ExecutePlanSpan(driver, active, plan, t, t_next, rates_,
-                    DrainRule::kCircuitDust, span_scratch_);
-    driver.EmitExecutedPlan(plan, t, t_next);
-    driver.EmitBlockedSpans(plan, t, t_next);
-
-    for (auto& m : established_) m.clear();
-    if (config_.carry_over_circuits) {
-      for (const auto& r : plan.reservations) {
-        if (r.transmit_begin() <= t_next + kTimeEps &&
-            t_next < r.end - kTimeEps) {
-          established_[static_cast<std::size_t>(r.plane)][r.in] = r.out;
-        }
-      }
-    }
-    return t_next;
-  }
-
-  std::size_t StepBudget(const SimState& state) const override {
-    return 10 * state.total_released() + 1000;
-  }
-  const char* budget_message() const override {
-    return "kcore replay event explosion";
-  }
-
- private:
-  // Pins each coflow wholly to one core (sched/kcore.h), then plans every
-  // core independently.
-  SunflowSchedule PlanPerCore(const std::vector<const PlanRequest*>& requests,
-                              PortId num_ports, Time t) const {
-    const Bandwidth bandwidth = config_.sunflow.bandwidth;
-    const KCoreAssignment assignment =
-        AssignCoflowsToCores(requests, planes_, bandwidth);
-
-    // Each core plans independently on a single-plane planner whose
-    // implicit plane inherits that core's (δ, rate); the planner's demand
-    // scale (bandwidth / rate) stretches the canonical processing times
-    // exactly as the joint planner would. Requests keep their global
-    // priority order within the core.
-    SunflowSchedule plan;
-    for (std::size_t p = 0; p < planes_.size(); ++p) {
-      std::vector<const PlanRequest*> core_requests;
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (assignment.plane_of[i] == static_cast<PlaneId>(p))
-          core_requests.push_back(requests[i]);
-      }
-      if (core_requests.empty()) continue;
-      SunflowConfig core_config = config_.sunflow;
-      core_config.fabric =
-          FabricSpec::Uniform(1, planes_[p].delta, planes_[p].rate);
-      SunflowPlanner planner(num_ports, core_config);
-      if (config_.carry_over_circuits && !established_[p].empty())
-        planner.SetEstablishedCircuits(established_[p], t);
-      SunflowSchedule core_plan = planner.ScheduleAll(core_requests);
-      for (auto& r : core_plan.reservations)
-        r.plane = static_cast<PlaneId>(p);
-      plan.reservations.insert(plan.reservations.end(),
-                               core_plan.reservations.begin(),
-                               core_plan.reservations.end());
-      plan.completion_time.merge(core_plan.completion_time);
-      plan.reservation_count.merge(core_plan.reservation_count);
-      plan.flow_finish.merge(core_plan.flow_finish);
-      // Per-core plans run back to back; peak pool occupancy is the
-      // widest single core's group fan-out, not the sum.
-      plan.parallel_groups =
-          std::max(plan.parallel_groups, core_plan.parallel_groups);
-    }
-    return plan;
-  }
-
-  const PriorityPolicy& policy_;
-  EngineConfig config_;
-  std::vector<PlaneSpec> planes_;
-  std::vector<Bandwidth> rates_;
   FabricEstablished established_;  // carry-over per plane
   PlanRequestCache request_cache_;
   std::vector<const CircuitReservation*> span_scratch_;
@@ -576,9 +480,8 @@ class GuardScenario final : public ScenarioPolicy {
     if (!timeline_.InTauInterval(t)) {
       // --- T span: priority-scheduled InterCoflow plan, cut at events
       // (no carry-over, no throttle — each span replans from scratch). ---
-      SunflowSchedule plan =
-          PlanActiveSet(driver, policy_, config_.sunflow, nullptr, t,
-                        request_cache_, config_.plan_pool);
+      SunflowSchedule plan = PlanActiveSet(driver, policy_, config_, PlanJoint,
+                                           nullptr, t, request_cache_);
 
       Time t_next = std::min(span_end, t_arrival);
       for (const auto& sc : active)
@@ -721,15 +624,32 @@ class RotorScenario final : public ScenarioPolicy {
 
 // --- Registry run functions. --------------------------------------------
 
-EngineResult RunCircuit(const Trace& trace, const PriorityPolicy* policy,
-                        const EngineConfig& config) {
+// Replays the whole trace through the circuit span loop; every coflow must
+// complete.
+EngineResult RunCircuitLoop(const std::string& name, PlanStep plan_step,
+                            const Trace& trace, const PriorityPolicy* policy,
+                            const EngineConfig& config) {
   trace.Validate();
   SUNFLOW_CHECK_MSG(policy != nullptr,
-                    "the circuit scenario needs a priority policy");
-  CircuitScenario scenario(*policy, config, nullptr);
+                    "the " << name << " scenario needs a priority policy");
+  CircuitScenario scenario(name, plan_step, *policy, config, nullptr);
   auto result = RunScenarioReplay(trace, scenario, config.sink, config.timeline);
   SUNFLOW_CHECK(result.cct.size() == trace.coflows.size());
   return result;
+}
+
+EngineResult RunCircuit(const Trace& trace, const PriorityPolicy* policy,
+                        const EngineConfig& config) {
+  return RunCircuitLoop("circuit", PlanJoint, trace, policy, config);
+}
+
+// Joint planning over all K planes is the plane-aware circuit loop itself —
+// with an empty fabric spec byte-identical to "circuit" (the K=1
+// equivalence contract, core/fabric.h).
+EngineResult RunKCore(const Trace& trace, const PriorityPolicy* policy,
+                      const EngineConfig& config) {
+  return RunCircuitLoop("kcore", config.kcore_joint ? PlanJoint : PlanPerCore,
+                        trace, policy, config);
 }
 
 EngineResult RunGuarded(const Trace& trace, const PriorityPolicy* policy,
@@ -752,29 +672,11 @@ EngineResult RunRotor(const Trace& trace, const PriorityPolicy* /*policy*/,
   return result;
 }
 
-EngineResult RunKCore(const Trace& trace, const PriorityPolicy* policy,
-                      const EngineConfig& config) {
-  trace.Validate();
-  SUNFLOW_CHECK_MSG(policy != nullptr,
-                    "the kcore scenario needs a priority policy");
-  EngineResult result;
-  if (config.kcore_joint) {
-    // Joint planning over all K planes is the plane-aware circuit
-    // scenario itself — with an empty fabric spec this is byte-identical
-    // to "circuit" (the K=1 equivalence contract, core/fabric.h).
-    CircuitScenario scenario(*policy, config, nullptr);
-    result = RunScenarioReplay(trace, scenario, config.sink, config.timeline);
-  } else {
-    KCorePerCoreScenario scenario(*policy, config);
-    result = RunScenarioReplay(trace, scenario, config.sink, config.timeline);
-  }
-  SUNFLOW_CHECK(result.cct.size() == trace.coflows.size());
-  return result;
-}
-
 // Hybrid is a composite, not a span scenario: the trace is split by the
 // offload rule and each side replays on its own (physically separate)
-// fabric, so it registers a whole-trace run function.
+// fabric, so it registers a whole-trace run function. The circuit side's
+// result is the base (reservations, replans, queue stats); the packet
+// side's coflows are merged into the per-coflow maps and the totals.
 EngineResult RunHybrid(const Trace& trace, const PriorityPolicy* policy,
                        const EngineConfig& config) {
   SUNFLOW_CHECK(config.packet_bandwidth > 0);
@@ -790,18 +692,10 @@ EngineResult RunHybrid(const Trace& trace, const PriorityPolicy* policy,
   }
 
   EngineResult result;
+  if (!circuit_side.coflows.empty())
+    result = RunCircuit(circuit_side, policy, config);
   result.offloaded = packet_side.coflows.size();
   result.circuit = circuit_side.coflows.size();
-
-  if (!circuit_side.coflows.empty()) {
-    EngineResult circuit_result = RunCircuit(circuit_side, policy, config);
-    result.cct.insert(circuit_result.cct.begin(), circuit_result.cct.end());
-    result.completion.insert(circuit_result.completion.begin(),
-                             circuit_result.completion.end());
-    result.makespan = std::max(result.makespan, circuit_result.makespan);
-    result.replans += circuit_result.replans;
-    result.queue = circuit_result.queue;
-  }
   if (!packet_side.coflows.empty()) {
     // The companion packet network is coflow-scheduled too (the offloaded
     // traffic is small, so SEBF+MADD is a natural choice there).
@@ -814,6 +708,8 @@ EngineResult RunHybrid(const Trace& trace, const PriorityPolicy* policy,
     result.completion.insert(packet_result.completion.begin(),
                              packet_result.completion.end());
     result.makespan = std::max(result.makespan, packet_result.makespan);
+    result.completed += packet_result.cct.size();
+    for (const auto& [id, cct] : packet_result.cct) result.cct_sum += cct;
   }
   SUNFLOW_CHECK(result.cct.size() == trace.coflows.size());
   return result;
@@ -824,7 +720,8 @@ EngineResult RunHybrid(const Trace& trace, const PriorityPolicy* policy,
 std::unique_ptr<ScenarioPolicy> MakeCircuitScenario(
     PortId /*num_ports*/, const PriorityPolicy& policy,
     const EngineConfig& config, CompletionHook hook) {
-  return std::make_unique<CircuitScenario>(policy, config, std::move(hook));
+  return std::make_unique<CircuitScenario>("circuit", PlanJoint, policy,
+                                           config, std::move(hook));
 }
 
 std::unique_ptr<ScenarioPolicy> MakeGuardScenario(

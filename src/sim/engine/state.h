@@ -65,8 +65,8 @@ struct SimCoflow {
   }
 };
 
-/// Superset result of one kernel run; legacy adapters project the fields
-/// their public result structs expose.
+/// Result of one replay, whichever scenario ran it; each scenario fills
+/// the fields it models.
 struct EngineResult {
   std::map<CoflowId, Time> cct;
   std::map<CoflowId, Time> completion;  ///< absolute completion times

@@ -1,19 +1,34 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/policy.h"
 #include "sim/dag_replay.h"
-#include "sim/hybrid_replay.h"
+#include "sim/engine/scenario.h"
 #include "trace/bounds.h"
 #include "trace/generator.h"
 
 namespace sunflow {
 namespace {
 
-CircuitReplayConfig Config() {
-  CircuitReplayConfig c;
+engine::EngineConfig Config() {
+  engine::EngineConfig c;
   c.sunflow.bandwidth = Gbps(1);
   c.sunflow.delta = Millis(10);
   return c;
+}
+
+// A DAG replay measures CCT from each coflow's release.
+Time ReleaseOf(const engine::EngineResult& result, CoflowId id) {
+  return result.completion.at(id) - result.cct.at(id);
+}
+
+engine::EngineResult RunScenario(const std::string& scenario,
+                                 const Trace& trace,
+                                 const engine::EngineConfig& config) {
+  const auto policy = MakeShortestFirstPolicy();
+  return engine::ScenarioRegistry::Global().Run(scenario, trace, policy.get(),
+                                                config);
 }
 
 // A two-stage map-reduce-merge job: stage-1 shuffle then a dependent
@@ -62,10 +77,10 @@ TEST(Dag, DependentReleasesOnCompletion) {
   const Time stage0 = 2 * Millis(10) + MB(150) / Gbps(1);
   EXPECT_NEAR(result.completion.at(1), stage0, 1e-9);
   // Stage 1 released exactly at stage 0's completion.
-  EXPECT_NEAR(result.release.at(2), stage0, 1e-9);
+  EXPECT_NEAR(ReleaseOf(result, 2), stage0, 1e-9);
   EXPECT_NEAR(result.completion.at(2),
               stage0 + Millis(10) + MB(80) / Gbps(1), 1e-9);
-  EXPECT_NEAR(result.job_span, result.completion.at(2), 1e-9);
+  EXPECT_NEAR(result.makespan, result.completion.at(2), 1e-9);  // job span
 }
 
 TEST(Dag, DiamondDependencies) {
@@ -83,7 +98,7 @@ TEST(Dag, DiamondDependencies) {
   const auto policy = MakeStagePolicy(dag.StageOf(trace));
   const auto result = ReplayDagTrace(trace, dag, *policy, Config());
   // The join releases when the slower branch (B) finishes.
-  EXPECT_NEAR(result.release.at(4),
+  EXPECT_NEAR(ReleaseOf(result, 4),
               std::max(result.completion.at(2), result.completion.at(3)),
               1e-9);
   EXPECT_EQ(result.cct.size(), 4u);
@@ -99,7 +114,7 @@ TEST(Dag, NominalArrivalStillRespected) {
   dag.AddDependency(2, 1);
   const auto policy = MakeStagePolicy(dag.StageOf(trace));
   const auto result = ReplayDagTrace(trace, dag, *policy, Config());
-  EXPECT_NEAR(result.release.at(2), 5.0, 1e-9);
+  EXPECT_NEAR(ReleaseOf(result, 2), 5.0, 1e-9);
 }
 
 TEST(Dag, ReleaseInterleavesWithFutureArrivals) {
@@ -116,9 +131,9 @@ TEST(Dag, ReleaseInterleavesWithFutureArrivals) {
   const auto policy = MakeStagePolicy(dag.StageOf(trace));
   const auto result = ReplayDagTrace(trace, dag, *policy, Config());
   // Coflow 2 released at coflow 1's completion (~0.09 s), long before 10 s.
-  EXPECT_LT(result.release.at(2), 1.0);
+  EXPECT_LT(ReleaseOf(result, 2), 1.0);
   EXPECT_LT(result.completion.at(2), 1.0);
-  EXPECT_NEAR(result.release.at(3), 10.0, 1e-9);
+  EXPECT_NEAR(ReleaseOf(result, 3), 10.0, 1e-9);
 }
 
 TEST(Dag, EarlierStagePolicyBeatsScfForUpstream) {
@@ -141,12 +156,10 @@ TEST(Hybrid, SplitsByThreshold) {
   trace.num_ports = 4;
   trace.coflows.push_back(Coflow(1, 0.0, {{0, 1, MB(5)}}));    // offloaded
   trace.coflows.push_back(Coflow(2, 0.0, {{2, 3, MB(500)}}));  // circuit
-  HybridReplayConfig cfg;
-  cfg.circuit = Config();
+  engine::EngineConfig cfg = Config();
   cfg.offload_threshold = MB(10);
   cfg.packet_bandwidth = Gbps(0.1);
-  const auto policy = MakeShortestFirstPolicy();
-  const auto result = ReplayHybridTrace(trace, *policy, cfg);
+  const auto result = RunScenario("hybrid", trace, cfg);
   EXPECT_EQ(result.offloaded, 1u);
   EXPECT_EQ(result.circuit, 1u);
   // Offloaded coflow: no δ, but only a tenth of the bandwidth.
@@ -161,14 +174,11 @@ TEST(Hybrid, ShortCoflowsDodgeSetupPenalty) {
   trace.num_ports = 2;
   for (int k = 0; k < 10; ++k)
     trace.coflows.push_back(Coflow(k + 1, 0.05 * k, {{0, 1, MB(1)}}));
-  const auto policy = MakeShortestFirstPolicy();
-
-  const auto pure = ReplayCircuitTrace(trace, *policy, Config());
-  HybridReplayConfig cfg;
-  cfg.circuit = Config();
+  const auto pure = RunScenario("circuit", trace, Config());
+  engine::EngineConfig cfg = Config();
   cfg.offload_threshold = MB(2);
   cfg.packet_bandwidth = Gbps(0.5);
-  const auto hybrid = ReplayHybridTrace(trace, *policy, cfg);
+  const auto hybrid = RunScenario("hybrid", trace, cfg);
 
   double pure_avg = 0, hybrid_avg = 0;
   for (const auto& [id, cct] : pure.cct) pure_avg += cct;
@@ -182,10 +192,7 @@ TEST(Hybrid, AllCoflowsAccountedFor) {
   tc.num_coflows = 30;
   tc.num_ports = 12;
   const Trace trace = GenerateSyntheticTrace(tc);
-  HybridReplayConfig cfg;
-  cfg.circuit = Config();
-  const auto policy = MakeShortestFirstPolicy();
-  const auto result = ReplayHybridTrace(trace, *policy, cfg);
+  const auto result = RunScenario("hybrid", trace, Config());
   EXPECT_EQ(result.cct.size(), trace.coflows.size());
   EXPECT_EQ(result.offloaded + result.circuit, trace.coflows.size());
 }

@@ -219,6 +219,37 @@ TEST(ReplayDriver, DueCheckIsToleranceInclusive) {
   EXPECT_EQ(admitted_2, completed_1 + 1);
 }
 
+// Advances time by one second per span and never drains a byte, so only
+// the step budget can end the replay.
+class NeverDrainsScenario final : public ScenarioPolicy {
+ public:
+  std::string name() const override { return "never-drains"; }
+  Time ExecuteSpan(ReplayDriver& /*driver*/, Time now) override {
+    return now + 1;
+  }
+  std::size_t StepBudget(const SimState& /*state*/) const override {
+    return 8;
+  }
+};
+
+TEST(ReplayDriver, StepBudgetCheckReportsScenarioAndState) {
+  Trace trace;
+  trace.num_ports = 2;
+  trace.coflows.push_back(Coflow(1, 0.0, {{0, 1, MB(100)}}));
+  NeverDrainsScenario scenario;
+  try {
+    RunScenarioReplay(trace, scenario, nullptr);
+    FAIL() << "a replay that never drains must trip the step budget";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    // Step 8 trips the budget at the start of the span beginning at t = 7.
+    EXPECT_NE(what.find("never-drains"), std::string::npos) << what;
+    EXPECT_NE(what.find("t=7 "), std::string::npos) << what;
+    EXPECT_NE(what.find("steps=8"), std::string::npos) << what;
+    EXPECT_NE(what.find("active=1"), std::string::npos) << what;
+  }
+}
+
 TEST(ReplayDriver, ResultIsIndependentOfTraceCoflowOrder) {
   // The tie-break rules are about event-stream determinism; the physical
   // outcome for simultaneous arrivals is fixed by the priority policy, so
@@ -299,7 +330,7 @@ TEST(ScenarioRegistry, RepeatedReplayIsBitIdentical) {
   };
   const std::vector<Case> cases = {
       {"circuit", true, 1, true},  {"guarded", true, 1, true},
-      {"rotor", false, 1, true},   {"hybrid", false, 1, true},
+      {"rotor", false, 1, true},   {"hybrid", true, 1, true},
       {"kcore", true, 2, true},    {"kcore", true, 2, false},
   };
   std::set<std::string> covered;
@@ -317,6 +348,7 @@ TEST(ScenarioRegistry, RepeatedReplayIsBitIdentical) {
     const auto second =
         ScenarioRegistry::Global().Run(c.scenario, trace, policy.get(), ec);
     ASSERT_EQ(first.cct.size(), trace.coflows.size()) << what;
+    EXPECT_EQ(first.completed, first.cct.size()) << what;
     ExpectBitIdentical(first.cct, second.cct, what + " cct");
     ExpectBitIdentical(first.completion, second.completion,
                        what + " completion");

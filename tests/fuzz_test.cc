@@ -8,7 +8,7 @@
 #include "common/rng.h"
 #include "core/policy.h"
 #include "net/driver.h"
-#include "sim/circuit_replay.h"
+#include "sim/engine/scenario.h"
 #include "trace/bounds.h"
 #include "trace/generator.h"
 
@@ -75,12 +75,13 @@ TEST_P(EndToEndFuzz, AllInvariantsHold) {
   }
 
   // --- Inter replay: completes everything, never beats the packet bound.
-  CircuitReplayConfig rc;
+  engine::EngineConfig rc;
   rc.sunflow = sc;
   rc.carry_over_circuits = param.carry_over;
   const auto policy =
       param.fifo ? MakeFifoPolicy() : MakeShortestFirstPolicy();
-  const auto replay = ReplayCircuitTrace(trace, *policy, rc);
+  const auto replay =
+      engine::ScenarioRegistry::Global().Run("circuit", trace, policy.get(), rc);
   ASSERT_EQ(replay.cct.size(), trace.coflows.size());
   for (const Coflow& c : trace.coflows) {
     ASSERT_GE(replay.cct.at(c.id()),

@@ -12,6 +12,7 @@
 // which rewrites tests/golden/*.txt in the source tree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -23,11 +24,8 @@
 #include "exp/inter_runner.h"
 #include "exp/intra_runner.h"
 #include "runtime/thread_pool.h"
-#include "sim/circuit_replay.h"
 #include "sim/dag_replay.h"
-#include "sim/hybrid_replay.h"
-#include "sim/rotor_replay.h"
-#include "sim/starvation_replay.h"
+#include "sim/engine/scenario.h"
 #include "trace/generator.h"
 
 namespace sunflow {
@@ -141,13 +139,14 @@ std::string DeltaSection(const Trace& trace, int threads) {
       {"100ms", Millis(100)}, {"10ms", Millis(10)},   {"1ms", Millis(1)},
       {"100us", Micros(100)}, {"10us", Micros(10)},
   };
-  std::vector<CircuitReplayResult> results(deltas.size());
+  std::vector<engine::EngineResult> results(deltas.size());
   runtime::ThreadPool pool(threads);
   pool.ParallelFor(0, deltas.size(), [&](std::size_t i) {
-    CircuitReplayConfig cfg;
+    engine::EngineConfig cfg;
     cfg.sunflow.bandwidth = Gbps(1);
     cfg.sunflow.delta = deltas[i].second;
-    results[i] = ReplayCircuitTrace(trace, *policy, cfg);
+    results[i] = engine::ScenarioRegistry::Global().Run("circuit", trace,
+                                                        policy.get(), cfg);
   });
   std::string out;
   for (std::size_t i = 0; i < deltas.size(); ++i) {
@@ -175,16 +174,15 @@ TEST(GoldenEquivalence, Fig10DeltaSweep) {
 // the whole port honest. ---
 
 TEST(GoldenEquivalence, AuxiliaryEngines) {
+  auto& registry = engine::ScenarioRegistry::Global();
+  const auto policy = MakeShortestFirstPolicy();
   std::string out;
   {
     const Trace trace = GoldenTrace(24, 12);
-    CircuitReplayConfig cfg;
-    StarvationGuardConfig guard;
-    guard.enabled = true;
-    guard.big_interval = 0.5;
-    guard.small_interval = 0.05;
-    const auto policy = MakeShortestFirstPolicy();
-    const auto r = ReplayWithStarvationGuard(trace, *policy, cfg, guard);
+    engine::EngineConfig cfg;
+    cfg.guard.big_interval = 0.5;
+    cfg.guard.small_interval = 0.05;
+    const auto r = registry.Run("guarded", trace, policy.get(), cfg);
     out += "guarded makespan=" + Fmt(r.makespan) + "\n";
     for (const auto& [id, cct] : r.cct) {
       out += "  " + std::to_string(id) + " cct=" + Fmt(cct) +
@@ -198,8 +196,8 @@ TEST(GoldenEquivalence, AuxiliaryEngines) {
         Coflow(1, 0.0, {{0, 2, MB(12)}, {1, 3, MB(6)}, {4, 5, MB(9)}}));
     trace.coflows.push_back(Coflow(2, 0.4, {{0, 3, MB(8)}, {2, 4, MB(5)}}));
     trace.coflows.push_back(Coflow(3, 1.1, {{5, 1, MB(15)}}));
-    RotorReplayConfig cfg;
-    const auto r = ReplayRotorTrace(trace, cfg);
+    const auto r = registry.Run("rotor", trace, /*policy=*/nullptr,
+                                engine::EngineConfig{});
     out += "rotor makespan=" + Fmt(r.makespan) + "\n";
     for (const auto& [id, cct] : r.cct)
       out += "  " + std::to_string(id) + " cct=" + Fmt(cct) + "\n";
@@ -211,20 +209,21 @@ TEST(GoldenEquivalence, AuxiliaryEngines) {
     for (std::size_t i = 2; i < trace.coflows.size(); i += 3) {
       dag.AddDependency(trace.coflows[i].id(), trace.coflows[i - 1].id());
     }
-    CircuitReplayConfig cfg;
-    const auto policy = MakeShortestFirstPolicy();
-    const auto r = ReplayDagTrace(trace, dag, *policy, cfg);
-    out += "dag job_span=" + Fmt(r.job_span) + "\n";
+    const auto r =
+        ReplayDagTrace(trace, dag, *policy, engine::EngineConfig{});
+    Time first_arrival = kTimeInf;
+    for (const Coflow& c : trace.coflows)
+      first_arrival = std::min(first_arrival, c.arrival());
+    out += "dag job_span=" + Fmt(r.makespan - first_arrival) + "\n";
     for (const auto& [id, cct] : r.cct) {
       out += "  " + std::to_string(id) + " cct=" + Fmt(cct) +
-             " release=" + Fmt(r.release.at(id)) + "\n";
+             " release=" + Fmt(r.completion.at(id) - cct) + "\n";
     }
   }
   {
     const Trace trace = GoldenTrace(40, 20);
-    HybridReplayConfig cfg;
-    const auto policy = MakeShortestFirstPolicy();
-    const auto r = ReplayHybridTrace(trace, *policy, cfg);
+    const auto r =
+        registry.Run("hybrid", trace, policy.get(), engine::EngineConfig{});
     out += "hybrid offloaded=" + std::to_string(r.offloaded) +
            " circuit=" + std::to_string(r.circuit) + "\n";
     for (const auto& [id, cct] : r.cct)

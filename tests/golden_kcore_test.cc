@@ -28,7 +28,7 @@
 #include "exp/inter_runner.h"
 #include "exp/intra_runner.h"
 #include "runtime/thread_pool.h"
-#include "sim/circuit_replay.h"
+#include "sim/engine/scenario.h"
 #include "trace/generator.h"
 
 namespace sunflow {
@@ -147,15 +147,16 @@ TEST(GoldenKCore, Fig10DeltaSweepMatchesClassicGolden) {
       {"100us", Micros(100)}, {"10us", Micros(10)},
   };
   for (const int threads : {1, 8}) {
-    std::vector<CircuitReplayResult> results(deltas.size());
+    std::vector<engine::EngineResult> results(deltas.size());
     runtime::ThreadPool pool(threads);
     pool.ParallelFor(0, deltas.size(), [&](std::size_t i) {
-      CircuitReplayConfig cfg;
+      engine::EngineConfig cfg;
       cfg.sunflow.bandwidth = Gbps(1);
       cfg.sunflow.delta = deltas[i].second;
       cfg.sunflow.fabric =
           FabricSpec::Uniform(1, deltas[i].second, cfg.sunflow.bandwidth);
-      results[i] = ReplayCircuitTrace(trace, *policy, cfg);
+      results[i] = engine::ScenarioRegistry::Global().Run("circuit", trace,
+                                                          policy.get(), cfg);
     });
     std::string out;
     for (std::size_t i = 0; i < deltas.size(); ++i) {

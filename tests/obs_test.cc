@@ -23,7 +23,7 @@
 #include "obs/trace_sink.h"
 #include "sched/executor.h"
 #include "sched/schedule.h"
-#include "sim/circuit_replay.h"
+#include "sim/engine/scenario.h"
 #include "trace/coflow.h"
 #include "trace/demand_matrix.h"
 
@@ -588,12 +588,13 @@ TEST(ObsInstrumentation, ReplayEmitsLifecycleEvents) {
   trace.coflows.push_back(Coflow(2, 0.05, {{0, 3, MB(10)}}));
   trace.coflows.push_back(Coflow(3, 0.30, {{1, 2, MB(30)}}));
 
-  CircuitReplayConfig cfg;
+  engine::EngineConfig cfg;
   cfg.sunflow.delta = Millis(10);
   MemorySink sink;
   cfg.sink = &sink;
   const auto policy = MakeShortestFirstPolicy();
-  const auto result = ReplayCircuitTrace(trace, *policy, cfg);
+  const auto result = engine::ScenarioRegistry::Global().Run(
+      "circuit", trace, policy.get(), cfg);
 
   EXPECT_EQ(sink.CountOf(EventType::kCoflowAdmitted), trace.coflows.size());
   EXPECT_EQ(sink.CountOf(EventType::kCoflowCompleted), trace.coflows.size());
@@ -616,12 +617,13 @@ TEST(ObsInstrumentation, ReplayWithAndWithoutSinkAgree) {
   trace.num_ports = 4;
   trace.coflows.push_back(Coflow(1, 0.0, {{0, 2, MB(50)}, {1, 3, MB(20)}}));
   trace.coflows.push_back(Coflow(2, 0.05, {{0, 3, MB(10)}}));
-  CircuitReplayConfig cfg;
+  engine::EngineConfig cfg;
   const auto policy = MakeShortestFirstPolicy();
-  const auto plain = ReplayCircuitTrace(trace, *policy, cfg);
+  auto& registry = engine::ScenarioRegistry::Global();
+  const auto plain = registry.Run("circuit", trace, policy.get(), cfg);
   MemorySink sink;
   cfg.sink = &sink;
-  const auto traced = ReplayCircuitTrace(trace, *policy, cfg);
+  const auto traced = registry.Run("circuit", trace, policy.get(), cfg);
   EXPECT_EQ(plain.cct, traced.cct);
   EXPECT_EQ(plain.replans, traced.replans);
   EXPECT_NEAR(plain.makespan, traced.makespan, 1e-12);

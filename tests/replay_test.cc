@@ -3,18 +3,25 @@
 #include "core/policy.h"
 #include "packet/replay.h"
 #include "packet/varys.h"
-#include "sim/circuit_replay.h"
+#include "sim/engine/scenario.h"
 #include "trace/bounds.h"
 #include "trace/generator.h"
 
 namespace sunflow {
 namespace {
 
-CircuitReplayConfig Config(Time delta = Millis(10)) {
-  CircuitReplayConfig c;
+engine::EngineConfig Config(Time delta = Millis(10)) {
+  engine::EngineConfig c;
   c.sunflow.bandwidth = Gbps(1);
   c.sunflow.delta = delta;
   return c;
+}
+
+engine::EngineResult RunCircuit(const Trace& trace,
+                                const PriorityPolicy& policy,
+                                const engine::EngineConfig& config) {
+  return engine::ScenarioRegistry::Global().Run("circuit", trace, &policy,
+                                                config);
 }
 
 TEST(CircuitReplay, SingleCoflowMatchesIntraSchedule) {
@@ -23,7 +30,7 @@ TEST(CircuitReplay, SingleCoflowMatchesIntraSchedule) {
   trace.coflows.push_back(
       Coflow(1, 0.0, {{0, 2, MB(10)}, {1, 2, MB(20)}, {0, 3, MB(30)}}));
   const auto policy = MakeShortestFirstPolicy();
-  const auto result = ReplayCircuitTrace(trace, *policy, Config());
+  const auto result = RunCircuit(trace, *policy, Config());
 
   const auto intra =
       ScheduleSingleCoflow(trace.coflows[0], 4, Config().sunflow);
@@ -36,7 +43,7 @@ TEST(CircuitReplay, DisjointCoflowsUnaffectedByEachOther) {
   trace.coflows.push_back(Coflow(1, 0.0, {{0, 1, MB(100)}}));
   trace.coflows.push_back(Coflow(2, 0.0, {{2, 3, MB(100)}}));
   const auto policy = MakeShortestFirstPolicy();
-  const auto result = ReplayCircuitTrace(trace, *policy, Config());
+  const auto result = RunCircuit(trace, *policy, Config());
   const Time expected = Millis(10) + MB(100) / Gbps(1);
   EXPECT_NEAR(result.cct.at(1), expected, 1e-9);
   EXPECT_NEAR(result.cct.at(2), expected, 1e-9);
@@ -50,7 +57,7 @@ TEST(CircuitReplay, ShortestFirstPrioritizesSmall) {
   trace.coflows.push_back(Coflow(1, 0.0, {{0, 1, MB(1000)}}));
   trace.coflows.push_back(Coflow(2, 0.5, {{0, 1, MB(10)}}));
   const auto policy = MakeShortestFirstPolicy();
-  const auto result = ReplayCircuitTrace(trace, *policy, Config());
+  const auto result = RunCircuit(trace, *policy, Config());
   // Small coflow: δ + p (the circuit was carried by coflow 1 but must be
   // re-established since the pair is identical — carry-over applies).
   EXPECT_LT(result.cct.at(2), Millis(10) + MB(10) / Gbps(1) + 1e-6);
@@ -67,14 +74,14 @@ TEST(CircuitReplay, CarryOverAvoidsSecondSetup) {
   trace.coflows.push_back(Coflow(1, 0.0, {{0, 1, MB(500)}}));
   trace.coflows.push_back(Coflow(2, 1.0, {{2, 3, MB(500)}}));
 
-  CircuitReplayConfig with = Config();
+  engine::EngineConfig with = Config();
   with.carry_over_circuits = true;
-  CircuitReplayConfig without = Config();
+  engine::EngineConfig without = Config();
   without.carry_over_circuits = false;
 
   const auto policy = MakeShortestFirstPolicy();
-  const auto r_with = ReplayCircuitTrace(trace, *policy, with);
-  const auto r_without = ReplayCircuitTrace(trace, *policy, without);
+  const auto r_with = RunCircuit(trace, *policy, with);
+  const auto r_without = RunCircuit(trace, *policy, without);
 
   const Time ideal = Millis(10) + MB(500) / Gbps(1);
   EXPECT_NEAR(r_with.cct.at(1), ideal, 1e-9);
@@ -92,7 +99,7 @@ TEST(CircuitReplay, AllCoflowsCompleteOnSyntheticTrace) {
   cfg.num_ports = 15;
   const Trace trace = GenerateSyntheticTrace(cfg);
   const auto policy = MakeShortestFirstPolicy();
-  const auto result = ReplayCircuitTrace(trace, *policy, Config());
+  const auto result = RunCircuit(trace, *policy, Config());
   EXPECT_EQ(result.cct.size(), trace.coflows.size());
   for (const Coflow& c : trace.coflows) {
     // The packet bound is inviolable. The circuit bound TcL assumes every
@@ -117,8 +124,8 @@ TEST(CircuitReplay, FifoVsScfOrdering) {
   trace.coflows.push_back(Coflow(2, 0.1, {{0, 1, MB(10)}}));
   const auto scf = MakeShortestFirstPolicy();
   const auto fifo = MakeFifoPolicy();
-  const auto r_scf = ReplayCircuitTrace(trace, *scf, Config());
-  const auto r_fifo = ReplayCircuitTrace(trace, *fifo, Config());
+  const auto r_scf = RunCircuit(trace, *scf, Config());
+  const auto r_fifo = RunCircuit(trace, *fifo, Config());
   EXPECT_LT(r_scf.cct.at(2), r_fifo.cct.at(2));
   EXPECT_LE(r_fifo.cct.at(1), r_scf.cct.at(1) + 1e-9);
 }
@@ -128,7 +135,7 @@ TEST(CircuitReplay, StaticPolicyAvailable) {
   trace.num_ports = 2;
   trace.coflows.push_back(Coflow(1, 0.0, {{0, 1, MB(100)}}));
   const auto policy = MakeStaticShortestFirstPolicy();
-  const auto result = ReplayCircuitTrace(trace, *policy, Config());
+  const auto result = RunCircuit(trace, *policy, Config());
   EXPECT_EQ(result.cct.size(), 1u);
 }
 
@@ -143,9 +150,9 @@ TEST(CircuitReplay, ZeroDeltaNeverBeatsPacketSwitching) {
   cfg.num_ports = 10;
   const Trace trace = GenerateSyntheticTrace(cfg);
 
-  CircuitReplayConfig cc = Config(0.0);
+  engine::EngineConfig cc = Config(0.0);
   const auto policy = MakeShortestFirstPolicy();
-  const auto circuit = ReplayCircuitTrace(trace, *policy, cc);
+  const auto circuit = RunCircuit(trace, *policy, cc);
 
   packet::PacketReplayConfig pc;
   auto varys = packet::MakeVarysAllocator();
@@ -175,7 +182,7 @@ TEST(CircuitReplay, LeastAttainedServiceIsNonClairvoyant) {
   // Newcomer: 100 MB (bigger in every clairvoyant sense).
   trace.coflows.push_back(Coflow(2, 0.2, {{0, 1, MB(100)}}));
   const auto las = MakeLeastAttainedServicePolicy(MB(10), 10.0);
-  const auto result = ReplayCircuitTrace(trace, *las, Config());
+  const auto result = RunCircuit(trace, *las, Config());
   // At the replan (t=0.2) the veteran has ~23 MB attained -> queue 1; the
   // newcomer is queue 0 and preempts despite being larger. It even inherits
   // the veteran's established circuit on the same pair (carry-over), so it
@@ -185,7 +192,7 @@ TEST(CircuitReplay, LeastAttainedServiceIsNonClairvoyant) {
 
   // SCF (clairvoyant) makes the opposite call: the veteran finishes first.
   const auto scf = MakeShortestFirstPolicy();
-  const auto scf_result = ReplayCircuitTrace(trace, *scf, Config());
+  const auto scf_result = RunCircuit(trace, *scf, Config());
   EXPECT_LT(scf_result.cct.at(1), result.cct.at(1));
 }
 
@@ -198,12 +205,12 @@ TEST(CircuitReplay, WeightedPolicyProtectsImportantCoflow) {
   trace.coflows.push_back(Coflow(2, 0.5, {{0, 1, MB(50)}}));
 
   const auto weighted = MakeWeightedShortestFirstPolicy({{1, 100.0}});
-  const auto r_weighted = ReplayCircuitTrace(trace, *weighted, Config());
+  const auto r_weighted = RunCircuit(trace, *weighted, Config());
   const Time alone = Millis(10) + MB(300) / Gbps(1);
   EXPECT_NEAR(r_weighted.cct.at(1), alone, 1e-9);
 
   const auto plain = MakeShortestFirstPolicy();
-  const auto r_plain = ReplayCircuitTrace(trace, *plain, Config());
+  const auto r_plain = RunCircuit(trace, *plain, Config());
   EXPECT_GT(r_plain.cct.at(1), alone + 0.3);  // preempted by the short one
 }
 
@@ -217,12 +224,12 @@ TEST(CircuitReplay, ReplanThrottleBatchesArrivals) {
   trace.coflows.push_back(Coflow(2, 0.1, {{2, 3, MB(10)}}));
   const auto policy = MakeShortestFirstPolicy();
 
-  const auto prompt = ReplayCircuitTrace(trace, *policy, Config());
+  const auto prompt = RunCircuit(trace, *policy, Config());
   EXPECT_NEAR(prompt.cct.at(2), Millis(10) + MB(10) / Gbps(1), 1e-9);
 
-  CircuitReplayConfig throttled = Config();
+  engine::EngineConfig throttled = Config();
   throttled.min_replan_interval = 5.0;
-  const auto batched = ReplayCircuitTrace(trace, *policy, throttled);
+  const auto batched = RunCircuit(trace, *policy, throttled);
   // Coflow 1 is unaffected; coflow 2 starts only at coflow 1's completion
   // (t = 0.81), so its CCT includes the 0.71 s queueing delay.
   EXPECT_NEAR(batched.cct.at(1), prompt.cct.at(1), 1e-9);
@@ -240,7 +247,7 @@ TEST(CircuitReplay, ZeroDeltaApproachesPacketBound) {
   trace.coflows.push_back(
       Coflow(1, 0.0, {{0, 2, MB(100)}, {1, 2, MB(100)}}));
   const auto policy = MakeShortestFirstPolicy();
-  const auto result = ReplayCircuitTrace(trace, *policy, Config(0.0));
+  const auto result = RunCircuit(trace, *policy, Config(0.0));
   EXPECT_NEAR(result.cct.at(1), MB(200) / Gbps(1), 1e-6);
 }
 

@@ -5,20 +5,25 @@
 
 #include "core/policy.h"
 #include "core/sunflow.h"
-#include "sim/circuit_replay.h"
-#include "sim/rotor_replay.h"
+#include "sim/engine/scenario.h"
 #include "trace/bounds.h"
 #include "viz/timeline.h"
 
 namespace sunflow {
 namespace {
 
-RotorReplayConfig RotorConfig() {
-  RotorReplayConfig c;
-  c.bandwidth = Gbps(1);
-  c.delta = Millis(10);
-  c.slot_duration = Millis(90);
+engine::EngineConfig UnitConfig() {
+  engine::EngineConfig c;
+  c.sunflow.bandwidth = Gbps(1);
+  c.sunflow.delta = Millis(10);
+  c.rotor_slot_duration = Millis(90);
   return c;
+}
+
+engine::EngineResult RunRotor(const Trace& trace) {
+  return engine::ScenarioRegistry::Global().Run("rotor", trace,
+                                                /*policy=*/nullptr,
+                                                UnitConfig());
 }
 
 TEST(Rotor, SingleFlowServedWhenItsSlotComesUp) {
@@ -27,7 +32,7 @@ TEST(Rotor, SingleFlowServedWhenItsSlotComesUp) {
   Trace trace;
   trace.num_ports = 2;
   trace.coflows.push_back(Coflow(1, 0.0, {{0, 1, MB(5)}}));
-  const auto result = ReplayRotorTrace(trace, RotorConfig());
+  const auto result = RunRotor(trace);
   // Slot span 0.1 s; flow's slot is [0.1, 0.2) with light from 0.11.
   // 5 MB at 1 Gbps = 0.04 s -> finishes at 0.15.
   EXPECT_NEAR(result.cct.at(1), 0.15, 1e-9);
@@ -37,7 +42,7 @@ TEST(Rotor, FlowLargerThanSlotSpansRotations) {
   Trace trace;
   trace.num_ports = 2;
   trace.coflows.push_back(Coflow(1, 0.0, {{0, 1, MB(20)}}));
-  const auto result = ReplayRotorTrace(trace, RotorConfig());
+  const auto result = RunRotor(trace);
   // 0.16 s of demand, 0.09 s served per odd slot: slot1 serves 0.09,
   // slot3 serves the remaining 0.07 -> finish at 0.31 + 0.07 = 0.38.
   EXPECT_NEAR(result.cct.at(1), 0.38, 1e-9);
@@ -48,7 +53,7 @@ TEST(Rotor, SharesCircuitAmongCoflows) {
   trace.num_ports = 2;
   trace.coflows.push_back(Coflow(1, 0.0, {{0, 1, MB(5)}}));
   trace.coflows.push_back(Coflow(2, 0.0, {{0, 1, MB(5)}}));
-  const auto result = ReplayRotorTrace(trace, RotorConfig());
+  const auto result = RunRotor(trace);
   // Both share B during the odd slot: each drains 5 MB at B/2 in 0.08 s.
   EXPECT_NEAR(result.cct.at(1), 0.11 + 0.08, 1e-9);
   EXPECT_NEAR(result.cct.at(2), 0.11 + 0.08, 1e-9);
@@ -61,12 +66,10 @@ TEST(Rotor, MuchSlowerThanSunflowOnSkewedDemand) {
   trace.num_ports = 6;
   trace.coflows.push_back(Coflow(1, 0.0, {{0, 1, MB(250)}}));
 
-  const auto rotor = ReplayRotorTrace(trace, RotorConfig());
-  CircuitReplayConfig cc;
-  cc.sunflow.bandwidth = Gbps(1);
-  cc.sunflow.delta = Millis(10);
+  const auto rotor = RunRotor(trace);
   const auto policy = MakeShortestFirstPolicy();
-  const auto sunflow_result = ReplayCircuitTrace(trace, *policy, cc);
+  const auto sunflow_result = engine::ScenarioRegistry::Global().Run(
+      "circuit", trace, policy.get(), UnitConfig());
   // Sunflow: δ + 2 s. Rotor: ~N x slower (one slot in six, δ per slot).
   EXPECT_GT(rotor.cct.at(1), 4 * sunflow_result.cct.at(1));
 }
@@ -80,7 +83,7 @@ TEST(Rotor, AllCoflowsComplete) {
         {{static_cast<PortId>(k % 4), static_cast<PortId>((k + 1) % 4),
           MB(10 + k)}}));
   }
-  const auto result = ReplayRotorTrace(trace, RotorConfig());
+  const auto result = RunRotor(trace);
   EXPECT_EQ(result.cct.size(), 6u);
   for (const auto& [id, cct] : result.cct) EXPECT_GT(cct, 0.0);
 }

@@ -1,24 +1,28 @@
 #include <gtest/gtest.h>
 
 #include "core/policy.h"
-#include "sim/starvation_replay.h"
+#include "core/starvation.h"
+#include "sim/engine/scenario.h"
 
 namespace sunflow {
 namespace {
 
-CircuitReplayConfig Config() {
-  CircuitReplayConfig c;
-  c.sunflow.bandwidth = Gbps(1);
-  c.sunflow.delta = Millis(10);
-  return c;
-}
-
 StarvationGuardConfig Guard(Time big = 1.0, Time small_iv = 0.1) {
   StarvationGuardConfig g;
-  g.enabled = true;
   g.big_interval = big;
   g.small_interval = small_iv;
   return g;
+}
+
+engine::EngineResult RunGuarded(const Trace& trace,
+                                const PriorityPolicy& policy,
+                                const StarvationGuardConfig& guard) {
+  engine::EngineConfig config;
+  config.sunflow.bandwidth = Gbps(1);
+  config.sunflow.delta = Millis(10);
+  config.guard = guard;
+  return engine::ScenarioRegistry::Global().Run("guarded", trace, &policy,
+                                                config);
 }
 
 // An adversarial stream: high-priority (class 0) coflows on ports (0 -> 1)
@@ -51,8 +55,7 @@ TEST(StarvationGuard, VictimCompletesDespiteAdversary) {
   // never wins priority during T spans and drains only during tau spans.
   const Trace trace = AdversarialTrace(60, MB(55), MB(40));
   const auto policy = VictimLastPolicy();
-  const auto result =
-      ReplayWithStarvationGuard(trace, *policy, Config(), Guard());
+  const auto result = RunGuarded(trace, *policy, Guard());
   EXPECT_EQ(result.cct.size(), trace.coflows.size());
   EXPECT_GT(result.cct.at(1000), 0.0);
 }
@@ -61,8 +64,7 @@ TEST(StarvationGuard, ServiceGapBoundedByNPeriod) {
   const Trace trace = AdversarialTrace(60, MB(55), MB(40));
   const auto policy = VictimLastPolicy();
   const StarvationGuardConfig guard = Guard();
-  const auto result =
-      ReplayWithStarvationGuard(trace, *policy, Config(), guard);
+  const auto result = RunGuarded(trace, *policy, guard);
   const StarvationGuardTimeline timeline(guard, trace.num_ports);
   // §4.2: all coflows receive non-zero service in every N(T+tau) window.
   EXPECT_LE(result.max_service_gap.at(1000),
@@ -76,8 +78,7 @@ TEST(StarvationGuard, UncontendedCoflowUnharmed) {
   trace.num_ports = 3;
   trace.coflows.push_back(Coflow(1, 0.0, {{0, 1, MB(20)}}));
   const auto policy = MakeShortestFirstPolicy();
-  const auto result =
-      ReplayWithStarvationGuard(trace, *policy, Config(), Guard());
+  const auto result = RunGuarded(trace, *policy, Guard());
   EXPECT_NEAR(result.cct.at(1), Millis(10) + MB(20) / Gbps(1), 1e-6);
 }
 
@@ -92,8 +93,7 @@ TEST(StarvationGuard, TauSharingSplitsBandwidth) {
   trace.coflows.push_back(Coflow(1, 0.5, {{0, 0, MB(2)}}));
   trace.coflows.push_back(Coflow(2, 0.5, {{0, 0, MB(2)}}));
   const auto policy = VictimLastPolicy();  // both privileged by default
-  const auto result =
-      ReplayWithStarvationGuard(trace, *policy, Config(), guard);
+  const auto result = RunGuarded(trace, *policy, guard);
   // Both complete; shared bandwidth during tau means the first finisher
   // needed at least 2 * bytes / B after the tau setup.
   EXPECT_EQ(result.cct.size(), 2u);
@@ -105,8 +105,7 @@ TEST(StarvationGuard, RequiresTauAboveDelta) {
   trace.coflows.push_back(Coflow(1, 0.0, {{0, 1, MB(1)}}));
   const auto policy = MakeShortestFirstPolicy();
   StarvationGuardConfig bad = Guard(1.0, 0.001);  // tau < delta
-  EXPECT_THROW(ReplayWithStarvationGuard(trace, *policy, Config(), bad),
-               CheckFailure);
+  EXPECT_THROW(RunGuarded(trace, *policy, bad), CheckFailure);
 }
 
 }  // namespace

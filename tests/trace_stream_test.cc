@@ -28,7 +28,6 @@
 #include "core/policy.h"
 #include "exp/inter_runner.h"
 #include "runtime/thread_pool.h"
-#include "sim/circuit_replay.h"
 #include "sim/engine/driver.h"
 #include "sim/engine/scenario.h"
 #include "trace/extsort.h"
