@@ -17,7 +17,6 @@
 #include "common/table.h"
 #include "core/policy.h"
 #include "obs/metrics.h"
-#include "runtime/thread_pool.h"
 #include "sim/engine/scenario.h"
 #include "trace/generator.h"
 
@@ -35,9 +34,10 @@ std::vector<int> ParseIntList(const std::string& csv) {
 
 // Full-precision CCT dump, one "<label> <coflow> <cct>" line per coflow in
 // id order. Wall-clock never enters the file, so two runs of the same
-// workload must produce byte-identical dumps at any --threads value — the
-// determinism contract CI enforces by diffing --threads=1 against
-// --threads=8.
+// workload must produce byte-identical dumps — the cross-process
+// determinism contract CI enforces by diffing a --threads=1 run against a
+// --threads=8 run (every replan plans serially, so --threads must not
+// matter either).
 void DumpCcts(std::ofstream& out, const std::string& label,
               const std::map<sunflow::CoflowId, sunflow::Time>& cct) {
   char buf[64];
@@ -72,11 +72,7 @@ int main(int argc, char** argv) {
   const std::string& engine_name = session.engine();
 
   const auto policy = MakeShortestFirstPolicy();
-  // The pool drives intra-replan group planning (scenario plan_pool);
-  // --threads=1 exercises the serial fallback.
-  runtime::ThreadPool pool(session.threads());
   engine::EngineConfig ec;
-  ec.plan_pool = &pool;
 
   std::ofstream cct_file;
   if (!cct_out.empty()) {

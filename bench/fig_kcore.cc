@@ -23,7 +23,6 @@
 #include "core/policy.h"
 #include "obs/audit.h"
 #include "obs/trace_sink.h"
-#include "runtime/thread_pool.h"
 #include "sim/engine/scenario.h"
 
 namespace {
@@ -60,7 +59,6 @@ int main(int argc, char** argv) {
   const bench::Workload& w = session.workload();
 
   const auto policy = MakeShortestFirstPolicy();
-  runtime::ThreadPool pool(session.threads());
   const Bandwidth bandwidth = Gbps(bandwidth_gbps);
   const Time delta = Millis(delta_ms);
 
@@ -79,7 +77,6 @@ int main(int argc, char** argv) {
     ec.sunflow.delta = delta;
     ec.sunflow.fabric = FabricSpec::Uniform(
         k, delta, split_bandwidth ? bandwidth / k : bandwidth);
-    ec.plan_pool = &pool;
 
     double totals[2] = {0, 0};
     double makespans[2] = {0, 0};

@@ -36,12 +36,14 @@ MANIFEST_SCHEMA = "sunflow.run_manifest/v1"
 # `threads` is the explicit --threads value for the bench, appended as a
 # column so every aggregate records what it ran with; None leaves the flag
 # off (table3_complexity is a google-benchmark binary with its own flags).
-# sweep_scaling and engine_replan pin --threads=8 so the committed
-# baselines actually exercise the pool (sweep fan-out and intra-replan
-# group planning respectively): the default (0 = hardware threads)
+# sweep_scaling pins --threads=8 so the committed baseline actually
+# exercises the pool (sweep fan-out): the default (0 = hardware threads)
 # degenerates to a serial run on a 1-core bless host, silently committing
-# parallel-path-never-ran numbers. The threads pin changes wall-clock
-# only — outputs are byte-identical at any value.
+# parallel-path-never-ran numbers. engine_replan and fig_kcore keep their
+# --threads=8 pin only so their argv matches the committed baselines:
+# every replan plans serially, so the flag changes nothing they time.
+# The threads pin changes wall-clock only — outputs are byte-identical at
+# any value.
 # table3_complexity's short min_time keeps the repeat loop affordable.
 BENCHES = {
     "fig3_intra_vs_tcl": ("bench/fig3_intra_vs_tcl", ["--all_algos"], 1),

@@ -143,7 +143,6 @@ int main(int argc, char** argv) {
   ec.sunflow.delta = delta;
   ec.sink = session.sink();
   ec.timeline = session.timeline();
-  ec.plan_pool = pool.get();
   const auto policy = MakeShortestFirstPolicy();
   const auto scenario =
       engine::MakeCircuitScenario(cfg.num_ports, *policy, ec);

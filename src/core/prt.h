@@ -14,8 +14,8 @@
 // plus a per-timeline probe cursor. The planner probes forward in time
 // almost always, so the cursor makes FreeAt / NextStartAfter / BusyUntil
 // O(1) amortized on that access pattern; a probe that jumps backwards
-// (ImportReservations, executors, a new coflow restarting at its arrival
-// time) falls back to binary search and re-seats the cursor there.
+// (executors, a new coflow restarting at its arrival time) falls back to
+// binary search and re-seats the cursor there.
 // Release times live in one flat sorted vector shared by all ports and
 // planes: a wakeup instant is a release somewhere in the fabric, and the
 // planner's wakeup-index contract (core/sunflow.cc) only needs the global

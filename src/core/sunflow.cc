@@ -9,45 +9,12 @@
 
 #include "common/assert.h"
 #include "common/rng.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace_sink.h"
-#include "runtime/arena.h"
 
 namespace sunflow {
 
 namespace {
-
-// Surfaces the thread-local arena's traffic as arena.* counters, as a
-// delta over the enclosing scope (one flush per ScheduleAll call, so the
-// counters never touch the per-flow hot path).
-class ArenaMetricsScope {
- public:
-  explicit ArenaMetricsScope(runtime::Arena& arena)
-      : arena_(arena), before_(arena.stats()) {}
-  ~ArenaMetricsScope() {
-    static thread_local obs::Counter& allocations =
-        obs::GlobalMetrics().GetCounter("arena.allocations");
-    static thread_local obs::Counter& bytes =
-        obs::GlobalMetrics().GetCounter("arena.bytes");
-    static thread_local obs::Counter& block_allocs =
-        obs::GlobalMetrics().GetCounter("arena.block_allocs");
-    static thread_local obs::Counter& frames =
-        obs::GlobalMetrics().GetCounter("arena.frames");
-    const runtime::ArenaStats& after = arena_.stats();
-    allocations.Increment(after.allocations - before_.allocations);
-    bytes.Increment(after.bytes - before_.bytes);
-    block_allocs.Increment(after.block_allocs - before_.block_allocs);
-    frames.Increment(after.frames - before_.frames);
-  }
-
-  ArenaMetricsScope(const ArenaMetricsScope&) = delete;
-  ArenaMetricsScope& operator=(const ArenaMetricsScope&) = delete;
-
- private:
-  runtime::Arena& arena_;
-  runtime::ArenaStats before_;
-};
 
 // 64-bit mix for the Ordered() cache key (splitmix64 finalizer). Not
 // cryptographic; collisions only matter if a caller mutates a request's
@@ -159,28 +126,6 @@ void SunflowPlanner::SetReservationCallback(ReservationCallback callback) {
   callback_ = std::move(callback);
 }
 
-void SunflowPlanner::ImportReservations(
-    const std::vector<CircuitReservation>& reservations) {
-  for (const CircuitReservation& r : reservations) {
-    prt_.Reserve(r);
-    if (callback_) callback_(r);
-    obs::Emit(sink_, {.type = obs::EventType::kCircuitSetup,
-                      .t = r.start,
-                      .dur = r.length(),
-                      .coflow = r.coflow,
-                      .in = r.in,
-                      .out = r.out,
-                      .value = r.setup,
-                      .plane = r.plane});
-    obs::Emit(sink_, {.type = obs::EventType::kCircuitTeardown,
-                      .t = r.end,
-                      .coflow = r.coflow,
-                      .in = r.in,
-                      .out = r.out,
-                      .plane = r.plane});
-  }
-}
-
 const std::vector<FlowDemand>& SunflowPlanner::Ordered(
     const PlanRequest& request) const {
   const std::uint64_t key = OrderedCacheKey(config_, request);
@@ -275,25 +220,17 @@ Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
   Time t = request.start;
   int reservations_made = 0;
 
-  // Per-request scratch lives on the thread-local arena: a handful of
-  // vectors plus the wakeup heap, all bump-allocated and rewound wholesale
-  // when the request finishes (runtime/arena.h). Steady-state planning
-  // therefore makes zero heap round trips here.
-  runtime::Arena& arena = runtime::ThisThreadArena();
-  const runtime::ArenaScope scratch(arena);
-  const runtime::ArenaAllocator<Time> alloc(arena);
-
   // Remaining demand per ordered index; 0 once the flow is done.
-  runtime::ArenaVector<Time> remaining(ordered.size(), 0, alloc);
+  std::vector<Time> remaining(ordered.size(), 0);
 
   // Blocked-episode tracking, trace emission only (inert without a sink —
   // the cursor-free owner probes are never called and no state allocates).
   // One open episode per flow; an episode closes and a new one opens when
   // the blocking cause (reason, blamer) changes, so contention spans
   // attribute to the coflow actually in the way at each instant.
-  runtime::ArenaVector<Time> blk_since(alloc);
-  runtime::ArenaVector<obs::BlockReason> blk_reason(alloc);
-  runtime::ArenaVector<CoflowId> blk_blamer(alloc);
+  std::vector<Time> blk_since;
+  std::vector<obs::BlockReason> blk_reason;
+  std::vector<CoflowId> blk_blamer;
   if (sink_ != nullptr) {
     blk_since.assign(ordered.size(), kTimeInf);
     blk_reason.assign(ordered.size(), obs::BlockReason::kInputPortBusy);
@@ -461,8 +398,7 @@ Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
   // zero-demand entries (Equation 3: t_ij = 0 when p_ij = 0). Flows that
   // cannot finish here enter the wakeup queue.
   using Wakeup = std::pair<Time, std::size_t>;
-  std::priority_queue<Wakeup, runtime::ArenaVector<Wakeup>, std::greater<>>
-      wakeups{std::greater<>{}, runtime::ArenaVector<Wakeup>(alloc)};
+  std::priority_queue<Wakeup, std::vector<Wakeup>, std::greater<>> wakeups;
   for (std::size_t i = 0; i < ordered.size(); ++i) {
     if (ordered[i].processing <= kTimeEps) continue;
     remaining[i] = ordered[i].processing;
@@ -476,8 +412,7 @@ Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
   // every release instant; sorting the woken indices replays that order
   // within the subset, and the flows left sleeping are exactly the ones
   // the rescan would have retried and failed.
-  runtime::ArenaVector<std::size_t> woken{
-      runtime::ArenaAllocator<std::size_t>(arena)};
+  std::vector<std::size_t> woken;
   while (!wakeups.empty()) {
     const Time next = NextWakeInstant(t, wakeups.top().first, request.coflow);
     SUNFLOW_CHECK(next > t);
@@ -689,9 +624,6 @@ SunflowSchedule SunflowPlanner::ScheduleAll(
 
 SunflowSchedule SunflowPlanner::ScheduleAll(
     const std::vector<const PlanRequest*>& requests) {
-  // Declared first so its destructor runs last: the flushed deltas cover
-  // every nested ScheduleOne scratch frame.
-  const ArenaMetricsScope arena_metrics(runtime::ThisThreadArena());
   SunflowSchedule out;
   for (const PlanRequest* req : requests) ScheduleOne(*req, out);
   out.reservations = prt_.reservations();

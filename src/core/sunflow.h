@@ -81,12 +81,6 @@ struct SunflowSchedule {
   /// All reservations, in the order they were created.
   std::vector<CircuitReservation> reservations;
 
-  /// Independent planning groups this call handed to the thread pool
-  /// (ScheduleRequestsParallel) — the pool occupancy the replan offered.
-  /// 0 on the serial path, so it is thread-count-dependent telemetry, not
-  /// part of the deterministic plan.
-  std::uint64_t parallel_groups = 0;
-
   Time MaxCompletion() const;
 };
 
@@ -163,13 +157,6 @@ class SunflowPlanner {
   using ReservationCallback = std::function<void(const CircuitReservation&)>;
   void SetReservationCallback(ReservationCallback callback);
 
-  /// Merges reservations planned elsewhere (e.g. per-component planners on
-  /// copies of this planner's state — see core/components.h) into this
-  /// PRT. Every reservation is re-validated against the port constraints;
-  /// the callback fires for each. Call with reservations sorted by start
-  /// time to preserve the streaming guarantee.
-  void ImportReservations(const std::vector<CircuitReservation>& reservations);
-
   /// Attaches a structured event tracer (obs/trace_sink.h). The planner
   /// emits kCircuitSetup / kCircuitTeardown for every reservation and
   /// kFlowFinished when a flow's demand drains; null (the default)
@@ -185,24 +172,9 @@ class SunflowPlanner {
   const std::vector<PlaneSpec>& planes() const { return planes_; }
   int num_planes() const { return static_cast<int>(planes_.size()); }
 
-  // Introspection for the parallel group planner (core/components.cc):
-  // worker planners must replicate the established-circuit state, and the
-  // parallel path is only output-equivalent when no callback observes the
-  // per-reservation stream mid-plan.
-  const EstablishedCircuits& established_circuits() const {
-    return established_[0];
-  }
-  const FabricEstablished& established_by_plane() const {
-    return established_;
-  }
+ private:
   /// True iff any plane has established circuits.
   bool has_established() const;
-  Time established_at() const { return established_at_; }
-  bool has_reservation_callback() const {
-    return static_cast<bool>(callback_);
-  }
-
- private:
   const std::vector<FlowDemand>& Ordered(const PlanRequest& request) const;
   /// Maps the earliest pending wakeup onto the exact instant the legacy
   /// release-chain walk would visit next (see docs/engine.md).

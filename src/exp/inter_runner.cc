@@ -58,10 +58,7 @@ InterComparison RunInterComparison(const Trace& trace,
 
   // The three replays are independent whole-trace simulations writing
   // disjoint maps — fan them out. Only the Sunflow replay carries the
-  // caller's sink, so the one-sink-per-task contract holds. The same pool
-  // also serves as the Sunflow replay's intra-replan plan pool: its group
-  // planning nests a ParallelFor inside the replay task, which the pool's
-  // work-stealing wait makes deadlock-free at any size.
+  // caller's sink, so the one-sink-per-task contract holds.
   const int threads =
       config.threads <= 0 ? runtime::HardwareConcurrency() : config.threads;
   runtime::ThreadPool pool(threads);
@@ -74,7 +71,6 @@ InterComparison RunInterComparison(const Trace& trace,
     ec.carry_over_circuits = config.carry_over_circuits;
     ec.sink = config.sink;
     ec.timeline = config.timeline;
-    ec.plan_pool = &pool;
     const auto policy = MakeShortestFirstPolicy();
     cmp.sunflow = engine::ScenarioRegistry::Global()
                       .Run(config.engine, trace, policy.get(), ec)
@@ -146,10 +142,6 @@ InterComparison RunInterComparisonStreamed(CoflowSource& source,
   ec.carry_over_circuits = config.carry_over_circuits;
   ec.sink = config.sink;
   ec.timeline = config.timeline;
-  const int threads =
-      config.threads <= 0 ? runtime::HardwareConcurrency() : config.threads;
-  runtime::ThreadPool pool(threads);
-  ec.plan_pool = &pool;
 
   const auto policy = MakeShortestFirstPolicy();
   std::unique_ptr<engine::ScenarioPolicy> scenario;

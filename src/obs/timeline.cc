@@ -62,7 +62,6 @@ void TimelineSampler::BeginRun(PortId num_ports) {
   rolling_next_ = 0;
   slo_burn_ = 0;
   slo_first_breach_ = -1;
-  pool_peak_groups_ = 0;
 }
 
 void TimelineSampler::EnsureOpenThrough(Time t) {
@@ -134,10 +133,8 @@ void TimelineSampler::NoteQueueDepth(Time t, std::size_t depth) {
   w.pending = std::max(w.pending, depth);
 }
 
-void TimelineSampler::NoteReplan(Time t, double wall_ns,
-                                 std::uint64_t pool_groups) {
+void TimelineSampler::NoteReplan(Time t, double wall_ns) {
   replan_ns_.Record(wall_ns);
-  pool_peak_groups_ = std::max(pool_peak_groups_, pool_groups);
   const double budget_ns = config_.slo_budget_us * 1e3;
   if (budget_ns > 0 && wall_ns > budget_ns) {
     ++slo_burn_;
@@ -158,7 +155,6 @@ void TimelineSampler::NoteReplan(Time t, double wall_ns,
   w.replan_ns_sum += wall_ns;
   w.rolling_p50_ns = stats::Percentile(sorted, 50);
   w.rolling_p99_ns = stats::Percentile(sorted, 99);
-  w.pool_groups_max = std::max(w.pool_groups_max, pool_groups);
 }
 
 void TimelineSampler::NoteEngineSpan(Time begin, Time end) {
@@ -266,7 +262,6 @@ TimelineSample TimelineSampler::MergePair(TimelineSample a,
     a.rolling_p50_ns = b.rolling_p50_ns;
     a.rolling_p99_ns = b.rolling_p99_ns;
   }
-  a.pool_groups_max = std::max(a.pool_groups_max, b.pool_groups_max);
   return a;
 }
 
@@ -313,7 +308,6 @@ TimelineSummary TimelineSampler::Summarize() const {
     if (horizon > kTimeEps)
       out.idle_fraction = std::clamp(1.0 - covered / horizon, 0.0, 1.0);
   }
-  out.pool_peak_groups = pool_peak_groups_;
   out.slo.replans = replan_ns_.count();
   out.slo.p50_ns = replan_ns_.ValueAtPercentile(50);
   out.slo.p99_ns = replan_ns_.ValueAtPercentile(99);
@@ -335,8 +329,7 @@ void TimelineSampler::WriteCsv(std::ostream& os) const {
     os << ",util_in_p" << p << ",util_out_p" << p;
   os << ",engine_active_frac,active,queue_depth,admitted,blocked,replans";
   if (config_.include_wall) {
-    os << ",replan_ns_max,replan_ns_sum,rolling_p50_ns,rolling_p99_ns,"
-          "pool_groups_max";
+    os << ",replan_ns_max,replan_ns_sum,rolling_p50_ns,rolling_p99_ns";
   }
   os << "\n";
   for (const auto& s : samples_) {
@@ -360,7 +353,7 @@ void TimelineSampler::WriteCsv(std::ostream& os) const {
       os << ',' << FormatJsonNumber(s.replan_ns_max) << ','
          << FormatJsonNumber(s.replan_ns_sum) << ','
          << FormatJsonNumber(s.rolling_p50_ns) << ','
-         << FormatJsonNumber(s.rolling_p99_ns) << ',' << s.pool_groups_max;
+         << FormatJsonNumber(s.rolling_p99_ns);
     }
     os << "\n";
   }
@@ -401,8 +394,7 @@ void TimelineSampler::WriteJsonl(std::ostream& os) const {
       os << ",\"replan_ns_max\":" << FormatJsonNumber(s.replan_ns_max)
          << ",\"replan_ns_sum\":" << FormatJsonNumber(s.replan_ns_sum)
          << ",\"rolling_p50_ns\":" << FormatJsonNumber(s.rolling_p50_ns)
-         << ",\"rolling_p99_ns\":" << FormatJsonNumber(s.rolling_p99_ns)
-         << ",\"pool_groups_max\":" << s.pool_groups_max;
+         << ",\"rolling_p99_ns\":" << FormatJsonNumber(s.rolling_p99_ns);
     }
     os << "}\n";
   }

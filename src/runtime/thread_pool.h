@@ -16,11 +16,10 @@
 // Remaining unclaimed tasks are skipped once a failure is recorded.
 //
 // Nesting: ParallelFor may be called from inside a task already running on
-// the same pool (the intra-replan planner does this when a sweep task
-// replans in parallel). A thread waiting for its helpers to finish steals
-// and runs queued pool tasks instead of blocking, so the inner call's
-// helper closures always find a thread to run them and nested waits can
-// never deadlock — at any depth, some waiter drains the queue.
+// the same pool. A thread waiting for its helpers to finish steals and
+// runs queued pool tasks instead of blocking, so the inner call's helper
+// closures always find a thread to run them and nested waits can never
+// deadlock — at any depth, some waiter drains the queue.
 #pragma once
 
 #include <condition_variable>

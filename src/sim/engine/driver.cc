@@ -1,8 +1,11 @@
 #include "sim/engine/driver.h"
 
 #include <algorithm>
+#include <chrono>
 #include <iomanip>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "common/assert.h"
 #include "obs/metrics.h"
@@ -11,8 +14,25 @@
 
 namespace sunflow::engine {
 
+namespace {
+
+// "[id,id,…]": the first few active coflow ids, for CHECK messages.
+std::string ActiveIds(const std::vector<SimCoflow>& active) {
+  constexpr std::size_t kShown = 8;
+  std::ostringstream os;
+  os << '[';
+  for (std::size_t i = 0; i < active.size() && i < kShown; ++i)
+    os << (i > 0 ? "," : "") << active[i].id;
+  if (active.size() > kShown) os << ",…";
+  os << ']';
+  return os.str();
+}
+
+}  // namespace
+
 EngineResult ReplayDriver::Run(ScenarioPolicy& scenario) {
   SUNFLOW_PROFILE_SCOPE("engine.replay");
+  const auto wall_begin = std::chrono::steady_clock::now();
   SimState& s = state_;
   Time t = 0;
   std::size_t steps = 0;
@@ -27,7 +47,12 @@ EngineResult ReplayDriver::Run(ScenarioPolicy& scenario) {
                           << " t=" << std::setprecision(17) << t
                           << " steps=" << steps
                           << " active=" << s.active().size()
-                          << " pending_releases=" << s.releases().size());
+                          << " active_ids=" << ActiveIds(s.active())
+                          << " pending_releases=" << s.releases().size()
+                          << " wall_s=" << std::setprecision(6)
+                          << std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - wall_begin)
+                                 .count());
 
     if (s.active().empty()) {
       t = std::max(t, s.NextReleaseTime());
@@ -190,7 +215,7 @@ void ReplayDriver::NoteReplan(Time t, const SunflowSchedule& plan,
   for (const auto& [id, count] : plan.reservation_count)
     result.reservations[id] += count;
   if (timeline_ != nullptr) {
-    timeline_->NoteReplan(t, plan_ns, plan.parallel_groups);
+    timeline_->NoteReplan(t, plan_ns);
   }
   obs::GlobalMetrics().GetHistogram("scheduler.compute_ns").Record(plan_ns);
   obs::GlobalMetrics().GetCounter("replay.replans").Increment();

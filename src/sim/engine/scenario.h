@@ -53,11 +53,8 @@ struct EngineConfig {
   /// sampling semantics. Null (the default) compiles down to skipped
   /// branches — default runs stay byte-identical. Not owned.
   obs::TimelineSampler* timeline = nullptr;
-  /// Optional worker pool for intra-replan parallelism: port-disjoint
-  /// groups of the active set plan concurrently (ScheduleRequestsParallel,
-  /// core/components.h). Null or size <= 1 plans serially; output is
-  /// byte-identical either way — the pool changes wall-clock only. Not
-  /// owned; must outlive the replay.
+  /// Unused: every replan plans serially. The field stays only because
+  /// perfbench/perfbench.cc still assigns it; nothing reads it.
   runtime::ThreadPool* plan_pool = nullptr;
   /// (T + τ) cadence for the "guarded" scenario (τ > δ required).
   StarvationGuardConfig guard;

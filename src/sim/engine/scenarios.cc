@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/assert.h"
-#include "core/components.h"
 #include "obs/profiler.h"
 #include "packet/replay.h"
 #include "packet/varys.h"
@@ -230,10 +229,7 @@ using PlanStep = SunflowSchedule (*)(
     const FabricEstablished* established, Time t);
 
 // Joint planning: one plane-aware planner assigns every reservation to the
-// earliest feasible plane. With a pool, port-disjoint groups of the active
-// set plan concurrently (byte-identical output; the planner here never
-// carries a sink — the driver is the sole emitter — so the parallel path's
-// no-observer precondition always holds).
+// earliest feasible plane, planning the requests serially in priority order.
 SunflowSchedule PlanJoint(const EngineConfig& config, PortId num_ports,
                           const std::vector<const PlanRequest*>& requests,
                           const FabricEstablished* established, Time t) {
@@ -243,7 +239,7 @@ SunflowSchedule PlanJoint(const EngineConfig& config, PortId num_ports,
                   planner.num_planes());
     planner.SetEstablishedCircuitsByPlane(*established, t);
   }
-  return ScheduleRequestsParallel(planner, requests, config.plan_pool);
+  return planner.ScheduleAll(requests);
 }
 
 // The per-core baseline from the K-core scheduling literature
@@ -283,10 +279,6 @@ SunflowSchedule PlanPerCore(const EngineConfig& config, PortId num_ports,
     plan.completion_time.merge(core_plan.completion_time);
     plan.reservation_count.merge(core_plan.reservation_count);
     plan.flow_finish.merge(core_plan.flow_finish);
-    // Per-core plans run back to back; peak pool occupancy is the widest
-    // single core's group fan-out, not the sum.
-    plan.parallel_groups =
-        std::max(plan.parallel_groups, core_plan.parallel_groups);
   }
   return plan;
 }

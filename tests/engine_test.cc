@@ -22,6 +22,7 @@
 #include "sim/engine/event_queue.h"
 #include "sim/engine/scenario.h"
 #include "trace/coflow.h"
+#include "trace/generator.h"
 
 namespace sunflow::engine {
 namespace {
@@ -247,6 +248,8 @@ TEST(ReplayDriver, StepBudgetCheckReportsScenarioAndState) {
     EXPECT_NE(what.find("t=7 "), std::string::npos) << what;
     EXPECT_NE(what.find("steps=8"), std::string::npos) << what;
     EXPECT_NE(what.find("active=1"), std::string::npos) << what;
+    EXPECT_NE(what.find("active_ids=[1]"), std::string::npos) << what;
+    EXPECT_NE(what.find("wall_s="), std::string::npos) << what;
   }
 }
 
@@ -308,6 +311,44 @@ void ExpectBitIdentical(const std::map<CoflowId, Time>& a,
   }
 }
 
+// One registered scenario in one configuration. Every scenario-wide
+// property test walks this table and fails if a registered scenario is
+// missing from it.
+struct ScenarioCase {
+  std::string scenario;
+  bool plans;  // records per-coflow reservations
+  int planes;
+  bool kcore_joint;
+
+  std::string what() const {
+    return scenario + (kcore_joint ? "" : " (per-core)");
+  }
+  EngineConfig Config() const {
+    EngineConfig ec = UnitConfig();
+    if (planes > 1) {
+      ec.sunflow.fabric = FabricSpec::Uniform(planes, ec.sunflow.delta,
+                                              ec.sunflow.bandwidth);
+    }
+    ec.kcore_joint = kcore_joint;
+    return ec;
+  }
+};
+
+const std::vector<ScenarioCase>& ScenarioCases() {
+  static const std::vector<ScenarioCase> cases = {
+      {"circuit", true, 1, true},  {"guarded", true, 1, true},
+      {"rotor", false, 1, true},   {"hybrid", true, 1, true},
+      {"kcore", true, 2, true},    {"kcore", true, 2, false},
+  };
+  return cases;
+}
+
+void ExpectEveryScenarioCovered(const std::set<std::string>& covered,
+                                const std::string& property) {
+  for (const auto& [name, description] : ScenarioRegistry::Global().List())
+    EXPECT_TRUE(covered.contains(name)) << name << " is not " << property;
+}
+
 TEST(ScenarioRegistry, RepeatedReplayIsBitIdentical) {
   // Results are a pure function of (trace, policy, config): replaying one
   // trace twice in the same process through every registered scenario
@@ -322,27 +363,10 @@ TEST(ScenarioRegistry, RepeatedReplayIsBitIdentical) {
   trace.coflows.push_back(Coflow(5, 0.9, {{2, 0, MB(90)}, {0, 3, MB(30)}}));
   const auto policy = MakeShortestFirstPolicy();
 
-  struct Case {
-    std::string scenario;
-    bool plans;  // records per-coflow reservations
-    int planes;
-    bool kcore_joint;
-  };
-  const std::vector<Case> cases = {
-      {"circuit", true, 1, true},  {"guarded", true, 1, true},
-      {"rotor", false, 1, true},   {"hybrid", true, 1, true},
-      {"kcore", true, 2, true},    {"kcore", true, 2, false},
-  };
   std::set<std::string> covered;
-  for (const Case& c : cases) {
-    EngineConfig ec = UnitConfig();
-    if (c.planes > 1) {
-      ec.sunflow.fabric = FabricSpec::Uniform(c.planes, ec.sunflow.delta,
-                                              ec.sunflow.bandwidth);
-    }
-    ec.kcore_joint = c.kcore_joint;
-    const std::string what =
-        c.scenario + (c.kcore_joint ? "" : " (per-core)");
+  for (const ScenarioCase& c : ScenarioCases()) {
+    const EngineConfig ec = c.Config();
+    const std::string what = c.what();
     const auto first =
         ScenarioRegistry::Global().Run(c.scenario, trace, policy.get(), ec);
     const auto second =
@@ -359,8 +383,60 @@ TEST(ScenarioRegistry, RepeatedReplayIsBitIdentical) {
     EXPECT_EQ(first.replans, second.replans) << what;
     covered.insert(c.scenario);
   }
-  for (const auto& [name, description] : ScenarioRegistry::Global().List())
-    EXPECT_TRUE(covered.contains(name)) << name << " is not replayed twice";
+  ExpectEveryScenarioCovered(covered, "replayed twice");
+}
+
+// `trace` with every flow's bytes multiplied by `factor`.
+Trace ScaleBytes(const Trace& trace, double factor) {
+  Trace out;
+  out.num_ports = trace.num_ports;
+  for (const Coflow& c : trace.coflows) {
+    std::vector<Flow> flows = c.flows();
+    for (Flow& f : flows) f.bytes *= factor;
+    out.coflows.emplace_back(c.id(), c.arrival(), std::move(flows));
+  }
+  return out;
+}
+
+// `ec` with every rate and byte threshold multiplied by `factor`: the
+// planner bandwidth, each plane's rate, the hybrid packet fabric and its
+// offload threshold. Times (δ, slot lengths, the guard cadence) stay.
+EngineConfig ScaleRates(EngineConfig ec, double factor) {
+  ec.sunflow.bandwidth *= factor;
+  for (PlaneSpec& p : ec.sunflow.fabric.planes) p.rate *= factor;
+  ec.packet_bandwidth *= factor;
+  ec.offload_threshold *= factor;
+  return ec;
+}
+
+TEST(ScenarioRegistry, CctsInvariantUnderByteAndRateScaling) {
+  // Scaling every flow's bytes and every rate by the same power of two
+  // leaves each bytes/rate quotient bit-exact, so every scenario must
+  // reproduce its CCTs bit for bit: a divergence means some decision
+  // compares bytes or rates against an absolute constant.
+  SyntheticTraceConfig cfg;
+  cfg.num_coflows = 60;
+  cfg.num_ports = 24;
+  const Trace trace =
+      PerturbFlowSizes(GenerateSyntheticTrace(cfg), 0.05, MB(1), cfg.seed + 1);
+  const auto policy = MakeShortestFirstPolicy();
+
+  std::set<std::string> covered;
+  for (const ScenarioCase& c : ScenarioCases()) {
+    const EngineConfig ec = c.Config();
+    const auto base =
+        ScenarioRegistry::Global().Run(c.scenario, trace, policy.get(), ec);
+    ASSERT_EQ(base.cct.size(), trace.coflows.size()) << c.what();
+    for (const double factor : {2.0, 0.5, 1024.0}) {
+      const auto scaled = ScenarioRegistry::Global().Run(
+          c.scenario, ScaleBytes(trace, factor), policy.get(),
+          ScaleRates(ec, factor));
+      ExpectBitIdentical(base.cct, scaled.cct,
+                         c.what() + " x" + std::to_string(factor));
+    }
+    covered.insert(c.scenario);
+  }
+  ExpectEveryScenarioCovered(covered, "checked under scaling");
 }
 
 }  // namespace

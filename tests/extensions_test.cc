@@ -7,14 +7,12 @@
 
 #include "common/rng.h"
 #include "core/admission.h"
-#include "core/components.h"
 #include "core/schedule_io.h"
 #include "core/sunflow.h"
 #include "exp/csv_export.h"
 #include "packet/fair_share.h"
 #include "packet/replay.h"
 #include "packet/varys.h"
-#include "runtime/thread_pool.h"
 #include "trace/bounds.h"
 #include "trace/generator.h"
 
@@ -168,132 +166,6 @@ TEST(Admission, TightDeadlineRejectedUnderLoad) {
       planner, PlanRequest::FromCoflow(urgent, Gbps(1), 0.0), 1.0, out);
   EXPECT_FALSE(r.admitted);
   EXPECT_GT(r.planned_cct, 8.0);
-}
-
-// ---------- component decomposition (§6 parallelization) ----------
-
-TEST(Components, SplitsDisjointPortGroups) {
-  PlanRequest req;
-  req.coflow = 1;
-  req.start = 0;
-  // Component A: {in.0, in.1} x {out.5}; component B: {in.2} x {out.6,7}.
-  req.demand = {{0, 5, 0.1}, {1, 5, 0.2}, {2, 6, 0.3}, {2, 7, 0.4}};
-  const auto parts = SplitByPortComponents(req);
-  ASSERT_EQ(parts.size(), 2u);
-  std::size_t total = 0;
-  for (const auto& p : parts) total += p.demand.size();
-  EXPECT_EQ(total, req.demand.size());
-}
-
-TEST(Components, ChainOfSharedPortsIsOneComponent) {
-  PlanRequest req;
-  req.coflow = 1;
-  // (0->5), (1->5), (1->6): in.1 bridges out.5 and out.6.
-  req.demand = {{0, 5, 0.1}, {1, 5, 0.2}, {1, 6, 0.3}};
-  EXPECT_EQ(SplitByPortComponents(req).size(), 1u);
-}
-
-TEST(Components, PerComponentPlanningMatchesMonolithic) {
-  Rng rng(101);
-  for (int trial = 0; trial < 15; ++trial) {
-    // Build a coflow with several disjoint port clusters.
-    std::vector<Flow> flows;
-    const int clusters = 2 + static_cast<int>(rng.UniformInt(0, 2));
-    for (int k = 0; k < clusters; ++k) {
-      const PortId base = static_cast<PortId>(4 * k);
-      for (int f = 0; f < 3; ++f) {
-        const PortId s = base + static_cast<PortId>(rng.UniformInt(0, 1));
-        const PortId d = base + static_cast<PortId>(rng.UniformInt(2, 3));
-        bool dup = false;
-        for (const auto& e : flows)
-          if (e.src == s && e.dst == d) dup = true;
-        if (!dup) flows.push_back({s, d, MB(rng.Uniform(1, 40))});
-      }
-    }
-    const Coflow c(1, 0, std::move(flows));
-    const PortId ports = static_cast<PortId>(4 * clusters);
-
-    SunflowPlanner mono(ports, Config());
-    SunflowSchedule mono_out;
-    mono.ScheduleOne(PlanRequest::FromCoflow(c, Gbps(1), 0.0), mono_out);
-
-    SunflowPlanner split(ports, Config());
-    SunflowSchedule split_out;
-    SchedulePerComponent(split,
-                         PlanRequest::FromCoflow(c, Gbps(1), 0.0), split_out);
-
-    EXPECT_NEAR(split_out.completion_time.at(1),
-                mono_out.completion_time.at(1), 1e-9);
-    EXPECT_EQ(split_out.flow_finish.size(), mono_out.flow_finish.size());
-    for (const auto& [key, finish] : mono_out.flow_finish) {
-      EXPECT_NEAR(split_out.flow_finish.at(key), finish, 1e-9);
-    }
-  }
-}
-
-TEST(Components, ParallelPlanningMatchesSequential) {
-  Rng rng(102);
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<Flow> flows;
-    const int clusters = 2 + static_cast<int>(rng.UniformInt(0, 3));
-    for (int k = 0; k < clusters; ++k) {
-      const PortId base = static_cast<PortId>(4 * k);
-      for (int f = 0; f < 4; ++f) {
-        const PortId s = base + static_cast<PortId>(rng.UniformInt(0, 1));
-        const PortId d = base + static_cast<PortId>(rng.UniformInt(2, 3));
-        bool dup = false;
-        for (const auto& e : flows)
-          if (e.src == s && e.dst == d) dup = true;
-        if (!dup) flows.push_back({s, d, MB(rng.Uniform(1, 40))});
-      }
-    }
-    const Coflow c(1, 0, std::move(flows));
-    const PortId ports = static_cast<PortId>(4 * clusters);
-
-    SunflowPlanner seq(ports, Config());
-    SunflowSchedule seq_out;
-    SchedulePerComponent(seq, PlanRequest::FromCoflow(c, Gbps(1), 0.0),
-                         seq_out);
-
-    runtime::ThreadPool pool(3);
-    SunflowPlanner par(ports, Config());
-    SunflowSchedule par_out;
-    ScheduleComponentsParallel(par, PlanRequest::FromCoflow(c, Gbps(1), 0.0),
-                               par_out, &pool);
-
-    EXPECT_NEAR(par_out.completion_time.at(1),
-                seq_out.completion_time.at(1), 1e-9);
-    ASSERT_EQ(par_out.flow_finish.size(), seq_out.flow_finish.size());
-    for (const auto& [key, finish] : seq_out.flow_finish)
-      EXPECT_NEAR(par_out.flow_finish.at(key), finish, 1e-9);
-    // The merged PRT is valid and has the same number of reservations.
-    par.prt().CheckInvariants();
-    EXPECT_EQ(par.prt().reservations().size(),
-              seq.prt().reservations().size());
-  }
-}
-
-TEST(Components, ParallelPlanningRespectsExistingReservations) {
-  // A higher-priority coflow holds ports; parallel component planning of a
-  // lower-priority coflow must plan around it exactly like ScheduleOne.
-  const Coflow high(1, 0, {{0, 2, MB(100)}});
-  const Coflow low(2, 0, {{0, 2, MB(50)}, {4, 5, MB(20)}});
-
-  SunflowPlanner reference(8, Config());
-  SunflowSchedule ref_out;
-  reference.ScheduleOne(PlanRequest::FromCoflow(high, Gbps(1), 0.0), ref_out);
-  reference.ScheduleOne(PlanRequest::FromCoflow(low, Gbps(1), 0.0), ref_out);
-
-  runtime::ThreadPool pool(2);
-  SunflowPlanner parallel(8, Config());
-  SunflowSchedule par_out;
-  parallel.ScheduleOne(PlanRequest::FromCoflow(high, Gbps(1), 0.0), par_out);
-  ScheduleComponentsParallel(
-      parallel, PlanRequest::FromCoflow(low, Gbps(1), 0.0), par_out, &pool);
-
-  EXPECT_NEAR(par_out.completion_time.at(2), ref_out.completion_time.at(2),
-              1e-9);
-  parallel.prt().CheckInvariants();
 }
 
 // ---------- CSV export ----------

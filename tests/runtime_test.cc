@@ -14,121 +14,12 @@
 #include "exp/intra_runner.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
-#include "runtime/arena.h"
 #include "runtime/sweep.h"
 #include "runtime/thread_pool.h"
 #include "trace/generator.h"
 
 namespace sunflow::runtime {
 namespace {
-
-// ---------- arena allocator ----------
-
-TEST(ArenaTest, BumpAllocatesWithinOneBlock) {
-  Arena arena;
-  void* a = arena.Allocate(16);
-  void* b = arena.Allocate(16);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  // Monotone bump within the block: 16 rounded to 16, back to back.
-  EXPECT_EQ(static_cast<char*>(b) - static_cast<char*>(a), 16);
-  EXPECT_EQ(arena.stats().allocations, 2u);
-  EXPECT_EQ(arena.stats().block_allocs, 1u);
-  EXPECT_EQ(arena.bytes_in_use(), 32u);
-}
-
-TEST(ArenaTest, ScopeRewindReusesMemoryAcrossFrames) {
-  Arena arena;
-  void* first = nullptr;
-  {
-    ArenaScope frame(arena);
-    first = arena.Allocate(64);
-    arena.Allocate(128);
-  }
-  EXPECT_EQ(arena.bytes_in_use(), 0u);
-  // The next frame starts from the same mark: identical first pointer,
-  // and no new block was fetched from the system.
-  ArenaScope frame(arena);
-  void* again = arena.Allocate(64);
-  EXPECT_EQ(again, first);
-  EXPECT_EQ(arena.stats().block_allocs, 1u);
-  EXPECT_EQ(arena.stats().frames, 1u);
-}
-
-TEST(ArenaTest, NoCrossRequestBleed) {
-  // A frame's writes must never be visible through a later frame's fresh
-  // allocations once that later frame initializes them — the pattern the
-  // planner relies on when back-to-back requests reuse the same bytes.
-  Arena arena;
-  {
-    ArenaScope frame(arena);
-    ArenaVector<int> v{ArenaAllocator<int>(arena)};
-    v.assign(100, 0xABAB);
-  }
-  ArenaScope frame(arena);
-  ArenaVector<int> v{ArenaAllocator<int>(arena)};
-  v.assign(100, 7);
-  for (int x : v) EXPECT_EQ(x, 7);
-}
-
-TEST(ArenaTest, OversizedAllocationGetsDedicatedBlock) {
-  Arena arena(/*block_bytes=*/256);
-  void* small = arena.Allocate(16);
-  void* huge = arena.Allocate(4096);  // larger than the block size
-  ASSERT_NE(small, nullptr);
-  ASSERT_NE(huge, nullptr);
-  EXPECT_EQ(arena.stats().block_allocs, 2u);
-  // The arena keeps working after the oversized detour.
-  EXPECT_NE(arena.Allocate(16), nullptr);
-}
-
-TEST(ArenaTest, ArenaVectorGrowsThroughReallocation) {
-  Arena arena;
-  ArenaScope frame(arena);
-  ArenaVector<std::size_t> v{ArenaAllocator<std::size_t>(arena)};
-  for (std::size_t i = 0; i < 10000; ++i) v.push_back(i);
-  for (std::size_t i = 0; i < 10000; ++i) ASSERT_EQ(v[i], i);
-}
-
-TEST(ArenaTest, NestedScopesRewindLifo) {
-  Arena arena;
-  ArenaScope outer(arena);
-  arena.Allocate(32);
-  const std::size_t outer_bytes = arena.bytes_in_use();
-  {
-    ArenaScope inner(arena);
-    arena.Allocate(512);
-    EXPECT_GT(arena.bytes_in_use(), outer_bytes);
-  }
-  EXPECT_EQ(arena.bytes_in_use(), outer_bytes);
-}
-
-TEST(ArenaTest, ThisThreadArenaIsPerThread) {
-  Arena* main_arena = &ThisThreadArena();
-  EXPECT_EQ(main_arena, &ThisThreadArena());  // stable within a thread
-  Arena* other_arena = nullptr;
-  std::thread t([&] { other_arena = &ThisThreadArena(); });
-  t.join();
-  EXPECT_NE(main_arena, other_arena);
-}
-
-#ifdef SUNFLOW_ARENA_ASAN
-TEST(ArenaTest, FreedRegionsArePoisonedUnderAsan) {
-  Arena arena;
-  char* p = nullptr;
-  {
-    ArenaScope frame(arena);
-    p = static_cast<char*>(arena.Allocate(64));
-    EXPECT_FALSE(__asan_address_is_poisoned(p));
-  }
-  // The scope rewound: the frame's bytes are poisoned until re-allocated.
-  EXPECT_TRUE(__asan_address_is_poisoned(p));
-  ArenaScope frame(arena);
-  char* q = static_cast<char*>(arena.Allocate(64));
-  EXPECT_EQ(q, p);
-  EXPECT_FALSE(__asan_address_is_poisoned(q));
-}
-#endif
 
 TEST(ThreadPoolTest, HardwareConcurrencyIsAtLeastOne) {
   EXPECT_GE(HardwareConcurrency(), 1);
@@ -212,6 +103,21 @@ TEST(ThreadPoolTest, PoolIsReusableAfterException) {
   std::atomic<int> ok{0};
   pool.ParallelFor(0, 8, [&](std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 8);
+}
+
+TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
+  // A task may fan out on the pool that is running it (ParallelFor inside
+  // ParallelFor), so a waiting task must steal queued work instead of
+  // blocking a worker slot. A pool smaller than the total task fan-out
+  // deadlocks without stealing.
+  runtime::ThreadPool pool(2);
+  std::atomic<int> leaves{0};
+  pool.ParallelFor(0, 4, [&](std::size_t) {
+    pool.ParallelFor(0, 4, [&](std::size_t) {
+      leaves.fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  EXPECT_EQ(leaves.load(), 16);
 }
 
 TEST(TaskSeedTest, DeterministicAndDecorrelated) {

@@ -1,16 +1,14 @@
 // Telemetry timelines (obs/timeline.h): the bounded-memory decimation
 // contract, the replan-latency SLO tracker, the online §5.4 idleness
-// accumulator against trace/idleness.h, per-window busy seconds against
-// the reservation table's cursor-free BusySeconds probe, and the
-// byte-determinism contract of the CSV export across planner thread
-// counts. Plus the event-queue high-water gauge the sampler's queue-depth
-// column rides on, and the K>1 contract: a kcore trace recorded with the
-// sampler attached still attributes and audits clean.
+// accumulator against trace/idleness.h, and per-window busy seconds
+// against the reservation table's cursor-free BusySeconds probe. Plus the
+// event-queue high-water gauge the sampler's queue-depth column rides on,
+// and the K>1 contract: a kcore trace recorded with the sampler attached
+// still attributes and audits clean.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,7 +18,6 @@
 #include "obs/audit.h"
 #include "obs/timeline.h"
 #include "obs/trace_sink.h"
-#include "runtime/thread_pool.h"
 #include "sim/engine/event_queue.h"
 #include "sim/engine/scenario.h"
 #include "trace/coflow.h"
@@ -93,9 +90,9 @@ TEST(TimelineSampler, SloBudgetCountsBurnAndFirstBreach) {
   tc.slo_budget_us = 10;  // 10'000 ns
   TimelineSampler sampler(tc);
   sampler.BeginRun(2);
-  sampler.NoteReplan(1.0, 5'000, /*pool_groups=*/0);   // within budget
-  sampler.NoteReplan(2.0, 20'000, /*pool_groups=*/4);  // breach #1
-  sampler.NoteReplan(3.0, 30'000, /*pool_groups=*/2);  // breach #2
+  sampler.NoteReplan(1.0, 5'000);   // within budget
+  sampler.NoteReplan(2.0, 20'000);  // breach #1
+  sampler.NoteReplan(3.0, 30'000);  // breach #2
   sampler.EndRun(4.0);
 
   const auto summary = sampler.Summarize();
@@ -105,7 +102,6 @@ TEST(TimelineSampler, SloBudgetCountsBurnAndFirstBreach) {
   EXPECT_DOUBLE_EQ(summary.slo.max_ns, 30'000);
   EXPECT_GE(summary.slo.p50_ns, 5'000);
   EXPECT_LE(summary.slo.p50_ns, 30'000);
-  EXPECT_EQ(summary.pool_peak_groups, 4u);
 }
 
 TEST(TimelineSampler, NoBudgetMeansNoBurn) {
@@ -235,29 +231,6 @@ TEST(TimelineEngine, PerWindowBusyMatchesReservationTableProbe) {
     EXPECT_NEAR(got_out, expect_out, 1e-9)
         << "window [" << s.begin << ", " << s.end << ")";
   }
-}
-
-TEST(TimelineEngine, CsvBytesIdenticalAcrossPlannerThreadCounts) {
-  // The determinism contract CI enforces on the bench goldens, engine
-  // side: every default CSV column derives from sim physics, so the
-  // serial planner and a 4-thread pool must export identical bytes.
-  const Trace trace = SmallTrace();
-  const auto policy = MakeShortestFirstPolicy();
-  std::string serial_csv, pool_csv;
-  for (const bool use_pool : {false, true}) {
-    runtime::ThreadPool pool(4);
-    engine::EngineConfig ec = BaseConfig();
-    ec.plan_pool = use_pool ? &pool : nullptr;
-    TimelineSampler sampler;
-    ec.timeline = &sampler;
-    engine::ScenarioRegistry::Global().Run("circuit", trace, policy.get(),
-                                           ec);
-    std::ostringstream os;
-    sampler.WriteCsv(os);
-    (use_pool ? pool_csv : serial_csv) = os.str();
-  }
-  ASSERT_FALSE(serial_csv.empty());
-  EXPECT_EQ(serial_csv, pool_csv);
 }
 
 TEST(TimelineEngine, SamplerDoesNotPerturbResults) {

@@ -376,7 +376,6 @@ void CheckStreamedEquivalence(const std::string& scenario_name, int threads) {
   if (threads > 1) pool = std::make_unique<runtime::ThreadPool>(threads);
   TraceStreamOptions ro = so;
   ro.pool = pool.get();
-  ec.plan_pool = pool.get();
   auto scenario = make();
   TraceReader reader(path, ro);
   const auto streamed =
@@ -506,7 +505,6 @@ TEST(StreamedReplay, DeltaSweepMatchesCommittedFig10Golden) {
     engine::EngineConfig ec;
     ec.sunflow.bandwidth = Gbps(1);
     ec.sunflow.delta = delta;
-    ec.plan_pool = &pool;
     auto scenario = engine::MakeCircuitScenario(trace.num_ports, *policy, ec);
     TraceStreamOptions ro;
     ro.pool = &pool;

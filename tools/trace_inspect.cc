@@ -21,9 +21,9 @@
 // also cross-checks the δ-paying setup count against the producer's
 // executor.circuit_setups metric.
 // --manifest alone inspects a run manifest instead of an event trace: it
-// prints the parallel-planning counters (plan.parallel_fallbacks /
-// pool.waiter_steals) and each profiled phase's share of total self time —
-// the numbers the planner perf work is judged by.
+// prints the thread pool's waiter-steal counter (pool.waiter_steals) and
+// each profiled phase's share of total self time — the numbers the
+// planner perf work is judged by.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -211,8 +211,8 @@ int InspectTimeline(const std::string& path) {
   return 0;
 }
 
-// --manifest mode: parallel-planning counters and per-phase self-time shares
-// from a run manifest (obs/manifest.h).
+// --manifest mode: the pool's waiter-steal counter and per-phase self-time
+// shares from a run manifest (obs/manifest.h).
 int InspectManifest(const std::string& path) {
   obs::RunManifest m;
   try {
@@ -225,16 +225,9 @@ int InspectManifest(const std::string& path) {
   std::printf("tool: %s, wall %.2f ms, %d thread(s)\n", m.tool.c_str(),
               m.wall_ns / 1e6, m.threads);
 
-  double parallel_fallbacks = -1, waiter_steals = -1;
+  double waiter_steals = -1;
   for (const obs::MetricRow& r : m.metrics) {
-    if (r.name == "plan.parallel_fallbacks") parallel_fallbacks = r.value;
     if (r.name == "pool.waiter_steals") waiter_steals = r.value;
-  }
-  if (parallel_fallbacks >= 0) {
-    std::printf(
-        "parallel plan fallbacks: %.0f replan(s) fell back to the serial "
-        "path (no pool, one group, or an observer attached)\n",
-        parallel_fallbacks);
   }
   if (waiter_steals >= 0) {
     std::printf(
