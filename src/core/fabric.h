@@ -41,9 +41,13 @@ struct FabricSpec {
     return f;
   }
 
-  /// Empty = classic single-plane fabric (plane 0 inherits SunflowConfig's
-  /// delta and bandwidth).
-  bool is_default() const { return planes.empty(); }
+  /// The planes circuits are assigned to: `planes`, or for the empty
+  /// (default) spec the classic single plane inheriting SunflowConfig's
+  /// delta and bandwidth.
+  std::vector<PlaneSpec> EffectivePlanes(Time delta, Bandwidth rate) const {
+    if (planes.empty()) return {PlaneSpec{delta, rate}};
+    return planes;
+  }
 
   int num_planes() const {
     return planes.empty() ? 1 : static_cast<int>(planes.size());

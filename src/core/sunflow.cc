@@ -1,9 +1,8 @@
 #include "core/sunflow.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <map>
+#include <numeric>
 #include <queue>
 #include <utility>
 
@@ -13,38 +12,6 @@
 #include "obs/trace_sink.h"
 
 namespace sunflow {
-
-namespace {
-
-// 64-bit mix for the Ordered() cache key (splitmix64 finalizer). Not
-// cryptographic; collisions only matter if a caller mutates a request's
-// demand in place *and* the old and new contents collide, which the
-// documented invalidation contract already rules out in practice.
-std::uint64_t Mix64(std::uint64_t h, std::uint64_t x) {
-  h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  return h;
-}
-
-std::uint64_t OrderedCacheKey(const SunflowConfig& config,
-                              const PlanRequest& request) {
-  std::uint64_t h = 0x517cc1b727220a95ULL;
-  h = Mix64(h, static_cast<std::uint64_t>(config.order));
-  h = Mix64(h, config.shuffle_seed);
-  h = Mix64(h, std::bit_cast<std::uint64_t>(config.demand_quantum));
-  h = Mix64(h, static_cast<std::uint64_t>(request.coflow));
-  h = Mix64(h, request.demand.size());
-  for (const FlowDemand& f : request.demand) {
-    h = Mix64(h, static_cast<std::uint64_t>(f.src) << 32 |
-                     static_cast<std::uint32_t>(f.dst));
-    h = Mix64(h, std::bit_cast<std::uint64_t>(f.processing));
-  }
-  return h == 0 ? 1 : h;  // 0 marks "no cache"
-}
-
-}  // namespace
 
 const char* ToString(ReservationOrder order) {
   switch (order) {
@@ -80,18 +47,11 @@ PlanRequest PlanRequest::FromCoflow(const Coflow& coflow, Bandwidth bandwidth,
 }
 
 SunflowPlanner::SunflowPlanner(PortId num_ports, SunflowConfig config)
-    : prt_(num_ports, config.fabric.num_planes()), config_(std::move(config)) {
+    : prt_(num_ports, config.fabric.num_planes()),
+      config_(std::move(config)),
+      planes_(config_.fabric.EffectivePlanes(config_.delta, config_.bandwidth)) {
   SUNFLOW_CHECK(config_.bandwidth > 0);
   SUNFLOW_CHECK(config_.delta >= 0);
-  // Resolve the effective plane list once: the empty (default) fabric is
-  // one plane inheriting the config's delta and bandwidth, which makes
-  // plane_scale_[0] exactly 1.0 — the K=1 equivalence contract
-  // (core/fabric.h) rests on that.
-  if (config_.fabric.is_default()) {
-    planes_ = {PlaneSpec{config_.delta, config_.bandwidth}};
-  } else {
-    planes_ = config_.fabric.planes;
-  }
   plane_scale_.reserve(planes_.size());
   for (const PlaneSpec& p : planes_) {
     SUNFLOW_CHECK(p.delta >= 0);
@@ -126,10 +86,8 @@ void SunflowPlanner::SetReservationCallback(ReservationCallback callback) {
   callback_ = std::move(callback);
 }
 
-const std::vector<FlowDemand>& SunflowPlanner::Ordered(
+std::vector<FlowDemand> SunflowPlanner::Ordered(
     const PlanRequest& request) const {
-  const std::uint64_t key = OrderedCacheKey(config_, request);
-  if (request.ordered_cache_key == key) return request.ordered_cache;
   std::vector<FlowDemand> p = request.demand;
   if (config_.demand_quantum > 0) {
     for (FlowDemand& f : p) {
@@ -164,20 +122,18 @@ const std::vector<FlowDemand>& SunflowPlanner::Ordered(
                        });
       break;
   }
-  request.ordered_cache = std::move(p);
-  request.ordered_cache_key = key;
-  return request.ordered_cache;
+  return p;
 }
 
 Time SunflowPlanner::NextWakeInstant(Time t, Time wake,
                                      CoflowId coflow) const {
   // `wake` is the earliest pending wakeup: always the end of a recorded
-  // reservation, strictly later than t + ε. The legacy loop visited every
+  // reservation, strictly later than t + ε. The rescan visits every
   // release instant after t; instants before wake - ε are provably no-ops
   // (reservations are never removed, so a blocked flow only gets more
   // blocked), which lets the walk jump — but only onto an instant the
-  // legacy chain itself would have visited, because a release within ε
-  // below a chain instant is absorbed into it by the tolerant comparison.
+  // rescan's chain itself would visit, because a release within ε below a
+  // chain instant is absorbed into it by the tolerant comparison.
   const Time a = prt_.FirstReleaseAtOrAfter(wake - kTimeEps);
   SUNFLOW_CHECK_MSG(a < kTimeInf,
                     "Sunflow stuck: pending demand but no future release "
@@ -193,7 +149,7 @@ Time SunflowPlanner::NextWakeInstant(Time t, Time wake,
   }
   if (a - b > kTimeEps) return a;  // `a` opens its own chain instant
   // A sub-ε cluster of release times straddles the target: replay the
-  // legacy chain step by step so the visited instant matches it exactly.
+  // rescan's chain step by step so the visited instant matches it exactly.
   Time v = t;
   while (v < wake - kTimeEps) {
     const Time next = prt_.NextReleaseAfter(v);
@@ -202,6 +158,232 @@ Time SunflowPlanner::NextWakeInstant(Time t, Time wake,
   }
   return v;
 }
+
+// One request's pass through MakeReservation (Algorithm 1 lines 13-23) on
+// the planner's PRT: the Ordered() demand, the demand left per flow and
+// the blocked-episode tracking. ScheduleOne's event-indexed loop and
+// ScheduleOneRescan's release-chain loop both drive it; they differ only
+// in which flows they retry at which instant.
+class SunflowPlanner::Walk {
+ public:
+  Walk(SunflowPlanner& planner, const PlanRequest& request,
+       SunflowSchedule& out)
+      : planner_(planner),
+        prt_(planner.prt_),
+        sink_(planner.sink_),
+        request_(request),
+        out_(out),
+        ordered_(planner.Ordered(request)),
+        remaining_(ordered_.size(), 0),
+        held_until_(ordered_.size(), -kTimeInf),
+        finish_(request.start) {
+    // Zero-demand entries are never tried (Equation 3: t_ij = 0 when
+    // p_ij = 0).
+    for (std::size_t i = 0; i < ordered_.size(); ++i) {
+      if (ordered_[i].processing > kTimeEps)
+        remaining_[i] = ordered_[i].processing;
+    }
+    // Blocked-episode tracking is trace emission only: inert without a
+    // sink (the owner probes are never called and no state allocates).
+    if (sink_ != nullptr) {
+      blk_since_.assign(ordered_.size(), kTimeInf);
+      blk_reason_.assign(ordered_.size(), obs::BlockReason::kInputPortBusy);
+      blk_blamer_.assign(ordered_.size(), -1);
+    }
+  }
+
+  std::size_t size() const { return ordered_.size(); }
+
+  // MakeReservation for flow `idx` at instant t. Returns the flow's next
+  // wakeup: kTimeInf when its demand is finished, its own reservation end
+  // when the reservation was truncated, and otherwise the earliest future
+  // instant at which the blocking constraint can change — the busy port's
+  // release, or the release of the reservation whose start capped the gap.
+  // Every wakeup is the end of a recorded reservation and lies strictly
+  // beyond t + ε, so both loops always make progress.
+  // Plane assignment is earliest-feasible-plane greedy: planes are probed
+  // in id order at t and the first one where the pair is free and the gap
+  // admits a useful circuit takes the reservation. When every plane is
+  // blocked, the flow sleeps until the earliest instant any plane's
+  // binding constraint can change, and the blocked episode blames that
+  // plane's blocker (ties to the lowest plane id). With one plane this is
+  // exactly the single-switch MakeReservation.
+  Time TryFlow(std::size_t idx, Time t) {
+    if (remaining_[idx] <= 0) return kTimeInf;
+    // One circuit per flow: not retried while its own truncated
+    // reservation runs, or on K >= 2 a free plane would give it a second,
+    // concurrent circuit. (On one plane that circuit holds its ports.)
+    if (held_until_[idx] > t + kTimeEps) return held_until_[idx];
+    const FlowDemand& f = ordered_[idx];
+    Time best_wake = kTimeInf;
+    PlaneId best_plane = 0;
+    bool best_gap_limited = false;
+    Time best_in_busy = 0;
+    Time best_out_busy = 0;
+    const auto num_planes = static_cast<PlaneId>(planner_.planes_.size());
+    for (PlaneId p = 0; p < num_planes; ++p) {
+      const auto pi = static_cast<std::size_t>(p);
+      const Time in_busy =
+          prt_.BusyUntil(FabricReservationTable::Side::kIn, f.src, t, p);
+      const Time out_busy =
+          prt_.BusyUntil(FabricReservationTable::Side::kOut, f.dst, t, p);
+      if (in_busy > t || out_busy > t) {
+        const Time wake = std::max(in_busy, out_busy);
+        if (wake < best_wake) {
+          best_wake = wake;
+          best_plane = p;
+          best_gap_limited = false;
+          best_in_busy = in_busy;
+          best_out_busy = out_busy;
+        }
+        continue;
+      }
+      // Setup is free when this pair is already an established circuit on
+      // this plane and the reservation begins at the instant the circuit
+      // was observed up.
+      Time setup = planner_.planes_[pi].delta;
+      if (TimeEq(t, planner_.established_at_)) {
+        const EstablishedCircuits& est = planner_.established_[pi];
+        auto it = est.find(f.src);
+        if (it != est.end() && it->second == f.dst) setup = 0;
+      }
+      const auto [tm, tm_release] =
+          prt_.NextReservationAfter(f.src, f.dst, t, p);
+      const Time lm = tm - t;  // max length before blocking a prior one
+      // Desired length: the remaining demand is in processing units at the
+      // config bandwidth; this plane drains it plane_scale_ times slower
+      // (or faster). Scale 1.0 on the default fabric keeps the arithmetic
+      // bit-identical to the single-plane code.
+      const Time ld = setup + remaining_[idx] * planner_.plane_scale_[pi];
+      // A reservation of length <= setup would transmit nothing: skip.
+      if (lm <= setup + kTimeEps) {
+        if (tm_release < best_wake) {
+          best_wake = tm_release;
+          best_plane = p;
+          best_gap_limited = true;
+        }
+        continue;
+      }
+      const Time l = std::min(lm, ld);
+      const CircuitReservation reservation{f.src, f.dst,         t, t + l,
+                                           setup, request_.coflow, p};
+      prt_.Reserve(reservation);
+      ++reservations_made_;
+      CloseEpisode(idx, t);
+      if (planner_.callback_) planner_.callback_(reservation);
+      obs::Emit(sink_, {.type = obs::EventType::kCircuitSetup,
+                        .t = reservation.start,
+                        .dur = reservation.length(),
+                        .coflow = request_.coflow,
+                        .in = f.src,
+                        .out = f.dst,
+                        .value = setup,
+                        .plane = p});
+      obs::Emit(sink_, {.type = obs::EventType::kCircuitTeardown,
+                        .t = reservation.end,
+                        .coflow = request_.coflow,
+                        .in = f.src,
+                        .out = f.dst,
+                        .plane = p});
+      const Time rest = std::max(0.0, ld - l);
+      if (rest <= kTimeEps) {
+        remaining_[idx] = 0;
+        const Time flow_finish = t + l;
+        out_.flow_finish[{request_.coflow, f.src, f.dst}] = flow_finish;
+        finish_ = std::max(finish_, flow_finish);
+        obs::Emit(sink_, {.type = obs::EventType::kFlowFinished,
+                          .t = flow_finish,
+                          .coflow = request_.coflow,
+                          .in = f.src,
+                          .out = f.dst});
+        return kTimeInf;
+      }
+      remaining_[idx] = rest / planner_.plane_scale_[pi];
+      held_until_[idx] = reservation.end;
+      return reservation.end;
+    }
+    // Every plane blocked: report the binding constraint of the plane that
+    // wakes first.
+    if (sink_ != nullptr) {
+      if (best_gap_limited) {
+        NoteBlocked(idx, t, obs::BlockReason::kCircuitConflict,
+                    prt_.NextOwnerAfter(f.src, f.dst, t, best_plane));
+      } else {
+        // Blame the port whose release is the binding constraint (the
+        // later of the two busy-until instants — that is the wakeup).
+        const bool input = best_in_busy > t &&
+                           (best_out_busy <= t || best_in_busy >= best_out_busy);
+        NoteBlocked(idx, t,
+                    input ? obs::BlockReason::kInputPortBusy
+                          : obs::BlockReason::kOutputPortBusy,
+                    input ? prt_.OwnerAt(FabricReservationTable::Side::kIn,
+                                         f.src, t, best_plane)
+                          : prt_.OwnerAt(FabricReservationTable::Side::kOut,
+                                         f.dst, t, best_plane));
+      }
+    }
+    return best_wake;
+  }
+
+  // Records the request's CCT and reservation count; returns its finish.
+  Time Finish() {
+    out_.completion_time[request_.coflow] = finish_ - request_.start;
+    out_.reservation_count[request_.coflow] += reservations_made_;
+    return finish_;
+  }
+
+ private:
+  // One open episode per flow; an episode closes and a new one opens when
+  // the blocking cause (reason, blamer) changes, so contention spans
+  // attribute to the coflow actually in the way at each instant.
+  void CloseEpisode(std::size_t idx, Time t) {
+    if (sink_ == nullptr || blk_since_[idx] >= kTimeInf) return;
+    const FlowDemand& f = ordered_[idx];
+    obs::Emit(sink_, {.type = obs::EventType::kFlowUnblocked,
+                      .t = t,
+                      .dur = t - blk_since_[idx],
+                      .coflow = request_.coflow,
+                      .in = f.src,
+                      .out = f.dst,
+                      .value = static_cast<double>(blk_blamer_[idx]),
+                      .count = static_cast<std::int64_t>(blk_reason_[idx])});
+    blk_since_[idx] = kTimeInf;
+  }
+
+  void NoteBlocked(std::size_t idx, Time t, obs::BlockReason reason,
+                   CoflowId blamer) {
+    if (blk_since_[idx] < kTimeInf && blk_reason_[idx] == reason &&
+        blk_blamer_[idx] == blamer) {
+      return;  // same cause still in the way: the episode continues
+    }
+    CloseEpisode(idx, t);
+    blk_since_[idx] = t;
+    blk_reason_[idx] = reason;
+    blk_blamer_[idx] = blamer;
+    const FlowDemand& f = ordered_[idx];
+    obs::Emit(sink_, {.type = obs::EventType::kFlowBlocked,
+                      .t = t,
+                      .coflow = request_.coflow,
+                      .in = f.src,
+                      .out = f.dst,
+                      .value = static_cast<double>(blamer),
+                      .count = static_cast<std::int64_t>(reason)});
+  }
+
+  const SunflowPlanner& planner_;
+  PortReservationTable& prt_;
+  obs::TraceSink* sink_;
+  const PlanRequest& request_;
+  SunflowSchedule& out_;
+  const std::vector<FlowDemand> ordered_;
+  std::vector<Time> remaining_;   // demand left per ordered index; 0 if done
+  std::vector<Time> held_until_;  // end of the flow's truncated reservation
+  std::vector<Time> blk_since_;
+  std::vector<obs::BlockReason> blk_reason_;
+  std::vector<CoflowId> blk_blamer_;
+  Time finish_;
+  int reservations_made_ = 0;
+};
 
 Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
                                  SunflowSchedule& out) {
@@ -214,204 +396,24 @@ Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
   if (has_established() && established_at_ > request.start + kTimeEps) {
     return ScheduleOneRescan(request, out);
   }
-  const std::vector<FlowDemand>& ordered = Ordered(request);
-
-  Time finish = request.start;
+  Walk walk(*this, request, out);
   Time t = request.start;
-  int reservations_made = 0;
 
-  // Remaining demand per ordered index; 0 once the flow is done.
-  std::vector<Time> remaining(ordered.size(), 0);
-
-  // Blocked-episode tracking, trace emission only (inert without a sink —
-  // the cursor-free owner probes are never called and no state allocates).
-  // One open episode per flow; an episode closes and a new one opens when
-  // the blocking cause (reason, blamer) changes, so contention spans
-  // attribute to the coflow actually in the way at each instant.
-  std::vector<Time> blk_since;
-  std::vector<obs::BlockReason> blk_reason;
-  std::vector<CoflowId> blk_blamer;
-  if (sink_ != nullptr) {
-    blk_since.assign(ordered.size(), kTimeInf);
-    blk_reason.assign(ordered.size(), obs::BlockReason::kInputPortBusy);
-    blk_blamer.assign(ordered.size(), -1);
-  }
-  auto close_episode = [&](std::size_t idx, const FlowDemand& f) {
-    if (sink_ == nullptr || blk_since[idx] >= kTimeInf) return;
-    obs::Emit(sink_, {.type = obs::EventType::kFlowUnblocked,
-                      .t = t,
-                      .dur = t - blk_since[idx],
-                      .coflow = request.coflow,
-                      .in = f.src,
-                      .out = f.dst,
-                      .value = static_cast<double>(blk_blamer[idx]),
-                      .count = static_cast<std::int64_t>(blk_reason[idx])});
-    blk_since[idx] = kTimeInf;
-  };
-  auto note_blocked = [&](std::size_t idx, const FlowDemand& f,
-                          obs::BlockReason reason, CoflowId blamer) {
-    if (blk_since[idx] < kTimeInf && blk_reason[idx] == reason &&
-        blk_blamer[idx] == blamer) {
-      return;  // same cause still in the way: the episode continues
-    }
-    close_episode(idx, f);
-    blk_since[idx] = t;
-    blk_reason[idx] = reason;
-    blk_blamer[idx] = blamer;
-    obs::Emit(sink_, {.type = obs::EventType::kFlowBlocked,
-                      .t = t,
-                      .coflow = request.coflow,
-                      .in = f.src,
-                      .out = f.dst,
-                      .value = static_cast<double>(blamer),
-                      .count = static_cast<std::int64_t>(reason)});
-  };
-
-  // MakeReservation (Algorithm 1 lines 13-23) for one flow at the current
-  // instant t. Returns the flow's next wakeup: kTimeInf when its demand is
-  // finished, its own reservation end when the reservation was truncated,
-  // and otherwise the earliest future instant at which the blocking
-  // constraint can change — the busy port's release, or the release of the
-  // reservation whose start capped the gap. Every wakeup is the end of a
-  // recorded reservation and lies strictly beyond t + ε, so the walk
-  // always makes progress.
-  // Plane assignment is earliest-feasible-plane greedy: planes are probed
-  // in id order at the current instant and the first one where the pair is
-  // free and the gap admits a useful circuit takes the reservation. When
-  // every plane is blocked, the flow sleeps until the earliest instant any
-  // plane's binding constraint can change, and the blocked episode blames
-  // that plane's blocker (ties to the lowest plane id). With one plane
-  // this is exactly the single-switch MakeReservation, branch for branch.
-  const auto num_planes = static_cast<PlaneId>(planes_.size());
-  auto try_flow = [&](std::size_t idx) -> Time {
-    const FlowDemand& f = ordered[idx];
-    Time best_wake = kTimeInf;
-    PlaneId best_plane = 0;
-    bool best_gap_limited = false;
-    Time best_in_busy = 0;
-    Time best_out_busy = 0;
-    for (PlaneId p = 0; p < num_planes; ++p) {
-      const Time in_busy =
-          prt_.BusyUntil(FabricReservationTable::Side::kIn, f.src, t, p);
-      const Time out_busy =
-          prt_.BusyUntil(FabricReservationTable::Side::kOut, f.dst, t, p);
-      if (in_busy > t || out_busy > t) {
-        const Time wake = std::max(in_busy, out_busy);
-        if (wake < best_wake) {
-          best_wake = wake;
-          best_plane = p;
-          best_gap_limited = false;
-          best_in_busy = in_busy;
-          best_out_busy = out_busy;
-        }
-        continue;
-      }
-      // Setup is free when this pair is already an established circuit on
-      // this plane and the reservation begins at the instant the circuit
-      // was observed up.
-      Time setup = planes_[static_cast<std::size_t>(p)].delta;
-      if (TimeEq(t, established_at_)) {
-        const EstablishedCircuits& est =
-            established_[static_cast<std::size_t>(p)];
-        auto it = est.find(f.src);
-        if (it != est.end() && it->second == f.dst) setup = 0;
-      }
-      const auto [tm, tm_release] =
-          prt_.NextReservationAfter(f.src, f.dst, t, p);
-      const Time lm = tm - t;  // max length before blocking a prior one
-      // Desired length: the remaining demand is in processing units at the
-      // config bandwidth; this plane drains it plane_scale_ times slower
-      // (or faster). Scale 1.0 on the default fabric keeps the arithmetic
-      // bit-identical to the single-plane code.
-      const Time ld =
-          setup + remaining[idx] * plane_scale_[static_cast<std::size_t>(p)];
-      // A reservation of length <= setup would transmit nothing: skip.
-      if (lm <= setup + kTimeEps) {
-        if (tm_release < best_wake) {
-          best_wake = tm_release;
-          best_plane = p;
-          best_gap_limited = true;
-        }
-        continue;
-      }
-      const Time l = std::min(lm, ld);
-      const CircuitReservation reservation{f.src, f.dst,        t, t + l,
-                                           setup, request.coflow, p};
-      prt_.Reserve(reservation);
-      ++reservations_made;
-      close_episode(idx, f);
-      if (callback_) callback_(reservation);
-      obs::Emit(sink_, {.type = obs::EventType::kCircuitSetup,
-                        .t = reservation.start,
-                        .dur = reservation.length(),
-                        .coflow = request.coflow,
-                        .in = f.src,
-                        .out = f.dst,
-                        .value = setup,
-                        .plane = p});
-      obs::Emit(sink_, {.type = obs::EventType::kCircuitTeardown,
-                        .t = reservation.end,
-                        .coflow = request.coflow,
-                        .in = f.src,
-                        .out = f.dst,
-                        .plane = p});
-      const Time rest = std::max(0.0, ld - l);
-      if (rest <= kTimeEps) {
-        remaining[idx] = 0;
-        const Time flow_finish = t + l;
-        out.flow_finish[{request.coflow, f.src, f.dst}] = flow_finish;
-        finish = std::max(finish, flow_finish);
-        obs::Emit(sink_, {.type = obs::EventType::kFlowFinished,
-                          .t = flow_finish,
-                          .coflow = request.coflow,
-                          .in = f.src,
-                          .out = f.dst});
-        return kTimeInf;
-      }
-      remaining[idx] = rest / plane_scale_[static_cast<std::size_t>(p)];
-      return reservation.end;
-    }
-    // Every plane blocked: report the binding constraint of the plane that
-    // wakes first.
-    if (sink_ != nullptr) {
-      if (best_gap_limited) {
-        note_blocked(idx, f, obs::BlockReason::kCircuitConflict,
-                     prt_.NextOwnerAfter(f.src, f.dst, t, best_plane));
-      } else {
-        // Blame the port whose release is the binding constraint (the
-        // later of the two busy-until instants — that is the wakeup).
-        const bool input = best_in_busy > t &&
-                           (best_out_busy <= t || best_in_busy >= best_out_busy);
-        note_blocked(idx, f,
-                     input ? obs::BlockReason::kInputPortBusy
-                           : obs::BlockReason::kOutputPortBusy,
-                     input ? prt_.OwnerAt(FabricReservationTable::Side::kIn,
-                                          f.src, t, best_plane)
-                           : prt_.OwnerAt(FabricReservationTable::Side::kOut,
-                                          f.dst, t, best_plane));
-      }
-    }
-    return best_wake;
-  };
-
-  // First pass at the request start, in Ordered() order, dropping
-  // zero-demand entries (Equation 3: t_ij = 0 when p_ij = 0). Flows that
-  // cannot finish here enter the wakeup queue.
+  // First pass at the request start, in Ordered() order. Flows that cannot
+  // finish here enter the wakeup queue.
   using Wakeup = std::pair<Time, std::size_t>;
   std::priority_queue<Wakeup, std::vector<Wakeup>, std::greater<>> wakeups;
-  for (std::size_t i = 0; i < ordered.size(); ++i) {
-    if (ordered[i].processing <= kTimeEps) continue;
-    remaining[i] = ordered[i].processing;
-    const Time w = try_flow(i);
+  for (std::size_t i = 0; i < walk.size(); ++i) {
+    const Time w = walk.TryFlow(i, t);
     if (w < kTimeInf) wakeups.push({w, i});
   }
 
   // Event-indexed walk: advance to the chain instant covering the
   // earliest pending wakeup and retry only the flows woken there. The
-  // legacy loop retried the whole pending list in Ordered() order at
-  // every release instant; sorting the woken indices replays that order
-  // within the subset, and the flows left sleeping are exactly the ones
-  // the rescan would have retried and failed.
+  // rescan retries the whole pending list in Ordered() order at every
+  // release instant; sorting the woken indices replays that order within
+  // the subset, and the flows left sleeping are exactly the ones the
+  // rescan would have retried and failed.
   std::vector<std::size_t> woken;
   while (!wakeups.empty()) {
     const Time next = NextWakeInstant(t, wakeups.top().first, request.coflow);
@@ -424,182 +426,28 @@ Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
     }
     std::sort(woken.begin(), woken.end());
     for (std::size_t idx : woken) {
-      const Time w = try_flow(idx);
+      const Time w = walk.TryFlow(idx, t);
       if (w < kTimeInf) wakeups.push({w, idx});
     }
   }
-
-  out.completion_time[request.coflow] = finish - request.start;
-  out.reservation_count[request.coflow] += reservations_made;
-  return finish;
+  return walk.Finish();
 }
 
 Time SunflowPlanner::ScheduleOneRescan(const PlanRequest& request,
                                        SunflowSchedule& out) {
   SUNFLOW_PROFILE_SCOPE("core.plan");
-  std::vector<FlowDemand> pending = Ordered(request);
-  // Drop zero-demand entries up front (Equation 3: t_ij = 0 when p_ij = 0).
-  std::erase_if(pending,
-                [](const FlowDemand& f) { return f.processing <= kTimeEps; });
-
-  Time finish = request.start;
-  Time t = request.start;
-  int reservations_made = 0;
-
-  // Blocked-episode tracking, trace emission only — the rescan analogue of
-  // ScheduleOne's per-index vectors, keyed by port pair because `pending`
-  // is compacted in place. Same episode semantics: close + reopen when the
-  // blocking cause changes, close on acquisition.
-  struct BlockEpisode {
-    Time since = 0;
-    obs::BlockReason reason = obs::BlockReason::kInputPortBusy;
-    CoflowId blamer = -1;
-  };
-  std::map<std::pair<PortId, PortId>, BlockEpisode> episodes;
-  auto close_episode = [&](const FlowDemand& f) {
-    const auto it = episodes.find({f.src, f.dst});
-    if (it == episodes.end()) return;
-    obs::Emit(sink_, {.type = obs::EventType::kFlowUnblocked,
-                      .t = t,
-                      .dur = t - it->second.since,
-                      .coflow = request.coflow,
-                      .in = f.src,
-                      .out = f.dst,
-                      .value = static_cast<double>(it->second.blamer),
-                      .count = static_cast<std::int64_t>(it->second.reason)});
-    episodes.erase(it);
-  };
-  auto note_blocked = [&](const FlowDemand& f, obs::BlockReason reason,
-                          CoflowId blamer) {
-    const auto it = episodes.find({f.src, f.dst});
-    if (it != episodes.end() && it->second.reason == reason &&
-        it->second.blamer == blamer) {
-      return;  // same cause still in the way: the episode continues
+  Walk walk(*this, request, out);
+  std::vector<std::size_t> pending(walk.size());
+  std::iota(pending.begin(), pending.end(), std::size_t{0});
+  // The paper-literal loop: retry every pending flow, in Ordered() order,
+  // at the request start and then at every release instant.
+  for (Time t = request.start;;) {
+    std::size_t kept = 0;
+    for (std::size_t idx : pending) {
+      if (walk.TryFlow(idx, t) < kTimeInf) pending[kept++] = idx;
     }
-    close_episode(f);
-    episodes[{f.src, f.dst}] = {t, reason, blamer};
-    obs::Emit(sink_, {.type = obs::EventType::kFlowBlocked,
-                      .t = t,
-                      .coflow = request.coflow,
-                      .in = f.src,
-                      .out = f.dst,
-                      .value = static_cast<double>(blamer),
-                      .count = static_cast<std::int64_t>(reason)});
-  };
-
-  // MakeReservation (Algorithm 1 lines 13-23), generalised to the
-  // earliest-feasible-plane greedy exactly as in ScheduleOne (the rescan
-  // is the differential oracle, so its plane choices and emissions must
-  // match branch for branch). Returns remaining demand in processing
-  // units at the config bandwidth.
-  const auto num_planes = static_cast<PlaneId>(planes_.size());
-  auto make_reservation = [&](const FlowDemand& f) -> Time {
-    Time best_wake = kTimeInf;
-    PlaneId best_plane = 0;
-    bool best_gap_limited = false;
-    Time best_in_busy = 0;
-    Time best_out_busy = 0;
-    for (PlaneId p = 0; p < num_planes; ++p) {
-      const Time in_busy =
-          prt_.BusyUntil(FabricReservationTable::Side::kIn, f.src, t, p);
-      const Time out_busy =
-          prt_.BusyUntil(FabricReservationTable::Side::kOut, f.dst, t, p);
-      if (in_busy > t || out_busy > t) {
-        const Time wake = std::max(in_busy, out_busy);
-        if (wake < best_wake) {
-          best_wake = wake;
-          best_plane = p;
-          best_gap_limited = false;
-          best_in_busy = in_busy;
-          best_out_busy = out_busy;
-        }
-        continue;
-      }
-      // Setup is free when this pair is already an established circuit on
-      // this plane and the reservation begins at the instant the circuit
-      // was observed up.
-      Time setup = planes_[static_cast<std::size_t>(p)].delta;
-      if (TimeEq(t, established_at_)) {
-        const EstablishedCircuits& est =
-            established_[static_cast<std::size_t>(p)];
-        auto it = est.find(f.src);
-        if (it != est.end() && it->second == f.dst) setup = 0;
-      }
-      const auto [tm, tm_release] =
-          prt_.NextReservationAfter(f.src, f.dst, t, p);
-      const Time lm = tm - t;  // max length before blocking a prior one
-      const Time ld =
-          setup + f.processing * plane_scale_[static_cast<std::size_t>(p)];
-      // A reservation of length <= setup would transmit nothing: skip.
-      if (lm <= setup + kTimeEps) {
-        if (tm_release < best_wake) {
-          best_wake = tm_release;
-          best_plane = p;
-          best_gap_limited = true;
-        }
-        continue;
-      }
-      const Time l = std::min(lm, ld);
-      const CircuitReservation reservation{f.src, f.dst,        t, t + l,
-                                           setup, request.coflow, p};
-      prt_.Reserve(reservation);
-      ++reservations_made;
-      if (sink_ != nullptr) close_episode(f);
-      if (callback_) callback_(reservation);
-      obs::Emit(sink_, {.type = obs::EventType::kCircuitSetup,
-                        .t = reservation.start,
-                        .dur = reservation.length(),
-                        .coflow = request.coflow,
-                        .in = f.src,
-                        .out = f.dst,
-                        .value = setup,
-                        .plane = p});
-      obs::Emit(sink_, {.type = obs::EventType::kCircuitTeardown,
-                        .t = reservation.end,
-                        .coflow = request.coflow,
-                        .in = f.src,
-                        .out = f.dst,
-                        .plane = p});
-      const Time remaining = std::max(0.0, ld - l);
-      if (remaining <= kTimeEps) {
-        // Flow finished in this reservation.
-        const Time flow_finish = t + l;
-        out.flow_finish[{request.coflow, f.src, f.dst}] = flow_finish;
-        finish = std::max(finish, flow_finish);
-        obs::Emit(sink_, {.type = obs::EventType::kFlowFinished,
-                          .t = flow_finish,
-                          .coflow = request.coflow,
-                          .in = f.src,
-                          .out = f.dst});
-        return 0;
-      }
-      return remaining / plane_scale_[static_cast<std::size_t>(p)];
-    }
-    // Every plane blocked at t; demand is unchanged until a release.
-    if (sink_ != nullptr) {
-      if (best_gap_limited) {
-        note_blocked(f, obs::BlockReason::kCircuitConflict,
-                     prt_.NextOwnerAfter(f.src, f.dst, t, best_plane));
-      } else {
-        const bool input = best_in_busy > t &&
-                           (best_out_busy <= t || best_in_busy >= best_out_busy);
-        note_blocked(f,
-                     input ? obs::BlockReason::kInputPortBusy
-                           : obs::BlockReason::kOutputPortBusy,
-                     input ? prt_.OwnerAt(FabricReservationTable::Side::kIn,
-                                          f.src, t, best_plane)
-                           : prt_.OwnerAt(FabricReservationTable::Side::kOut,
-                                          f.dst, t, best_plane));
-      }
-    }
-    return f.processing;
-  };
-
-  while (!pending.empty()) {
-    for (FlowDemand& f : pending) f.processing = make_reservation(f);
-    std::erase_if(pending,
-                  [](const FlowDemand& f) { return f.processing <= kTimeEps; });
-    if (pending.empty()) break;
+    pending.resize(kept);
+    if (pending.empty()) return walk.Finish();
     const Time next = prt_.NextReleaseAfter(t);
     SUNFLOW_CHECK_MSG(next < kTimeInf,
                       "Sunflow stuck: pending demand but no future release "
@@ -608,10 +456,6 @@ Time SunflowPlanner::ScheduleOneRescan(const PlanRequest& request,
     SUNFLOW_CHECK(next > t);
     t = next;
   }
-
-  out.completion_time[request.coflow] = finish - request.start;
-  out.reservation_count[request.coflow] += reservations_made;
-  return finish;
 }
 
 SunflowSchedule SunflowPlanner::ScheduleAll(

@@ -101,15 +101,6 @@ struct PlanRequest {
   /// Builds a request from a whole coflow (all bytes remaining).
   static PlanRequest FromCoflow(const Coflow& coflow, Bandwidth bandwidth,
                                 std::optional<Time> start = std::nullopt);
-
-  // Memoized Ordered() view (quantized + permuted demand), filled lazily
-  // by the planner and keyed by a hash of (config, coflow, demand), so a
-  // coflow replanned with unchanged demand skips the per-replan copy and
-  // sort. The key covers the demand bytes, so mutating `demand` in place
-  // invalidates the cache automatically. The cache is per-object shared
-  // state: do not hand one PlanRequest to concurrent planners.
-  mutable std::vector<FlowDemand> ordered_cache;
-  mutable std::uint64_t ordered_cache_key = 0;
 };
 
 class SunflowPlanner {
@@ -122,12 +113,14 @@ class SunflowPlanner {
   Time ScheduleOne(const PlanRequest& request, SunflowSchedule& out);
 
   /// Reference implementation of ScheduleOne: the paper-literal loop that
-  /// rescans every pending flow at every release instant. ScheduleOne
-  /// produces byte-identical output via an event-indexed wakeup queue
-  /// (see docs/engine.md, "Planner complexity"); this path is retained as
-  /// the oracle the differential tests compare against, and as the
-  /// fallback for established circuits declared after the request start
-  /// (where a mid-plan instant could zero a setup).
+  /// rescans every pending flow at every release instant (a flow whose own
+  /// truncated reservation is still running is not retried). Both loops
+  /// drive one shared reservation step; ScheduleOne produces byte-identical
+  /// output via an event-indexed wakeup queue (see docs/engine.md, "Planner
+  /// complexity"). This path is retained as the oracle the differential
+  /// tests compare against, and as the fallback for established circuits
+  /// declared after the request start (where a mid-plan instant could zero
+  /// a setup).
   Time ScheduleOneRescan(const PlanRequest& request, SunflowSchedule& out);
 
   /// Algorithm 1, InterCoflow: schedules requests in the given order
@@ -135,9 +128,8 @@ class SunflowPlanner {
   /// first and therefore never blocked by later ones.
   SunflowSchedule ScheduleAll(const std::vector<PlanRequest>& requests);
 
-  /// As above, via pointers: lets a caller keep long-lived PlanRequest
-  /// objects (with warm Ordered() caches) and hand them to a fresh planner
-  /// on every replan without copying demand vectors.
+  /// As above, via pointers: lets a caller plan a subset of its requests
+  /// (e.g. one core's share) without copying demand vectors.
   SunflowSchedule ScheduleAll(const std::vector<const PlanRequest*>& requests);
 
   /// Declares circuits already up at plan start (replay carry-over).
@@ -167,18 +159,20 @@ class SunflowPlanner {
   const PortReservationTable& prt() const { return prt_; }
   const SunflowConfig& config() const { return config_; }
 
-  /// The effective plane list: config().fabric.planes, or the implicit
-  /// single plane {delta, bandwidth} when the fabric spec is empty.
+  /// The effective plane list (FabricSpec::EffectivePlanes).
   const std::vector<PlaneSpec>& planes() const { return planes_; }
   int num_planes() const { return static_cast<int>(planes_.size()); }
 
  private:
   /// True iff any plane has established circuits.
   bool has_established() const;
-  const std::vector<FlowDemand>& Ordered(const PlanRequest& request) const;
-  /// Maps the earliest pending wakeup onto the exact instant the legacy
+  /// The request's demand, quantized and permuted per config().order.
+  std::vector<FlowDemand> Ordered(const PlanRequest& request) const;
+  /// Maps the earliest pending wakeup onto the exact instant the rescan's
   /// release-chain walk would visit next (see docs/engine.md).
   Time NextWakeInstant(Time t, Time wake, CoflowId coflow) const;
+  /// One request's reservation step, shared by both loops (sunflow.cc).
+  class Walk;
 
   PortReservationTable prt_;
   SunflowConfig config_;

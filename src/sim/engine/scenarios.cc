@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cmath>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -27,17 +26,13 @@ namespace sunflow::engine {
 
 namespace {
 
-// The effective planes of a config's fabric, index-aligned with
-// CircuitReservation::plane. Mirrors the planner's resolution of the empty
-// spec: one plane inheriting (delta, bandwidth) (SunflowPlanner::planes()).
-std::vector<PlaneSpec> Planes(const SunflowConfig& config) {
-  if (!config.fabric.is_default()) return config.fabric.planes;
-  return {{config.delta, config.bandwidth}};
-}
-
+// The rates of a config's effective planes, index-aligned with
+// CircuitReservation::plane.
 std::vector<Bandwidth> PlaneRates(const SunflowConfig& config) {
   std::vector<Bandwidth> rates;
-  for (const PlaneSpec& p : Planes(config)) rates.push_back(p.rate);
+  for (const PlaneSpec& p :
+       config.fabric.EffectivePlanes(config.delta, config.bandwidth))
+    rates.push_back(p.rate);
   return rates;
 }
 
@@ -168,58 +163,6 @@ void DrainEqualShare(std::vector<std::pair<SimCoflow*, Bytes*>>& flows,
   }
 }
 
-// Long-lived PlanRequest objects, one per coflow, reused across replans.
-// A coflow whose remaining demand is unchanged since the previous replan
-// keeps its request object — and with it the memoized Ordered() view, so
-// the planner skips the per-replan demand copy and sort. Only `start` is
-// refreshed; a demand change swaps the vector in (which invalidates the
-// Ordered() cache through its content hash). Entries for departed coflows
-// are dropped lazily once the map outgrows the active set.
-class PlanRequestCache {
- public:
-  const PlanRequest* Refresh(const SimCoflow& sc, Bandwidth bandwidth,
-                             Time t) {
-    scratch_.clear();
-    for (const auto& [pair, bytes] : sc.remaining) {
-      if (bytes > kBytesEps)
-        scratch_.push_back({pair.first, pair.second, bytes / bandwidth});
-    }
-    PlanRequest& req = by_coflow_[sc.id];
-    if (req.coflow != sc.id || !SameDemand(req.demand, scratch_)) {
-      req.coflow = sc.id;
-      req.demand = scratch_;
-    }
-    req.start = t;
-    return &req;
-  }
-
-  void PruneTo(std::size_t active_size) {
-    if (by_coflow_.size() <= 2 * active_size + 16) return;
-    std::erase_if(by_coflow_, [this](const auto& kv) {
-      return !keep_.contains(kv.first);
-    });
-  }
-  void NoteActive(CoflowId id) { keep_.insert(id); }
-  void BeginReplan() { keep_.clear(); }
-
- private:
-  static bool SameDemand(const std::vector<FlowDemand>& a,
-                         const std::vector<FlowDemand>& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (a[i].src != b[i].src || a[i].dst != b[i].dst ||
-          a[i].processing != b[i].processing) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  std::map<CoflowId, PlanRequest> by_coflow_;
-  std::set<CoflowId> keep_;
-  std::vector<FlowDemand> scratch_;
-};
-
 // One replan's planning step: plans the priority-ordered `requests` at `t`
 // on a fresh fabric, seeded with the circuits `established` (per plane;
 // null for none) that are already up at t.
@@ -254,7 +197,8 @@ SunflowSchedule PlanJoint(const EngineConfig& config, PortId num_ports,
 SunflowSchedule PlanPerCore(const EngineConfig& config, PortId num_ports,
                             const std::vector<const PlanRequest*>& requests,
                             const FabricEstablished* established, Time t) {
-  const std::vector<PlaneSpec> planes = Planes(config.sunflow);
+  const std::vector<PlaneSpec> planes = config.sunflow.fabric.EffectivePlanes(
+      config.sunflow.delta, config.sunflow.bandwidth);
   const KCoreAssignment assignment =
       AssignCoflowsToCores(requests, planes, config.sunflow.bandwidth);
   SunflowSchedule plan;
@@ -284,15 +228,14 @@ SunflowSchedule PlanPerCore(const EngineConfig& config, PortId num_ports,
 }
 
 // InterCoflow over the active set in policy order: builds views, orders,
-// refreshes the long-lived requests and runs `plan_step` under the
-// engine.plan profiler scope, then reports the replan through the driver
-// with the step's wall time in ns (the number scheduler.compute_ns and the
-// kAssignmentComputed event carry).
+// builds this replan's requests from the remaining demand and runs
+// `plan_step` under the engine.plan profiler scope, then reports the replan
+// through the driver with the step's wall time in ns (the number
+// scheduler.compute_ns and the kAssignmentComputed event carry).
 SunflowSchedule PlanActiveSet(ReplayDriver& driver,
                               const PriorityPolicy& policy,
                               const EngineConfig& config, PlanStep plan_step,
-                              const FabricEstablished* established, Time t,
-                              PlanRequestCache& cache) {
+                              const FabricEstablished* established, Time t) {
   SimState& s = driver.state();
   auto& active = s.active();
   const Bandwidth bandwidth = config.sunflow.bandwidth;
@@ -308,15 +251,21 @@ SunflowSchedule PlanActiveSet(ReplayDriver& driver,
   const std::vector<std::size_t> order = policy.Order(views);
   SUNFLOW_CHECK(order.size() == active.size());
 
-  cache.BeginReplan();
+  std::vector<PlanRequest> owned(order.size());
   std::vector<const PlanRequest*> requests;
-  requests.reserve(active.size());
-  for (std::size_t idx : order) {
-    const SimCoflow& sc = active[idx];
-    requests.push_back(cache.Refresh(sc, bandwidth, t));
-    cache.NoteActive(sc.id);
+  requests.reserve(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const SimCoflow& sc = active[order[i]];
+    PlanRequest& req = owned[i];
+    req.coflow = sc.id;
+    req.start = t;
+    req.demand.reserve(sc.remaining.size());
+    for (const auto& [pair, bytes] : sc.remaining) {
+      if (bytes > kBytesEps)
+        req.demand.push_back({pair.first, pair.second, bytes / bandwidth});
+    }
+    requests.push_back(&req);
   }
-  cache.PruneTo(active.size());
 
   SunflowSchedule plan;
   double plan_ns = 0;
@@ -377,8 +326,7 @@ class CircuitScenario final : public ScenarioPolicy {
 
     SunflowSchedule plan = PlanActiveSet(
         driver, policy_, config_, plan_step_,
-        config_.carry_over_circuits ? &established_ : nullptr, t,
-        request_cache_);
+        config_.carry_over_circuits ? &established_ : nullptr, t);
     last_plan_ = t;
 
     // Next event: a release or the earliest planned completion. A release
@@ -430,7 +378,6 @@ class CircuitScenario final : public ScenarioPolicy {
   CompletionHook hook_;
   std::vector<Bandwidth> plane_rates_;
   FabricEstablished established_;  // carry-over per plane
-  PlanRequestCache request_cache_;
   std::vector<const CircuitReservation*> span_scratch_;
   Time last_plan_ = -kTimeInf;
 };
@@ -472,8 +419,8 @@ class GuardScenario final : public ScenarioPolicy {
     if (!timeline_.InTauInterval(t)) {
       // --- T span: priority-scheduled InterCoflow plan, cut at events
       // (no carry-over, no throttle — each span replans from scratch). ---
-      SunflowSchedule plan = PlanActiveSet(driver, policy_, config_, PlanJoint,
-                                           nullptr, t, request_cache_);
+      SunflowSchedule plan =
+          PlanActiveSet(driver, policy_, config_, PlanJoint, nullptr, t);
 
       Time t_next = std::min(span_end, t_arrival);
       for (const auto& sc : active)
@@ -542,7 +489,6 @@ class GuardScenario final : public ScenarioPolicy {
   StarvationGuardTimeline timeline_;
   PhiAssignments phi_;
   std::vector<Bandwidth> plane_rates_;
-  PlanRequestCache request_cache_;
   std::vector<const CircuitReservation*> span_scratch_;
   Time last_traced_tau_ = -kTimeInf;
 };

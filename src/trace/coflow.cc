@@ -1,6 +1,7 @@
 #include "trace/coflow.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -22,12 +23,15 @@ const char* ToString(CoflowCategory c) {
 
 Coflow::Coflow(CoflowId id, Time arrival, std::vector<Flow> flows)
     : id_(id), arrival_(arrival), flows_(std::move(flows)) {
+  SUNFLOW_CHECK_MSG(std::isfinite(arrival_),
+                    "non-finite arrival in coflow " << id_);
   std::set<PortId> senders, receivers;
   std::set<std::pair<PortId, PortId>> pairs;
   for (const Flow& f : flows_) {
     SUNFLOW_CHECK_MSG(f.src >= 0 && f.dst >= 0,
                       "negative port in coflow " << id_);
-    SUNFLOW_CHECK_MSG(f.bytes > 0, "non-positive flow size in coflow " << id_);
+    SUNFLOW_CHECK_MSG(f.bytes > 0 && std::isfinite(f.bytes),
+                      "non-positive or non-finite flow size in coflow " << id_);
     SUNFLOW_CHECK_MSG(pairs.insert({f.src, f.dst}).second,
                       "duplicate (src,dst)=(" << f.src << "," << f.dst
                                               << ") in coflow " << id_);
@@ -37,6 +41,8 @@ Coflow::Coflow(CoflowId id, Time arrival, std::vector<Flow> flows)
     max_port_ = std::max({max_port_, static_cast<PortId>(f.src + 1),
                           static_cast<PortId>(f.dst + 1)});
   }
+  SUNFLOW_CHECK_MSG(std::isfinite(total_bytes_),
+                    "non-finite total size in coflow " << id_);
   num_senders_ = static_cast<int>(senders.size());
   num_receivers_ = static_cast<int>(receivers.size());
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -35,8 +36,11 @@ Trace ParseCoflowBenchmark(std::istream& in, const std::string& source) {
     long long ports = 0, coflows = 0;
     if (!(hdr >> ports >> coflows) || ports <= 0 || coflows < 0)
       Fail(source, line_no, "expected '<num_ports> <num_coflows>'");
+    if (ports > INT32_MAX)
+      Fail(source, line_no, "num_ports " + std::to_string(ports) +
+                                " above INT32_MAX");
+    // The header's coflow count is unchecked, so nothing is reserved from it.
     trace.num_ports = static_cast<PortId>(ports);
-    trace.coflows.reserve(static_cast<std::size_t>(coflows));
   }
 
   // Hoisted per-line scratch: the containers are cleared, not
@@ -58,7 +62,6 @@ Trace ParseCoflowBenchmark(std::istream& in, const std::string& source) {
            "duplicate coflow id " + std::to_string(id));
 
     mappers.clear();
-    mappers.reserve(static_cast<std::size_t>(num_mappers));
     for (int m = 0; m < num_mappers; ++m) {
       long long rack = 0;
       if (!(ls >> rack) || rack < 1 || rack > trace.num_ports)
@@ -90,6 +93,8 @@ Trace ParseCoflowBenchmark(std::istream& in, const std::string& source) {
       if (rack < 1 || rack > trace.num_ports)
         Fail(source, line_no, "bad reducer rack");
       if (mb <= 0) Fail(source, line_no, "non-positive reducer size");
+      if (!std::isfinite(MB(mb)))
+        Fail(source, line_no, "non-finite reducer size '" + tok + "'");
       const PortId dst = static_cast<PortId>(rack - 1);
       const Bytes per_mapper = MB(mb) / num_mappers;
       for (PortId src : mappers) demand[{src, dst}] += per_mapper;

@@ -57,12 +57,11 @@ class TraceCoflowSource final : public CoflowSource {
 };
 
 /// Drains a source into an in-memory Trace (test/convert helper). Checks
-/// the arrival-order invariant via Trace::Validate.
+/// the arrival-order invariant via Trace::Validate. Does not reserve from
+/// size_hint(): a file header's count is unchecked until end of stream.
 inline Trace MaterializeSource(CoflowSource& source) {
   Trace t;
   t.num_ports = source.num_ports();
-  if (auto n = source.size_hint(); n.has_value())
-    t.coflows.reserve(static_cast<std::size_t>(*n));
   Coflow c;
   while (source.Next(c)) t.coflows.push_back(std::move(c));
   t.Validate();

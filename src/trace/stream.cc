@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <stdexcept>
 #include <utility>
 
@@ -22,6 +23,10 @@ constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::uint32_t kBlockMagic = 0x4b4c4253;  // "SBLK" little-endian
 constexpr std::size_t kFileHeaderBytes = 32;
 constexpr std::size_t kBlockHeaderBytes = 24;
+/// zlib's maximum expansion: a deflate block inflates at most 1032:1.
+constexpr std::uint64_t kMaxDeflateRatio = 1032;
+/// The smallest encoded coflow: 1-byte id, 8-byte arrival, 1-byte count.
+constexpr std::uint32_t kMinCoflowBytes = 10;
 /// Header coflow-count sentinel for a file that was never Close()d.
 constexpr std::uint64_t kUnclosedCount = ~std::uint64_t{0};
 // Offset of the num_coflows / payload_bytes pair patched at Close().
@@ -126,6 +131,9 @@ Coflow DecodeCoflow(Cursor& cur) {
   const auto id = static_cast<CoflowId>(UnZigZag(cur.Varint()));
   const double arrival = cur.DoubleBits();
   const std::uint64_t n = cur.Varint();
+  // A flow takes at least 10 bytes: two 1-byte varints and 8 size bytes.
+  if (n > static_cast<std::uint64_t>(cur.end - cur.p) / 10)
+    FormatFail(cur.path, "flow count exceeds the block payload");
   std::vector<Flow> flows;
   flows.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -303,12 +311,14 @@ TraceReader::TraceReader(const std::string& path, TraceStreamOptions options)
   std::memcpy(&header_coflows_, header.data() + 16, 8);
   if (version != kFormatVersion)
     FormatFail(path_, "unsupported version " + std::to_string(version));
-  if (ports == 0) FormatFail(path_, "zero num_ports in header");
+  if (ports == 0 || ports > static_cast<std::uint32_t>(INT32_MAX))
+    FormatFail(path_, "num_ports " + std::to_string(ports) + " out of range");
   if (codec == static_cast<std::uint32_t>(StreamCodec::kDeflate) &&
       !DeflateSupported())
     FormatFail(path_, "deflate file but zlib is not built in");
   num_ports_ = static_cast<PortId>(ports);
   stats_.file_bytes = kFileHeaderBytes;
+  file_size_ = std::filesystem::file_size(path_);
 }
 
 TraceReader::~TraceReader() {
@@ -343,6 +353,14 @@ void TraceReader::FillPipeline() {
     std::memcpy(&raw->codec, hdr.data() + 16, 4);
     std::memcpy(&raw->crc, hdr.data() + 20, 4);
     if (magic != kBlockMagic) FormatFail(path_, "bad block magic");
+    // Bound every header field before it sizes an allocation.
+    if (stored_bytes > file_size_ - stats_.file_bytes - kBlockHeaderBytes)
+      FormatFail(path_, "block stored_bytes exceeds the bytes left in file");
+    if (raw->codec == static_cast<std::uint32_t>(StreamCodec::kDeflate) &&
+        raw->raw_bytes > kMaxDeflateRatio * stored_bytes)
+      FormatFail(path_, "deflate raw_bytes exceeds 1032 x stored_bytes");
+    if (raw->num_coflows > raw->raw_bytes / kMinCoflowBytes)
+      FormatFail(path_, "block num_coflows exceeds raw_bytes / 10");
     raw->stored.resize(stored_bytes);
     in_.read(reinterpret_cast<char*>(raw->stored.data()), stored_bytes);
     if (in_.gcount() != static_cast<std::streamsize>(stored_bytes))

@@ -146,6 +146,7 @@ class TraceReader final : public CoflowSource {
   TraceStreamOptions options_;
   PortId num_ports_ = 0;
   std::uint64_t header_coflows_ = 0;  ///< ~0 when the file was not closed
+  std::uint64_t file_size_ = 0;       ///< bounds every block's stored_bytes
   std::deque<std::future<DecodedBlock>> inflight_;
   DecodedBlock current_;
   TraceStreamStats stats_;

@@ -2,10 +2,10 @@
 // InterCoflow loop built on it (ScheduleAll).
 //
 // ScheduleOne is differentially tested against ScheduleOneRescan, the
-// paper-literal release-chain walk it replaced: over randomized port
-// counts, orderings, δ values, quantization and established circuits, both
-// paths must produce bit-identical reservations, flow finishes and
-// completion times. A dedicated regression test pins the retry-order
+// paper-literal release-chain walk it replaced (both drive one shared
+// reservation step): over randomized port counts, orderings, δ values,
+// quantization, established circuits and K-plane fabrics, both paths must
+// produce bit-identical reservations, flow finishes and completion times. A dedicated regression test pins the retry-order
 // contract: flows woken at the same instant are retried in their original
 // Ordered() positions, never in heap-arrival order.
 #include <gtest/gtest.h>
@@ -29,6 +29,7 @@ void ExpectReservationsEqual(const std::vector<CircuitReservation>& a,
     EXPECT_EQ(a[i].end, b[i].end) << "i=" << i;
     EXPECT_EQ(a[i].setup, b[i].setup) << "i=" << i;
     EXPECT_EQ(a[i].coflow, b[i].coflow) << "i=" << i;
+    EXPECT_EQ(a[i].plane, b[i].plane) << "i=" << i;
   }
 }
 
@@ -122,6 +123,48 @@ TEST(PlannerWakeup, DifferentialWithEstablishedCircuits) {
           << "trial=" << trial;
     }
     ExpectSchedulesEqual(got, want);
+  }
+}
+
+// The same differential on K-plane fabrics: K in {1, 2, 3} planes, each
+// with its own delta (the config's delta scaled by [0.5, 2]) and rate, and
+// per-plane established circuits at the request start. Both loops must
+// give a flow at most one circuit at a time: a free plane must not hand a
+// flow a second circuit while its own truncated reservation still runs.
+TEST(PlannerWakeup, DifferentialOnKPlaneFabrics) {
+  Rng rng(1212);
+  static constexpr Bandwidth kRates[] = {0.25, 0.5, 1.0, 2.0};
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto ports = static_cast<PortId>(rng.UniformInt(2, 8));
+    SunflowConfig cfg = RandomConfig(rng);
+    const int planes = rng.UniformInt(1, 3);
+    for (int p = 0; p < planes; ++p) {
+      cfg.fabric.planes.push_back(
+          {cfg.delta * rng.Uniform(0.5, 2.0), kRates[rng.UniformInt(0, 3)]});
+    }
+    const Time t0 = rng.Uniform(0, 3.0);
+    FabricEstablished circuits(static_cast<std::size_t>(planes));
+    for (EstablishedCircuits& plane : circuits) {
+      for (PortId p = 0; p < ports; ++p) {
+        if (rng.Uniform(0, 1) < 0.5)
+          plane[p] = static_cast<PortId>(rng.UniformInt(0, ports - 1));
+      }
+    }
+    SunflowPlanner fast(ports, cfg);
+    SunflowPlanner oracle(ports, cfg);
+    fast.SetEstablishedCircuitsByPlane(circuits, t0);
+    oracle.SetEstablishedCircuitsByPlane(circuits, t0);
+    SunflowSchedule got, want;
+    const int coflows = rng.UniformInt(1, 4);
+    for (CoflowId id = 0; id < coflows; ++id) {
+      const PlanRequest req = RandomRequest(rng, ports, id, t0);
+      EXPECT_EQ(fast.ScheduleOne(req, got),
+                oracle.ScheduleOneRescan(req, want))
+          << "trial=" << trial << " planes=" << planes;
+    }
+    ExpectSchedulesEqual(got, want);
+    ExpectReservationsEqual(fast.prt().reservations(),
+                            oracle.prt().reservations());
   }
 }
 

@@ -6,13 +6,16 @@
 //   * stream round-trips are BIT-exact (arrival doubles included), at any
 //     block size, codec, and decode-pool width;
 //   * corruption — a flipped payload byte, a truncated block, a bogus
-//     magic — is detected, not silently replayed;
+//     magic, a header field sized past the file — is detected, not
+//     silently replayed, and never sizes an allocation;
 //   * the external sort is a permutation (multiset-equal) of its input,
 //     arrival-ordered, through multi-run multi-pass merges;
 //   * streamed replay is byte-identical to the in-memory engines at
 //     --threads 1 and 8, pinned against the committed fig10 golden.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -230,6 +233,90 @@ TEST(TraceStream, ErrorMessagesNameTheFile) {
         << "error should carry the file path: " << e.what();
   }
   std::remove(path.c_str());
+}
+
+// The `sunflow_trace_tool generate --coflows=20 --ports=16 --stream_out`
+// file (one block) with the u32 at byte `offset` overwritten.
+std::string PatchedStream(const std::string& name, std::streamoff offset,
+                          std::uint32_t value) {
+  SyntheticTraceConfig cfg;
+  cfg.num_coflows = 20;
+  cfg.num_ports = 16;
+  const std::string path = TmpPath(name);
+  WriteTraceStream(path, GenerateSyntheticTrace(cfg));
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(offset);
+  f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  return path;
+}
+
+// Reading `path` must fail with a runtime_error naming the file and the
+// offending header field.
+void ExpectHeaderFieldRejected(const std::string& path,
+                               const std::string& field) {
+  try {
+    ReadTraceStream(path);
+    ADD_FAILURE() << "expected a format error for " << field;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
+}
+
+long PeakRssKb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+// Byte 36 is the first block's stored_bytes (32-byte file header + magic).
+TEST(TraceStream, StoredBytesBeyondTheFileRejectedBeforeAllocating) {
+  const std::string path = PatchedStream("stored_bytes.sft", 36, 0xfffffff0u);
+  const long before_kb = PeakRssKb();
+  ExpectHeaderFieldRejected(path, "stored_bytes");
+  EXPECT_LT(PeakRssKb() - before_kb, 64 * 1024) << "peak RSS grew (KB)";
+}
+
+TEST(TraceStream, DeflateRawBytesAboveZlibRatioRejected) {
+  if (!DeflateSupported()) GTEST_SKIP() << "built without zlib";
+  ExpectHeaderFieldRejected(PatchedStream("raw_bytes.sft", 40, 0xfffffff0u),
+                            "raw_bytes");
+}
+
+TEST(TraceStream, BlockCoflowCountAboveRawBytesRejected) {
+  ExpectHeaderFieldRejected(PatchedStream("num_coflows.sft", 44, 0xffffffffu),
+                            "num_coflows");
+}
+
+TEST(TraceStream, HeaderPortCountAboveInt32MaxRejected) {
+  ExpectHeaderFieldRejected(PatchedStream("num_ports.sft", 8, 0x80000001u),
+                            "num_ports");
+}
+
+// A checksum-valid store block whose one coflow claims 2^56 flows: the
+// count must be bounded by the payload before it sizes the flow vector.
+TEST(TraceStream, FlowCountAboveBlockPayloadRejected) {
+  std::vector<std::uint8_t> payload(9, 0);  // id 0, arrival 0.0
+  payload.insert(payload.end(), 8, 0x80);   // varint 2^56
+  payload.push_back(0x01);
+  const auto u32 = [](std::string& out, std::uint32_t v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  const auto size = static_cast<std::uint32_t>(payload.size());
+  std::string file = "SFT1";
+  u32(file, 1);                              // version
+  u32(file, 4);                              // num_ports
+  u32(file, 0);                              // codec: store
+  file.append(16, '\xff');                   // unclosed: counts unknown
+  for (std::uint32_t v : {0x4b4c4253u, size, size, 1u, 0u,
+                          Crc32(payload.data(), payload.size())})
+    u32(file, v);
+  file.append(payload.begin(), payload.end());
+  const std::string path = TmpPath("flow_count.sft");
+  std::ofstream(path, std::ios::binary) << file;
+  ExpectHeaderFieldRejected(path, "flow count");
 }
 
 TEST(TraceStream, Crc32MatchesKnownVector) {

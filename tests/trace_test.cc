@@ -57,6 +57,14 @@ TEST(Coflow, RejectsNonPositiveBytes) {
   EXPECT_THROW(Coflow(1, 0, {{0, 1, 0}}), CheckFailure);
 }
 
+TEST(Coflow, RejectsNonFiniteBytesAndArrival) {
+  EXPECT_THROW(Coflow(1, 0, {{0, 1, INFINITY}}), CheckFailure);
+  EXPECT_THROW(Coflow(1, 0, {{0, 1, NAN}}), CheckFailure);
+  EXPECT_THROW(Coflow(1, INFINITY, {{0, 1, 1}}), CheckFailure);
+  EXPECT_THROW(Coflow(1, NAN, {{0, 1, 1}}), CheckFailure);
+  EXPECT_THROW(Coflow(1, 0, {{0, 1, 1e308}, {0, 2, 1e308}}), CheckFailure);
+}
+
 TEST(Coflow, ScaledBytesPreservesStructure) {
   const Coflow c = MakeM2M();
   const Coflow s = c.ScaledBytes(2.0);
@@ -425,6 +433,37 @@ TEST(Parser, ErrorsNameSourceAndLine) {
     EXPECT_NE(what.find("fb-trace.txt"), std::string::npos) << what;
     EXPECT_NE(what.find("line 2"), std::string::npos) << what;
   }
+}
+
+// Expects `text` to be rejected with the parser's located error.
+void ExpectParseErrorAt(const std::string& text, int line) {
+  std::istringstream in(text);
+  try {
+    ParseCoflowBenchmark(in, "bad.txt");
+    FAIL() << "expected a parse error";
+  } catch (const std::runtime_error& e) {
+    const std::string want =
+        "parse error in bad.txt at line " + std::to_string(line);
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Parser, RejectsNonFiniteReducerSize) {
+  ExpectParseErrorAt("4 1\n1 0 1 1 1 2:inf\n", 2);
+  ExpectParseErrorAt("4 1\n1 0 1 1 1 2:nan\n", 2);
+  ExpectParseErrorAt("4 1\n1 0 1 1 1 2:1e305\n", 2);  // inf once in bytes
+}
+
+TEST(Parser, RejectsPortCountAboveInt32Max) {
+  // 2^32 + 1 used to wrap to a valid 1-port fabric.
+  ExpectParseErrorAt("4294967297 1\n1 0 1 1 1 1:1\n", 1);
+}
+
+TEST(Parser, DoesNotReserveFromTheHeaderCoflowCount) {
+  std::istringstream in("4 99999999999999\n1 0 1 1 1 2:1\n");
+  const Trace trace = ParseCoflowBenchmark(in);
+  EXPECT_EQ(trace.coflows.size(), 1u);
 }
 
 TEST(Parser, FileErrorsNameThePath) {
