@@ -2,7 +2,6 @@
 
 #include "common/assert.h"
 #include "core/policy.h"
-#include "obs/metrics.h"
 #include "runtime/sweep.h"
 #include "sched/executor.h"
 #include "sim/engine/scenario.h"
@@ -57,14 +56,8 @@ void RunSunflowOne(const Coflow& coflow, PortId num_ports,
   sc.order = config.order;
   sc.shuffle_seed = config.shuffle_seed;
   const Coflow at_zero = coflow.WithArrival(0);
-  SunflowSchedule schedule;
-  {
-    // thread_local: GlobalMetrics() shards per thread (see obs/metrics.h).
-    static thread_local obs::Histogram& compute_ns =
-        obs::GlobalMetrics().GetHistogram("scheduler.sunflow.compute_ns");
-    obs::ScopedTimer timer(compute_ns);
-    schedule = ScheduleSingleCoflow(at_zero, num_ports, sc, sink);
-  }
+  const SunflowSchedule schedule =
+      ScheduleSingleCoflow(at_zero, num_ports, sc, sink);
   rec.cct = schedule.completion_time.at(coflow.id());
   rec.switching_count = schedule.reservation_count.at(coflow.id());
 }

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/json.h"
 #include "obs/jsonl.h"
 
 namespace sunflow::obs {
@@ -37,8 +38,8 @@ class Writer {
     out_ << (first_ ? "\n" : ",\n");
     first_ = false;
     out_ << "{\"name\":\"" << EscapeJson(name) << "\",\"ph\":\"" << phase
-         << "\",\"ts\":" << ts << ",\"pid\":" << pid << ",\"tid\":" << tid
-         << extra << "}";
+         << "\",\"ts\":" << FormatJsonNumber(ts) << ",\"pid\":" << pid
+         << ",\"tid\":" << tid << extra << "}";
   }
 
   void Meta(const std::string& what, const std::string& value, int pid,
@@ -54,7 +55,7 @@ class Writer {
 
 std::string DurArgs(double dur_us, const std::string& args_json) {
   std::ostringstream os;
-  os << ",\"dur\":" << dur_us;
+  os << ",\"dur\":" << FormatJsonNumber(dur_us);
   if (!args_json.empty()) os << ",\"args\":{" << args_json << "}";
   return os.str();
 }
@@ -81,7 +82,8 @@ void WriteChromeTrace(std::ostream& out, std::span<const Event> events,
         if (!options.port_tracks) break;
         ports.insert(e.in);
         name << "circuit " << e.in << "->" << e.out;
-        args << "\"coflow\":" << e.coflow << ",\"setup_s\":" << e.value;
+        args << "\"coflow\":" << e.coflow
+             << ",\"setup_s\":" << FormatJsonNumber(e.value);
         w.Record(name.str(), 'X', Micros(e.t), kPortsPid, e.in,
                  DurArgs(Micros(e.dur), args.str()));
         // The δ prefix as a nested slice, so reconfiguration time is
@@ -103,7 +105,7 @@ void WriteChromeTrace(std::ostream& out, std::span<const Event> events,
         if (!options.coflow_tracks) break;
         coflows.insert(e.coflow);
         name << "admitted";
-        args << "\"planned_cct_s\":" << e.value;
+        args << "\"planned_cct_s\":" << FormatJsonNumber(e.value);
         w.Record(name.str(), 'i', Micros(e.t), kCoflowsPid, e.coflow,
                  ",\"s\":\"t\"" + Args(args.str()));
         break;
@@ -111,7 +113,7 @@ void WriteChromeTrace(std::ostream& out, std::span<const Event> events,
         if (!options.coflow_tracks) break;
         coflows.insert(e.coflow);
         name << "coflow " << e.coflow;
-        args << "\"cct_s\":" << e.value;
+        args << "\"cct_s\":" << FormatJsonNumber(e.value);
         // value carries the CCT, so the lifetime span is [t − cct, t].
         w.Record(name.str(), 'X', Micros(e.t - e.value), kCoflowsPid,
                  e.coflow, DurArgs(Micros(e.value), args.str()));
@@ -126,7 +128,8 @@ void WriteChromeTrace(std::ostream& out, std::span<const Event> events,
       case EventType::kAssignmentComputed:
         if (!options.scheduler_track) break;
         name << "plan (" << e.count << " coflows)";
-        args << "\"compute_ns\":" << e.value << ",\"coflows\":" << e.count;
+        args << "\"compute_ns\":" << FormatJsonNumber(e.value)
+             << ",\"coflows\":" << e.count;
         w.Record(name.str(), 'i', Micros(e.t), kSchedulerPid, kComputeTid,
                  ",\"s\":\"t\"" + Args(args.str()));
         break;

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/json.h"
 #include "obs/trace_sink.h"
 
 namespace sunflow::obs {
@@ -51,30 +52,14 @@ std::string EscapeJson(std::string_view s) {
   return out;
 }
 
-namespace {
-
-// %.17g round-trips any double; shorter representations are kept short.
-std::string Num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Trim to the shortest representation that still round-trips.
-  for (int prec = 1; prec < 17; ++prec) {
-    char shorter[64];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-    if (std::strtod(shorter, nullptr) == v) return shorter;
-  }
-  return buf;
-}
-
-}  // namespace
-
 void WriteJsonlEvent(std::ostream& out, const Event& e) {
-  out << "{\"type\":\"" << ToString(e.type) << "\",\"t\":" << Num(e.t);
-  if (e.dur != 0) out << ",\"dur\":" << Num(e.dur);
+  out << "{\"type\":\"" << ToString(e.type)
+      << "\",\"t\":" << FormatJsonNumber(e.t);
+  if (e.dur != 0) out << ",\"dur\":" << FormatJsonNumber(e.dur);
   if (e.coflow >= 0) out << ",\"coflow\":" << e.coflow;
   if (e.in >= 0) out << ",\"in\":" << e.in;
   if (e.out >= 0) out << ",\"out\":" << e.out;
-  if (e.value != 0) out << ",\"value\":" << Num(e.value);
+  if (e.value != 0) out << ",\"value\":" << FormatJsonNumber(e.value);
   if (e.count != 0) out << ",\"count\":" << e.count;
   if (e.plane != 0) out << ",\"plane\":" << e.plane;
   out << "}\n";

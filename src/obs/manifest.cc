@@ -11,6 +11,8 @@
 #include <sys/utsname.h>
 #endif
 
+#include "obs/profiler.h"
+
 #if __has_include("sunflow_version.h")
 #include "sunflow_version.h"
 #else  // building without the CMake-generated header (e.g. bare tooling)
@@ -83,10 +85,11 @@ void RunManifest::Finalize() {
                 std::chrono::steady_clock::now() - start_)
                 .count();
   peak_rss_kb = PeakRssKb();
-  metrics = GlobalMetrics().Rows();
-  const Profiler merged = GlobalProfiler().Merged();
-  profile = merged.Rows();
-  profile_scopes = merged.TotalCount();
+  const MetricsRegistry merged = GlobalMetrics().Merged();
+  metrics = merged.Rows();
+  profile = merged.PhaseRows();
+  profile_scopes = 0;
+  for (const ProfileRow& row : profile) profile_scopes += row.stats.count;
   profile_ns_per_scope = CalibrateScopeCostNs();
   profile_overhead_fraction =
       wall_ns > 0

@@ -4,8 +4,8 @@
 // SHA, build type, compiler), where (host kernel + architecture +
 // hardware threads), with what inputs (seed, worker threads), and what it
 // cost (wall time, peak RSS) — plus a merged snapshot of the metrics
-// registry and the phase profiler, and a calibrated estimate of the
-// profiler's own overhead. A manifest is the unit the bench regression
+// registry's instruments and profiled phases, and a calibrated estimate of
+// the profiler's own overhead. A manifest is the unit the bench regression
 // harness (bench/harness.py) aggregates and tools/bench_compare diffs,
 // so a number in a BENCH_*.json trajectory can always be traced back to
 // the exact configuration that produced it.
@@ -26,7 +26,6 @@
 
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 
 namespace sunflow::obs {
 
@@ -64,8 +63,8 @@ struct RunManifest {
   double profile_ns_per_scope = 0;    ///< calibrated per-scope cost
   double profile_overhead_fraction = 0;  ///< scopes * cost / wall_ns
 
-  /// Stamps wall time and peak RSS and snapshots GlobalMetrics() /
-  /// GlobalProfiler() (call only after workers have quiesced). Safe to
+  /// Stamps wall time and peak RSS and snapshots GlobalMetrics()'s
+  /// instruments and phases (call only after workers have quiesced). Safe to
   /// call more than once; later calls refresh the snapshots.
   void Finalize();
 

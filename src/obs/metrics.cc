@@ -68,6 +68,13 @@ void Histogram::Reset() {
   max_ = -std::numeric_limits<double>::infinity();
 }
 
+void PhaseStats::MergeFrom(const PhaseStats& other) {
+  count += other.count;
+  total_ns += other.total_ns;
+  self_ns += other.self_ns;
+  max_ns = std::max(max_ns, other.max_ns);
+}
+
 Counter& MetricsRegistry::GetCounter(std::string_view name) {
   auto it = counters_.find(name);
   if (it == counters_.end())
@@ -88,6 +95,12 @@ Histogram& MetricsRegistry::GetHistogram(std::string_view name) {
   return it->second;
 }
 
+PhaseStats& MetricsRegistry::GetPhase(std::string_view name) {
+  auto it = phases_.find(name);
+  if (it == phases_.end()) it = phases_.try_emplace(std::string(name)).first;
+  return it->second;
+}
+
 const Counter* MetricsRegistry::FindCounter(std::string_view name) const {
   const auto it = counters_.find(name);
   return it != counters_.end() ? &it->second : nullptr;
@@ -101,6 +114,11 @@ const Gauge* MetricsRegistry::FindGauge(std::string_view name) const {
 const Histogram* MetricsRegistry::FindHistogram(std::string_view name) const {
   const auto it = histograms_.find(name);
   return it != histograms_.end() ? &it->second : nullptr;
+}
+
+const PhaseStats* MetricsRegistry::FindPhase(std::string_view name) const {
+  const auto it = phases_.find(name);
+  return it != phases_.end() ? &it->second : nullptr;
 }
 
 std::vector<MetricRow> MetricsRegistry::Rows() const {
@@ -140,6 +158,13 @@ std::vector<MetricRow> MetricsRegistry::Rows() const {
   return rows;
 }
 
+std::vector<ProfileRow> MetricsRegistry::PhaseRows() const {
+  std::vector<ProfileRow> rows;
+  for (const auto& [name, stats] : phases_)
+    if (stats.count > 0) rows.push_back({name, stats});
+  return rows;  // map order == sorted by name
+}
+
 void MetricsRegistry::WriteText(std::ostream& out) const {
   for (const MetricRow& row : Rows()) {
     out << row.name << " (" << row.kind << ")";
@@ -159,6 +184,7 @@ void MetricsRegistry::Reset() {
   for (auto& [name, c] : counters_) c.Reset();
   for (auto& [name, g] : gauges_) g.Reset();
   for (auto& [name, h] : histograms_) h.Reset();
+  for (auto& [name, p] : phases_) p = PhaseStats{};
 }
 
 void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
@@ -167,6 +193,7 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
   for (const auto& [name, g] : other.gauges_) GetGauge(name).Add(g.value());
   for (const auto& [name, h] : other.histograms_)
     GetHistogram(name).MergeFrom(h);
+  for (const auto& [name, p] : other.phases_) GetPhase(name).MergeFrom(p);
 }
 
 namespace {

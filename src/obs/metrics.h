@@ -10,6 +10,8 @@
 //   admission.admits/rejects counters, deadline admission outcomes
 //   replay.replans           counter, replan passes in trace replay
 //   starvation.rounds        counter, τ spans executed
+//   engine.plan, core.plan   phases, wall time of a profiled code region
+//                            (recorded by ProfileScope, obs/profiler.h)
 //
 // Instruments are created on first use and never move (node-based map), so
 // hot paths may cache references. Threading follows the sharded-merge
@@ -26,7 +28,6 @@
 // registrations (cached references stay valid).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
@@ -102,6 +103,29 @@ class Histogram {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
+/// Wall time of one profiled phase. Nested scopes attribute time to both
+/// the enclosing phase (total_ns, inclusive) and the phase itself net of
+/// profiled children (self_ns, exclusive), so a phase tree sums without
+/// double counting.
+struct PhaseStats {
+  std::uint64_t count = 0;
+  double total_ns = 0;  ///< inclusive wall time (children counted)
+  double self_ns = 0;   ///< exclusive wall time (profiled children deducted)
+  double max_ns = 0;    ///< longest single scope (inclusive)
+
+  double mean_ns() const {
+    return count > 0 ? total_ns / static_cast<double>(count) : 0;
+  }
+  /// Commutative fold: counts and durations sum, max takes the larger.
+  void MergeFrom(const PhaseStats& other);
+};
+
+/// Phase dump row (one per phase) for manifests.
+struct ProfileRow {
+  std::string name;
+  PhaseStats stats;
+};
+
 /// Flat dump row (one per instrument) for text and CSV export.
 struct MetricRow {
   std::string name;
@@ -121,14 +145,19 @@ class MetricsRegistry {
   Counter& GetCounter(std::string_view name);
   Gauge& GetGauge(std::string_view name);
   Histogram& GetHistogram(std::string_view name);
+  PhaseStats& GetPhase(std::string_view name);
 
   /// Read-only lookups; null when the instrument was never created.
   const Counter* FindCounter(std::string_view name) const;
   const Gauge* FindGauge(std::string_view name) const;
   const Histogram* FindHistogram(std::string_view name) const;
+  const PhaseStats* FindPhase(std::string_view name) const;
 
-  /// All instruments, sorted by name.
+  /// All counters, gauges and histograms, sorted by name.
   std::vector<MetricRow> Rows() const;
+
+  /// Phases entered at least once since the last Reset(), sorted by name.
+  std::vector<ProfileRow> PhaseRows() const;
 
   /// Human-readable dump, one instrument per line.
   void WriteText(std::ostream& out) const;
@@ -136,14 +165,15 @@ class MetricsRegistry {
   /// Zeroes every instrument, keeping registrations and addresses.
   void Reset();
 
-  /// Folds another registry in: counters and histograms sum, gauges add
-  /// their values (shards track deltas under fan-out).
+  /// Folds another registry in: counters, histograms and phases sum,
+  /// gauges add their values (shards track deltas under fan-out).
   void MergeFrom(const MetricsRegistry& other);
 
  private:
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
+  std::map<std::string, PhaseStats, std::less<>> phases_;
 };
 
 /// Thread-safe façade over per-thread MetricsRegistry shards. Recording
@@ -169,6 +199,9 @@ class ShardedMetricsRegistry {
   Gauge& GetGauge(std::string_view name) { return Shard().GetGauge(name); }
   Histogram& GetHistogram(std::string_view name) {
     return Shard().GetHistogram(name);
+  }
+  PhaseStats& GetPhase(std::string_view name) {
+    return Shard().GetPhase(name);
   }
 
   /// Merged snapshot of every shard. Quiesce writers first.
@@ -197,25 +230,5 @@ class ShardedMetricsRegistry {
 
 /// The process-wide registry used by the built-in instrumentation.
 ShardedMetricsRegistry& GlobalMetrics();
-
-/// Records the scope's wall-clock duration (nanoseconds) into a histogram
-/// on destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& hist)
-      : hist_(hist), start_(std::chrono::steady_clock::now()) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    hist_.Record(static_cast<double>(ns));
-  }
-
- private:
-  Histogram& hist_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace sunflow::obs

@@ -2,128 +2,20 @@
 
 #include <algorithm>
 #include <atomic>
-#include <ostream>
-#include <unordered_map>
 
 namespace sunflow::obs {
 
-void PhaseStats::MergeFrom(const PhaseStats& other) {
-  count += other.count;
-  total_ns += other.total_ns;
-  self_ns += other.self_ns;
-  max_ns = std::max(max_ns, other.max_ns);
-}
-
-PhaseStats& Profiler::GetPhase(std::string_view name) {
-  auto it = phases_.find(name);
-  if (it == phases_.end()) it = phases_.try_emplace(std::string(name)).first;
-  return it->second;
-}
-
-const PhaseStats* Profiler::FindPhase(std::string_view name) const {
-  const auto it = phases_.find(name);
-  return it != phases_.end() ? &it->second : nullptr;
-}
-
-void Profiler::RecordNs(std::string_view name, double ns) {
-  PhaseStats& s = GetPhase(name);
-  ++s.count;
-  s.total_ns += ns;
-  s.self_ns += ns;
-  s.max_ns = std::max(s.max_ns, ns);
-}
-
-std::vector<ProfileRow> Profiler::Rows() const {
-  std::vector<ProfileRow> rows;
-  rows.reserve(phases_.size());
-  for (const auto& [name, stats] : phases_) rows.push_back({name, stats});
-  return rows;  // map order == sorted by name
-}
-
-void Profiler::WriteText(std::ostream& out) const {
-  for (const ProfileRow& row : Rows()) {
-    out << row.name << " count=" << row.stats.count
-        << " total_ms=" << row.stats.total_ns / 1e6
-        << " self_ms=" << row.stats.self_ns / 1e6
-        << " mean_us=" << row.stats.mean_ns() / 1e3
-        << " max_us=" << row.stats.max_ns / 1e3 << "\n";
-  }
-}
-
-void Profiler::MergeFrom(const Profiler& other) {
-  for (const auto& [name, stats] : other.phases_)
-    GetPhase(name).MergeFrom(stats);
-}
-
-void Profiler::Reset() {
-  for (auto& [name, stats] : phases_) stats = PhaseStats{};
-}
-
-std::uint64_t Profiler::TotalCount() const {
-  std::uint64_t n = 0;
-  for (const auto& [name, stats] : phases_) n += stats.count;
-  return n;
-}
-
 namespace {
-
-// Same shard-cache shape as ShardedMetricsRegistry: keyed by (pointer,
-// incarnation id) so a profiler destroyed and reallocated at one address
-// misses instead of resolving to a dangling shard.
-struct ShardSlot {
-  std::uint64_t id = 0;
-  Profiler* shard = nullptr;
-};
-
-std::uint64_t NextProfilerId() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 std::atomic<bool>& EnabledFlag() {
   static std::atomic<bool> enabled{true};
   return enabled;
 }
 
+// Innermost open scope on this thread — the parent for nested attribution.
+thread_local ProfileScope* g_current_scope = nullptr;
+
 }  // namespace
-
-ShardedProfiler::ShardedProfiler() : id_(NextProfilerId()) {}
-
-Profiler& ShardedProfiler::Shard() {
-  thread_local std::unordered_map<const ShardedProfiler*, ShardSlot> cache;
-  ShardSlot& slot = cache[this];
-  if (slot.shard != nullptr && slot.id == id_) return *slot.shard;
-  std::lock_guard<std::mutex> lock(mu_);
-  shards_.push_back(std::make_unique<Profiler>());
-  slot = {id_, shards_.back().get()};
-  return *slot.shard;
-}
-
-Profiler ShardedProfiler::Merged() const {
-  Profiler merged;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& shard : shards_) merged.MergeFrom(*shard);
-  return merged;
-}
-
-std::vector<ProfileRow> ShardedProfiler::Rows() const {
-  return Merged().Rows();
-}
-
-void ShardedProfiler::WriteText(std::ostream& out) const {
-  Merged().WriteText(out);
-}
-
-void ShardedProfiler::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& shard : shards_) shard->Reset();
-}
-
-ShardedProfiler& GlobalProfiler() {
-  static ShardedProfiler& profiler =
-      *new ShardedProfiler();  // leaked: outlives worker threads
-  return profiler;
-}
 
 bool ProfilingEnabled() {
   return EnabledFlag().load(std::memory_order_relaxed);
@@ -135,9 +27,9 @@ void SetProfilingEnabled(bool enabled) {
 
 double CalibrateScopeCostNs() {
   // Replays the exact work an enabled scope does (lookup + two clock
-  // reads + accumulation) against a throwaway shard, best-of-3 batches so
-  // a scheduler hiccup cannot inflate the estimate.
-  Profiler scratch;
+  // reads + accumulation) against a throwaway registry, best-of-3 batches
+  // so a scheduler hiccup cannot inflate the estimate.
+  MetricsRegistry scratch;
   constexpr int kBatch = 2000;
   double best = 1e300;
   for (int round = 0; round < 3; ++round) {
@@ -161,24 +53,25 @@ double CalibrateScopeCostNs() {
   return best;
 }
 
-namespace {
-// Innermost open scope on this thread — the parent for nested attribution.
-thread_local ProfileScope* g_current_scope = nullptr;
-}  // namespace
-
-ProfileScope::ProfileScope(std::string_view name) {
-  if (!ProfilingEnabled()) return;
-  stats_ = &GlobalProfiler().Shard().GetPhase(name);
-  parent_ = g_current_scope;
-  g_current_scope = this;
+ProfileScope::ProfileScope(std::string_view name, double* elapsed_ns)
+    : elapsed_ns_(elapsed_ns) {
+  if (ProfilingEnabled()) {
+    stats_ = &GlobalMetrics().GetPhase(name);
+    parent_ = g_current_scope;
+    g_current_scope = this;
+  } else if (elapsed_ns_ == nullptr) {
+    return;
+  }
   start_ = std::chrono::steady_clock::now();
 }
 
 ProfileScope::~ProfileScope() {
-  if (stats_ == nullptr) return;
+  if (stats_ == nullptr && elapsed_ns_ == nullptr) return;
   const double dur_ns = std::chrono::duration<double, std::nano>(
                             std::chrono::steady_clock::now() - start_)
                             .count();
+  if (elapsed_ns_ != nullptr) *elapsed_ns_ = dur_ns;
+  if (stats_ == nullptr) return;
   ++stats_->count;
   stats_->total_ns += dur_ns;
   stats_->self_ns += dur_ns - child_ns_;

@@ -1,117 +1,40 @@
 // Scoped phase profiler — where the scheduler's own cost becomes data.
 //
 // The metrics registry (obs/metrics.h) answers "how often / how large";
-// this profiler answers "where did the wall time go". Instrumented code
-// opens an RAII ProfileScope naming the phase (dotted hierarchy:
-// engine.execute, sched.solstice.stuff, prt.reserve, ...); nested scopes
-// attribute time to both the enclosing phase (total_ns, inclusive) and to
-// the phase itself net of profiled children (self_ns, exclusive), so a
-// phase tree sums without double counting.
+// its phases answer "where did the wall time go". Instrumented code opens
+// an RAII ProfileScope naming the phase (dotted hierarchy: engine.execute,
+// sched.solstice.stuff, prt.reserve, ...); the scope records a PhaseStats
+// into GlobalMetrics(), and nested scopes attribute time to both the
+// enclosing phase (total_ns, inclusive) and to the phase itself net of
+// profiled children (self_ns, exclusive), so a phase tree sums without
+// double counting.
 //
-// Threading follows the sharded-merge contract of obs/metrics.h verbatim:
-// GlobalProfiler() resolves to the calling thread's private shard (no
-// locks or atomics on the hot path; the nesting stack is thread_local),
-// and Rows()/Merged()/WriteText() fold all shards commutatively — counts
-// and durations sum, so the merged view has the same phase counts at any
-// thread count (durations are wall clock and therefore vary run to run).
-// Collect only after workers have quiesced.
+// Phases share the registry's sharded-merge contract: a scope records into
+// the calling thread's shard (no locks or atomics on the hot path; the
+// nesting stack is thread_local), and Merged().PhaseRows() folds all shards
+// commutatively — counts and durations sum, so the merged view has the same
+// phase counts at any thread count (durations are wall clock and therefore
+// vary run to run). Collect only after workers have quiesced.
 //
 // Cost: an enabled scope is two steady_clock reads plus one transparent
 // map lookup in the thread's shard — ~100 ns, negligible against the
 // µs-to-ms phases instrumented here; run manifests (obs/manifest.h)
 // carry a calibrated estimate of the total so every run reports its own
 // observation overhead. SetProfilingEnabled(false) reduces a scope to one
-// relaxed atomic load; compiling with -DSUNFLOW_NO_PROFILER removes the
-// scopes entirely (SUNFLOW_PROFILE_SCOPE expands to nothing).
+// relaxed atomic load.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <iosfwd>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
 #include <string_view>
-#include <vector>
+
+#include "obs/metrics.h"
 
 namespace sunflow::obs {
 
-struct PhaseStats {
-  std::uint64_t count = 0;
-  double total_ns = 0;  ///< inclusive wall time (children counted)
-  double self_ns = 0;   ///< exclusive wall time (profiled children deducted)
-  double max_ns = 0;    ///< longest single scope (inclusive)
-
-  double mean_ns() const {
-    return count > 0 ? total_ns / static_cast<double>(count) : 0;
-  }
-  /// Commutative fold: counts and durations sum, max takes the larger.
-  void MergeFrom(const PhaseStats& other);
-};
-
-/// Flat dump row (one per phase), sorted by name.
-struct ProfileRow {
-  std::string name;
-  PhaseStats stats;
-};
-
-/// A single-threaded profiler shard (the analogue of MetricsRegistry).
-/// Phase entries are created on first use and never move, so scopes may
-/// hold references for their lifetime.
-class Profiler {
- public:
-  PhaseStats& GetPhase(std::string_view name);
-  const PhaseStats* FindPhase(std::string_view name) const;
-
-  /// Records an externally measured duration (count +1, total and self
-  /// both grow by ns) — for costs timed by other means, e.g. the planner
-  /// pass a scenario already clocks for kAssignmentComputed.
-  void RecordNs(std::string_view name, double ns);
-
-  std::vector<ProfileRow> Rows() const;
-  void WriteText(std::ostream& out) const;
-  void MergeFrom(const Profiler& other);
-  void Reset();
-
-  /// Scope entries across all phases (the manifest's overhead estimate).
-  std::uint64_t TotalCount() const;
-
- private:
-  std::map<std::string, PhaseStats, std::less<>> phases_;
-};
-
-/// Thread-safe façade over per-thread Profiler shards; same contract as
-/// ShardedMetricsRegistry — record into Shard() lock-free, read merged
-/// views only after concurrent writers have quiesced.
-class ShardedProfiler {
- public:
-  ShardedProfiler();
-  ShardedProfiler(const ShardedProfiler&) = delete;
-  ShardedProfiler& operator=(const ShardedProfiler&) = delete;
-
-  /// The calling thread's shard (created on first use). References are
-  /// stable but thread-bound: cache them `thread_local`, never `static`.
-  Profiler& Shard();
-
-  void RecordNs(std::string_view name, double ns) { Shard().RecordNs(name, ns); }
-
-  /// Merged snapshot of every shard. Quiesce writers first.
-  Profiler Merged() const;
-  std::vector<ProfileRow> Rows() const;
-  void WriteText(std::ostream& out) const;
-
-  /// Zeroes every shard (phase registrations survive).
-  void Reset();
-
- private:
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Profiler>> shards_;
-  std::uint64_t id_ = 0;  ///< distinguishes reincarnations at one address
-};
-
-/// The process-wide profiler used by the built-in instrumentation.
-ShardedProfiler& GlobalProfiler();
+// Kept for perfbench/perfbench.cc, which reads phases through
+// obs::GlobalProfiler().Merged().FindPhase(...).
+using Profiler = MetricsRegistry;
+inline ShardedMetricsRegistry& GlobalProfiler() { return GlobalMetrics(); }
 
 /// Runtime switch (default on). Scopes opened while disabled record
 /// nothing and cost one relaxed atomic load. Flipping the switch does not
@@ -119,35 +42,34 @@ ShardedProfiler& GlobalProfiler();
 bool ProfilingEnabled();
 void SetProfilingEnabled(bool enabled);
 
-/// Measures the per-scope recording cost on this host (median of a short
-/// calibration loop against a throwaway shard) — the manifest multiplies
-/// this by the merged TotalCount() to bound profiler overhead.
+/// Measures the per-scope recording cost on this host (best of three short
+/// calibration batches against a throwaway registry) — the manifest multiplies
+/// this by the number of scope entries to bound profiler overhead.
 double CalibrateScopeCostNs();
 
-/// RAII phase scope. Prefer the SUNFLOW_PROFILE_SCOPE macro, which
-/// compiles out under -DSUNFLOW_NO_PROFILER.
+/// RAII phase scope. A caller that needs the interval's length passes
+/// `elapsed_ns`: the scope then reads the clock even while profiling is
+/// disabled and stores its wall ns there on exit, so the interval is timed
+/// once for the phase and the caller alike.
 class ProfileScope {
  public:
-  explicit ProfileScope(std::string_view name);
+  explicit ProfileScope(std::string_view name, double* elapsed_ns = nullptr);
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;
   ~ProfileScope();
 
  private:
   PhaseStats* stats_ = nullptr;  ///< null = profiling disabled at entry
+  double* elapsed_ns_ = nullptr;
   ProfileScope* parent_ = nullptr;
   double child_ns_ = 0;  ///< inclusive time of directly nested scopes
   std::chrono::steady_clock::time_point start_;
 };
 
-#if defined(SUNFLOW_NO_PROFILER)
-#define SUNFLOW_PROFILE_SCOPE(name) ((void)0)
-#else
 #define SUNFLOW_PROFILE_CONCAT_INNER(a, b) a##b
 #define SUNFLOW_PROFILE_CONCAT(a, b) SUNFLOW_PROFILE_CONCAT_INNER(a, b)
 #define SUNFLOW_PROFILE_SCOPE(name)            \
   ::sunflow::obs::ProfileScope SUNFLOW_PROFILE_CONCAT( \
       sunflow_profile_scope_, __COUNTER__)(name)
-#endif
 
 }  // namespace sunflow::obs

@@ -1,18 +1,12 @@
 #include "sched/solstice.h"
 
 #include "common/assert.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 
 namespace sunflow {
 
 AssignmentSchedule ScheduleSolstice(const DemandMatrix& demand,
                                     const SolsticeConfig& config) {
-  // thread_local, not static: GlobalMetrics() shards per thread, so a
-  // plain static would pin every thread to the first caller's shard.
-  static thread_local obs::Histogram& compute_ns =
-      obs::GlobalMetrics().GetHistogram("scheduler.solstice.compute_ns");
-  obs::ScopedTimer timer(compute_ns);
   SUNFLOW_PROFILE_SCOPE("sched.solstice");
   SUNFLOW_CHECK_MSG(demand.rows() == demand.cols(),
                     "Solstice needs a square matrix; call MakeSquare()");

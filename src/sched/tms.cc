@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 
 namespace sunflow {
@@ -27,10 +26,6 @@ void SubtractServed(DemandMatrix& remaining,
 
 AssignmentSchedule ScheduleTms(const DemandMatrix& demand,
                                const TmsConfig& config) {
-  // thread_local: GlobalMetrics() shards per thread (see obs/metrics.h).
-  static thread_local obs::Histogram& compute_ns =
-      obs::GlobalMetrics().GetHistogram("scheduler.tms.compute_ns");
-  obs::ScopedTimer timer(compute_ns);
   SUNFLOW_PROFILE_SCOPE("sched.tms");
   SUNFLOW_CHECK_MSG(demand.rows() == demand.cols(),
                     "TMS needs a square matrix; call MakeSquare()");

@@ -7,7 +7,6 @@
 // preserved expression-for-expression so replays are bit-identical to the
 // pre-kernel engines.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <utility>
@@ -230,8 +229,9 @@ SunflowSchedule PlanPerCore(const EngineConfig& config, PortId num_ports,
 // InterCoflow over the active set in policy order: builds views, orders,
 // builds this replan's requests from the remaining demand and runs
 // `plan_step` under the engine.plan profiler scope, then reports the replan
-// through the driver with the step's wall time in ns (the number
-// scheduler.compute_ns and the kAssignmentComputed event carry).
+// through the driver with the scope's wall time in ns (the number
+// scheduler.compute_ns and the kAssignmentComputed event carry, measured
+// even when profiling is off).
 SunflowSchedule PlanActiveSet(ReplayDriver& driver,
                               const PriorityPolicy& policy,
                               const EngineConfig& config, PlanStep plan_step,
@@ -270,13 +270,8 @@ SunflowSchedule PlanActiveSet(ReplayDriver& driver,
   SunflowSchedule plan;
   double plan_ns = 0;
   {
-    SUNFLOW_PROFILE_SCOPE("engine.plan");
-    const auto begin = std::chrono::steady_clock::now();
+    obs::ProfileScope scope("engine.plan", &plan_ns);
     plan = plan_step(config, s.num_ports(), requests, established, t);
-    plan_ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - begin)
-            .count());
   }
   driver.NoteReplan(t, plan, plan_ns, requests.size());
   return plan;

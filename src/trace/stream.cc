@@ -88,6 +88,7 @@ struct Cursor {
   const std::uint8_t* p;
   const std::uint8_t* end;
   const std::string& path;
+  PortId num_ports;  ///< the file header's fabric size
 
   void Need(std::size_t n) const {
     if (static_cast<std::size_t>(end - p) < n)
@@ -104,6 +105,15 @@ struct Cursor {
       shift += 7;
       if (shift >= 64) FormatFail(path, "varint overruns 64 bits");
     }
+  }
+  // Checked before the narrowing cast, so a varint above INT32_MAX cannot
+  // truncate to an in-range port.
+  PortId Port() {
+    const std::uint64_t v = Varint();
+    if (v >= static_cast<std::uint64_t>(num_ports))
+      FormatFail(path, "port " + std::to_string(v) + " outside the " +
+                           std::to_string(num_ports) + "-port fabric");
+    return static_cast<PortId>(v);
   }
   double DoubleBits() {
     Need(8);
@@ -138,8 +148,8 @@ Coflow DecodeCoflow(Cursor& cur) {
   flows.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
     Flow f;
-    f.src = static_cast<PortId>(cur.Varint());
-    f.dst = static_cast<PortId>(cur.Varint());
+    f.src = cur.Port();
+    f.dst = cur.Port();
     f.bytes = cur.DoubleBits();
     flows.push_back(f);
   }
@@ -371,7 +381,7 @@ void TraceReader::FillPipeline() {
     inflight_.push_back(prom->get_future());
     // The decode is self-contained (owns its raw bytes), so tasks run in
     // any order on the pool; consumption below stays FIFO regardless.
-    auto decode = [raw, prom, path = path_] {
+    auto decode = [raw, prom, path = path_, num_ports = num_ports_] {
       try {
         std::vector<std::uint8_t> plain;
         const std::uint8_t* data = raw->stored.data();
@@ -401,7 +411,7 @@ void TraceReader::FillPipeline() {
         DecodedBlock block;
         block.payload_bytes = n;
         block.coflows.reserve(raw->num_coflows);
-        Cursor cur{data, data + n, path};
+        Cursor cur{data, data + n, path, num_ports};
         for (std::uint32_t i = 0; i < raw->num_coflows; ++i)
           block.coflows.push_back(DecodeCoflow(cur));
         if (cur.p != cur.end)

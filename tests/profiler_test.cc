@@ -1,10 +1,10 @@
 // Locks in the phase-profiler contract (obs/profiler.h): nested-scope
 // attribution, the sharded merge's thread-count invariance, the disabled
-// fast path, the engine's phase tree summing without double counting, and
-// the run-manifest JSON round trip built on obs/json.h.
+// fast path, the engine's phase tree summing without double counting, the
+// replan clock shared by engine.plan and kAssignmentComputed, and the
+// run-manifest JSON round trip built on obs/json.h.
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +16,7 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/trace_sink.h"
 #include "runtime/thread_pool.h"
 #include "sim/engine/scenario.h"
 #include "trace/generator.h"
@@ -29,8 +30,15 @@ void SpinFor(std::chrono::microseconds d) {
   }
 }
 
+// Scope entries across every phase of a merged registry.
+std::uint64_t ScopeEntries(const MetricsRegistry& merged) {
+  std::uint64_t n = 0;
+  for (const ProfileRow& row : merged.PhaseRows()) n += row.stats.count;
+  return n;
+}
+
 TEST(ProfilerTest, NestedScopesAttributeSelfAndTotal) {
-  GlobalProfiler().Reset();
+  GlobalMetrics().Reset();
   {
     ProfileScope outer("test.outer");
     SpinFor(std::chrono::microseconds(200));
@@ -40,7 +48,7 @@ TEST(ProfilerTest, NestedScopesAttributeSelfAndTotal) {
     }
     SpinFor(std::chrono::microseconds(100));
   }
-  const Profiler merged = GlobalProfiler().Merged();
+  const MetricsRegistry merged = GlobalMetrics().Merged();
   const PhaseStats* outer = merged.FindPhase("test.outer");
   const PhaseStats* inner = merged.FindPhase("test.inner");
   ASSERT_NE(outer, nullptr);
@@ -58,11 +66,11 @@ TEST(ProfilerTest, NestedScopesAttributeSelfAndTotal) {
 }
 
 TEST(ProfilerTest, SiblingScopesOfOnePhaseAccumulate) {
-  GlobalProfiler().Reset();
+  GlobalMetrics().Reset();
   for (int i = 0; i < 5; ++i) {
     SUNFLOW_PROFILE_SCOPE("test.sibling");
   }
-  const Profiler merged = GlobalProfiler().Merged();
+  const MetricsRegistry merged = GlobalMetrics().Merged();
   const PhaseStats* stats = merged.FindPhase("test.sibling");
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->count, 5u);
@@ -72,7 +80,7 @@ TEST(ProfilerTest, SiblingScopesOfOnePhaseAccumulate) {
 TEST(ProfilerTest, MergedCountsAreThreadCountInvariant) {
   constexpr std::size_t kTasks = 40;
   auto run_at = [](int threads) {
-    GlobalProfiler().Reset();
+    GlobalMetrics().Reset();
     runtime::ThreadPool pool(threads);
     pool.ParallelFor(0, kTasks, [](std::size_t) {
       ProfileScope task("test.task");
@@ -83,10 +91,10 @@ TEST(ProfilerTest, MergedCountsAreThreadCountInvariant) {
         ProfileScope inner("test.step");
       }
     });
-    return GlobalProfiler().Merged();
+    return GlobalMetrics().Merged();
   };
-  const Profiler serial = run_at(1);
-  const Profiler parallel = run_at(8);
+  const MetricsRegistry serial = run_at(1);
+  const MetricsRegistry parallel = run_at(8);
   for (const char* phase : {"test.task", "test.step"}) {
     const PhaseStats* a = serial.FindPhase(phase);
     const PhaseStats* b = parallel.FindPhase(phase);
@@ -100,7 +108,7 @@ TEST(ProfilerTest, MergedCountsAreThreadCountInvariant) {
 }
 
 TEST(ProfilerTest, CrossThreadScopesLandInSeparateShardsAndMerge) {
-  GlobalProfiler().Reset();
+  GlobalMetrics().Reset();
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
     workers.emplace_back([] {
@@ -110,24 +118,24 @@ TEST(ProfilerTest, CrossThreadScopesLandInSeparateShardsAndMerge) {
     });
   }
   for (std::thread& w : workers) w.join();
-  const Profiler merged = GlobalProfiler().Merged();
+  const MetricsRegistry merged = GlobalMetrics().Merged();
   ASSERT_NE(merged.FindPhase("test.worker"), nullptr);
   EXPECT_EQ(merged.FindPhase("test.worker")->count, 12u);
-  EXPECT_EQ(merged.TotalCount(), 12u);
+  EXPECT_EQ(ScopeEntries(merged), 12u);
 }
 
 TEST(ProfilerTest, DisabledScopesRecordNothing) {
-  GlobalProfiler().Reset();
+  GlobalMetrics().Reset();
   SetProfilingEnabled(false);
   {
     SUNFLOW_PROFILE_SCOPE("test.disabled");
     ProfileScope explicit_scope("test.disabled_explicit");
   }
   SetProfilingEnabled(true);
-  const Profiler merged = GlobalProfiler().Merged();
+  const MetricsRegistry merged = GlobalMetrics().Merged();
   EXPECT_EQ(merged.FindPhase("test.disabled"), nullptr);
   EXPECT_EQ(merged.FindPhase("test.disabled_explicit"), nullptr);
-  EXPECT_EQ(merged.TotalCount(), 0u);
+  EXPECT_EQ(ScopeEntries(merged), 0u);
 }
 
 TEST(ProfilerTest, DisabledScopeIsNearFree) {
@@ -149,24 +157,8 @@ TEST(ProfilerTest, DisabledScopeIsNearFree) {
   EXPECT_LT(ns_per_scope, 1000.0);
 }
 
-TEST(ProfilerTest, RecordNsOverlaysExternallyTimedPhases) {
-  GlobalProfiler().Reset();
-  GlobalProfiler().RecordNs("test.external", 1500.0);
-  GlobalProfiler().RecordNs("test.external", 500.0);
-  const Profiler merged = GlobalProfiler().Merged();
-  const PhaseStats* stats = merged.FindPhase("test.external");
-  ASSERT_NE(stats, nullptr);
-  EXPECT_EQ(stats->count, 2u);
-  EXPECT_DOUBLE_EQ(stats->total_ns, 2000.0);
-  EXPECT_DOUBLE_EQ(stats->self_ns, 2000.0);
-  EXPECT_DOUBLE_EQ(stats->max_ns, 1500.0);
-}
-
-TEST(ProfilerTest, ReplayPhaseTreeSumsToTheReplayTotal) {
-  // Every engine phase (engine.plan included) is a true scope nested under
-  // engine.replay, so the self times of a serial replay partition its
-  // inclusive total. A phase recorded flat beside its nested children
-  // would count planning twice and overshoot.
+// One serial "circuit" replay of a small synthetic trace.
+engine::EngineResult ReplayCircuit(TraceSink* sink = nullptr) {
   SyntheticTraceConfig cfg;
   cfg.num_coflows = 30;
   cfg.num_ports = 32;
@@ -176,17 +168,101 @@ TEST(ProfilerTest, ReplayPhaseTreeSumsToTheReplayTotal) {
   engine::EngineConfig ec;
   ec.sunflow.bandwidth = Gbps(1);
   ec.sunflow.delta = Millis(10);
+  ec.sink = sink;
+  return engine::ScenarioRegistry::Global().Run("circuit", trace,
+                                                policy.get(), ec);
+}
 
-  GlobalProfiler().Reset();
-  engine::ScenarioRegistry::Global().Run("circuit", trace, policy.get(), ec);
-  const Profiler merged = GlobalProfiler().Merged();
+// The wall ns each kAssignmentComputed event carries, in emission order.
+std::vector<double> ReplanNs(const MemorySink& sink) {
+  std::vector<double> ns;
+  for (const Event& e : sink.events())
+    if (e.type == EventType::kAssignmentComputed) ns.push_back(e.value);
+  return ns;
+}
+
+TEST(ProfilerTest, ReplayPhaseTreeSumsToTheReplayTotal) {
+  // Every engine phase (engine.plan included) is a true scope nested under
+  // engine.replay, so the self times of a serial replay partition its
+  // inclusive total. A phase recorded flat beside its nested children
+  // would count planning twice and overshoot.
+  GlobalMetrics().Reset();
+  ReplayCircuit();
+  const MetricsRegistry merged = GlobalMetrics().Merged();
   const PhaseStats* replay = merged.FindPhase("engine.replay");
   ASSERT_NE(replay, nullptr);
   ASSERT_NE(merged.FindPhase("engine.plan"), nullptr);
   ASSERT_NE(merged.FindPhase("core.plan"), nullptr);
   double self_sum = 0;
-  for (const ProfileRow& row : merged.Rows()) self_sum += row.stats.self_ns;
+  for (const ProfileRow& row : merged.PhaseRows())
+    self_sum += row.stats.self_ns;
   EXPECT_LE(self_sum, 1.05 * replay->total_ns);
+}
+
+TEST(ProfilerTest, EnginePlanScopeIsTheOneReplanClock) {
+  // Each replan is timed once: the engine.plan scope's ns are also what
+  // kAssignmentComputed and scheduler.compute_ns carry, summed in the same
+  // order, so the three totals agree bit for bit.
+  GlobalMetrics().Reset();
+  MemorySink sink;
+  const engine::EngineResult result = ReplayCircuit(&sink);
+  const MetricsRegistry merged = GlobalMetrics().Merged();
+  const PhaseStats* plan = merged.FindPhase("engine.plan");
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->count, result.replans);
+  double event_sum = 0;
+  for (const double ns : ReplanNs(sink)) event_sum += ns;
+  EXPECT_EQ(plan->total_ns, event_sum);
+  const Histogram* compute = merged.FindHistogram("scheduler.compute_ns");
+  ASSERT_NE(compute, nullptr);
+  EXPECT_EQ(plan->total_ns, compute->sum());
+}
+
+TEST(ProfilerTest, DisabledProfilingStillTimesEachReplan) {
+  GlobalMetrics().Reset();
+  SetProfilingEnabled(false);
+  MemorySink sink;
+  const engine::EngineResult result = ReplayCircuit(&sink);
+  SetProfilingEnabled(true);
+  EXPECT_TRUE(GlobalMetrics().Merged().PhaseRows().empty());
+  const std::vector<double> ns = ReplanNs(sink);
+  ASSERT_GT(result.replans, 0u);
+  EXPECT_EQ(ns.size(), result.replans);
+  for (const double v : ns) EXPECT_GT(v, 0);
+}
+
+TEST(ProfilerTest, MeasuredScopeReportsItsNsWhenDisabled) {
+  GlobalMetrics().Reset();
+  double enabled_ns = 0, disabled_ns = 0;
+  {
+    ProfileScope scope("test.measured", &enabled_ns);
+    SpinFor(std::chrono::microseconds(50));
+  }
+  SetProfilingEnabled(false);
+  {
+    ProfileScope scope("test.measured", &disabled_ns);
+    SpinFor(std::chrono::microseconds(50));
+  }
+  SetProfilingEnabled(true);
+  const MetricsRegistry merged = GlobalMetrics().Merged();
+  const PhaseStats* phase = merged.FindPhase("test.measured");
+  ASSERT_NE(phase, nullptr);
+  EXPECT_EQ(phase->count, 1u);  // the disabled scope recorded nothing
+  EXPECT_EQ(phase->total_ns, enabled_ns);
+  EXPECT_GE(enabled_ns, 50e3);
+  EXPECT_GE(disabled_ns, 50e3);
+}
+
+TEST(ProfilerTest, MergedRowsSkipPhasesNotEnteredSinceReset) {
+  // Reset() keeps registrations, so a phase entered before it is still in
+  // every shard's map; the merged rows must list only what ran since.
+  { ProfileScope before("test.before_reset"); }
+  GlobalMetrics().Reset();
+  { ProfileScope after("test.after_reset"); }
+  const std::vector<ProfileRow> rows = GlobalMetrics().Merged().PhaseRows();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].name, "test.after_reset");
+  EXPECT_EQ(rows[0].stats.count, 1u);
 }
 
 TEST(ProfilerTest, MergeFromIsCommutative) {
@@ -201,14 +277,6 @@ TEST(ProfilerTest, MergeFromIsCommutative) {
   EXPECT_DOUBLE_EQ(ab.max_ns, ba.max_ns);
   EXPECT_EQ(ab.count, 5u);
   EXPECT_DOUBLE_EQ(ab.max_ns, 60);
-}
-
-TEST(ProfilerTest, WriteTextListsPhases) {
-  GlobalProfiler().Reset();
-  GlobalProfiler().RecordNs("test.render", 1e6);
-  std::ostringstream os;
-  GlobalProfiler().WriteText(os);
-  EXPECT_NE(os.str().find("test.render"), std::string::npos);
 }
 
 TEST(ProfilerTest, CalibrationIsPositiveAndSane) {
@@ -235,9 +303,10 @@ TEST(JsonTest, RejectsMalformedInput) {
 }
 
 TEST(ManifestTest, JsonRoundTripPreservesEveryField) {
-  GlobalProfiler().Reset();
   GlobalMetrics().Reset();
-  GlobalProfiler().RecordNs("test.phase", 4200.0);
+  PhaseStats& phase = GlobalMetrics().GetPhase("test.phase");
+  phase.count = 1;
+  phase.total_ns = phase.self_ns = phase.max_ns = 4200.0;
   GlobalMetrics().GetCounter("test.counter").Increment();
 
   const char* argv[] = {"profiler_test", "--coflows=80"};

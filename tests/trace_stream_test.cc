@@ -295,28 +295,63 @@ TEST(TraceStream, HeaderPortCountAboveInt32MaxRejected) {
                             "num_ports");
 }
 
-// A checksum-valid store block whose one coflow claims 2^56 flows: the
-// count must be bounded by the payload before it sizes the flow vector.
-TEST(TraceStream, FlowCountAboveBlockPayloadRejected) {
-  std::vector<std::uint8_t> payload(9, 0);  // id 0, arrival 0.0
-  payload.insert(payload.end(), 8, 0x80);   // varint 2^56
-  payload.push_back(0x01);
+// A one-block store-codec file over a `num_ports` fabric whose block is
+// `payload` (one coflow) under a valid checksum.
+std::string StoreBlockFile(const std::string& name, std::uint32_t num_ports,
+                           const std::vector<std::uint8_t>& payload) {
   const auto u32 = [](std::string& out, std::uint32_t v) {
     out.append(reinterpret_cast<const char*>(&v), sizeof(v));
   };
   const auto size = static_cast<std::uint32_t>(payload.size());
   std::string file = "SFT1";
   u32(file, 1);                              // version
-  u32(file, 4);                              // num_ports
+  u32(file, num_ports);                      // num_ports
   u32(file, 0);                              // codec: store
   file.append(16, '\xff');                   // unclosed: counts unknown
   for (std::uint32_t v : {0x4b4c4253u, size, size, 1u, 0u,
                           Crc32(payload.data(), payload.size())})
     u32(file, v);
   file.append(payload.begin(), payload.end());
-  const std::string path = TmpPath("flow_count.sft");
+  const std::string path = TmpPath(name);
   std::ofstream(path, std::ios::binary) << file;
-  ExpectHeaderFieldRejected(path, "flow count");
+  return path;
+}
+
+// A checksum-valid store block whose one coflow claims 2^56 flows: the
+// count must be bounded by the payload before it sizes the flow vector.
+TEST(TraceStream, FlowCountAboveBlockPayloadRejected) {
+  std::vector<std::uint8_t> payload(9, 0);  // id 0, arrival 0.0
+  payload.insert(payload.end(), 8, 0x80);   // varint 2^56
+  payload.push_back(0x01);
+  ExpectHeaderFieldRejected(StoreBlockFile("flow_count.sft", 4, payload),
+                            "flow count");
+}
+
+// One coflow (id 0, arrival 0) with a single 1 MB flow src -> 0.
+std::vector<std::uint8_t> OneFlowPayload(std::uint64_t src) {
+  std::vector<std::uint8_t> payload(9, 0);  // id 0, arrival 0.0
+  payload.push_back(0x01);                  // one flow
+  for (; src >= 0x80; src >>= 7)
+    payload.push_back(static_cast<std::uint8_t>(src) | 0x80);
+  payload.push_back(static_cast<std::uint8_t>(src));
+  payload.push_back(0x00);  // dst 0
+  const double bytes = MB(1);
+  const auto* b = reinterpret_cast<const std::uint8_t*>(&bytes);
+  payload.insert(payload.end(), b, b + sizeof(bytes));
+  return payload;
+}
+
+// 2^32 + 3 would truncate to port 3 if the varint were cast before the
+// bound check.
+TEST(TraceStream, PortVarintAboveInt32MaxRejected) {
+  ExpectHeaderFieldRejected(
+      StoreBlockFile("port_varint.sft", 8, OneFlowPayload((1ull << 32) + 3)),
+      "port 4294967299");
+}
+
+TEST(TraceStream, PortOutsideTheHeaderFabricRejected) {
+  ExpectHeaderFieldRejected(
+      StoreBlockFile("port_range.sft", 8, OneFlowPayload(200)), "port 200");
 }
 
 TEST(TraceStream, Crc32MatchesKnownVector) {
