@@ -1,5 +1,6 @@
 #include "matching/bipartite.h"
 
+#include <algorithm>
 #include <limits>
 #include <queue>
 
@@ -17,6 +18,15 @@ void BipartiteGraph::AddEdge(int left, int right) {
   SUNFLOW_CHECK(left >= 0 && left < n_left_);
   SUNFLOW_CHECK(right >= 0 && right < n_right_);
   adj_[static_cast<std::size_t>(left)].push_back(right);
+}
+
+void BipartiteGraph::RemoveEdge(int left, int right) {
+  SUNFLOW_CHECK(left >= 0 && left < n_left_);
+  auto& adj = adj_[static_cast<std::size_t>(left)];
+  const auto it = std::find(adj.begin(), adj.end(), right);
+  SUNFLOW_CHECK_MSG(it != adj.end(),
+                    "no edge " << left << " -> " << right << " to remove");
+  adj.erase(it);
 }
 
 namespace {

@@ -31,6 +31,9 @@ class BipartiteGraph {
   BipartiteGraph(int n_left, int n_right);
 
   void AddEdge(int left, int right);
+  /// Removes an existing edge; the other neighbours of `left` keep their
+  /// order.
+  void RemoveEdge(int left, int right);
 
   int n_left() const { return n_left_; }
   int n_right() const { return n_right_; }

@@ -5,12 +5,14 @@
 
 #include "common/assert.h"
 #include "matching/bipartite.h"
+#include "obs/profiler.h"
 
 namespace sunflow {
 
 namespace {
 
-// Builds the bipartite graph of entries >= threshold.
+// Builds the bipartite graph of entries >= threshold, each row's
+// neighbours in ascending column order.
 BipartiteGraph ThresholdGraph(const DemandMatrix& m, Time threshold) {
   BipartiteGraph g(m.rows(), m.cols());
   for (int i = 0; i < m.rows(); ++i) {
@@ -21,26 +23,22 @@ BipartiteGraph ThresholdGraph(const DemandMatrix& m, Time threshold) {
   return g;
 }
 
-// Extracts a perfect matching among entries >= threshold, or empty if none.
-std::vector<int> PerfectMatchingAtLeast(const DemandMatrix& m,
-                                        Time threshold) {
-  const auto matching = MaxCardinalityMatching(ThresholdGraph(m, threshold));
-  if (matching.size() != m.rows()) return {};
-  return matching.match_of_left;
-}
-
-// Subtracts `amount` from each matched entry, clamping tiny negatives.
-void SubtractMatching(DemandMatrix& m, const std::vector<int>& col_of_row,
-                      Time amount) {
+// Subtracts `r` from each matched entry, clamping tiny negatives, and drops
+// from `g` = ThresholdGraph(m, r) the entries that fell below r. No other
+// entry changed, so `g` stays equal, neighbour order included, to a fresh
+// ThresholdGraph of the updated matrix.
+void SubtractMatching(DemandMatrix& m, BipartiteGraph& g,
+                      const std::vector<int>& col_of_row, Time r) {
   for (int i = 0; i < m.rows(); ++i) {
     const int j = col_of_row[static_cast<std::size_t>(i)];
     SUNFLOW_CHECK(j >= 0);
     Time& cell = m.at(i, j);
-    cell -= amount;
+    cell -= r;
     if (cell < 0) {
       SUNFLOW_CHECK_MSG(cell > -1e-6, "matching subtracted below zero");
       cell = 0;
     }
+    if (cell < r) g.RemoveEdge(i, j);
   }
 }
 
@@ -102,13 +100,16 @@ std::vector<WeightedAssignment> BvnDecompose(DemandMatrix m, Time eps,
   // cell. On a perfect matrix the maximum matching is perfect, so this *is*
   // BvN; on the slightly unbalanced residue that upstream clamping leaves
   // behind, it still drains everything without needing Hall's condition.
+  // The graph of entries above dust is built once; each step removes the
+  // matched entries it drained below dust.
   const int cell_budget = m.rows() * m.cols() + 2 * m.rows() + 2;
   int steps = 0;
+  BipartiteGraph graph = ThresholdGraph(m, dust);
   while (!m.IsZero(dust)) {
     SUNFLOW_CHECK_MSG(++steps <= cell_budget,
                       "BvN failed to converge (residual total = "
                           << m.Total() << ")");
-    const auto matching = MaxCardinalityMatching(ThresholdGraph(m, dust));
+    const auto matching = MaxCardinalityMatching(graph);
     WeightedAssignment slot;
     slot.col_of_row = matching.match_of_left;
     Time w = kTimeInf;
@@ -127,6 +128,7 @@ std::vector<WeightedAssignment> BvnDecompose(DemandMatrix m, Time eps,
       if (j < 0) continue;
       Time& cell = m.at(i, j);
       cell = std::max(0.0, cell - w);
+      if (cell < dust) graph.RemoveEdge(i, j);
     }
     slot.duration = w;
     out.push_back(std::move(slot));
@@ -145,23 +147,28 @@ std::vector<WeightedAssignment> BigSliceDecompose(DemandMatrix m, Time eps) {
   // ladder further multiplies Hopcroft–Karp calls for no scheduling value.
   // The exact mop-up below drains whatever remains.
   const Time floor = std::max(eps, total_target * 1e-6);
-  int k = 0;
   constexpr int kMaxHalvings = 48;
-  while (!m.IsZero(eps) && k <= kMaxHalvings) {
+  for (int k = 0; k <= kMaxHalvings && !m.IsZero(eps); ++k) {
     const Time r = total_target / std::pow(2.0, k);
     if (r <= floor) break;
-    const auto matching = PerfectMatchingAtLeast(m, r);
-    if (matching.empty()) {
-      ++k;
-      continue;
+    // One graph per ladder level: a slot changes only the n entries it
+    // subtracted from, and SubtractMatching drops those that fell below r.
+    BipartiteGraph graph = ThresholdGraph(m, r);
+    while (!m.IsZero(eps)) {
+      const auto matching = MaxCardinalityMatching(graph);
+      if (matching.size() != m.rows()) break;  // no perfect matching >= r
+      SubtractMatching(m, graph, matching.match_of_left, r);
+      out.push_back({matching.match_of_left, r});
     }
-    SubtractMatching(m, matching, r);
-    out.push_back({matching, r});
   }
   // Exact BvN steps mop up the long tail (the residual is still perfect:
   // every subtracted slice reduced all line sums by exactly r). Dust
   // thresholds are judged against the original matrix's scale.
-  auto tail = BvnDecompose(std::move(m), eps, total_target);
+  std::vector<WeightedAssignment> tail;
+  {
+    SUNFLOW_PROFILE_SCOPE("sched.solstice.bvn");
+    tail = BvnDecompose(std::move(m), eps, total_target);
+  }
   out.insert(out.end(), std::make_move_iterator(tail.begin()),
              std::make_move_iterator(tail.end()));
   return out;

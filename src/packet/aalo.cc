@@ -46,19 +46,22 @@ class AaloAllocator : public RateAllocator {
                 Bandwidth bandwidth, Time /*now*/) override {
     // D-CLAS order: queue index ascending (least attained service first),
     // FIFO within a queue.
-    std::vector<ActiveCoflow*> order = active;
+    std::vector<Queued> order;
+    order.reserve(active.size());
+    for (ActiveCoflow* c : active)
+      order.push_back({AaloQueueIndex(config_, c->sent), c});
     std::stable_sort(order.begin(), order.end(),
-                     [&](const ActiveCoflow* a, const ActiveCoflow* b) {
-                       const int qa = AaloQueueIndex(config_, a->sent);
-                       const int qb = AaloQueueIndex(config_, b->sent);
-                       if (qa != qb) return qa < qb;
-                       if (a->arrival != b->arrival)
-                         return a->arrival < b->arrival;
-                       return a->id < b->id;
+                     [](const Queued& a, const Queued& b) {
+                       if (a.queue != b.queue) return a.queue < b.queue;
+                       if (a.coflow->arrival != b.coflow->arrival)
+                         return a.coflow->arrival < b.coflow->arrival;
+                       return a.coflow->id < b.coflow->id;
                      });
 
     for (ActiveCoflow* c : active)
       for (auto& f : c->flows) f.rate = 0;
+    in_count_.assign(static_cast<std::size_t>(num_ports), 0);
+    out_count_.assign(static_cast<std::size_t>(num_ports), 0);
 
     if (config_.weighted_queues) {
       WeightedAllocate(order, num_ports, bandwidth);
@@ -68,31 +71,44 @@ class AaloAllocator : public RateAllocator {
       // priority order; the second backfills leftover capacity (work
       // conservation) in the same order.
       for (int pass = 0; pass < 2; ++pass) {
-        for (ActiveCoflow* c : order) EqualShareAllocate(*c, cap);
+        for (const Queued& q : order) EqualShareAllocate(*q.coflow, cap);
       }
     }
   }
 
  private:
+  struct Queued {
+    int queue;
+    ActiveCoflow* coflow;
+  };
+
+  int& in_count(PortId p) { return in_count_[static_cast<std::size_t>(p)]; }
+  int& out_count(PortId p) { return out_count_[static_cast<std::size_t>(p)]; }
+
+  // Counts the coflow's unfinished flows per port, or (delta = -1) takes
+  // the same counts back to zero, touching only the coflow's own ports.
+  void CountFlows(const ActiveCoflow& coflow, int delta) {
+    for (const auto& f : coflow.flows) {
+      if (f.done()) continue;
+      in_count(f.src) += delta;
+      out_count(f.dst) += delta;
+    }
+  }
+
   // Flow sizes are unknown to Aalo, so every unfinished flow of the coflow
   // receives an equal split of the remaining capacity of its two ports
   // (the split counts this coflow's own contenders per port).
-  static void EqualShareAllocate(ActiveCoflow& coflow, PortCapacity& cap) {
-    std::map<PortId, int> in_count, out_count;
-    for (const auto& f : coflow.flows) {
-      if (f.done()) continue;
-      ++in_count[f.src];
-      ++out_count[f.dst];
-    }
+  void EqualShareAllocate(ActiveCoflow& coflow, PortCapacity& cap) {
+    CountFlows(coflow, +1);
     for (auto& f : coflow.flows) {
       if (f.done()) continue;
-      const Bandwidth share =
-          std::min(cap.in(f.src) / in_count[f.src],
-                   cap.out(f.dst) / out_count[f.dst]);
+      const Bandwidth share = std::min(cap.in(f.src) / in_count(f.src),
+                                       cap.out(f.dst) / out_count(f.dst));
       if (share <= 1e-6) continue;
       f.rate += share;
       cap.Consume(f.src, f.dst, share);
     }
+    CountFlows(coflow, -1);
   }
 
   // Weighted cross-queue sharing: each round of allocation runs over the
@@ -100,11 +116,10 @@ class AaloAllocator : public RateAllocator {
   // decay^q, then a final unweighted backfill soaks the leftovers. The
   // guaranteed slice for lower-priority (heavier) queues is exactly what
   // delays small coflows relative to strict priority.
-  void WeightedAllocate(const std::vector<ActiveCoflow*>& order,
-                        PortId num_ports, Bandwidth bandwidth) {
+  void WeightedAllocate(const std::vector<Queued>& order, PortId num_ports,
+                        Bandwidth bandwidth) {
     std::map<int, std::vector<ActiveCoflow*>> queues;
-    for (ActiveCoflow* c : order)
-      queues[AaloQueueIndex(config_, c->sent)].push_back(c);
+    for (const Queued& q : order) queues[q.queue].push_back(q.coflow);
     double total_weight = 0;
     for (const auto& [q, list] : queues)
       total_weight += std::pow(config_.queue_weight_decay, q);
@@ -120,30 +135,29 @@ class AaloAllocator : public RateAllocator {
       for (ActiveCoflow* c : list) {
         // Allocate inside the queue budget, mirrored against the global
         // capacity so port constraints hold across queues.
-        std::map<PortId, int> in_count, out_count;
-        for (const auto& f : c->flows) {
-          if (f.done()) continue;
-          ++in_count[f.src];
-          ++out_count[f.dst];
-        }
+        CountFlows(*c, +1);
         for (auto& f : c->flows) {
           if (f.done()) continue;
           const Bandwidth r = std::min(
-              {queue_cap.in(f.src) / in_count[f.src],
-               queue_cap.out(f.dst) / out_count[f.dst], cap.in(f.src),
+              {queue_cap.in(f.src) / in_count(f.src),
+               queue_cap.out(f.dst) / out_count(f.dst), cap.in(f.src),
                cap.out(f.dst)});
           if (r <= 1e-6) continue;
           f.rate += r;
           queue_cap.Consume(f.src, f.dst, r);
           cap.Consume(f.src, f.dst, r);
         }
+        CountFlows(*c, -1);
       }
     }
     // Pass 2: unweighted backfill in D-CLAS order (work conservation).
-    for (ActiveCoflow* c : order) EqualShareAllocate(*c, cap);
+    for (const Queued& q : order) EqualShareAllocate(*q.coflow, cap);
   }
 
   AaloConfig config_;
+  // Per-port contender counts of the coflow being allocated; zero between
+  // coflows.
+  std::vector<int> in_count_, out_count_;
 };
 
 }  // namespace

@@ -8,15 +8,18 @@ namespace sunflow::packet {
 
 Time ActiveCoflow::RemainingTpl(Bandwidth bandwidth) const {
   SUNFLOW_CHECK(bandwidth > 0);
-  std::map<PortId, Bytes> in_load, out_load;
+  PortId ports = 0;
+  for (const auto& f : flows) ports = std::max({ports, f.src + 1, f.dst + 1});
+  std::vector<Bytes> in_load(static_cast<std::size_t>(ports), 0);
+  std::vector<Bytes> out_load(static_cast<std::size_t>(ports), 0);
   for (const auto& f : flows) {
     if (f.done()) continue;
-    in_load[f.src] += f.remaining;
-    out_load[f.dst] += f.remaining;
+    in_load[static_cast<std::size_t>(f.src)] += f.remaining;
+    out_load[static_cast<std::size_t>(f.dst)] += f.remaining;
   }
   Bytes busiest = 0;
-  for (const auto& [p, v] : in_load) busiest = std::max(busiest, v);
-  for (const auto& [p, v] : out_load) busiest = std::max(busiest, v);
+  for (Bytes v : in_load) busiest = std::max(busiest, v);
+  for (Bytes v : out_load) busiest = std::max(busiest, v);
   return busiest / bandwidth;
 }
 

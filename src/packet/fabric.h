@@ -7,7 +7,6 @@
 // uses for the packet-switched comparisons.
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "common/units.h"
@@ -30,14 +29,10 @@ struct FlowState {
 struct ActiveCoflow {
   CoflowId id = -1;
   Time arrival = 0;
+  /// ReplayPacketTrace erases each flow in the drain that finishes it.
   std::vector<FlowState> flows;
   Bytes sent = 0;  ///< total bytes already delivered (Aalo's queue key)
 
-  Bytes remaining_bytes() const {
-    Bytes r = 0;
-    for (const auto& f : flows) r += f.remaining;
-    return r;
-  }
   bool done() const {
     for (const auto& f : flows)
       if (!f.done()) return false;

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <vector>
 
 #include "common/assert.h"
+#include "obs/profiler.h"
 #include "packet/aalo.h"
 
 namespace sunflow::packet {
@@ -34,6 +36,7 @@ ActiveCoflow MakeActive(const Coflow& coflow) {
 PacketReplayResult ReplayPacketTrace(const Trace& trace,
                                      RateAllocator& allocator,
                                      const PacketReplayConfig& config) {
+  SUNFLOW_PROFILE_SCOPE("packet.replay");
   SUNFLOW_CHECK(config.bandwidth > 0);
   trace.Validate();
   const AaloConfig queue_cfg = QueueConfig(config);
@@ -45,6 +48,7 @@ PacketReplayResult ReplayPacketTrace(const Trace& trace,
   Time t = 0;
 
   auto reallocate = [&] {
+    SUNFLOW_PROFILE_SCOPE("packet.allocate");
     std::vector<ActiveCoflow*> ptrs;
     ptrs.reserve(active.size());
     for (auto& a : active) ptrs.push_back(&a);
@@ -59,18 +63,45 @@ PacketReplayResult ReplayPacketTrace(const Trace& trace,
                                  1000000;
   std::size_t events = 0;
 
-  while (!active.empty() || next_arrival < trace.coflows.size()) {
-    SUNFLOW_CHECK_MSG(++events < max_events, "packet replay event explosion");
+  // The replay state the two safety CHECKs print (times at full
+  // precision, since a stuck clock may differ only in the last digits).
+  auto state = [&] {
+    std::ostringstream os;
+    os.precision(17);
+    os << "t=" << t << " s, event " << events << " of budget " << max_events
+       << ", " << active.size() << " active coflows [";
+    for (std::size_t i = 0; i < active.size() && i < 8; ++i)
+      os << (i > 0 ? " " : "") << active[i].id;
+    os << (active.size() > 8 ? " ...]" : "]") << ", next arrival ";
+    if (next_arrival < trace.coflows.size()) {
+      os << "t=" << trace.coflows[next_arrival].arrival() << " s";
+    } else {
+      os << "none";
+    }
+    os << ", allocator " << allocator.name();
+    return os.str();
+  };
 
+  // Admits every coflow arriving by t; returns whether any did.
+  auto admit = [&] {
+    bool arrived = false;
+    while (next_arrival < trace.coflows.size() &&
+           trace.coflows[next_arrival].arrival() <= t + kTimeEps) {
+      active.push_back(MakeActive(trace.coflows[next_arrival++]));
+      arrived = true;
+    }
+    return arrived;
+  };
+
+  // One event step: moves t to the next event, drains, retires finished
+  // flows and coflows and admits arrivals. Returns whether the allocator
+  // must re-run.
+  auto advance = [&] {
+    SUNFLOW_PROFILE_SCOPE("packet.advance");
     if (active.empty()) {
       // Jump to the next arrival batch.
       t = std::max(t, trace.coflows[next_arrival].arrival());
-      while (next_arrival < trace.coflows.size() &&
-             trace.coflows[next_arrival].arrival() <= t + kTimeEps) {
-        active.push_back(MakeActive(trace.coflows[next_arrival++]));
-      }
-      reallocate();
-      continue;
+      return admit();
     }
 
     // Horizon: next arrival, next flow completion, next queue crossing.
@@ -93,24 +124,26 @@ PacketReplayResult ReplayPacketTrace(const Trace& trace,
     }
     SUNFLOW_CHECK_MSG(t_next < kTimeInf,
                       "packet replay stalled: active coflows but no rates "
-                      "and no arrivals");
+                      "and no arrivals: "
+                          << state());
 
-    // Drain linearly until the event.
+    // Drain linearly until the event; finished flows leave their coflow.
     const Time dt = std::max(0.0, t_next - t);
     bool flow_completed = false;
     bool queue_crossed = false;
     for (auto& c : active) {
       const int q_before = AaloQueueIndex(queue_cfg, c.sent);
+      bool finished = false;
       for (auto& f : c.flows) {
         if (f.rate <= 0 || f.done()) continue;
         const Bytes moved = std::min(f.remaining, f.rate * dt);
         f.remaining -= moved;
         c.sent += moved;
-        if (f.done()) {
-          f.remaining = 0;
-          f.rate = 0;
-          flow_completed = true;
-        }
+        finished = finished || f.done();
+      }
+      if (finished) {
+        std::erase_if(c.flows, [](const FlowState& f) { return f.done(); });
+        flow_completed = true;
       }
       if (config.track_queue_crossings &&
           AaloQueueIndex(queue_cfg, c.sent) != q_before) {
@@ -133,19 +166,16 @@ PacketReplayResult ReplayPacketTrace(const Trace& trace,
       }
     }
 
-    // Arrivals at this instant.
-    bool arrived = false;
-    while (next_arrival < trace.coflows.size() &&
-           trace.coflows[next_arrival].arrival() <= t + kTimeEps) {
-      active.push_back(MakeActive(trace.coflows[next_arrival++]));
-      arrived = true;
-    }
+    const bool arrived = admit();
+    return arrived || coflow_completed ||
+           (flow_completed && config.reallocate_on_flow_completion) ||
+           (queue_crossed && config.track_queue_crossings);
+  };
 
-    const bool should_reallocate =
-        arrived || coflow_completed ||
-        (flow_completed && config.reallocate_on_flow_completion) ||
-        (queue_crossed && config.track_queue_crossings);
-    if (should_reallocate && !active.empty()) reallocate();
+  while (!active.empty() || next_arrival < trace.coflows.size()) {
+    SUNFLOW_CHECK_MSG(++events < max_events,
+                      "packet replay event explosion: " << state());
+    if (advance() && !active.empty()) reallocate();
   }
 
   SUNFLOW_CHECK(result.cct.size() == trace.coflows.size());

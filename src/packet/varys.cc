@@ -1,7 +1,7 @@
 #include "packet/varys.h"
 
 #include <algorithm>
-#include <map>
+#include <vector>
 
 #include "common/assert.h"
 
@@ -15,50 +15,60 @@ class VarysAllocator : public RateAllocator {
 
   void Allocate(std::vector<ActiveCoflow*>& active, PortId num_ports,
                 Bandwidth bandwidth, Time /*now*/) override {
-    // SEBF: serve in order of remaining bottleneck (at full bandwidth).
-    std::vector<ActiveCoflow*> order = active;
+    // SEBF: serve in order of remaining bottleneck (at full bandwidth),
+    // each coflow's bottleneck computed once.
+    struct Ranked {
+      Time tpl;
+      ActiveCoflow* coflow;
+    };
+    std::vector<Ranked> order;
+    order.reserve(active.size());
+    for (ActiveCoflow* c : active)
+      order.push_back({c->RemainingTpl(bandwidth), c});
     std::stable_sort(order.begin(), order.end(),
-                     [&](const ActiveCoflow* a, const ActiveCoflow* b) {
-                       const Time ta = a->RemainingTpl(bandwidth);
-                       const Time tb = b->RemainingTpl(bandwidth);
-                       if (ta != tb) return ta < tb;
-                       if (a->arrival != b->arrival)
-                         return a->arrival < b->arrival;
-                       return a->id < b->id;
+                     [](const Ranked& a, const Ranked& b) {
+                       if (a.tpl != b.tpl) return a.tpl < b.tpl;
+                       if (a.coflow->arrival != b.coflow->arrival)
+                         return a.coflow->arrival < b.coflow->arrival;
+                       return a.coflow->id < b.coflow->id;
                      });
 
     PortCapacity cap(num_ports, bandwidth);
-    for (ActiveCoflow* c : order) MaddAllocate(*c, cap);
+    in_load_.assign(static_cast<std::size_t>(num_ports), 0);
+    out_load_.assign(static_cast<std::size_t>(num_ports), 0);
+    for (const Ranked& r : order) MaddAllocate(*r.coflow, cap);
   }
 
  private:
+  Bytes& in_load(PortId p) { return in_load_[static_cast<std::size_t>(p)]; }
+  Bytes& out_load(PortId p) { return out_load_[static_cast<std::size_t>(p)]; }
+
   // MADD with residual capacities: the effective bottleneck Γ is the
   // longest time any port needs to drain this coflow's remaining demand at
   // the capacity left over from more prioritized coflows; every flow then
   // gets remaining/Γ so all flows finish together at Γ.
-  static void MaddAllocate(ActiveCoflow& coflow, PortCapacity& cap) {
-    std::map<PortId, Bytes> in_load, out_load;
+  void MaddAllocate(ActiveCoflow& coflow, PortCapacity& cap) {
     for (auto& f : coflow.flows) {
       f.rate = 0;
       if (f.done()) continue;
-      in_load[f.src] += f.remaining;
-      out_load[f.dst] += f.remaining;
+      in_load(f.src) += f.remaining;
+      out_load(f.dst) += f.remaining;
     }
     Time gamma = 0;
-    bool blocked = false;
-    auto account = [&](const std::map<PortId, Bytes>& load,
-                       auto capacity_of) {
-      for (const auto& [port, bytes] : load) {
-        const Bandwidth avail = capacity_of(port);
-        if (avail <= 1e-6) {
-          blocked = true;  // a needed port is exhausted: coflow waits
-          return;
-        }
-        gamma = std::max(gamma, bytes / avail);
+    bool blocked = false;  // a needed port is exhausted: coflow waits
+    for (const auto& f : coflow.flows) {
+      if (f.done()) continue;
+      if (cap.in(f.src) <= 1e-6 || cap.out(f.dst) <= 1e-6) {
+        blocked = true;
+        break;
       }
-    };
-    account(in_load, [&](PortId p) { return cap.in(p); });
-    if (!blocked) account(out_load, [&](PortId p) { return cap.out(p); });
+      gamma = std::max({gamma, in_load(f.src) / cap.in(f.src),
+                        out_load(f.dst) / cap.out(f.dst)});
+    }
+    for (const auto& f : coflow.flows) {
+      in_load(f.src) = 0;
+      out_load(f.dst) = 0;
+    }
     if (blocked || gamma <= 0) return;
 
     for (auto& f : coflow.flows) {
@@ -67,6 +77,10 @@ class VarysAllocator : public RateAllocator {
       cap.Consume(f.src, f.dst, f.rate);
     }
   }
+
+  // Per-port remaining bytes of the coflow being allocated, summed in flow
+  // order; zero between coflows.
+  std::vector<Bytes> in_load_, out_load_;
 };
 
 }  // namespace

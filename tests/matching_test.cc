@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -343,6 +344,100 @@ TEST(BigSlice, FloorLeavesOnlyDroppableResidue) {
     for (int c = 0; c < n; ++c)
       EXPECT_GE(acc[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)],
                 stuffed.at(r, c) - tolerance);
+}
+
+// Test-only oracle: both decompositions as first written, with a fresh
+// threshold graph built for every slot. The library keeps one graph per
+// threshold and removes only the entries a slot drained below it.
+BipartiteGraph OracleThresholdGraph(const DemandMatrix& m, Time threshold) {
+  BipartiteGraph g(m.rows(), m.cols());
+  for (int i = 0; i < m.rows(); ++i)
+    for (int j = 0; j < m.cols(); ++j)
+      if (m.at(i, j) >= threshold) g.AddEdge(i, j);
+  return g;
+}
+
+std::vector<WeightedAssignment> OracleBvn(DemandMatrix m, Time eps,
+                                          Time reference_scale) {
+  const Time scale =
+      reference_scale > 0 ? reference_scale : std::max(m.MaxLineSum(), 1.0);
+  const Time dust = std::max(eps, scale * 1e-10);
+  std::vector<WeightedAssignment> out;
+  while (!m.IsZero(dust)) {
+    WeightedAssignment slot;
+    slot.col_of_row =
+        MaxCardinalityMatching(OracleThresholdGraph(m, dust)).match_of_left;
+    Time w = kTimeInf;
+    for (int i = 0; i < m.rows(); ++i) {
+      const int j = slot.col_of_row[static_cast<std::size_t>(i)];
+      if (j >= 0) w = std::min(w, m.at(i, j));
+    }
+    for (int i = 0; i < m.rows(); ++i) {
+      const int j = slot.col_of_row[static_cast<std::size_t>(i)];
+      if (j >= 0) m.at(i, j) = std::max(0.0, m.at(i, j) - w);
+    }
+    slot.duration = w;
+    out.push_back(std::move(slot));
+  }
+  return out;
+}
+
+std::vector<WeightedAssignment> OracleBigSlice(DemandMatrix m, Time eps) {
+  std::vector<WeightedAssignment> out;
+  const Time total_target = m.MaxLineSum();
+  if (total_target <= eps) return out;
+  const Time floor = std::max(eps, total_target * 1e-6);
+  int k = 0;
+  while (!m.IsZero(eps) && k <= 48) {
+    const Time r = total_target / std::pow(2.0, k);
+    if (r <= floor) break;
+    const auto matching = MaxCardinalityMatching(OracleThresholdGraph(m, r));
+    if (matching.size() != m.rows()) {
+      ++k;
+      continue;
+    }
+    for (int i = 0; i < m.rows(); ++i) {
+      Time& cell = m.at(i, matching.match_of_left[static_cast<std::size_t>(i)]);
+      cell = std::max(0.0, cell - r);
+    }
+    out.push_back({matching.match_of_left, r});
+  }
+  auto tail = OracleBvn(std::move(m), eps, total_target);
+  out.insert(out.end(), tail.begin(), tail.end());
+  return out;
+}
+
+void ExpectSameSlots(const std::vector<WeightedAssignment>& got,
+                     const std::vector<WeightedAssignment>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t s = 0; s < got.size(); ++s) {
+    ASSERT_EQ(got[s].col_of_row, want[s].col_of_row) << "slot " << s;
+    ASSERT_EQ(got[s].duration, want[s].duration) << "slot " << s;
+  }
+}
+
+TEST(Decomposition, MatchesPerSlotRebuildOracle) {
+  Rng rng(20161212);
+  for (const int n : {2, 8, 40, 150}) {
+    // Sparse: about 3 demand entries per row. Dense: about 15 per row, or
+    // half the row when n is small (the oracle's per-slot rebuild makes
+    // denser 150-port cases slow).
+    for (const double density :
+         {std::min(1.0, 3.0 / n), std::min(0.5, 15.0 / n)}) {
+      std::vector<std::vector<Time>> e(
+          static_cast<std::size_t>(n),
+          std::vector<Time>(static_cast<std::size_t>(n), 0));
+      for (auto& row : e)
+        for (auto& v : row)
+          if (rng.Bernoulli(density)) v = rng.Uniform(0.01, 5.0);
+      DemandMatrix m(e);
+      QuickStuff(m);
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " density=" + std::to_string(density));
+      ExpectSameSlots(BigSliceDecompose(m), OracleBigSlice(m, kTimeEps));
+      ExpectSameSlots(BvnDecompose(m), OracleBvn(m, kTimeEps, 0));
+    }
+  }
 }
 
 TEST(Sinkhorn, ApproachesTargetLineSums) {

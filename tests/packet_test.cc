@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "packet/aalo.h"
@@ -158,6 +161,65 @@ TEST(Aalo, WeightedQueuesWorkConserving) {
   EXPECT_NEAR(only.flows[0].rate, Gbps(1), 1.0);
 }
 
+TEST(Aalo, WeightedQueuesCctsArePinned) {
+  // No golden covers the weighted_queues path, so its per-coflow CCTs on
+  // one seeded trace are pinned bit for bit (recorded with %.17g).
+  SyntheticTraceConfig cfg;
+  cfg.num_coflows = 40;
+  cfg.num_ports = 16;
+  cfg.seed = 7;
+  const Trace trace = GenerateSyntheticTrace(cfg);
+  AaloConfig aalo_cfg;
+  aalo_cfg.weighted_queues = true;
+  auto aalo = MakeAaloAllocator(aalo_cfg);
+  const auto result = ReplayPacketTrace(trace, *aalo, AaloReplayConfig());
+  const std::map<CoflowId, Time> want = {
+      {1, 0.19587168509713848},
+      {2, 0.17607000532785833},
+      {3, 0.19863159409297282},
+      {4, 0.28373300017648262},
+      {5, 0.28154112301893974},
+      {6, 0.14132370958526508},
+      {7, 0.27787425564378054},
+      {8, 0.040000000000020464},
+      {9, 0.34633617307360964},
+      {10, 0.37645799334109142},
+      {11, 0.031999999999925421},
+      {12, 0.15868370700172818},
+      {13, 0.38767146165560007},
+      {14, 0.13325374329019724},
+      {15, 0.28329359011149791},
+      {16, 0.33029809353320161},
+      {17, 0.28801637529568325},
+      {18, 0.15267266759019549},
+      {19, 0.38893005753379839},
+      {20, 6.271284207883582},
+      {21, 7.4066048931540536},
+      {22, 0.15887421918250766},
+      {23, 1.3123834918819739},
+      {24, 0.30669162641652292},
+      {25, 6.8535582353838436},
+      {26, 0.29839312207059265},
+      {27, 0.35799637988384347},
+      {28, 0.36846612808903956},
+      {29, 0.43445716095902753},
+      {30, 0.28969377966041066},
+      {31, 0.0079999999998108251},
+      {32, 0.10390938565069519},
+      {33, 0.37384739303979586},
+      {34, 0.23580471611330722},
+      {35, 0.32523810627571947},
+      {36, 1.7974883233191576},
+      {37, 9.2031750426249346},
+      {38, 15.945663962791969},
+      {39, 0.0079999999998108251},
+      {40, 1.523918321070596},
+  };
+  EXPECT_EQ(result.reschedules, 1479u);
+  ASSERT_EQ(result.cct.size(), want.size());
+  for (const auto& [id, cct] : want) EXPECT_EQ(result.cct.at(id), cct) << id;
+}
+
 TEST(Aalo, PortConstraintsHold) {
   SyntheticTraceConfig cfg;
   cfg.num_coflows = 25;
@@ -196,6 +258,42 @@ TEST(Replay, CctNeverBelowPacketLowerBound) {
   for (const Coflow& c : trace.coflows) {
     EXPECT_GE(result.cct.at(c.id()),
               PacketLowerBound(c, Gbps(1)) - 1e-6);
+  }
+}
+
+// Runs Varys but withholds every rate from one coflow.
+class StarveOneAllocator : public RateAllocator {
+ public:
+  explicit StarveOneAllocator(CoflowId starved) : starved_(starved) {}
+  const char* name() const override { return "StarveOne"; }
+  void Allocate(std::vector<ActiveCoflow*>& active, PortId num_ports,
+                Bandwidth bandwidth, Time now) override {
+    varys_->Allocate(active, num_ports, bandwidth, now);
+    for (ActiveCoflow* c : active)
+      if (c->id == starved_)
+        for (auto& f : c->flows) f.rate = 0;
+  }
+
+ private:
+  CoflowId starved_;
+  std::unique_ptr<RateAllocator> varys_ = MakeVarysAllocator();
+};
+
+TEST(Replay, StallMessageNamesTheCoflowAndTheAllocator) {
+  // Coflow 42 never gets a rate: once coflow 7 finishes, nothing can move.
+  Trace trace;
+  trace.num_ports = 3;
+  trace.coflows.push_back(Coflow(7, 0.0, {{0, 1, MB(10)}}));
+  trace.coflows.push_back(Coflow(42, 0.5, {{1, 2, MB(10)}}));
+  StarveOneAllocator starve(42);
+  try {
+    ReplayPacketTrace(trace, starve, VarysConfig());
+    FAIL() << "replay should have stalled";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("packet replay stalled"), std::string::npos) << what;
+    EXPECT_NE(what.find("[42]"), std::string::npos) << what;
+    EXPECT_NE(what.find("StarveOne"), std::string::npos) << what;
   }
 }
 

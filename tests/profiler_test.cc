@@ -1,8 +1,9 @@
 // Locks in the phase-profiler contract (obs/profiler.h): nested-scope
 // attribution, the sharded merge's thread-count invariance, the disabled
 // fast path, the engine's phase tree summing without double counting, the
-// replan clock shared by engine.plan and kAssignmentComputed, and the
-// run-manifest JSON round trip built on obs/json.h.
+// packet replay's scopes, the replan clock shared by engine.plan and
+// kAssignmentComputed, and the run-manifest JSON round trip built on
+// obs/json.h.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -17,6 +18,8 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace_sink.h"
+#include "packet/aalo.h"
+#include "packet/replay.h"
 #include "runtime/thread_pool.h"
 #include "sim/engine/scenario.h"
 #include "trace/generator.h"
@@ -197,6 +200,35 @@ TEST(ProfilerTest, ReplayPhaseTreeSumsToTheReplayTotal) {
   for (const ProfileRow& row : merged.PhaseRows())
     self_sum += row.stats.self_ns;
   EXPECT_LE(self_sum, 1.05 * replay->total_ns);
+}
+
+TEST(ProfilerTest, PacketReplayScopesCountEachAllocation) {
+  // One Aalo replay is one packet.replay; every reallocation is one
+  // packet.allocate, and both children nest inside the replay.
+  SyntheticTraceConfig cfg;
+  cfg.num_coflows = 20;
+  cfg.num_ports = 12;
+  const Trace trace = GenerateSyntheticTrace(cfg);
+  packet::PacketReplayConfig pc;
+  pc.reallocate_on_flow_completion = true;
+  pc.track_queue_crossings = true;
+  const auto aalo = packet::MakeAaloAllocator();
+  GlobalMetrics().Reset();
+  const packet::PacketReplayResult result =
+      packet::ReplayPacketTrace(trace, *aalo, pc);
+  const MetricsRegistry merged = GlobalMetrics().Merged();
+  const PhaseStats* replay = merged.FindPhase("packet.replay");
+  const PhaseStats* allocate = merged.FindPhase("packet.allocate");
+  const PhaseStats* advance = merged.FindPhase("packet.advance");
+  ASSERT_NE(replay, nullptr);
+  ASSERT_NE(allocate, nullptr);
+  ASSERT_NE(advance, nullptr);
+  EXPECT_EQ(replay->count, 1u);
+  EXPECT_EQ(allocate->count, result.reschedules);
+  EXPECT_GE(advance->count, result.reschedules);
+  EXPECT_NEAR(replay->self_ns,
+              replay->total_ns - allocate->total_ns - advance->total_ns,
+              1e-3 * replay->total_ns);
 }
 
 TEST(ProfilerTest, EnginePlanScopeIsTheOneReplanClock) {

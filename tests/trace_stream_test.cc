@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -320,8 +321,8 @@ std::string StoreBlockFile(const std::string& name, std::uint32_t num_ports,
 // A checksum-valid store block whose one coflow claims 2^56 flows: the
 // count must be bounded by the payload before it sizes the flow vector.
 TEST(TraceStream, FlowCountAboveBlockPayloadRejected) {
-  std::vector<std::uint8_t> payload(9, 0);  // id 0, arrival 0.0
-  payload.insert(payload.end(), 8, 0x80);   // varint 2^56
+  std::vector<std::uint8_t> payload(17, 0x80);  // bytes 9..16: varint 2^56
+  std::fill_n(payload.begin(), 9, 0);            // id 0, arrival 0.0
   payload.push_back(0x01);
   ExpectHeaderFieldRejected(StoreBlockFile("flow_count.sft", 4, payload),
                             "flow count");
