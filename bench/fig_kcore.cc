@@ -7,9 +7,10 @@
 // scheduling question: how much does pinning each coflow to one core (the
 // K-core literature's O(K)-style baseline, sched/kcore.h) cost against
 // letting the planner pick the earliest feasible plane per reservation?
-// Every replay is traced into a memory sink and audited (obs/audit.h) —
-// plane-exclusivity and δ-carryover violations fail the bench, so the
-// committed baseline doubles as a physical-consistency gate for the
+// Every replay is traced into a memory sink and audited (obs/audit.h)
+// with its demand — per-plane port exclusivity, δ paid once and in full
+// per circuit, and every byte served; any violation fails the bench, so
+// the committed baseline doubles as a physical-consistency gate for the
 // K-core execution path.
 #include <cstdio>
 #include <map>
@@ -90,7 +91,9 @@ int main(int argc, char** argv) {
       for (const auto& [id, cct] : result.cct) totals[mode] += cct;
       makespans[mode] = result.makespan;
 
-      const obs::AuditReport audit = obs::AuditTrace(sink.events());
+      const obs::AuditDemand demand = AuditDemandOf(w.trace, ec.sunflow);
+      const obs::AuditReport audit = obs::AuditTrace(
+          sink.events(), -1, obs::AuditScope::kSharedFabric, &demand);
       for (const obs::AuditViolation& v : audit.violations) {
         std::fprintf(stderr, "K=%d %s audit [%s] %s\n", k,
                      mode == 0 ? "joint" : "percore", v.invariant.c_str(),
@@ -118,8 +121,8 @@ int main(int argc, char** argv) {
         totals[0] > 0 ? totals[1] / totals[0] : 0);
   }
   table.AddFootnote(
-      "every replay audited for plane-exclusivity / delta-carryover; "
-      "violations fail the bench");
+      "every replay audited per plane (port exclusivity, delta paid once "
+      "and in full, every byte served); violations fail the bench");
   table.Print(std::cout);
   session.AddManifestValue("kcore.audit_violations",
                            static_cast<double>(audit_violations));

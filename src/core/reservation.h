@@ -30,13 +30,4 @@ struct CircuitReservation {
   std::string DebugString() const;
 };
 
-/// Identifies a subflow by its coflow and port pair.
-struct FlowKey {
-  CoflowId coflow = -1;
-  PortId src = 0;
-  PortId dst = 0;
-
-  friend auto operator<=>(const FlowKey&, const FlowKey&) = default;
-};
-
 }  // namespace sunflow

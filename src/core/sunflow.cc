@@ -8,6 +8,7 @@
 
 #include "common/assert.h"
 #include "common/rng.h"
+#include "obs/audit.h"
 #include "obs/profiler.h"
 #include "obs/trace_sink.h"
 
@@ -289,7 +290,6 @@ class SunflowPlanner::Walk {
       if (rest <= kTimeEps) {
         remaining_[idx] = 0;
         const Time flow_finish = t + l;
-        out_.flow_finish[{request_.coflow, f.src, f.dst}] = flow_finish;
         finish_ = std::max(finish_, flow_finish);
         obs::Emit(sink_, {.type = obs::EventType::kFlowFinished,
                           .t = flow_finish,
@@ -485,6 +485,19 @@ SunflowSchedule ScheduleSingleCoflow(const Coflow& coflow, PortId num_ports,
   planner.ScheduleOne(req, out);
   out.reservations = planner.prt().reservations();
   return out;
+}
+
+obs::AuditDemand AuditDemandOf(const Trace& trace,
+                               const SunflowConfig& config) {
+  obs::AuditDemand demand;
+  for (const PlaneSpec& p :
+       config.fabric.EffectivePlanes(config.delta, config.bandwidth))
+    demand.planes.push_back({p.delta, p.rate});
+  for (const Coflow& c : trace.coflows) {
+    for (const Flow& f : c.flows())
+      demand.flow_bytes[{c.id(), f.src, f.dst}] += f.bytes;
+  }
+  return demand;
 }
 
 }  // namespace sunflow

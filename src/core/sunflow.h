@@ -21,6 +21,7 @@
 #include "trace/coflow.h"
 
 namespace sunflow::obs {
+struct AuditDemand;
 class TraceSink;
 }  // namespace sunflow::obs
 
@@ -72,8 +73,6 @@ using FabricEstablished = std::vector<EstablishedCircuits>;
 struct SunflowSchedule {
   /// Planned CCT per coflow id: max flow finish − coflow start time.
   std::map<CoflowId, Time> completion_time;
-  /// Absolute finish time of each flow.
-  std::map<FlowKey, Time> flow_finish;
   /// Number of reservations (== circuit setups when no carry-over) per
   /// coflow — Fig 5's switching count.
   std::map<CoflowId, int> reservation_count;
@@ -194,5 +193,10 @@ class SunflowPlanner {
 SunflowSchedule ScheduleSingleCoflow(const Coflow& coflow, PortId num_ports,
                                      const SunflowConfig& config,
                                      obs::TraceSink* sink = nullptr);
+
+/// The auditor's demand input (obs/audit.h) for traces of `trace`'s
+/// coflows on `config`'s planes: each effective plane's (δ, rate) and each
+/// flow's bytes.
+obs::AuditDemand AuditDemandOf(const Trace& trace, const SunflowConfig& config);
 
 }  // namespace sunflow

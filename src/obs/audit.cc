@@ -69,7 +69,8 @@ using Ctx = std::pair<CoflowId, int>;
 }  // namespace
 
 AuditReport AuditTrace(std::span<const Event> events,
-                       long long expected_setups, AuditScope scope) {
+                       long long expected_setups, AuditScope scope,
+                       const AuditDemand* demand) {
   const bool shared = scope == AuditScope::kSharedFabric;
   AuditReport report;
   report.events = events.size();
@@ -243,6 +244,23 @@ AuditReport AuditTrace(std::span<const Event> events,
   for (auto& [key, spans] : by_out)
     check_port("output", std::get<1>(key), std::get<2>(key), spans);
 
+  // The demand rules run on a shared timeline only (the demand names each
+  // flow once; kPerCoflow replays it often).
+  const AuditDemand* const shared_demand = shared ? demand : nullptr;
+  auto plane_of = [&](const Span& s) -> const AuditDemand::Plane* {
+    const auto& planes = shared_demand->planes;
+    const auto p = static_cast<std::size_t>(s.plane);
+    return s.plane >= 0 && p < planes.size() ? &planes[p] : nullptr;
+  };
+  // A span's plane charges δ on a fresh connect: with a demand, when that
+  // plane's δ is positive (or the plane is undeclared); without one, when
+  // any span of the trace paid δ.
+  auto pays_delta = [&](const Span& s) {
+    if (shared_demand == nullptr) return any_delta;
+    const AuditDemand::Plane* plane = plane_of(s);
+    return plane == nullptr || plane->delta > kTimeEps;
+  };
+
   // delta-bounds + delta-carryover.
   std::map<PlaneId, Time> last_end_by_plane;
   for (auto& [key, spans] : by_pair) {
@@ -255,7 +273,7 @@ AuditReport AuditTrace(std::span<const Event> events,
                   s.setup >= -kTimeEps &&
                       s.setup <= (s.end - s.begin) + kTimeEps,
                   [&] { return "setup outside span: " + FmtSpan(s); });
-      if (any_delta && s.setup <= kTimeEps) {
+      if (s.setup <= kTimeEps && pays_delta(s)) {
         // δ is paid exactly once per reconfiguration: a free setup must
         // continue a circuit that was already up on this pair — on the
         // same plane (a circuit carried over on plane p says nothing
@@ -403,6 +421,61 @@ AuditReport AuditTrace(std::span<const Event> events,
         os << "teardown of " << in << "->" << out << " at t=" << t;
         if (plane != 0) os << " on plane " << plane;
         os << " matches no circuit span end";
+        return os.str();
+      });
+    }
+  }
+
+  // delta-length and bytes-served: the demand rules.
+  if (shared_demand != nullptr) {
+    // A δ-paying span pays its plane's δ, or all of its length when a
+    // replan cut it mid-reconfiguration.
+    for (const auto& [key, spans] : by_pair) {
+      for (const Span& s : spans) {
+        if (s.setup <= kTimeEps) continue;
+        const AuditDemand::Plane* plane = plane_of(s);
+        audit.Check(
+            "delta-length",
+            plane != nullptr &&
+                SameInstant(s.setup, std::min(plane->delta, s.end - s.begin)),
+            [&] {
+              return "setup is not min(its plane's delta, span length): " +
+                     FmtSpan(s);
+            });
+      }
+    }
+    // Every flow the trace finishes got its bytes from its own circuit
+    // spans by then. τ rounds drain fluidly outside circuit spans, so a
+    // trace with any skips the rule.
+    for (const auto& [flow, bytes] : shared_demand->flow_bytes) {
+      if (!tau_spans.empty()) break;
+      const auto& [coflow, in, out] = flow;
+      const Ctx ctx{-1, 0};
+      Time finish = kTimeInf;
+      if (const auto f = finishes.find({ctx, coflow, in, out});
+          f != finishes.end()) {
+        finish = *std::min_element(f->second.begin(), f->second.end());
+      } else if (const auto c = coflows.find(coflow);
+                 c != coflows.end() && c->second.back().completed > 0) {
+        finish = c->second.back().completed_t;
+      }
+      if (finish == kTimeInf) continue;  // the trace never finishes it
+      Bytes served = 0;
+      if (const auto spans = by_pair.find({ctx, in, out});
+          spans != by_pair.end()) {
+        for (const Span& s : spans->second) {
+          const AuditDemand::Plane* plane = plane_of(s);
+          const Time transmit = std::min(s.end, finish) - (s.begin + s.setup);
+          if (s.coflow == coflow && plane != nullptr && transmit > 0)
+            served += transmit * plane->rate;
+        }
+      }
+      audit.Check("bytes-served", served >= bytes - kBytesEps, [&] {
+        std::ostringstream os;
+        os.precision(17);
+        os << "coflow " << coflow << " flow " << in << "->" << out
+           << " finished at t=" << finish << " with " << served << " of "
+           << bytes << " bytes served by its circuit spans";
         return os.str();
       });
     }

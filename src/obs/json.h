@@ -1,11 +1,11 @@
 // Minimal JSON document model — build, serialize, parse.
 //
 // The run-manifest and bench-regression tooling need real (nested) JSON,
-// unlike the flat single-line events obs/jsonl.h scans with a field
-// finder. This is a deliberately small tagged-variant value: enough to
-// write a manifest, read it back byte-faithfully, and diff two bench
-// result files — not a general-purpose JSON library (no streaming, no
-// comments, UTF-8 passes through unvalidated).
+// and the JSONL trace reader (obs/jsonl.h) parses each event line with it.
+// This is a deliberately small tagged-variant value: enough to write a
+// manifest, read it back byte-faithfully, and diff two bench result files
+// — not a general-purpose JSON library (no streaming, no comments, UTF-8
+// passes through unvalidated).
 //
 // Numbers are doubles; serialization uses the shortest representation
 // that round-trips exactly (FormatJsonNumber, shared with the JSONL

@@ -1,8 +1,9 @@
 #include "obs/jsonl.h"
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -89,76 +90,89 @@ void JsonlStreamSink::Flush() {
 
 namespace {
 
-// Minimal field scanner for the exact shape WriteJsonlEvent produces (and
-// any whitespace-insensitive reordering of it). Finds `"key":` and parses
-// the value that follows; good enough for our own format without pulling
-// in a JSON dependency.
-bool FindValue(const std::string& line, const char* key, std::string& out) {
-  const std::string needle = std::string("\"") + key + "\"";
-  std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  pos += needle.size();
-  while (pos < line.size() && (line[pos] == ' ' || line[pos] == ':')) ++pos;
-  if (pos >= line.size()) return false;
-  if (line[pos] == '"') {
-    const std::size_t end = line.find('"', pos + 1);
-    if (end == std::string::npos) return false;
-    out = line.substr(pos + 1, end - pos - 1);
-  } else {
-    std::size_t end = pos;
-    while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-    out = line.substr(pos, end - pos);
+// One JSONL line parsed by JsonValue::Parse. Every accessor throws a
+// std::runtime_error naming the line and the field.
+class Line {
+ public:
+  Line(const std::string& text, int line_no) : line_no_(line_no) {
+    try {
+      doc_ = JsonValue::Parse(text);
+    } catch (const std::runtime_error& e) {
+      Fail(e.what());
+    }
+    if (!doc_.is_object()) Fail("not a JSON object");
   }
-  return true;
-}
 
-double ParseNum(const std::string& s, int line_no, const char* key) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str()) {
-    throw std::runtime_error("jsonl line " + std::to_string(line_no) +
-                             ": bad number for \"" + key + "\"");
+  [[noreturn]] void Fail(const std::string& what) const {
+    throw std::runtime_error("jsonl line " + std::to_string(line_no_) +
+                             ": " + what);
   }
-  return v;
-}
+
+  const std::string& Type() const {
+    const JsonValue* v = doc_.Find("type");
+    if (v == nullptr || !v->is_string()) Fail("missing \"type\"");
+    return v->AsString();
+  }
+
+  // The finite number under `key`; `fallback` when the line has none, or
+  // an error when it has no fallback.
+  double Number(const char* key, std::optional<double> fallback) const {
+    const JsonValue* v = doc_.Find(key);
+    if (v == nullptr) {
+      if (!fallback) Fail(std::string("missing \"") + key + "\"");
+      return *fallback;
+    }
+    if (!v->is_number() || !std::isfinite(v->AsNumber()))
+      Fail(std::string("\"") + key + "\" must be a finite number, got " +
+           v->ToString());
+    return v->AsNumber();
+  }
+
+  // The integer in [lo, end) under `key`; `fallback` when the line has
+  // none. `range` spells the bounds for the error.
+  std::int64_t Integer(const char* key, std::int64_t fallback, double lo,
+                       double end, const char* range) const {
+    const JsonValue* v = doc_.Find(key);
+    if (v == nullptr) return fallback;
+    const double d = v->is_number() ? v->AsNumber() : std::nan("");
+    if (!(d >= lo && d < end && d == std::floor(d)))
+      Fail(std::string("\"") + key + "\" must be an integer in " + range +
+           ", got " + v->ToString());
+    return static_cast<std::int64_t>(d);
+  }
+
+ private:
+  JsonValue doc_;
+  int line_no_;
+};
 
 }  // namespace
 
 std::vector<Event> ReadJsonl(std::istream& in) {
+  // Ids are in [0, INT32_MAX] (the writer omits negative ones); counts in
+  // int64 range. Both ends are powers of two, exact as doubles.
+  constexpr double kIdEnd = 0x1p31;
+  constexpr const char* kIdRange = "[0, 2147483647]";
   std::vector<Event> events;
-  std::string line;
+  std::string text;
   int line_no = 0;
-  while (std::getline(in, line)) {
+  while (std::getline(in, text)) {
     ++line_no;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    std::string field;
-    if (!FindValue(line, "type", field)) {
-      throw std::runtime_error("jsonl line " + std::to_string(line_no) +
-                               ": missing \"type\"");
-    }
+    if (text.find_first_not_of(" \t\r") == std::string::npos) continue;
+    const Line line(text, line_no);
     Event e;
-    if (!EventTypeFromString(field, e.type)) {
-      throw std::runtime_error("jsonl line " + std::to_string(line_no) +
-                               ": unknown event type '" + field + "'");
-    }
-    if (!FindValue(line, "t", field)) {
-      throw std::runtime_error("jsonl line " + std::to_string(line_no) +
-                               ": missing \"t\"");
-    }
-    e.t = ParseNum(field, line_no, "t");
-    if (FindValue(line, "dur", field)) e.dur = ParseNum(field, line_no, "dur");
-    if (FindValue(line, "coflow", field))
-      e.coflow = static_cast<CoflowId>(ParseNum(field, line_no, "coflow"));
-    if (FindValue(line, "in", field))
-      e.in = static_cast<PortId>(ParseNum(field, line_no, "in"));
-    if (FindValue(line, "out", field))
-      e.out = static_cast<PortId>(ParseNum(field, line_no, "out"));
-    if (FindValue(line, "value", field))
-      e.value = ParseNum(field, line_no, "value");
-    if (FindValue(line, "count", field))
-      e.count = static_cast<std::int64_t>(ParseNum(field, line_no, "count"));
-    if (FindValue(line, "plane", field))
-      e.plane = static_cast<PlaneId>(ParseNum(field, line_no, "plane"));
+    const std::string& type = line.Type();
+    if (!EventTypeFromString(type, e.type))
+      line.Fail("unknown event type '" + type + "'");
+    e.t = line.Number("t", std::nullopt);
+    e.dur = line.Number("dur", 0.0);
+    e.value = line.Number("value", 0.0);
+    e.coflow = line.Integer("coflow", -1, 0, kIdEnd, kIdRange);
+    e.in = static_cast<PortId>(line.Integer("in", -1, 0, kIdEnd, kIdRange));
+    e.out = static_cast<PortId>(line.Integer("out", -1, 0, kIdEnd, kIdRange));
+    e.plane =
+        static_cast<PlaneId>(line.Integer("plane", 0, 0, kIdEnd, kIdRange));
+    e.count = line.Integer("count", 0, -0x1p63, 0x1p63, "int64 range");
     events.push_back(e);
   }
   return events;

@@ -25,8 +25,12 @@ void WriteJsonlEvent(std::ostream& out, const Event& event);
 /// Writes all events, one line each.
 void WriteJsonl(std::ostream& out, std::span<const Event> events);
 
-/// Parses a JSONL stream written by WriteJsonl. Blank lines are skipped;
-/// malformed lines throw std::runtime_error naming the line number.
+/// Parses a JSONL stream written by WriteJsonl, one JsonValue::Parse per
+/// line. Blank lines are skipped. A malformed line throws
+/// std::runtime_error naming the line number and the field: a non-finite
+/// `t`, `dur` or `value`; a `coflow`, `in`, `out` or `plane` that is not an
+/// integer in [0, INT32_MAX]; a `count` that is not an integer in int64
+/// range.
 std::vector<Event> ReadJsonl(std::istream& in);
 
 /// Convenience: parse a whole file. Throws std::runtime_error if the file

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -33,6 +35,37 @@ std::vector<Bandwidth> PlaneRates(const SunflowConfig& config) {
        config.fabric.EffectivePlanes(config.delta, config.bandwidth))
     rates.push_back(p.rate);
   return rates;
+}
+
+// What a stall CHECK prints, built only when it fails: the scenario, both
+// instants at full precision, the first active coflows with their
+// remaining bytes and planned completion, and the pending releases.
+std::string StallState(const std::string& scenario, SimState& s,
+                       const SunflowSchedule& plan, Time t, Time t_next) {
+  constexpr std::size_t kShown = 8;
+  std::ostringstream os;
+  os.precision(17);
+  os << scenario << " replay stalled: t=" << t << " s, t_next=" << t_next
+     << " s, " << s.active().size() << " active coflows [";
+  for (std::size_t i = 0; i < s.active().size() && i < kShown; ++i) {
+    const SimCoflow& sc = s.active()[i];
+    os << (i > 0 ? "; " : "") << "coflow " << sc.id << ": "
+       << sc.remaining_bytes() << " bytes left, planned completion ";
+    const auto planned = plan.completion_time.find(sc.id);
+    if (planned == plan.completion_time.end()) {
+      os << "none";
+    } else {
+      os << "t=" << t + planned->second << " s";
+    }
+  }
+  os << (s.active().size() > kShown ? "; ...]" : "]") << ", "
+     << s.releases().size() << " pending releases, next release ";
+  if (s.HasPendingReleases()) {
+    os << "t=" << s.NextReleaseTime() << " s";
+  } else {
+    os << "none";
+  }
+  return os.str();
 }
 
 bool AnyEstablished(const FabricEstablished& established) {
@@ -221,7 +254,6 @@ SunflowSchedule PlanPerCore(const EngineConfig& config, PortId num_ports,
                              core_plan.reservations.end());
     plan.completion_time.merge(core_plan.completion_time);
     plan.reservation_count.merge(core_plan.reservation_count);
-    plan.flow_finish.merge(core_plan.flow_finish);
   }
   return plan;
 }
@@ -339,7 +371,7 @@ class CircuitScenario final : public ScenarioPolicy {
       t_next = std::min(t_next, t + it->second);
     }
     SUNFLOW_CHECK_MSG(t_next < kTimeInf && t_next > t,
-                      name_ << " replay stalled at t=" << t);
+                      StallState(name_, s, plan, t, t_next));
 
     ExecutePlanSpan(driver, active, plan, t, t_next, plane_rates_,
                     DrainRule::kCircuitDust, span_scratch_);
@@ -420,7 +452,7 @@ class GuardScenario final : public ScenarioPolicy {
       Time t_next = std::min(span_end, t_arrival);
       for (const auto& sc : active)
         t_next = std::min(t_next, t + plan.completion_time.at(sc.id));
-      SUNFLOW_CHECK(t_next > t);
+      SUNFLOW_CHECK_MSG(t_next > t, StallState(name(), s, plan, t, t_next));
 
       ExecutePlanSpan(driver, active, plan, t, t_next, plane_rates_,
                       DrainRule::kExactFinish, span_scratch_);

@@ -17,6 +17,7 @@
 
 #include "common/rng.h"
 #include "core/policy.h"
+#include "obs/audit.h"
 #include "obs/trace_sink.h"
 #include "sim/engine/driver.h"
 #include "sim/engine/event_queue.h"
@@ -298,6 +299,42 @@ TEST(ScenarioRegistry, RunExecutesByName) {
   EXPECT_EQ(result.queue.pushes, result.queue.pops);
 }
 
+TEST(ScenarioRegistry, StallChecksNameTheStuckCoflow) {
+  // A 5-byte flow needs 0.4 ns of a 100 Gbps circuit. The planner drops
+  // demand of at most kTimeEps, but the replay keeps a flow pending while
+  // more than kBytesEps is left, so coflow 1 is planned to finish at t = 0
+  // and never does (a known gap between the two ε policies). Both
+  // circuit-planning scenarios stall there; their CHECKs must say who is
+  // stuck and with how many bytes.
+  Trace trace;
+  trace.num_ports = 4;
+  trace.coflows.push_back(Coflow(1, 0.0, {{0, 1, 5}}));
+  trace.coflows.push_back(Coflow(2, 0.0, {{1, 2, MB(1)}}));
+  EngineConfig circuit;
+  circuit.sunflow.bandwidth = Gbps(100);
+  circuit.sunflow.delta = 0;
+  EngineConfig guarded = circuit;
+  guarded.sunflow.delta = Micros(1);
+  guarded.guard.small_interval = Millis(1);
+  const auto policy = MakeShortestFirstPolicy();
+  for (const auto& [name, ec] :
+       {std::pair{"circuit", circuit}, std::pair{"guarded", guarded}}) {
+    try {
+      ScenarioRegistry::Global().Run(name, trace, policy.get(), ec);
+      ADD_FAILURE() << name << " did not stall";
+    } catch (const CheckFailure& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string(name) + " replay stalled: t=0 s"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("coflow 1: 5 bytes left, planned completion t=0 s"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("0 pending releases"), std::string::npos) << what;
+    }
+  }
+}
+
 // Bitwise, not numeric, equality: the two runs must agree to the last bit.
 void ExpectBitIdentical(const std::map<CoflowId, Time>& a,
                         const std::map<CoflowId, Time>& b,
@@ -437,6 +474,40 @@ TEST(ScenarioRegistry, CctsInvariantUnderByteAndRateScaling) {
     covered.insert(c.scenario);
   }
   ExpectEveryScenarioCovered(covered, "checked under scaling");
+}
+
+TEST(ScenarioRegistry, EveryTraceAuditsClean) {
+  // Every scenario's trace is physically consistent against its demand
+  // (obs/audit.h): ports held exclusively per plane, δ paid once and in
+  // full, every finished flow served all its bytes. "guarded" keeps every
+  // rule but bytes-served, which the auditor skips on traces with τ
+  // rounds. "rotor" is left out: its fluid drains finish flows that no
+  // circuit span carries (it emits none), so flow-in-circuit cannot hold.
+  SyntheticTraceConfig cfg;
+  cfg.num_coflows = 60;
+  cfg.num_ports = 24;
+  const Trace trace =
+      PerturbFlowSizes(GenerateSyntheticTrace(cfg), 0.05, MB(1), cfg.seed + 1);
+  const auto policy = MakeShortestFirstPolicy();
+
+  std::set<std::string> covered = {"rotor"};
+  for (const ScenarioCase& c : ScenarioCases()) {
+    if (c.scenario == "rotor") continue;
+    EngineConfig ec = c.Config();
+    obs::MemorySink sink;
+    ec.sink = &sink;
+    ScenarioRegistry::Global().Run(c.scenario, trace, policy.get(), ec);
+    const obs::AuditDemand demand = AuditDemandOf(trace, ec.sunflow);
+    const obs::AuditReport audit = obs::AuditTrace(
+        sink.events(), -1, obs::AuditScope::kSharedFabric, &demand);
+    // The demand rules ran on top of the demand-free ones.
+    EXPECT_GT(audit.checks, obs::AuditTrace(sink.events()).checks)
+        << c.what();
+    for (const auto& v : audit.violations)
+      ADD_FAILURE() << c.what() << " [" << v.invariant << "] " << v.detail;
+    covered.insert(c.scenario);
+  }
+  ExpectEveryScenarioCovered(covered, "audited");
 }
 
 }  // namespace

@@ -1,13 +1,18 @@
 // Randomized end-to-end invariant sweep: across δ regimes, orderings,
-// quantization, carry-over and policies, every pipeline stage must uphold
-// its contracts (bounds, conservation, executability) on random workloads.
+// quantization, carry-over, policies and K ∈ {1, 2, 3} switch planes,
+// every pipeline stage must uphold its contracts (bounds, conservation,
+// executability) on random workloads. Executability is the trace audit
+// (obs/audit.h) with the demand input: every intra plan and every inter
+// replay holds each port of each plane exclusively, pays that plane's δ
+// once per circuit and serves every byte of every flow it finishes.
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "common/rng.h"
 #include "core/policy.h"
-#include "net/driver.h"
+#include "obs/audit.h"
+#include "obs/trace_sink.h"
 #include "sim/engine/scenario.h"
 #include "trace/bounds.h"
 #include "trace/generator.h"
@@ -40,6 +45,15 @@ std::string CaseName(const ::testing::TestParamInfo<FuzzCase>& info) {
 
 class EndToEndFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
+void ExpectAuditsClean(const std::vector<obs::Event>& events,
+                       const obs::AuditDemand& demand,
+                       const std::string& what) {
+  const obs::AuditReport audit =
+      obs::AuditTrace(events, -1, obs::AuditScope::kSharedFabric, &demand);
+  for (const auto& v : audit.violations)
+    ADD_FAILURE() << what << " [" << v.invariant << "] " << v.detail;
+}
+
 TEST_P(EndToEndFuzz, AllInvariantsHold) {
   const FuzzCase& param = GetParam();
   Rng rng(param.seed);
@@ -53,41 +67,58 @@ TEST_P(EndToEndFuzz, AllInvariantsHold) {
   const Trace trace =
       PerturbFlowSizes(GenerateSyntheticTrace(tc), 0.05, MB(1), param.seed);
 
-  SunflowConfig sc;
-  sc.delta = param.delta;
-  sc.order = param.order;
-  sc.shuffle_seed = param.seed;
-  sc.demand_quantum = param.quantum;
+  for (int k = 1; k <= 3; ++k) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    SunflowConfig sc;
+    sc.delta = param.delta;
+    sc.order = param.order;
+    sc.shuffle_seed = param.seed;
+    sc.demand_quantum = param.quantum;
+    // Plane p runs at B/(p+1) with δ·(p+1), so both audit rules see
+    // unequal planes. K = 1 is the classic fabric bit for bit.
+    Bandwidth aggregate = 0;
+    for (int p = 0; p < k; ++p) {
+      sc.fabric.planes.push_back({param.delta * (p + 1),
+                                  sc.bandwidth / (p + 1)});
+      aggregate += sc.fabric.planes.back().rate;
+    }
+    const obs::AuditDemand demand = AuditDemandOf(trace, sc);
 
-  // --- Intra: every coflow within Lemma 1 (against quantized bounds) and
-  // executable on the stateful switch. ---
-  for (const Coflow& c : trace.coflows) {
-    const auto schedule =
-        ScheduleSingleCoflow(c.WithArrival(0), trace.num_ports, sc);
-    const Time tcl = CircuitLowerBound(c, sc.bandwidth, sc.delta);
-    const Time slack = param.quantum * static_cast<double>(c.size());
-    ASSERT_LE(schedule.completion_time.at(c.id()),
-              2 * (tcl + slack) + 1e-9)
-        << c.DebugString();
-    const auto driven =
-        net::ExecuteOnSwitch(schedule, trace.num_ports, sc);
-    driven.VerifyAgainst(schedule, sc.bandwidth);
-  }
+    // --- Intra: every plan audits clean against its demand; on one plane
+    // every coflow is within Lemma 1 (against quantized bounds). ---
+    for (const Coflow& c : trace.coflows) {
+      obs::MemorySink sink;
+      const auto schedule = ScheduleSingleCoflow(c.WithArrival(0),
+                                                 trace.num_ports, sc, &sink);
+      if (k == 1) {
+        const Time tcl = CircuitLowerBound(c, sc.bandwidth, sc.delta);
+        const Time slack = param.quantum * static_cast<double>(c.size());
+        ASSERT_LE(schedule.completion_time.at(c.id()),
+                  2 * (tcl + slack) + 1e-9)
+            << c.DebugString();
+      }
+      ExpectAuditsClean(sink.events(), demand,
+                        "intra coflow " + std::to_string(c.id()));
+    }
 
-  // --- Inter replay: completes everything, never beats the packet bound.
-  engine::EngineConfig rc;
-  rc.sunflow = sc;
-  rc.carry_over_circuits = param.carry_over;
-  const auto policy =
-      param.fifo ? MakeFifoPolicy() : MakeShortestFirstPolicy();
-  const auto replay =
-      engine::ScenarioRegistry::Global().Run("circuit", trace, policy.get(), rc);
-  ASSERT_EQ(replay.cct.size(), trace.coflows.size());
-  for (const Coflow& c : trace.coflows) {
-    ASSERT_GE(replay.cct.at(c.id()),
-              PacketLowerBound(c, sc.bandwidth) - 1e-6)
-        << c.DebugString();
-    ASSERT_GE(replay.completion.at(c.id()), c.arrival());
+    // --- Inter replay: completes everything, never beats the packet bound
+    // at the aggregate plane rate, and audits clean. ---
+    engine::EngineConfig rc;
+    rc.sunflow = sc;
+    rc.carry_over_circuits = param.carry_over;
+    obs::MemorySink sink;
+    rc.sink = &sink;
+    const auto policy =
+        param.fifo ? MakeFifoPolicy() : MakeShortestFirstPolicy();
+    const auto replay = engine::ScenarioRegistry::Global().Run(
+        "circuit", trace, policy.get(), rc);
+    ASSERT_EQ(replay.cct.size(), trace.coflows.size());
+    for (const Coflow& c : trace.coflows) {
+      ASSERT_GE(replay.cct.at(c.id()), PacketLowerBound(c, aggregate) - 1e-6)
+          << c.DebugString();
+      ASSERT_GE(replay.completion.at(c.id()), c.arrival());
+    }
+    ExpectAuditsClean(sink.events(), demand, "inter replay");
   }
 }
 

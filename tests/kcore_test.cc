@@ -2,7 +2,8 @@
 // "kcore" engine scenario, and the K=1 equivalence contract — with an
 // empty fabric (or an explicit single full-rate plane) the plane-aware
 // machinery must reproduce the classic "circuit" scenario exactly, and on
-// K>1 fabrics every emitted trace must pass the plane-exclusivity audit.
+// K>1 fabrics every emitted trace must audit clean against its demand
+// (per-plane port exclusivity and δ, every byte served).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -182,7 +183,9 @@ TEST(KCoreScenario, PerCoreUsesAllPlanesAndAuditsClean) {
   // actually spread the coflows over both cores.
   EXPECT_EQ(planes_seen, (std::set<PlaneId>{0, 1}));
 
-  const obs::AuditReport audit = obs::AuditTrace(sink.events());
+  const obs::AuditDemand demand = AuditDemandOf(trace, ec.sunflow);
+  const obs::AuditReport audit = obs::AuditTrace(
+      sink.events(), -1, obs::AuditScope::kSharedFabric, &demand);
   for (const auto& v : audit.violations) {
     ADD_FAILURE() << "[" << v.invariant << "] " << v.detail;
   }
@@ -208,7 +211,9 @@ TEST(KCoreScenario, JointMultiPlaneAuditsCleanAndBeatsSplitPerCore) {
         "kcore", trace, policy.get(), ec);
     EXPECT_EQ(result.cct.size(), trace.coflows.size());
     for (const auto& [id, cct] : result.cct) totals[joint ? 0 : 1] += cct;
-    const obs::AuditReport audit = obs::AuditTrace(sink.events());
+    const obs::AuditDemand demand = AuditDemandOf(trace, ec.sunflow);
+    const obs::AuditReport audit = obs::AuditTrace(
+        sink.events(), -1, obs::AuditScope::kSharedFabric, &demand);
     for (const auto& v : audit.violations) {
       ADD_FAILURE() << "joint=" << joint << " [" << v.invariant << "] "
                     << v.detail;

@@ -7,7 +7,9 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -297,6 +299,74 @@ TEST(ObsJsonl, SkipsBlankLinesAndReportsBadLines) {
   }
 }
 
+// Reads a two-line stream whose second line is `line`; expects an error
+// naming line 2 and `field`.
+void ExpectLineRejected(const std::string& line, const std::string& field) {
+  std::istringstream in("{\"type\":\"FlowFinished\",\"t\":0}\n" + line +
+                        "\n");
+  try {
+    obs::ReadJsonl(in);
+    ADD_FAILURE() << "accepted: " << line;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+  }
+}
+
+TEST(ObsJsonl, RejectsIdsThatAreNotInt32Integers) {
+  // A fractional id used to truncate, and an id past INT32_MAX to wrap
+  // negative, where the auditor exempts it as matching padding.
+  ExpectLineRejected(R"({"type":"CircuitSetup","t":1,"coflow":1.9})",
+                     "\"coflow\" must be an integer in [0, 2147483647], "
+                     "got 1.9");
+  ExpectLineRejected(R"({"type":"CircuitSetup","t":1,"in":4294967296})",
+                     "\"in\" must be an integer in [0, 2147483647], got "
+                     "4294967296");
+  ExpectLineRejected(R"({"type":"CircuitSetup","t":1,"out":-1})", "\"out\"");
+  ExpectLineRejected(R"({"type":"CircuitSetup","t":1,"plane":2147483648})",
+                     "\"plane\"");
+  ExpectLineRejected(R"({"type":"CircuitSetup","t":1,"in":"3"})", "\"in\"");
+}
+
+TEST(ObsJsonl, RejectsNonFiniteTimesValuesAndOutOfRangeCounts) {
+  ExpectLineRejected(R"({"type":"CircuitSetup","t":1e400})",
+                     "\"t\" must be a finite number");
+  ExpectLineRejected(R"({"type":"CircuitSetup","t":1,"dur":-1e400})",
+                     "\"dur\"");
+  ExpectLineRejected(R"({"type":"CircuitSetup","t":1,"value":null})",
+                     "\"value\"");
+  ExpectLineRejected(
+      R"({"type":"CircuitSetup","t":1,"count":9223372036854775808})",
+      "\"count\" must be an integer in int64 range");
+  ExpectLineRejected(R"({"type":"CircuitSetup","t":1,"count":0.5})",
+                     "\"count\"");
+  ExpectLineRejected(R"({"type":"CircuitSetup"})", "missing \"t\"");
+}
+
+TEST(ObsJsonl, RejectsWhatIsNotOneJsonObject) {
+  // Trailing characters after a number used to read as the number.
+  ExpectLineRejected(R"({"type":"CircuitSetup","t":12abc})", "json parse");
+  ExpectLineRejected(R"({"type":"CircuitSetup","t":nan})", "json parse");
+  ExpectLineRejected(R"({"type":"CircuitSetup","t":1} x)", "json parse");
+  ExpectLineRejected(R"(["CircuitSetup", 1])", "not a JSON object");
+  ExpectLineRejected(R"({"type":7,"t":1})", "missing \"type\"");
+}
+
+TEST(ObsJsonl, AcceptsTheLimitsOfEachField) {
+  std::istringstream in(
+      R"({"type":"CircuitSetup","t":-2.5,"coflow":2147483647,"in":0,)"
+      R"("out":2147483647,"plane":2147483647,"count":-9223372036854775808})");
+  const auto events = obs::ReadJsonl(in);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].t, -2.5);
+  EXPECT_EQ(events[0].coflow, 2147483647);
+  EXPECT_EQ(events[0].in, 0);
+  EXPECT_EQ(events[0].out, 2147483647);
+  EXPECT_EQ(events[0].plane, 2147483647);
+  EXPECT_EQ(events[0].count, std::numeric_limits<std::int64_t>::min());
+}
+
 // ---------------------------------------------------------------------------
 // Chrome trace exporter.
 
@@ -555,7 +625,7 @@ TEST(ObsInstrumentation, DisabledTracerLeavesScheduleUnchanged) {
   const auto traced = ScheduleSingleCoflow(M2MCoflow(), 4, cfg, &sink);
   const auto plain = ScheduleSingleCoflow(M2MCoflow(), 4, cfg, nullptr);
   EXPECT_EQ(traced.completion_time, plain.completion_time);
-  EXPECT_EQ(traced.flow_finish, plain.flow_finish);
+  EXPECT_EQ(traced.reservation_count, plain.reservation_count);
   ASSERT_EQ(traced.reservations.size(), plain.reservations.size());
   EXPECT_FALSE(sink.events().empty());
 }

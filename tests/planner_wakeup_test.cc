@@ -35,7 +35,6 @@ void ExpectReservationsEqual(const std::vector<CircuitReservation>& a,
 
 void ExpectSchedulesEqual(const SunflowSchedule& a, const SunflowSchedule& b) {
   EXPECT_EQ(a.completion_time, b.completion_time);
-  EXPECT_EQ(a.flow_finish, b.flow_finish);
   EXPECT_EQ(a.reservation_count, b.reservation_count);
   ExpectReservationsEqual(a.reservations, b.reservations);
 }

@@ -4,6 +4,7 @@
 #include "core/policy.h"
 #include "core/starvation.h"
 #include "core/sunflow.h"
+#include "obs/trace_sink.h"
 #include "trace/bounds.h"
 
 namespace sunflow {
@@ -83,6 +84,8 @@ TEST(SunflowInter, PaperFigure2Shape) {
   const auto c1_alone = ScheduleSingleCoflow(c1, 8, Config());
 
   SunflowPlanner planner(8, Config());
+  obs::MemorySink sink;
+  planner.SetTraceSink(&sink);
   const auto plan = planner.ScheduleAll(
       {PlanRequest::FromCoflow(c1, Gbps(1), 0.0),
        PlanRequest::FromCoflow(c2, Gbps(1), 0.0),
@@ -91,7 +94,8 @@ TEST(SunflowInter, PaperFigure2Shape) {
   EXPECT_NEAR(plan.completion_time.at(1), c1_alone.completion_time.at(1),
               1e-9);
   // All three coflows complete with all demand served.
-  EXPECT_EQ(plan.flow_finish.size(), c1.size() + c2.size() + c3.size());
+  EXPECT_EQ(sink.CountOf(obs::EventType::kFlowFinished),
+            c1.size() + c2.size() + c3.size());
   planner.prt().CheckInvariants();
 }
 

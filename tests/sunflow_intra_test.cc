@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "core/sunflow.h"
+#include "obs/trace_sink.h"
 #include "trace/bounds.h"
 #include "trace/generator.h"
 
@@ -106,7 +107,8 @@ TEST(SunflowIntra, AllDemandServed) {
   Rng rng(33);
   for (int trial = 0; trial < 20; ++trial) {
     const Coflow c = RandomCoflow(rng, 10, 6);
-    const auto schedule = ScheduleSingleCoflow(c, 10, Config());
+    obs::MemorySink sink;
+    const auto schedule = ScheduleSingleCoflow(c, 10, Config(), &sink);
     // Each flow's reservations transmit exactly its processing time.
     for (const Flow& f : c.flows()) {
       Time transmitted = 0;
@@ -115,8 +117,8 @@ TEST(SunflowIntra, AllDemandServed) {
       }
       EXPECT_NEAR(transmitted, f.bytes / Gbps(1), 1e-9);
     }
-    // And every flow finish is recorded.
-    EXPECT_EQ(schedule.flow_finish.size(), c.size());
+    // And every flow finish is traced.
+    EXPECT_EQ(sink.CountOf(obs::EventType::kFlowFinished), c.size());
   }
 }
 

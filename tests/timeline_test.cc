@@ -272,7 +272,9 @@ TEST(TimelineEngine, KCoreTraceWithSamplerAttributesAndAuditsClean) {
       engine::ScenarioRegistry::Global().Run("kcore", trace, policy.get(), ec);
   EXPECT_EQ(result.cct.size(), trace.coflows.size());
 
-  const obs::AuditReport audit = obs::AuditTrace(sink.events());
+  const obs::AuditDemand demand = AuditDemandOf(trace, ec.sunflow);
+  const obs::AuditReport audit = obs::AuditTrace(
+      sink.events(), -1, obs::AuditScope::kSharedFabric, &demand);
   for (const auto& v : audit.violations) {
     ADD_FAILURE() << "[" << v.invariant << "] " << v.detail;
   }
