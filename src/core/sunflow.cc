@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
-#include <queue>
 #include <utility>
 
 #include "common/assert.h"
 #include "common/rng.h"
 #include "obs/audit.h"
+#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace_sink.h"
 
@@ -385,6 +386,24 @@ class SunflowPlanner::Walk {
   int reservations_made_ = 0;
 };
 
+namespace {
+
+// Adds one call's planner work to the metrics: `tries` TryFlow calls, and
+// `wake_instants` instants after the request start at which the loop
+// retried flows. Both loops count locally and report once per call, so the
+// hot loop makes no metric call.
+void CountPlanWork(std::uint64_t tries, std::uint64_t wake_instants) {
+  // thread_local: GlobalMetrics() shards per thread (see obs/metrics.h).
+  static thread_local obs::Counter& tries_counter =
+      obs::GlobalMetrics().GetCounter("plan.tries");
+  static thread_local obs::Counter& instants_counter =
+      obs::GlobalMetrics().GetCounter("plan.wake_instants");
+  tries_counter.Increment(tries);
+  instants_counter.Increment(wake_instants);
+}
+
+}  // namespace
+
 Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
                                  SunflowSchedule& out) {
   SUNFLOW_PROFILE_SCOPE("core.plan");
@@ -399,37 +418,60 @@ Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
   Walk walk(*this, request, out);
   Time t = request.start;
 
+  // Sleeping flows, bucketed by their exact wakeup instant. A port's
+  // release wakes every flow queued behind it, so many flows share one
+  // instant and the ordered index holds distinct instants only. Emptied
+  // buckets keep their storage for the next new instant.
+  std::map<Time, std::vector<std::size_t>> sleeping;
+  std::vector<std::vector<std::size_t>> spare;
+  const auto sleep_until = [&](Time wake, std::size_t idx) {
+    auto [bucket, fresh] = sleeping.try_emplace(wake);
+    if (fresh && !spare.empty()) {
+      bucket->second.swap(spare.back());
+      spare.pop_back();
+    }
+    bucket->second.push_back(idx);
+  };
+
   // First pass at the request start, in Ordered() order. Flows that cannot
-  // finish here enter the wakeup queue.
-  using Wakeup = std::pair<Time, std::size_t>;
-  std::priority_queue<Wakeup, std::vector<Wakeup>, std::greater<>> wakeups;
+  // finish here go to sleep.
   for (std::size_t i = 0; i < walk.size(); ++i) {
     const Time w = walk.TryFlow(i, t);
-    if (w < kTimeInf) wakeups.push({w, i});
+    if (w < kTimeInf) sleep_until(w, i);
   }
 
   // Event-indexed walk: advance to the chain instant covering the
-  // earliest pending wakeup and retry only the flows woken there. The
+  // earliest wakeup and retry only the flows of the buckets it covers. The
   // rescan retries the whole pending list in Ordered() order at every
   // release instant; sorting the woken indices replays that order within
   // the subset, and the flows left sleeping are exactly the ones the
   // rescan would have retried and failed.
+  std::uint64_t tries = walk.size();
+  std::uint64_t wake_instants = 0;
   std::vector<std::size_t> woken;
-  while (!wakeups.empty()) {
-    const Time next = NextWakeInstant(t, wakeups.top().first, request.coflow);
+  while (!sleeping.empty()) {
+    const Time next =
+        NextWakeInstant(t, sleeping.begin()->first, request.coflow);
     SUNFLOW_CHECK(next > t);
     t = next;
     woken.clear();
-    while (!wakeups.empty() && wakeups.top().first <= t + kTimeEps) {
-      woken.push_back(wakeups.top().second);
-      wakeups.pop();
+    auto due = sleeping.begin();
+    for (; due != sleeping.end() && due->first <= t + kTimeEps; ++due) {
+      woken.insert(woken.end(), due->second.begin(), due->second.end());
+      due->second.clear();
+      spare.push_back(std::move(due->second));
     }
+    sleeping.erase(sleeping.begin(), due);
     std::sort(woken.begin(), woken.end());
+    // Every new wakeup lies beyond t + ε, so no flow rejoins this round.
     for (std::size_t idx : woken) {
       const Time w = walk.TryFlow(idx, t);
-      if (w < kTimeInf) wakeups.push({w, idx});
+      if (w < kTimeInf) sleep_until(w, idx);
     }
+    tries += woken.size();
+    ++wake_instants;
   }
+  CountPlanWork(tries, wake_instants);
   return walk.Finish();
 }
 
@@ -439,15 +481,21 @@ Time SunflowPlanner::ScheduleOneRescan(const PlanRequest& request,
   Walk walk(*this, request, out);
   std::vector<std::size_t> pending(walk.size());
   std::iota(pending.begin(), pending.end(), std::size_t{0});
+  std::uint64_t tries = 0;
+  std::uint64_t wake_instants = 0;
   // The paper-literal loop: retry every pending flow, in Ordered() order,
   // at the request start and then at every release instant.
-  for (Time t = request.start;;) {
+  for (Time t = request.start;; ++wake_instants) {
     std::size_t kept = 0;
     for (std::size_t idx : pending) {
       if (walk.TryFlow(idx, t) < kTimeInf) pending[kept++] = idx;
     }
+    tries += pending.size();
     pending.resize(kept);
-    if (pending.empty()) return walk.Finish();
+    if (pending.empty()) {
+      CountPlanWork(tries, wake_instants);
+      return walk.Finish();
+    }
     const Time next = prt_.NextReleaseAfter(t);
     SUNFLOW_CHECK_MSG(next < kTimeInf,
                       "Sunflow stuck: pending demand but no future release "

@@ -115,11 +115,11 @@ class SunflowPlanner {
   /// rescans every pending flow at every release instant (a flow whose own
   /// truncated reservation is still running is not retried). Both loops
   /// drive one shared reservation step; ScheduleOne produces byte-identical
-  /// output via an event-indexed wakeup queue (see docs/engine.md, "Planner
-  /// complexity"). This path is retained as the oracle the differential
-  /// tests compare against, and as the fallback for established circuits
-  /// declared after the request start (where a mid-plan instant could zero
-  /// a setup).
+  /// output by sleeping each flow in a bucket keyed by its wakeup instant
+  /// (see docs/engine.md, "Planner complexity"). This path is retained as
+  /// the oracle the differential tests compare against, and as the
+  /// fallback for established circuits declared after the request start
+  /// (where a mid-plan instant could zero a setup).
   Time ScheduleOneRescan(const PlanRequest& request, SunflowSchedule& out);
 
   /// Algorithm 1, InterCoflow: schedules requests in the given order

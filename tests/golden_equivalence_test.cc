@@ -21,8 +21,11 @@
 #include <vector>
 
 #include "core/policy.h"
+#include "core/sunflow.h"
 #include "exp/inter_runner.h"
 #include "exp/intra_runner.h"
+#include "obs/jsonl.h"
+#include "obs/trace_sink.h"
 #include "runtime/thread_pool.h"
 #include "sim/dag_replay.h"
 #include "sim/engine/scenario.h"
@@ -167,6 +170,40 @@ TEST(GoldenEquivalence, Fig10DeltaSweep) {
   const std::string parallel = DeltaSection(trace, 8);
   ASSERT_EQ(serial, parallel) << "delta sweep depends on --threads";
   CompareOrRegen("fig10_delta.txt", serial);
+}
+
+// --- The planner's own event stream: which flows it retries at which
+// instant shows only in the blocked episodes, so the whole stream is
+// pinned, not just the CCTs. ---
+
+// One ScheduleAll on 10 ports with δ > 0: a higher-priority O2M coflow
+// (port 0 to ports 1-8) planned first, then an 8x8 M2M coflow (ports 0-7
+// to ports 2-9) queued behind it and behind its own flows. Processing
+// times come from a small grid, so many flows wake at one release.
+TEST(GoldenEquivalence, PlannerTraceOnContendedCoflows) {
+  SunflowConfig cfg;
+  cfg.bandwidth = 1.0;  // processing times are given directly
+  cfg.delta = 0.01;
+  PlanRequest o2m;
+  o2m.coflow = 1;
+  o2m.start = 0;
+  for (PortId dst = 1; dst <= 8; ++dst)
+    o2m.demand.push_back({0, dst, 0.05 * (1 + dst % 3)});
+  PlanRequest m2m;
+  m2m.coflow = 2;
+  m2m.start = 0;
+  for (PortId src = 0; src < 8; ++src) {
+    for (PortId dst = 2; dst < 10; ++dst)
+      m2m.demand.push_back({src, dst, 0.1 * (1 + (src + 2 * dst) % 4)});
+  }
+  SunflowPlanner planner(10, cfg);
+  obs::MemorySink sink;
+  planner.SetTraceSink(&sink);
+  planner.ScheduleAll(std::vector<PlanRequest>{o2m, m2m});
+  ASSERT_GT(sink.CountOf(obs::EventType::kFlowBlocked), 0u);
+  std::ostringstream out;
+  obs::WriteJsonl(out, sink.events());
+  CompareOrRegen("planner_trace.jsonl", out.str());
 }
 
 // --- The remaining engines (guarded / rotor / dag / hybrid) are not part

@@ -167,6 +167,75 @@ TEST(PlannerWakeup, DifferentialOnKPlaneFabrics) {
   }
 }
 
+// One wide coflow of 100-300 flows in `shape`: O2M (one sender), M2O (one
+// receiver) or M2M (both sides spread over the ports). Processing times
+// come from a small grid, so many flows share one exact release instant,
+// and about one in five is nudged by a sub-ε amount, so some releases fall
+// within kTimeEps of each other.
+enum class Shape { kO2M, kM2O, kM2M };
+
+PlanRequest WideRequest(Rng& rng, PortId ports, Shape shape, CoflowId id,
+                        Time start) {
+  static constexpr Time kGrid[] = {0.05, 0.1, 0.2, 0.4};
+  PlanRequest req;
+  req.coflow = id;
+  req.start = start;
+  const auto any_port = [&] {
+    return static_cast<PortId>(rng.UniformInt(0, ports - 1));
+  };
+  const PortId hub = any_port();
+  const int flows = static_cast<int>(rng.UniformInt(100, 300));
+  for (int f = 0; f < flows; ++f) {
+    FlowDemand d;
+    d.src = shape == Shape::kO2M ? hub : any_port();
+    d.dst = shape == Shape::kM2O ? hub : any_port();
+    d.processing = kGrid[rng.UniformInt(0, 3)];
+    if (rng.Uniform(0, 1) < 0.2)
+      d.processing += static_cast<Time>(rng.UniformInt(1, 3)) * 3e-10;
+    req.demand.push_back(d);
+  }
+  return req;
+}
+
+// The differentials above draw at most 14 flows on at most 10 ports, so a
+// wakeup instant wakes 2-3 flows on average and almost never takes more
+// than one bucket. Here 2-4 wide coflows share one PRT on 16-40 ports and
+// K in {1, 2} planes: an instant wakes about 50 flows on average, and
+// about 6% of instants take several buckets whose instants lie within ε.
+TEST(PlannerWakeup, DifferentialOnWideCoflows) {
+  Rng rng(9091);
+  static constexpr Shape kShapes[] = {Shape::kO2M, Shape::kM2O, Shape::kM2M};
+  static constexpr Bandwidth kRates[] = {0.5, 1.0, 2.0};
+  for (int trial = 0; trial < 24; ++trial) {
+    const auto ports = static_cast<PortId>(rng.UniformInt(16, 40));
+    SunflowConfig cfg = RandomConfig(rng);
+    const int planes = static_cast<int>(rng.UniformInt(1, 2));
+    if (planes == 2) {
+      for (int p = 0; p < planes; ++p) {
+        cfg.fabric.planes.push_back(
+            {cfg.delta, kRates[rng.UniformInt(0, 2)]});
+      }
+    }
+    SunflowPlanner fast(ports, cfg);
+    SunflowPlanner oracle(ports, cfg);
+    SunflowSchedule got, want;
+    Time t = 0.1 * static_cast<Time>(rng.UniformInt(0, 10));
+    const int coflows = static_cast<int>(rng.UniformInt(2, 4));
+    for (CoflowId id = 0; id < coflows; ++id) {
+      const Shape shape = kShapes[rng.UniformInt(0, 2)];
+      const PlanRequest req = WideRequest(rng, ports, shape, id, t);
+      EXPECT_EQ(fast.ScheduleOne(req, got),
+                oracle.ScheduleOneRescan(req, want))
+          << "trial=" << trial << " coflow=" << id << " planes=" << planes;
+      if (rng.Uniform(0, 1) < 0.5)
+        t += 0.05 * static_cast<Time>(rng.UniformInt(1, 4));
+    }
+    ExpectSchedulesEqual(got, want);
+    ExpectReservationsEqual(fast.prt().reservations(),
+                            oracle.prt().reservations());
+  }
+}
+
 // ISSUE contract: flows woken at the same release instant must be retried
 // in their original Ordered() positions. Four flows contend for one output
 // port under kSortedDemandDesc, so the Ordered() permutation (by demand,
