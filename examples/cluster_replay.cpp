@@ -73,8 +73,6 @@ int main(int argc, char** argv) {
     auto varys = packet::MakeVarysAllocator();
     schemes.push_back(
         {"Varys (packet)", packet::ReplayPacketTrace(trace, *varys, cfg).cct});
-    cfg.reallocate_on_flow_completion = true;
-    cfg.track_queue_crossings = true;
     auto aalo = packet::MakeAaloAllocator();
     schemes.push_back(
         {"Aalo (packet)", packet::ReplayPacketTrace(trace, *aalo, cfg).cct});

@@ -50,6 +50,5 @@ inline bool TimeLess(Time a, Time b, Time eps = kTimeEps) {
 inline bool TimeLessEq(Time a, Time b, Time eps = kTimeEps) {
   return a <= b + eps;
 }
-inline bool BytesDone(Bytes remaining) { return remaining < kBytesEps; }
 
 }  // namespace sunflow

@@ -7,9 +7,6 @@
 
 #include "common/assert.h"
 #include "core/policy.h"
-#include "packet/aalo.h"
-#include "packet/replay.h"
-#include "packet/varys.h"
 #include "runtime/thread_pool.h"
 #include "sim/engine/driver.h"
 #include "sim/engine/scenario.h"
@@ -62,6 +59,9 @@ InterComparison RunInterComparison(const Trace& trace,
   const int threads =
       config.threads <= 0 ? runtime::HardwareConcurrency() : config.threads;
   runtime::ThreadPool pool(threads);
+  const auto& registry = engine::ScenarioRegistry::Global();
+  engine::EngineConfig packet_ec;
+  packet_ec.sunflow.bandwidth = config.bandwidth;
   std::vector<std::function<void()>> replays;
   replays.push_back([&] {
     engine::EngineConfig ec;
@@ -72,27 +72,16 @@ InterComparison RunInterComparison(const Trace& trace,
     ec.sink = config.sink;
     ec.timeline = config.timeline;
     const auto policy = MakeShortestFirstPolicy();
-    cmp.sunflow = engine::ScenarioRegistry::Global()
-                      .Run(config.engine, trace, policy.get(), ec)
-                      .cct;
+    cmp.sunflow = registry.Run(config.engine, trace, policy.get(), ec).cct;
   });
   if (config.run_varys) {
     replays.push_back([&] {
-      packet::PacketReplayConfig pc;
-      pc.bandwidth = config.bandwidth;
-      pc.reallocate_on_flow_completion = false;  // §5.4's Varys behaviour
-      auto varys = packet::MakeVarysAllocator();
-      cmp.varys = packet::ReplayPacketTrace(trace, *varys, pc).cct;
+      cmp.varys = registry.Run("varys", trace, nullptr, packet_ec).cct;
     });
   }
   if (config.run_aalo) {
     replays.push_back([&] {
-      packet::PacketReplayConfig pc;
-      pc.bandwidth = config.bandwidth;
-      pc.reallocate_on_flow_completion = true;
-      pc.track_queue_crossings = true;
-      auto aalo = packet::MakeAaloAllocator();
-      cmp.aalo = packet::ReplayPacketTrace(trace, *aalo, pc).cct;
+      cmp.aalo = registry.Run("aalo", trace, nullptr, packet_ec).cct;
     });
   }
   pool.ParallelFor(0, replays.size(),
@@ -132,8 +121,8 @@ class BoundsTeeSource final : public CoflowSource {
 InterComparison RunInterComparisonStreamed(CoflowSource& source,
                                            const InterRunConfig& config) {
   SUNFLOW_CHECK_MSG(!config.run_varys && !config.run_aalo,
-                    "packet baselines need the whole trace in memory; "
-                    "disable run_varys/run_aalo for streamed runs");
+                    "a source is read once, so only the optical arm can "
+                    "replay it; disable run_varys/run_aalo for streamed runs");
   InterComparison cmp;
   engine::EngineConfig ec;
   ec.sunflow.bandwidth = config.bandwidth;

@@ -74,7 +74,7 @@ InterComparison RunInterComparison(const Trace& trace,
 
 /// Out-of-core variant: replays the optical arm only, pulling arrivals
 /// from `source` (arrival-ordered; a TraceReader over a sorted stream
-/// file) — the packet baselines need the whole trace resident, so
+/// file). A source is one pass, enough for one replay, so
 /// config.run_varys/run_aalo must be false. tpl/pavg are computed per
 /// coflow as it streams past. Engine memory is O(active set); the
 /// returned per-coflow maps are O(trace) by the InterComparison contract

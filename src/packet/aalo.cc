@@ -42,6 +42,12 @@ class AaloAllocator : public RateAllocator {
 
   const char* name() const override { return "Aalo"; }
 
+  // Approximates Aalo's periodic share updates.
+  bool reallocates_on_flow_completion() const override { return true; }
+  Bytes NextServiceThreshold(Bytes sent) const override {
+    return AaloNextThreshold(config_, sent);
+  }
+
   void Allocate(std::vector<ActiveCoflow*>& active, PortId num_ports,
                 Bandwidth bandwidth, Time /*now*/) override {
     // D-CLAS order: queue index ascending (least attained service first),

@@ -35,12 +35,11 @@ struct AaloConfig {
 
 std::unique_ptr<RateAllocator> MakeAaloAllocator(const AaloConfig& config = {});
 
-/// Queue index for a coflow with `sent` attained bytes (exposed for tests
-/// and for the replay engine's queue-crossing events).
+/// Queue index for a coflow with `sent` attained bytes.
 int AaloQueueIndex(const AaloConfig& config, Bytes sent);
 
 /// Attained-bytes threshold at which a coflow in queue `q` moves to q+1;
-/// +inf for the last queue.
+/// +inf for the last queue (the Aalo allocator's NextServiceThreshold).
 Bytes AaloNextThreshold(const AaloConfig& config, Bytes sent);
 
 }  // namespace sunflow::packet

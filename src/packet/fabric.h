@@ -7,6 +7,7 @@
 // uses for the packet-switched comparisons.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "common/units.h"
@@ -29,15 +30,11 @@ struct FlowState {
 struct ActiveCoflow {
   CoflowId id = -1;
   Time arrival = 0;
-  /// ReplayPacketTrace erases each flow in the drain that finishes it.
+  /// The packet scenario (sim/engine) erases each flow in the drain that
+  /// finishes it.
   std::vector<FlowState> flows;
   Bytes sent = 0;  ///< total bytes already delivered (Aalo's queue key)
 
-  bool done() const {
-    for (const auto& f : flows)
-      if (!f.done()) return false;
-    return true;
-  }
   /// Remaining packet lower bound: busiest-port remaining time at full B.
   Time RemainingTpl(Bandwidth bandwidth) const;
 };
@@ -59,8 +56,9 @@ class PortCapacity {
 };
 
 /// Interface implemented by Varys and Aalo: assigns flow rates for all
-/// active coflows. Called at every rescheduling instant with all rates
-/// zeroed beforehand.
+/// active coflows, and says when to assign them again: the replay re-runs
+/// Allocate on every coflow arrival and completion, plus what the two hooks
+/// below add. The defaults add nothing, which is Varys' discipline (§5.4).
 class RateAllocator {
  public:
   virtual ~RateAllocator() = default;
@@ -69,6 +67,14 @@ class RateAllocator {
   /// service order internally. `now` supports attained-service policies.
   virtual void Allocate(std::vector<ActiveCoflow*>& active, PortId num_ports,
                         Bandwidth bandwidth, Time now) = 0;
+  /// Whether a single flow finishing (not its whole coflow) triggers a
+  /// reallocation; otherwise its bandwidth idles until the next one.
+  virtual bool reallocates_on_flow_completion() const { return false; }
+  /// The attained-service count above `sent` at which a coflow must be
+  /// re-ranked (a reallocation fires when it is crossed); +inf for none.
+  virtual Bytes NextServiceThreshold(Bytes /*sent*/) const {
+    return std::numeric_limits<Bytes>::infinity();
+  }
 };
 
 /// Verifies the port constraints over the current rates; throws on

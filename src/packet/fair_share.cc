@@ -15,6 +15,9 @@ class FairShareAllocator : public RateAllocator {
  public:
   const char* name() const override { return "per-flow-fair"; }
 
+  // Like TCP converging: survivors speed up as soon as a flow leaves.
+  bool reallocates_on_flow_completion() const override { return true; }
+
   void Allocate(std::vector<ActiveCoflow*>& active, PortId num_ports,
                 Bandwidth bandwidth, Time /*now*/) override {
     struct Slot {

@@ -1,14 +1,16 @@
 // Trace replay on the fluid packet fabric (Varys / Aalo side of §5.4).
 //
-// Event-driven: rates are piecewise constant between events. Events are
-// coflow arrivals, flow completions, coflow completions, and (for Aalo)
-// attained-service queue crossings. The allocator is re-run according to
-// its rescheduling discipline; in between, completed flows simply stop and
-// leave their bandwidth idle — the Varys behaviour §5.4 calls out.
+// The replay is the kernel's packet scenario (engine::MakePacketScenario,
+// also registered as "varys" and "aalo"): rates are piecewise constant
+// between events, and the allocator is re-run on arrivals, completions and
+// its own rescheduling rule (RateAllocator). In between, completed flows
+// simply stop and leave their bandwidth idle — the Varys behaviour §5.4
+// calls out. The functions below are defined in the engine library
+// (sim/engine/scenarios.cc); they serve callers that bring their own
+// allocator.
 #pragma once
 
 #include <map>
-#include <memory>
 
 #include "packet/fabric.h"
 #include "trace/coflow.h"
@@ -17,16 +19,11 @@ namespace sunflow::packet {
 
 struct PacketReplayConfig {
   Bandwidth bandwidth = Gbps(1);
-  /// Re-run the allocator when an individual flow (not the whole coflow)
-  /// completes. Varys: false (§5.4); Aalo: true (approximates its periodic
-  /// share updates).
+  /// Unused: the allocator decides (RateAllocator::
+  /// reallocates_on_flow_completion, NextServiceThreshold). Both fields
+  /// stay only because perfbench/perfbench.cc still assigns them.
   bool reallocate_on_flow_completion = false;
-  /// Re-run the allocator when a coflow crosses an attained-service queue
-  /// threshold (Aalo only — pass the matching config).
   bool track_queue_crossings = false;
-  Bytes first_queue_limit = 10e6;
-  double queue_spacing = 10.0;
-  int num_queues = 10;
 };
 
 struct PacketReplayResult {

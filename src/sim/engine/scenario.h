@@ -30,6 +30,10 @@ namespace sunflow::obs {
 class TimelineSampler;
 }  // namespace sunflow::obs
 
+namespace sunflow::packet {
+class RateAllocator;
+}  // namespace sunflow::packet
+
 namespace sunflow::engine {
 
 class ReplayDriver;
@@ -140,19 +144,26 @@ std::unique_ptr<ScenarioPolicy> MakeGuardScenario(PortId num_ports,
 std::unique_ptr<ScenarioPolicy> MakeRotorScenario(PortId num_ports,
                                                   const EngineConfig& config);
 
+/// The fluid packet fabric at `bandwidth` per port, rates set by
+/// `allocator` (Varys, Aalo, fair share), which must outlive the scenario.
+/// The registry's "varys" and "aalo" run it at `sunflow.bandwidth`.
+std::unique_ptr<ScenarioPolicy> MakePacketScenario(
+    packet::RateAllocator& allocator, Bandwidth bandwidth);
+
 // --- Registry ------------------------------------------------------------
 
 /// A registered scenario is a whole-trace run function; most wrap a
 /// ScenarioPolicy in a ReplayDriver, but composites (e.g. "hybrid", which
 /// splits the trace across two fabrics) own their orchestration. `policy`
-/// may be null for policy-free scenarios ("rotor").
+/// may be null for policy-free scenarios ("rotor", "varys", "aalo").
 using ScenarioFn = std::function<EngineResult(
     const Trace&, const PriorityPolicy* policy, const EngineConfig&)>;
 
 class ScenarioRegistry {
  public:
   /// The process-wide registry, with the built-ins ("circuit", "guarded",
-  /// "rotor", "hybrid", "kcore") registered on first use. Thread-safe.
+  /// "rotor", "hybrid", "kcore", "varys", "aalo") registered on first use.
+  /// Thread-safe.
   static ScenarioRegistry& Global();
 
   void Register(std::string name, std::string description, ScenarioFn run);

@@ -1,11 +1,11 @@
 // The built-in scenarios: "circuit" (Sunflow replan-on-events replay),
 // "kcore" (the same loop on K switch planes, joint or per-core planning),
 // "guarded" (the §4.2 starvation guard's (T + τ) cadence), "rotor" (blind
-// Φ rotation) and "hybrid" (circuit + companion packet fabric). Each is a
-// direct port of a former standalone engine loop onto the kernel; the
-// arithmetic — summation order, dust handling, ε comparisons — is
-// preserved expression-for-expression so replays are bit-identical to the
-// pre-kernel engines.
+// Φ rotation), "varys"/"aalo" (packet fabric) and "hybrid" (circuit +
+// companion packet fabric). Each is a direct port of a former standalone
+// engine loop onto the kernel; the arithmetic — summation order, dust
+// handling, ε comparisons — is preserved expression-for-expression so
+// replays are bit-identical to the pre-kernel engines.
 #include <algorithm>
 #include <cmath>
 #include <map>
@@ -16,6 +16,7 @@
 
 #include "common/assert.h"
 #include "obs/profiler.h"
+#include "packet/aalo.h"
 #include "packet/replay.h"
 #include "packet/varys.h"
 #include "sched/kcore.h"
@@ -587,6 +588,139 @@ class RotorScenario final : public ScenarioPolicy {
   Time span_ = 0;
 };
 
+// --- "varys" and "aalo": the fluid packet fabric of §5.4. ---------------
+//
+// Rates are piecewise constant between events. A span first reallocates if
+// an admission, a completion or the allocator's own rule (a flow finished,
+// an attained-service threshold crossed) asked for it, then drains until
+// the next arrival, flow finish or threshold crossing. A SimCoflow's
+// `remaining` keeps an entry for exactly the unfinished flows (the bytes
+// live in the ActiveCoflow), so the driver harvests a coflow at the end of
+// the span that drains its last flow.
+
+class PacketScenario final : public ScenarioPolicy {
+ public:
+  PacketScenario(packet::RateAllocator& allocator, Bandwidth bandwidth)
+      : allocator_(allocator), bandwidth_(bandwidth) {
+    SUNFLOW_CHECK(bandwidth_ > 0);
+  }
+
+  std::string name() const override {
+    return std::string("packet/") + allocator_.name();
+  }
+
+  // Flows in trace order, coflows in admission order: the allocators'
+  // tie-breaks and summation order depend on both.
+  void OnAdmit(SimCoflow& sc, const Coflow& coflow, Time /*now*/) override {
+    packet::ActiveCoflow& a = active_.emplace_back();
+    a.id = sc.id;
+    a.arrival = sc.arrival;
+    a.flows.reserve(coflow.size());
+    for (const Flow& f : coflow.flows())
+      a.flows.push_back({f.src, f.dst, f.bytes, f.bytes, 0});
+    reallocate_ = true;
+  }
+
+  void OnComplete(SimState& /*state*/, const SimCoflow& sc,
+                  Time /*finish*/) override {
+    std::erase_if(active_, [&](const auto& a) { return a.id == sc.id; });
+    reallocate_ = true;
+  }
+
+  Time ExecuteSpan(ReplayDriver& driver, Time t) override {
+    SimState& s = driver.state();
+    auto& sims = s.active();
+    SUNFLOW_CHECK(sims.size() == active_.size());
+    if (reallocate_) {
+      SUNFLOW_PROFILE_SCOPE("packet.allocate");
+      pointers_.clear();
+      for (auto& a : active_) pointers_.push_back(&a);
+      allocator_.Allocate(pointers_, s.num_ports(), bandwidth_, t);
+      packet::CheckRates(pointers_, s.num_ports(), bandwidth_);
+      ++s.result().replans;
+    }
+    SUNFLOW_PROFILE_SCOPE("packet.advance");
+
+    Time t_next = s.HasPendingReleases() ? s.NextReleaseTime() : kTimeInf;
+    for (const auto& c : active_) {
+      Bandwidth total_rate = 0;
+      for (const auto& f : c.flows) {
+        if (f.done() || f.rate <= 0) continue;
+        total_rate += f.rate;
+        t_next = std::min(t_next, t + f.remaining / f.rate);
+      }
+      if (total_rate > 0) {
+        const Bytes threshold = allocator_.NextServiceThreshold(c.sent);
+        if (std::isfinite(threshold))
+          t_next = std::min(t_next, t + (threshold - c.sent) / total_rate);
+      }
+    }
+    SUNFLOW_CHECK_MSG(t_next < kTimeInf,
+                      "packet replay stalled: active coflows but no rates "
+                      "and no arrivals: "
+                          << StallState(t));
+
+    // Drain linearly until the event; a finished flow leaves both views.
+    const Time dt = std::max(0.0, t_next - t);
+    bool flow_finished = false;
+    bool crossed = false;
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+      packet::ActiveCoflow& c = active_[i];
+      const Bytes threshold = allocator_.NextServiceThreshold(c.sent);
+      bool finished = false;
+      for (auto& f : c.flows) {
+        if (f.rate <= 0 || f.done()) continue;
+        const Bytes moved = std::min(f.remaining, f.rate * dt);
+        f.remaining -= moved;
+        c.sent += moved;
+        if (f.done()) {
+          SUNFLOW_CHECK(sims[i].id == c.id);
+          sims[i].remaining.erase({f.src, f.dst});
+          finished = true;
+        }
+      }
+      if (finished) {
+        std::erase_if(c.flows, [](const auto& f) { return f.done(); });
+        flow_finished = true;
+      }
+      crossed = crossed || allocator_.NextServiceThreshold(c.sent) != threshold;
+    }
+    reallocate_ =
+        crossed || (flow_finished && allocator_.reallocates_on_flow_completion());
+    return t_next;
+  }
+
+  std::size_t StepBudget(const SimState& state) const override {
+    // Far above any event count a valid replay can produce.
+    return 1000 * (state.total_released() + 1) *
+               (static_cast<std::size_t>(state.num_ports()) + 1) +
+           1000000;
+  }
+  const char* budget_message() const override {
+    return "packet replay event explosion";
+  }
+
+ private:
+  // What the stall CHECK prints: t at full precision (a stuck clock may
+  // differ only in the last digits), the first active ids, the allocator.
+  std::string StallState(Time t) const {
+    std::ostringstream os;
+    os.precision(17);
+    os << "t=" << t << " s, " << active_.size() << " active coflows [";
+    for (std::size_t i = 0; i < active_.size() && i < 8; ++i)
+      os << (i > 0 ? " " : "") << active_[i].id;
+    os << (active_.size() > 8 ? " ...]" : "]") << ", allocator "
+       << allocator_.name();
+    return os.str();
+  }
+
+  packet::RateAllocator& allocator_;
+  Bandwidth bandwidth_ = 0;
+  std::vector<packet::ActiveCoflow> active_;  // index-aligned with s.active()
+  std::vector<packet::ActiveCoflow*> pointers_;
+  bool reallocate_ = false;  // EngineResult::replans counts reallocations
+};
+
 // --- Registry run functions. --------------------------------------------
 
 // Replays the whole trace through the circuit span loop; every coflow must
@@ -637,11 +771,23 @@ EngineResult RunRotor(const Trace& trace, const PriorityPolicy* /*policy*/,
   return result;
 }
 
+// Replays the whole trace on the packet fabric at `bandwidth`; every
+// coflow must complete.
+EngineResult RunPacket(const Trace& trace, packet::RateAllocator& allocator,
+                       Bandwidth bandwidth, obs::TraceSink* sink = nullptr,
+                       obs::TimelineSampler* timeline = nullptr) {
+  trace.Validate();
+  PacketScenario scenario(allocator, bandwidth);
+  auto result = RunScenarioReplay(trace, scenario, sink, timeline);
+  SUNFLOW_CHECK(result.cct.size() == trace.coflows.size());
+  return result;
+}
+
 // Hybrid is a composite, not a span scenario: the trace is split by the
 // offload rule and each side replays on its own (physically separate)
-// fabric, so it registers a whole-trace run function. The circuit side's
-// result is the base (reservations, replans, queue stats); the packet
-// side's coflows are merged into the per-coflow maps and the totals.
+// fabric in its own kernel replay. The circuit side's result is the base
+// (reservations, replans, queue stats); the packet side's coflows are
+// merged into the per-coflow maps and the totals.
 EngineResult RunHybrid(const Trace& trace, const PriorityPolicy* policy,
                        const EngineConfig& config) {
   SUNFLOW_CHECK(config.packet_bandwidth > 0);
@@ -663,12 +809,11 @@ EngineResult RunHybrid(const Trace& trace, const PriorityPolicy* policy,
   result.circuit = circuit_side.coflows.size();
   if (!packet_side.coflows.empty()) {
     // The companion packet network is coflow-scheduled too (the offloaded
-    // traffic is small, so SEBF+MADD is a natural choice there).
-    packet::PacketReplayConfig pc;
-    pc.bandwidth = config.packet_bandwidth;
-    auto varys = packet::MakeVarysAllocator();
-    const auto packet_result =
-        packet::ReplayPacketTrace(packet_side, *varys, pc);
+    // traffic is small, so SEBF+MADD is a natural choice there). Untraced:
+    // the auditor cannot tell its coflows from the circuit side's.
+    const auto varys = packet::MakeVarysAllocator();
+    const EngineResult packet_result =
+        RunPacket(packet_side, *varys, config.packet_bandwidth);
     result.cct.insert(packet_result.cct.begin(), packet_result.cct.end());
     result.completion.insert(packet_result.completion.begin(),
                              packet_result.completion.end());
@@ -700,6 +845,11 @@ std::unique_ptr<ScenarioPolicy> MakeRotorScenario(PortId num_ports,
   return std::make_unique<RotorScenario>(num_ports, config);
 }
 
+std::unique_ptr<ScenarioPolicy> MakePacketScenario(
+    packet::RateAllocator& allocator, Bandwidth bandwidth) {
+  return std::make_unique<PacketScenario>(allocator, bandwidth);
+}
+
 void RegisterBuiltinScenarios(ScenarioRegistry& registry) {
   registry.Register("circuit",
                     "Sunflow OCS replay: replan on arrivals/completions, "
@@ -720,6 +870,39 @@ void RegisterBuiltinScenarios(ScenarioRegistry& registry) {
                     "(kcore_joint), or the per-core baseline — each coflow "
                     "pinned to one core, Sunflow per core",
                     RunKCore);
+  // The packet baselines run at the link rate every single-fabric scenario
+  // reads; the allocator imposes its own order, so they take no policy.
+  registry.Register(
+      "varys", "packet fabric, Varys: SEBF + MADD (no policy)",
+      [](const Trace& trace, const PriorityPolicy*, const EngineConfig& c) {
+        return RunPacket(trace, *packet::MakeVarysAllocator(),
+                         c.sunflow.bandwidth, c.sink, c.timeline);
+      });
+  registry.Register(
+      "aalo", "packet fabric, Aalo: D-CLAS queues (no policy)",
+      [](const Trace& trace, const PriorityPolicy*, const EngineConfig& c) {
+        return RunPacket(trace, *packet::MakeAaloAllocator(),
+                         c.sunflow.bandwidth, c.sink, c.timeline);
+      });
 }
 
 }  // namespace sunflow::engine
+
+namespace sunflow::packet {
+
+PacketReplayResult ReplayPacketTrace(const Trace& trace,
+                                     RateAllocator& allocator,
+                                     const PacketReplayConfig& config) {
+  engine::EngineResult r = engine::RunPacket(trace, allocator, config.bandwidth);
+  return {std::move(r.cct), std::move(r.completion), r.makespan, r.replans};
+}
+
+Time PacketSingleCoflowCct(const Coflow& coflow, RateAllocator& allocator,
+                           const PacketReplayConfig& config) {
+  Trace trace;
+  trace.num_ports = std::max<PortId>(coflow.max_port(), 1);
+  trace.coflows.push_back(coflow.WithArrival(0));
+  return ReplayPacketTrace(trace, allocator, config).cct.at(coflow.id());
+}
+
+}  // namespace sunflow::packet

@@ -17,8 +17,10 @@
 
 #include "common/rng.h"
 #include "core/policy.h"
+#include "exp/inter_runner.h"
 #include "obs/audit.h"
 #include "obs/trace_sink.h"
+#include "packet/aalo.h"
 #include "sim/engine/driver.h"
 #include "sim/engine/event_queue.h"
 #include "sim/engine/scenario.h"
@@ -277,11 +279,12 @@ TEST(ReplayDriver, ResultIsIndependentOfTraceCoflowOrder) {
 
 TEST(ScenarioRegistry, ListsTheBuiltinScenarios) {
   auto& registry = ScenarioRegistry::Global();
-  for (const char* name : {"circuit", "guarded", "rotor", "hybrid"}) {
+  for (const char* name :
+       {"circuit", "guarded", "rotor", "hybrid", "varys", "aalo"}) {
     EXPECT_TRUE(registry.Has(name)) << name;
   }
   const auto listed = registry.List();
-  EXPECT_GE(listed.size(), 4u);
+  EXPECT_GE(listed.size(), 6u);
   EXPECT_TRUE(std::is_sorted(listed.begin(), listed.end()));
 }
 
@@ -376,6 +379,7 @@ const std::vector<ScenarioCase>& ScenarioCases() {
       {"circuit", true, 1, true},  {"guarded", true, 1, true},
       {"rotor", false, 1, true},   {"hybrid", true, 1, true},
       {"kcore", true, 2, true},    {"kcore", true, 2, false},
+      {"varys", false, 1, true},   {"aalo", false, 1, true},
   };
   return cases;
 }
@@ -465,9 +469,22 @@ TEST(ScenarioRegistry, CctsInvariantUnderByteAndRateScaling) {
         ScenarioRegistry::Global().Run(c.scenario, trace, policy.get(), ec);
     ASSERT_EQ(base.cct.size(), trace.coflows.size()) << c.what();
     for (const double factor : {2.0, 0.5, 1024.0}) {
-      const auto scaled = ScenarioRegistry::Global().Run(
-          c.scenario, ScaleBytes(trace, factor), policy.get(),
-          ScaleRates(ec, factor));
+      const Trace scaled_trace = ScaleBytes(trace, factor);
+      const EngineConfig scaled_ec = ScaleRates(ec, factor);
+      EngineResult scaled;
+      if (c.scenario == "aalo") {
+        // Aalo's queue limits (10 MB × 10^k) are byte thresholds too, so
+        // they scale with the bytes; the registry entry keeps the default.
+        packet::AaloConfig aalo_cfg;
+        aalo_cfg.first_queue_limit *= factor;
+        const auto aalo = packet::MakeAaloAllocator(aalo_cfg);
+        const auto scenario =
+            MakePacketScenario(*aalo, scaled_ec.sunflow.bandwidth);
+        scaled = RunScenarioReplay(scaled_trace, *scenario, nullptr);
+      } else {
+        scaled = ScenarioRegistry::Global().Run(c.scenario, scaled_trace,
+                                                policy.get(), scaled_ec);
+      }
       ExpectBitIdentical(base.cct, scaled.cct,
                          c.what() + " x" + std::to_string(factor));
     }
@@ -483,6 +500,9 @@ TEST(ScenarioRegistry, EveryTraceAuditsClean) {
   // rule but bytes-served, which the auditor skips on traces with τ
   // rounds. "rotor" is left out: its fluid drains finish flows that no
   // circuit span carries (it emits none), so flow-in-circuit cannot hold.
+  // "varys" and "aalo" hold no circuits either, so their traces carry only
+  // the driver's admissions and completions and get the demand-free rules
+  // alone: the demand rules check circuit spans against bytes.
   SyntheticTraceConfig cfg;
   cfg.num_coflows = 60;
   cfg.num_ports = 24;
@@ -497,6 +517,19 @@ TEST(ScenarioRegistry, EveryTraceAuditsClean) {
     obs::MemorySink sink;
     ec.sink = &sink;
     ScenarioRegistry::Global().Run(c.scenario, trace, policy.get(), ec);
+    covered.insert(c.scenario);
+    if (c.scenario == "varys" || c.scenario == "aalo") {
+      for (const obs::Event& e : sink.events()) {
+        EXPECT_TRUE(e.type == obs::EventType::kCoflowAdmitted ||
+                    e.type == obs::EventType::kCoflowCompleted)
+            << c.what();
+      }
+      const obs::AuditReport audit = obs::AuditTrace(sink.events());
+      EXPECT_GT(audit.checks, 0u) << c.what();
+      for (const auto& v : audit.violations)
+        ADD_FAILURE() << c.what() << " [" << v.invariant << "] " << v.detail;
+      continue;
+    }
     const obs::AuditDemand demand = AuditDemandOf(trace, ec.sunflow);
     const obs::AuditReport audit = obs::AuditTrace(
         sink.events(), -1, obs::AuditScope::kSharedFabric, &demand);
@@ -505,9 +538,26 @@ TEST(ScenarioRegistry, EveryTraceAuditsClean) {
         << c.what();
     for (const auto& v : audit.violations)
       ADD_FAILURE() << c.what() << " [" << v.invariant << "] " << v.detail;
-    covered.insert(c.scenario);
   }
   ExpectEveryScenarioCovered(covered, "audited");
+}
+
+TEST(InterComparison, ArmsBitIdenticalAtAnyThreadCount) {
+  // At threads = 3 the circuit, Varys and Aalo arms run on three kernel
+  // drivers at once; each arm must match its serial run bit for bit.
+  SyntheticTraceConfig cfg;
+  cfg.num_coflows = 40;
+  cfg.num_ports = 16;
+  const Trace trace = GenerateSyntheticTrace(cfg);
+  exp::InterRunConfig ic;
+  ic.threads = 1;
+  const exp::InterComparison serial = exp::RunInterComparison(trace, ic);
+  ic.threads = 3;
+  const exp::InterComparison parallel = exp::RunInterComparison(trace, ic);
+  ASSERT_EQ(serial.aalo.size(), trace.coflows.size());
+  ExpectBitIdentical(serial.sunflow, parallel.sunflow, "sunflow");
+  ExpectBitIdentical(serial.varys, parallel.varys, "varys");
+  ExpectBitIdentical(serial.aalo, parallel.aalo, "aalo");
 }
 
 }  // namespace

@@ -24,7 +24,6 @@ namespace {
 packet::PacketReplayConfig FairConfig() {
   packet::PacketReplayConfig c;
   c.bandwidth = Gbps(1);
-  c.reallocate_on_flow_completion = true;  // like TCP converging
   return c;
 }
 
@@ -93,7 +92,7 @@ TEST(FairShare, PortConstraintsHold) {
   tc.num_ports = 8;
   const Trace trace = GenerateSyntheticTrace(tc);
   auto fair = packet::MakeFairShareAllocator();
-  // ReplayPacketTrace CheckRates()s after every allocation.
+  // The packet scenario CheckRates()s after every allocation.
   const auto result = packet::ReplayPacketTrace(trace, *fair, FairConfig());
   EXPECT_EQ(result.cct.size(), trace.coflows.size());
 }

@@ -22,17 +22,12 @@ using sunflow::Trace;
 PacketReplayConfig VarysConfig() {
   PacketReplayConfig c;
   c.bandwidth = Gbps(1);
-  c.reallocate_on_flow_completion = false;
   return c;
 }
 
-PacketReplayConfig AaloReplayConfig() {
-  PacketReplayConfig c;
-  c.bandwidth = Gbps(1);
-  c.reallocate_on_flow_completion = true;
-  c.track_queue_crossings = true;
-  return c;
-}
+// The allocator brings its own rescheduling rule, so Aalo's replay needs
+// only the link rate too.
+PacketReplayConfig AaloReplayConfig() { return VarysConfig(); }
 
 TEST(Varys, SingleCoflowAchievesPacketLowerBound) {
   // MADD on an uncontended fabric finishes exactly at TpL.
@@ -127,6 +122,25 @@ TEST(Aalo, NewSmallCoflowOutranksHeavyOne) {
   const auto result = ReplayPacketTrace(trace, *aalo, AaloReplayConfig());
   // Coflow 2 stays in queue 0 its whole life and finishes fast.
   EXPECT_NEAR(result.cct.at(2), MB(5) / Gbps(1), 1e-3);
+}
+
+TEST(Aalo, ReplayFollowsItsOwnQueueLimits) {
+  // With a 1 MB first queue, coflow 1 (alone on 0->1 until coflow 2
+  // arrives behind it in FIFO order) drops to queue 1 at 8 ms, so coflow 2
+  // takes the port then and finishes 4 ms later. A replay that re-ranks at
+  // the default 10 MB limit instead waits until 80 ms.
+  Trace trace;
+  trace.num_ports = 2;
+  trace.coflows.push_back(Coflow(1, 0.0, {{0, 1, MB(50)}}));
+  trace.coflows.push_back(Coflow(2, Millis(1), {{0, 1, MB(0.5)}}));
+  AaloConfig cfg;
+  cfg.first_queue_limit = MB(1);
+  auto aalo = MakeAaloAllocator(cfg);
+  const auto result = ReplayPacketTrace(trace, *aalo, AaloReplayConfig());
+  EXPECT_NEAR(result.cct.at(2), 0.011, 1e-9);
+  // Arrivals at 0 and 1 ms, coflow 1 crossing 1 MB (8 ms) and 10 MB,
+  // coflow 2 finishing at 12 ms.
+  EXPECT_EQ(result.reschedules, 5u);
 }
 
 TEST(Aalo, WeightedQueuesGuaranteeHeavyCoflowService) {
@@ -226,8 +240,8 @@ TEST(Aalo, PortConstraintsHold) {
   cfg.num_ports = 12;
   const Trace trace = GenerateSyntheticTrace(cfg);
   auto aalo = MakeAaloAllocator();
-  // ReplayPacketTrace calls CheckRates after every allocation; violation
-  // would throw.
+  // The packet scenario calls CheckRates after every allocation; a
+  // violation would throw.
   const auto result = ReplayPacketTrace(trace, *aalo, AaloReplayConfig());
   EXPECT_EQ(result.cct.size(), trace.coflows.size());
 }

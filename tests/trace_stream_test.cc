@@ -31,6 +31,8 @@
 
 #include "core/policy.h"
 #include "exp/inter_runner.h"
+#include "packet/aalo.h"
+#include "packet/varys.h"
 #include "runtime/thread_pool.h"
 #include "sim/engine/driver.h"
 #include "sim/engine/scenario.h"
@@ -484,11 +486,17 @@ void CheckStreamedEquivalence(const std::string& scenario_name, int threads) {
 
   const auto policy = MakeShortestFirstPolicy();
   engine::EngineConfig ec = BaseEngineConfig();
+  const auto varys = packet::MakeVarysAllocator();
+  const auto aalo = packet::MakeAaloAllocator();
   const auto make = [&]() {
     if (scenario_name == "guarded")
       return engine::MakeGuardScenario(trace.num_ports, *policy, ec);
     if (scenario_name == "rotor")
       return engine::MakeRotorScenario(trace.num_ports, ec);
+    if (scenario_name == "varys")
+      return engine::MakePacketScenario(*varys, ec.sunflow.bandwidth);
+    if (scenario_name == "aalo")
+      return engine::MakePacketScenario(*aalo, ec.sunflow.bandwidth);
     return engine::MakeCircuitScenario(trace.num_ports, *policy, ec);
   };
 
@@ -524,6 +532,18 @@ TEST(StreamedReplay, RotorMatchesInMemorySerial) {
 }
 TEST(StreamedReplay, RotorMatchesInMemoryThreads8) {
   CheckStreamedEquivalence("rotor", 8);
+}
+TEST(StreamedReplay, VarysMatchesInMemorySerial) {
+  CheckStreamedEquivalence("varys", 1);
+}
+TEST(StreamedReplay, VarysMatchesInMemoryThreads8) {
+  CheckStreamedEquivalence("varys", 8);
+}
+TEST(StreamedReplay, AaloMatchesInMemorySerial) {
+  CheckStreamedEquivalence("aalo", 1);
+}
+TEST(StreamedReplay, AaloMatchesInMemoryThreads8) {
+  CheckStreamedEquivalence("aalo", 8);
 }
 
 TEST(StreamedReplay, CompletionSinkMatchesResultMaps) {
