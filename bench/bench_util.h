@@ -200,6 +200,11 @@ class BenchTracer {
     }
     std::printf("\nwrote %zu trace events to %s\n", sink_.events().size(),
                 path_.c_str());
+    if (sink_.events().empty()) {
+      std::fprintf(stderr,
+                   "warning: --trace_out recorded no events: this bench "
+                   "does not attach the trace sink to its runs\n");
+    }
   }
 
   /// Dumps the global metrics registry as requested by --metrics /

@@ -90,10 +90,12 @@ int main(int argc, char** argv) {
       obs::GlobalMetrics().GetHistogram("engine.replans_per_sec");
   double best_rps = 0;
   for (int r = 0; r < repeat; ++r) {
-    // Sample only the first timed replay — BeginRun resets the sampler,
-    // so attaching every repetition would keep just the last and charge
-    // its windows a second warm-cache pass.
+    // Sample and trace only the first timed replay — BeginRun resets the
+    // sampler, so attaching every repetition would keep just the last and
+    // charge its windows a second warm-cache pass, and a second replay
+    // would repeat every event in the trace.
     ec.timeline = r == 0 ? session.timeline() : nullptr;
+    ec.sink = r == 0 ? session.sink() : nullptr;
     const auto begin = std::chrono::steady_clock::now();
     const engine::EngineResult result =
         engine::ScenarioRegistry::Global().Run(engine_name, w.trace,
@@ -120,7 +122,10 @@ int main(int argc, char** argv) {
   // Scaling sweep: regenerate the synthetic workload at each requested
   // coflow count (same ports / seed / perturbation as the main run) and
   // record per-N throughput, so a regression harness can check that
-  // replan cost stays sub-quadratic in the active-set size.
+  // replan cost stays sub-quadratic in the active-set size. Its replays
+  // are neither sampled nor traced.
+  ec.timeline = nullptr;
+  ec.sink = nullptr;
   if (!sweep_csv.empty()) {
     const auto ports = session.flags().GetInt("ports", 150);
     const auto seed = session.flags().GetInt("seed", 20161212);

@@ -210,7 +210,11 @@ class SunflowPlanner::Walk {
   // binding constraint can change, and the blocked episode blames that
   // plane's blocker (ties to the lowest plane id). With one plane this is
   // exactly the single-switch MakeReservation.
-  Time TryFlow(std::size_t idx, Time t) {
+  // When that binding constraint is a busy port, `*busy_port` (if given)
+  // receives the port as side × ports + port, and -1 otherwise; the
+  // wakeup is then that port's release.
+  Time TryFlow(std::size_t idx, Time t, int* busy_port = nullptr) {
+    if (busy_port != nullptr) *busy_port = -1;
     if (remaining_[idx] <= 0) return kTimeInf;
     // One circuit per flow: not retried while its own truncated
     // reservation runs, or on K >= 2 a free plane would give it a second,
@@ -256,7 +260,8 @@ class SunflowPlanner::Walk {
       // config bandwidth; this plane drains it plane_scale_ times slower
       // (or faster). Scale 1.0 on the default fabric keeps the arithmetic
       // bit-identical to the single-plane code.
-      const Time ld = setup + remaining_[idx] * planner_.plane_scale_[pi];
+      const Time transmit = remaining_[idx] * planner_.plane_scale_[pi];
+      const Time ld = setup + transmit;
       // A reservation of length <= setup would transmit nothing: skip.
       if (lm <= setup + kTimeEps) {
         if (tm_release < best_wake) {
@@ -265,6 +270,13 @@ class SunflowPlanner::Walk {
           best_gap_limited = true;
         }
         continue;
+      }
+      // The truncation rule below, applied before reserving: a remainder
+      // that takes at most ε here (a faster plane than the one that
+      // truncated it) finishes now instead of becoming an empty circuit.
+      if (transmit <= kTimeEps) {
+        CloseEpisode(idx, t);
+        return FinishFlow(idx, t);
       }
       const Time l = std::min(lm, ld);
       const CircuitReservation reservation{f.src, f.dst,         t, t + l,
@@ -288,40 +300,34 @@ class SunflowPlanner::Walk {
                         .out = f.dst,
                         .plane = p});
       const Time rest = std::max(0.0, ld - l);
-      if (rest <= kTimeEps) {
-        remaining_[idx] = 0;
-        const Time flow_finish = t + l;
-        finish_ = std::max(finish_, flow_finish);
-        obs::Emit(sink_, {.type = obs::EventType::kFlowFinished,
-                          .t = flow_finish,
-                          .coflow = request_.coflow,
-                          .in = f.src,
-                          .out = f.dst});
-        return kTimeInf;
-      }
+      if (rest <= kTimeEps) return FinishFlow(idx, t + l);
       remaining_[idx] = rest / planner_.plane_scale_[pi];
       held_until_[idx] = reservation.end;
       return reservation.end;
     }
     // Every plane blocked: report the binding constraint of the plane that
     // wakes first.
-    if (sink_ != nullptr) {
-      if (best_gap_limited) {
+    if (best_gap_limited) {
+      if (sink_ != nullptr) {
         NoteBlocked(idx, t, obs::BlockReason::kCircuitConflict,
                     prt_.NextOwnerAfter(f.src, f.dst, t, best_plane));
-      } else {
-        // Blame the port whose release is the binding constraint (the
-        // later of the two busy-until instants — that is the wakeup).
-        const bool input = best_in_busy > t &&
-                           (best_out_busy <= t || best_in_busy >= best_out_busy);
-        NoteBlocked(idx, t,
-                    input ? obs::BlockReason::kInputPortBusy
-                          : obs::BlockReason::kOutputPortBusy,
-                    input ? prt_.OwnerAt(FabricReservationTable::Side::kIn,
-                                         f.src, t, best_plane)
-                          : prt_.OwnerAt(FabricReservationTable::Side::kOut,
-                                         f.dst, t, best_plane));
       }
+      return best_wake;
+    }
+    // The binding port is the one whose release is the wakeup: the later
+    // of the two busy-until instants.
+    const bool input = best_in_busy > t &&
+                       (best_out_busy <= t || best_in_busy >= best_out_busy);
+    if (busy_port != nullptr)
+      *busy_port = input ? f.src : prt_.num_ports() + f.dst;
+    if (sink_ != nullptr) {
+      NoteBlocked(idx, t,
+                  input ? obs::BlockReason::kInputPortBusy
+                        : obs::BlockReason::kOutputPortBusy,
+                  input ? prt_.OwnerAt(FabricReservationTable::Side::kIn,
+                                       f.src, t, best_plane)
+                        : prt_.OwnerAt(FabricReservationTable::Side::kOut,
+                                       f.dst, t, best_plane));
     }
     return best_wake;
   }
@@ -334,6 +340,19 @@ class SunflowPlanner::Walk {
   }
 
  private:
+  // Marks flow `idx` done at `at`; returns its (absent) next wakeup.
+  Time FinishFlow(std::size_t idx, Time at) {
+    remaining_[idx] = 0;
+    finish_ = std::max(finish_, at);
+    const FlowDemand& f = ordered_[idx];
+    obs::Emit(sink_, {.type = obs::EventType::kFlowFinished,
+                      .t = at,
+                      .coflow = request_.coflow,
+                      .in = f.src,
+                      .out = f.dst});
+    return kTimeInf;
+  }
+
   // One open episode per flow; an episode closes and a new one opens when
   // the blocking cause (reason, blamer) changes, so contention spans
   // attribute to the coflow actually in the way at each instant.
@@ -416,59 +435,145 @@ Time SunflowPlanner::ScheduleOne(const PlanRequest& request,
     return ScheduleOneRescan(request, out);
   }
   Walk walk(*this, request, out);
+  const std::size_t n = walk.size();
   Time t = request.start;
 
-  // Sleeping flows, bucketed by their exact wakeup instant. A port's
-  // release wakes every flow queued behind it, so many flows share one
-  // instant and the ordered index holds distinct instants only. Emptied
-  // buckets keep their storage for the next new instant.
+  // Sleeping entries, bucketed by their exact wakeup instant. An entry
+  // below n is an Ordered() flow index; entry n + q arms wait queue q
+  // (below). Many entries share one instant, so the ordered index holds
+  // distinct instants only. Emptied buckets keep their storage for the
+  // next new instant.
   std::map<Time, std::vector<std::size_t>> sleeping;
   std::vector<std::vector<std::size_t>> spare;
-  const auto sleep_until = [&](Time wake, std::size_t idx) {
+  const auto sleep_until = [&](Time wake, std::size_t entry) {
     auto [bucket, fresh] = sleeping.try_emplace(wake);
     if (fresh && !spare.empty()) {
       bucket->second.swap(spare.back());
       spare.pop_back();
     }
-    bucket->second.push_back(idx);
+    bucket->second.push_back(entry);
+  };
+
+  // Port wait queues. On one plane, a flow blocked by a busy port can only
+  // succeed once that port is free, and the first of its waiters to be
+  // retried there takes it again. So such a flow waits in the port's
+  // queue, a min-heap of Ordered() indices armed (as one bucket entry) at
+  // the port's release, and a queue retries waiters only while its port is
+  // free. On K >= 2 planes another plane can free a flow whose port was
+  // just taken, and with a sink every failed retry feeds the blocked
+  // episodes, so there every flow sleeps in the buckets.
+  const bool port_waits = sink_ == nullptr && planes_.size() == 1;
+  struct WaitQueue {
+    int port;  // side × ports + port, as TryFlow reports it
+    std::vector<std::size_t> waiters;
+  };
+  std::vector<WaitQueue> queues;
+  if (port_waits && wait_queue_slot_.empty())
+    wait_queue_slot_.resize(2 * static_cast<std::size_t>(prt_.num_ports()));
+  // Flows that failed on a busy port at this instant: (flow, port, the
+  // port's release). They join their queue only after the instant.
+  struct Parked {
+    std::size_t idx;
+    int port;
+    Time release;
+  };
+  std::vector<Parked> parked;
+
+  std::uint64_t tries = 0;
+  const auto retry = [&](std::size_t idx) {
+    ++tries;
+    int port = -1;
+    const Time w = walk.TryFlow(idx, t, &port);
+    if (w == kTimeInf) return;
+    if (port_waits && port >= 0) {
+      parked.push_back({idx, port, w});
+    } else {
+      sleep_until(w, idx);
+    }
+  };
+  const auto join_queues = [&] {
+    for (const Parked& p : parked) {
+      std::uint32_t& slot = wait_queue_slot_[static_cast<std::size_t>(p.port)];
+      if (slot >= queues.size() || queues[slot].port != p.port) {
+        slot = static_cast<std::uint32_t>(queues.size());
+        queues.push_back({p.port, {}});
+      }
+      // Between instants a queue is armed iff it has waiters, and then
+      // for this same release.
+      WaitQueue& q = queues[slot];
+      if (q.waiters.empty()) sleep_until(p.release, n + slot);
+      q.waiters.push_back(p.idx);
+      std::push_heap(q.waiters.begin(), q.waiters.end(), std::greater<>());
+    }
+    parked.clear();
   };
 
   // First pass at the request start, in Ordered() order. Flows that cannot
   // finish here go to sleep.
-  for (std::size_t i = 0; i < walk.size(); ++i) {
-    const Time w = walk.TryFlow(i, t);
-    if (w < kTimeInf) sleep_until(w, i);
-  }
+  for (std::size_t i = 0; i < n; ++i) retry(i);
+  join_queues();
 
   // Event-indexed walk: advance to the chain instant covering the
-  // earliest wakeup and retry only the flows of the buckets it covers. The
-  // rescan retries the whole pending list in Ordered() order at every
-  // release instant; sorting the woken indices replays that order within
-  // the subset, and the flows left sleeping are exactly the ones the
-  // rescan would have retried and failed.
-  std::uint64_t tries = walk.size();
+  // earliest wakeup and retry only the flows it makes due. The rescan
+  // retries the whole pending list in Ordered() order at every release
+  // instant; merging the woken indices with the due queues' waiters
+  // replays that order within the subset, and every flow left asleep is
+  // one the rescan would have retried and failed: a queue stops retrying
+  // (and re-arms at the release) as soon as its port is busy at t.
   std::uint64_t wake_instants = 0;
   std::vector<std::size_t> woken;
+  std::vector<std::pair<std::size_t, std::size_t>> due;  // (head, queue)
   while (!sleeping.empty()) {
     const Time next =
         NextWakeInstant(t, sleeping.begin()->first, request.coflow);
     SUNFLOW_CHECK(next > t);
     t = next;
     woken.clear();
-    auto due = sleeping.begin();
-    for (; due != sleeping.end() && due->first <= t + kTimeEps; ++due) {
-      woken.insert(woken.end(), due->second.begin(), due->second.end());
-      due->second.clear();
-      spare.push_back(std::move(due->second));
+    auto bucket = sleeping.begin();
+    for (; bucket != sleeping.end() && bucket->first <= t + kTimeEps;
+         ++bucket) {
+      woken.insert(woken.end(), bucket->second.begin(), bucket->second.end());
+      bucket->second.clear();
+      spare.push_back(std::move(bucket->second));
     }
-    sleeping.erase(sleeping.begin(), due);
+    sleeping.erase(sleeping.begin(), bucket);
     std::sort(woken.begin(), woken.end());
-    // Every new wakeup lies beyond t + ε, so no flow rejoins this round.
-    for (std::size_t idx : woken) {
-      const Time w = walk.TryFlow(idx, t);
-      if (w < kTimeInf) sleep_until(w, idx);
+    due.clear();
+    for (; !woken.empty() && woken.back() >= n; woken.pop_back()) {
+      const std::size_t slot = woken.back() - n;
+      due.emplace_back(queues[slot].waiters.front(), slot);
     }
-    tries += woken.size();
+    std::make_heap(due.begin(), due.end(), std::greater<>());
+    // Every new wakeup lies beyond t + ε, so no entry rejoins this round.
+    std::size_t next_woken = 0;
+    while (next_woken < woken.size() || !due.empty()) {
+      if (due.empty() ||
+          (next_woken < woken.size() && woken[next_woken] < due.front().first)) {
+        retry(woken[next_woken++]);
+        continue;
+      }
+      std::pop_heap(due.begin(), due.end(), std::greater<>());
+      const std::size_t slot = due.back().second;
+      due.pop_back();
+      WaitQueue& q = queues[slot];
+      const auto side = q.port < prt_.num_ports()
+                            ? FabricReservationTable::Side::kIn
+                            : FabricReservationTable::Side::kOut;
+      const Time busy = prt_.BusyUntil(side, q.port % prt_.num_ports(), t);
+      if (busy > t) {  // the rest wait for the port's new release
+        sleep_until(busy, n + slot);
+        continue;
+      }
+      std::pop_heap(q.waiters.begin(), q.waiters.end(), std::greater<>());
+      const std::size_t idx = q.waiters.back();
+      q.waiters.pop_back();
+      if (!q.waiters.empty()) {
+        due.emplace_back(q.waiters.front(), slot);
+        std::push_heap(due.begin(), due.end(), std::greater<>());
+      }
+      retry(idx);
+    }
+    join_queues();
     ++wake_instants;
   }
   CountPlanWork(tries, wake_instants);

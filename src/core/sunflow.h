@@ -115,8 +115,9 @@ class SunflowPlanner {
   /// rescans every pending flow at every release instant (a flow whose own
   /// truncated reservation is still running is not retried). Both loops
   /// drive one shared reservation step; ScheduleOne produces byte-identical
-  /// output by sleeping each flow in a bucket keyed by its wakeup instant
-  /// (see docs/engine.md, "Planner complexity"). This path is retained as
+  /// output by sleeping each flow until its wakeup instant, or on one
+  /// untraced plane in the wait queue of the port that blocks it (see
+  /// docs/engine.md, "Planner complexity"). This path is retained as
   /// the oracle the differential tests compare against, and as the
   /// fallback for established circuits declared after the request start
   /// (where a mid-plan instant could zero a setup).
@@ -185,6 +186,10 @@ class SunflowPlanner {
   Time established_at_ = -1;
   ReservationCallback callback_;
   obs::TraceSink* sink_ = nullptr;
+  /// ScheduleOne's port → wait-queue slot map, indexed by side × ports +
+  /// port and sized on first use. An entry is valid only while the slot it
+  /// names belongs to that port in the current call, so no call clears it.
+  std::vector<std::uint32_t> wait_queue_slot_;
 };
 
 /// Convenience wrapper: schedules a single coflow from an empty PRT and

@@ -610,8 +610,10 @@ class PacketScenario final : public ScenarioPolicy {
   }
 
   // Flows in trace order, coflows in admission order: the allocators'
-  // tie-breaks and summation order depend on both.
+  // tie-breaks and summation order depend on both. The TpL feeds the
+  // timeline's idleness, as in the circuit scenarios.
   void OnAdmit(SimCoflow& sc, const Coflow& coflow, Time /*now*/) override {
+    sc.static_tpl = PacketLowerBound(coflow, bandwidth_);
     packet::ActiveCoflow& a = active_.emplace_back();
     a.id = sc.id;
     a.arrival = sc.arrival;

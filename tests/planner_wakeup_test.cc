@@ -5,16 +5,24 @@
 // paper-literal release-chain walk it replaced (both drive one shared
 // reservation step): over randomized port counts, orderings, δ values,
 // quantization, established circuits and K-plane fabrics, both paths must
-// produce bit-identical reservations, flow finishes and completion times. A dedicated regression test pins the retry-order
+// produce bit-identical reservations, flow finishes and completion times.
+// Each differential also plans with a trace sink attached, the one input
+// ScheduleOne's loop branches on: untraced, a flow blocked by a busy port
+// waits in that port's queue, and traced it is retried at every release
+// of that port. A dedicated regression test pins the retry-order
 // contract: flows woken at the same instant are retried in their original
 // Ordered() positions, never in heap-arrival order.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/sunflow.h"
+#include "obs/metrics.h"
+#include "obs/trace_sink.h"
 
 namespace sunflow {
 namespace {
@@ -38,6 +46,50 @@ void ExpectSchedulesEqual(const SunflowSchedule& a, const SunflowSchedule& b) {
   EXPECT_EQ(a.reservation_count, b.reservation_count);
   ExpectReservationsEqual(a.reservations, b.reservations);
 }
+
+// Plans every request three ways on three planners of one config:
+// untraced ScheduleOne, ScheduleOne with a MemorySink attached, and the
+// rescan oracle. All three must return the same finishes and leave the
+// same reservations, plane included.
+class ThreeWayPlan {
+ public:
+  ThreeWayPlan(PortId ports, const SunflowConfig& cfg)
+      : fast_(ports, cfg), traced_(ports, cfg), oracle_(ports, cfg) {
+    traced_.SetTraceSink(&sink_);
+  }
+
+  void SetEstablished(const EstablishedCircuits& circuits, Time at) {
+    for (SunflowPlanner* p : {&fast_, &traced_, &oracle_})
+      p->SetEstablishedCircuits(circuits, at);
+  }
+  void SetEstablishedByPlane(const FabricEstablished& circuits, Time at) {
+    for (SunflowPlanner* p : {&fast_, &traced_, &oracle_})
+      p->SetEstablishedCircuitsByPlane(circuits, at);
+  }
+
+  void Plan(const PlanRequest& req, const std::string& where) {
+    const Time want = oracle_.ScheduleOneRescan(req, want_);
+    EXPECT_EQ(fast_.ScheduleOne(req, got_), want) << where;
+    EXPECT_EQ(traced_.ScheduleOne(req, traced_out_), want)
+        << where << " (traced)";
+  }
+
+  void ExpectAllEqual() const {
+    ExpectSchedulesEqual(got_, want_);
+    ExpectSchedulesEqual(traced_out_, want_);
+    ExpectReservationsEqual(fast_.prt().reservations(),
+                            oracle_.prt().reservations());
+    ExpectReservationsEqual(traced_.prt().reservations(),
+                            oracle_.prt().reservations());
+  }
+
+ private:
+  obs::MemorySink sink_;
+  SunflowPlanner fast_;
+  SunflowPlanner traced_;
+  SunflowPlanner oracle_;
+  SunflowSchedule got_, traced_out_, want_;
+};
 
 PlanRequest RandomRequest(Rng& rng, PortId ports, CoflowId id, Time start) {
   PlanRequest req;
@@ -77,21 +129,16 @@ TEST(PlannerWakeup, DifferentialAgainstRescanOracle) {
   for (int trial = 0; trial < 120; ++trial) {
     const auto ports = static_cast<PortId>(rng.UniformInt(2, 10));
     const SunflowConfig cfg = RandomConfig(rng);
-    SunflowPlanner fast(ports, cfg);
-    SunflowPlanner oracle(ports, cfg);
-    SunflowSchedule got, want;
+    ThreeWayPlan plan(ports, cfg);
     Time t = rng.Uniform(0, 5.0);
     const int coflows = rng.UniformInt(1, 5);
     for (CoflowId id = 0; id < coflows; ++id) {
-      const PlanRequest req = RandomRequest(rng, ports, id, t);
-      const Time f1 = fast.ScheduleOne(req, got);
-      const Time f2 = oracle.ScheduleOneRescan(req, want);
-      EXPECT_EQ(f1, f2) << "trial=" << trial << " coflow=" << id;
+      plan.Plan(RandomRequest(rng, ports, id, t),
+                "trial=" + std::to_string(trial) +
+                    " coflow=" + std::to_string(id));
       if (rng.Uniform(0, 1) < 0.5) t += rng.Uniform(0, 1.0);
     }
-    ExpectSchedulesEqual(got, want);
-    ExpectReservationsEqual(fast.prt().reservations(),
-                            oracle.prt().reservations());
+    plan.ExpectAllEqual();
   }
 }
 
@@ -109,19 +156,14 @@ TEST(PlannerWakeup, DifferentialWithEstablishedCircuits) {
         circuits[p] = static_cast<PortId>(rng.UniformInt(0, ports - 1));
       }
     }
-    SunflowPlanner fast(ports, cfg);
-    SunflowPlanner oracle(ports, cfg);
-    fast.SetEstablishedCircuits(circuits, t0);
-    oracle.SetEstablishedCircuits(circuits, t0);
-    SunflowSchedule got, want;
+    ThreeWayPlan plan(ports, cfg);
+    plan.SetEstablished(circuits, t0);
     const int coflows = rng.UniformInt(1, 4);
     for (CoflowId id = 0; id < coflows; ++id) {
-      const PlanRequest req = RandomRequest(rng, ports, id, t0);
-      EXPECT_EQ(fast.ScheduleOne(req, got),
-                oracle.ScheduleOneRescan(req, want))
-          << "trial=" << trial;
+      plan.Plan(RandomRequest(rng, ports, id, t0),
+                "trial=" + std::to_string(trial));
     }
-    ExpectSchedulesEqual(got, want);
+    plan.ExpectAllEqual();
   }
 }
 
@@ -149,21 +191,15 @@ TEST(PlannerWakeup, DifferentialOnKPlaneFabrics) {
           plane[p] = static_cast<PortId>(rng.UniformInt(0, ports - 1));
       }
     }
-    SunflowPlanner fast(ports, cfg);
-    SunflowPlanner oracle(ports, cfg);
-    fast.SetEstablishedCircuitsByPlane(circuits, t0);
-    oracle.SetEstablishedCircuitsByPlane(circuits, t0);
-    SunflowSchedule got, want;
+    ThreeWayPlan plan(ports, cfg);
+    plan.SetEstablishedByPlane(circuits, t0);
     const int coflows = rng.UniformInt(1, 4);
     for (CoflowId id = 0; id < coflows; ++id) {
-      const PlanRequest req = RandomRequest(rng, ports, id, t0);
-      EXPECT_EQ(fast.ScheduleOne(req, got),
-                oracle.ScheduleOneRescan(req, want))
-          << "trial=" << trial << " planes=" << planes;
+      plan.Plan(RandomRequest(rng, ports, id, t0),
+                "trial=" + std::to_string(trial) +
+                    " planes=" + std::to_string(planes));
     }
-    ExpectSchedulesEqual(got, want);
-    ExpectReservationsEqual(fast.prt().reservations(),
-                            oracle.prt().reservations());
+    plan.ExpectAllEqual();
   }
 }
 
@@ -216,23 +252,19 @@ TEST(PlannerWakeup, DifferentialOnWideCoflows) {
             {cfg.delta, kRates[rng.UniformInt(0, 2)]});
       }
     }
-    SunflowPlanner fast(ports, cfg);
-    SunflowPlanner oracle(ports, cfg);
-    SunflowSchedule got, want;
+    ThreeWayPlan plan(ports, cfg);
     Time t = 0.1 * static_cast<Time>(rng.UniformInt(0, 10));
     const int coflows = static_cast<int>(rng.UniformInt(2, 4));
     for (CoflowId id = 0; id < coflows; ++id) {
       const Shape shape = kShapes[rng.UniformInt(0, 2)];
-      const PlanRequest req = WideRequest(rng, ports, shape, id, t);
-      EXPECT_EQ(fast.ScheduleOne(req, got),
-                oracle.ScheduleOneRescan(req, want))
-          << "trial=" << trial << " coflow=" << id << " planes=" << planes;
+      plan.Plan(WideRequest(rng, ports, shape, id, t),
+                "trial=" + std::to_string(trial) +
+                    " coflow=" + std::to_string(id) +
+                    " planes=" + std::to_string(planes));
       if (rng.Uniform(0, 1) < 0.5)
         t += 0.05 * static_cast<Time>(rng.UniformInt(1, 4));
     }
-    ExpectSchedulesEqual(got, want);
-    ExpectReservationsEqual(fast.prt().reservations(),
-                            oracle.prt().reservations());
+    plan.ExpectAllEqual();
   }
 }
 
@@ -274,6 +306,81 @@ TEST(PlannerWakeup, RetryOrderReplaysOrderedSequence) {
   oracle.ScheduleOneRescan(req, want);
   ExpectSchedulesEqual(schedule, want);
   ExpectReservationsEqual(created, oracle.prt().reservations());
+}
+
+// k flows queued on one port: untraced, each release of the port retries
+// only the waiter that then takes it, so the walk makes k first tries and
+// k - 1 retries. A traced walk retries every waiter at every release
+// (each retry feeds the blocked episodes), k(k+1)/2 tries in all, and
+// must reserve the same circuits.
+TEST(PlannerWakeup, QueuedFlowsRetryOncePerPortRelease) {
+  constexpr int kFlows = 150;
+  SunflowConfig cfg;
+  cfg.bandwidth = 1.0;
+  cfg.delta = 0.01;
+  obs::Counter& tries = obs::GlobalMetrics().GetCounter("plan.tries");
+  for (const Shape shape : {Shape::kO2M, Shape::kM2O}) {
+    SCOPED_TRACE(shape == Shape::kO2M ? "O2M" : "M2O");
+    PlanRequest req;
+    req.coflow = 7;
+    req.start = 0.5;
+    for (PortId leaf = 1; leaf <= kFlows; ++leaf) {
+      const Time p = 0.1 + 0.001 * static_cast<Time>(leaf % 7);
+      req.demand.push_back(shape == Shape::kO2M ? FlowDemand{0, leaf, p}
+                                                : FlowDemand{leaf, 0, p});
+    }
+    SunflowPlanner untraced(kFlows + 1, cfg);
+    SunflowSchedule got;
+    std::uint64_t before = tries.value();
+    const Time finish = untraced.ScheduleOne(req, got);
+    EXPECT_LE(tries.value() - before, 2u * kFlows);
+
+    obs::MemorySink sink;
+    SunflowPlanner traced(kFlows + 1, cfg);
+    traced.SetTraceSink(&sink);
+    SunflowSchedule want;
+    before = tries.value();
+    EXPECT_EQ(traced.ScheduleOne(req, want), finish);
+    EXPECT_EQ(tries.value() - before, kFlows * (kFlows + 1) / 2u);
+    ExpectSchedulesEqual(got, want);
+    ASSERT_EQ(untraced.prt().reservations().size(),
+              static_cast<std::size_t>(kFlows));
+    ExpectReservationsEqual(untraced.prt().reservations(),
+                            traced.prt().reservations());
+  }
+}
+
+// A flow truncated 1.5 ns short on a plane at half the config bandwidth
+// keeps more than ε of transmit time there, but on a plane at twice the
+// bandwidth that remainder takes 0.375 ns. It finishes at its truncated
+// reservation's end instead of reserving an empty circuit, in both loops.
+TEST(PlannerWakeup, SubEpsilonRemainderOnFasterPlaneFinishesThere) {
+  SunflowConfig cfg;
+  cfg.bandwidth = 1.0;
+  cfg.delta = 0;
+  cfg.fabric.planes = {{0.0, 0.5}, {0.0, 2.0}};
+  const Time cut = 2 - 1.5e-9;
+  const PlanRequest later{1, cut, {{0, 1, 1.0}}};
+  const PlanRequest earlier{2, 0, {{0, 1, 1.0}}};
+  for (const bool rescan : {false, true}) {
+    SCOPED_TRACE(rescan ? "rescan" : "event-indexed");
+    SunflowPlanner planner(2, cfg);
+    SunflowSchedule out;
+    const auto plan = [&](const PlanRequest& req) {
+      return rescan ? planner.ScheduleOneRescan(req, out)
+                    : planner.ScheduleOne(req, out);
+    };
+    plan(later);
+    EXPECT_EQ(plan(earlier), cut);
+    EXPECT_EQ(out.completion_time.at(2), cut);
+    EXPECT_EQ(out.reservation_count.at(2), 1);
+    const auto& created = planner.prt().reservations();
+    ASSERT_EQ(created.size(), 2u);
+    EXPECT_EQ(created[1].coflow, 2);
+    EXPECT_EQ(created[1].plane, 0);
+    EXPECT_EQ(created[1].start, 0);
+    EXPECT_EQ(created[1].end, cut);
+  }
 }
 
 // InterCoflow is a plain loop of IntraCoflow calls on one PRT: ScheduleAll

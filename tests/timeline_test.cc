@@ -177,17 +177,20 @@ engine::EngineConfig BaseConfig() {
 TEST(TimelineEngine, IdleFractionMatchesNetworkIdleness) {
   const Trace trace = SmallTrace();
   const auto policy = MakeShortestFirstPolicy();
-  engine::EngineConfig ec = BaseConfig();
-  TimelineSampler sampler;
-  ec.timeline = &sampler;
-  engine::ScenarioRegistry::Global().Run("circuit", trace, policy.get(), ec);
-
   // The sampler computes §5.4 idleness online from the admissions the
-  // driver feeds it; the offline IntervalSet version is ground truth.
+  // driver feeds it; the offline IntervalSet version is ground truth. The
+  // packet arms must report their coflows' TpL at admission too.
   const double expected =
-      NetworkIdleness(trace, ec.sunflow.bandwidth);
+      NetworkIdleness(trace, BaseConfig().sunflow.bandwidth);
   EXPECT_GT(expected, 0);
-  EXPECT_NEAR(sampler.Summarize().idle_fraction, expected, 1e-9);
+  for (const char* scenario : {"circuit", "varys", "aalo"}) {
+    SCOPED_TRACE(scenario);
+    engine::EngineConfig ec = BaseConfig();
+    TimelineSampler sampler;
+    ec.timeline = &sampler;
+    engine::ScenarioRegistry::Global().Run(scenario, trace, policy.get(), ec);
+    EXPECT_NEAR(sampler.Summarize().idle_fraction, expected, 1e-9);
+  }
 }
 
 TEST(TimelineEngine, PerWindowBusyMatchesReservationTableProbe) {
