@@ -6,6 +6,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/assert.h"
 #include "obs/metrics.h"
@@ -124,7 +126,19 @@ void ReplayDriver::AdmitOne(ScenarioPolicy& scenario,
   sc.id = coflow.id();
   sc.arrival = entry.t;
   sc.total = coflow.total_bytes();
-  for (const Flow& f : coflow.flows()) sc.remaining[{f.src, f.dst}] = f.bytes;
+  for (const Flow& f : coflow.flows()) {
+    if (f.bytes > kBytesEps) ++sc.unfinished;
+  }
+  if (scenario.uses_flat_demand()) {
+    sc.flows.reserve(coflow.size());
+    for (const Flow& f : coflow.flows())
+      sc.flows.push_back({f.src, f.dst, f.bytes});
+    // A coflow holds each (in, out) pair once, so this order is total.
+    std::sort(sc.flows.begin(), sc.flows.end(),
+              [](const SimFlow& a, const SimFlow& b) {
+                return std::pair{a.in, a.out} < std::pair{b.in, b.out};
+              });
+  }
   scenario.OnAdmit(sc, coflow, t);
   // static_tpl is set by OnAdmit; scenarios that leave it 0 (rotor)
   // contribute a zero-width demand interval — their idleness aggregate
@@ -142,8 +156,8 @@ void ReplayDriver::AdmitOne(ScenarioPolicy& scenario,
                             .coflow = id});
   if (source_ != nullptr) {
     // Admissions consume the pulled window strictly FIFO (the queue pops
-    // in (time, seq) = pull order); the coflow's bytes now live in
-    // sc.remaining, so the storage can go.
+    // in (time, seq) = pull order); the coflow's bytes now live in the
+    // SimCoflow or the scenario, so the storage can go.
     SUNFLOW_CHECK_MSG(!window_.empty() && entry.payload == &window_.front(),
                       "streamed admission out of window order");
     window_.pop_front();
@@ -166,6 +180,8 @@ void ReplayDriver::Harvest(ScenarioPolicy& scenario, Time now) {
   auto& active = state_.active();
   EngineResult& result = state_.result();
   for (auto it = active.begin(); it != active.end();) {
+    SUNFLOW_DCHECK(it->flows.empty() ||
+                   it->unfinished == it->CountUnfinished());
     if (it->done()) {
       // Fluid scenarios resolve exact finish instants mid-span
       // (last_finish); the circuit planner's dust semantics finish at the
@@ -251,6 +267,8 @@ void ReplayDriver::SampleExecutedPlan(const SunflowSchedule& plan, Time t,
 
 void ReplayDriver::EmitExecutedPlan(const SunflowSchedule& plan,
                                     Time t, Time t_next) {
+  if (timeline_ == nullptr && state_.sink() == nullptr) return;
+  SUNFLOW_PROFILE_SCOPE("engine.emit");
   if (timeline_ != nullptr) SampleExecutedPlan(plan, t, t_next);
   if (state_.sink() == nullptr) return;
   for (const auto& r : plan.reservations) {
@@ -318,26 +336,37 @@ void ReplayDriver::EmitBlockedSpan(Time t, Time t_next, CoflowId coflow,
 void ReplayDriver::EmitBlockedSpans(const SunflowSchedule& plan, Time t,
                                     Time t_next) {
   if (state_.sink() == nullptr || t_next <= t + kTimeEps) return;
+  SUNFLOW_PROFILE_SCOPE("engine.emit");
+  // One walk over the reservations up at any point in the span records the
+  // flows they serve and, per port, the first of them in plan order: the
+  // one a flow blocked on that port blames.
+  const auto ports = static_cast<std::size_t>(state_.num_ports());
+  std::vector<const CircuitReservation*> first_on_in(ports, nullptr);
+  std::vector<const CircuitReservation*> first_on_out(ports, nullptr);
+  std::vector<std::tuple<CoflowId, PortId, PortId>> served;
+  for (const auto& r : plan.reservations) {
+    if (r.start >= t_next - kTimeEps || r.end <= t + kTimeEps) continue;
+    served.emplace_back(r.coflow, r.in, r.out);
+    auto& on_in = first_on_in[static_cast<std::size_t>(r.in)];
+    if (on_in == nullptr) on_in = &r;
+    auto& on_out = first_on_out[static_cast<std::size_t>(r.out)];
+    if (on_out == nullptr) on_out = &r;
+  }
+  std::sort(served.begin(), served.end());
   for (const auto& sc : state_.active()) {
-    for (const auto& [pair, bytes] : sc.remaining) {
-      if (bytes <= kBytesEps) continue;
+    for (const SimFlow& f : sc.flows) {
+      if (f.bytes <= kBytesEps) continue;
       // Was this flow's circuit up at any point in the span? If so its
       // wait, if any, is sub-span and the planner's own episode events
       // (when planning traced) carry the detail; the driver only derives
       // whole-span blocks.
-      bool served = false;
-      const CircuitReservation* in_blocker = nullptr;
-      const CircuitReservation* out_blocker = nullptr;
-      for (const auto& r : plan.reservations) {
-        if (r.start >= t_next - kTimeEps || r.end <= t + kTimeEps) continue;
-        if (r.coflow == sc.id && r.in == pair.first && r.out == pair.second) {
-          served = true;
-          break;
-        }
-        if (r.in == pair.first && in_blocker == nullptr) in_blocker = &r;
-        if (r.out == pair.second && out_blocker == nullptr) out_blocker = &r;
-      }
-      if (served) continue;
+      if (std::binary_search(served.begin(), served.end(),
+                             std::tuple{sc.id, f.in, f.out}))
+        continue;
+      const CircuitReservation* in_blocker =
+          first_on_in[static_cast<std::size_t>(f.in)];
+      const CircuitReservation* out_blocker =
+          first_on_out[static_cast<std::size_t>(f.out)];
       obs::BlockReason reason = obs::BlockReason::kCircuitConflict;
       CoflowId blamer = -1;
       if (in_blocker != nullptr) {
@@ -347,8 +376,7 @@ void ReplayDriver::EmitBlockedSpans(const SunflowSchedule& plan, Time t,
         reason = obs::BlockReason::kOutputPortBusy;
         blamer = out_blocker->coflow;
       }
-      EmitBlockedSpan(t, t_next, sc.id, pair.first, pair.second, reason,
-                      blamer);
+      EmitBlockedSpan(t, t_next, sc.id, f.in, f.out, reason, blamer);
     }
   }
 }

@@ -104,9 +104,10 @@ class ReplayDriver {
 
   /// Derives blocked spans from an executed plan: every pending flow of
   /// the active set that got no circuit time in [t, t_next) is blocked for
-  /// the span, blamed on the owner of an overlapping reservation on its
-  /// input (then output) port. Call after ExecutePlanSpan so `remaining`
-  /// reflects the drain — a flow that finished in the span is not blocked.
+  /// the span, blamed on the owner of the first overlapping reservation
+  /// (in plan order) on its input, then its output, port. Call after
+  /// ExecutePlanSpan so SimCoflow::flows reflects the drain — a flow that
+  /// finished in the span is not blocked.
   void EmitBlockedSpans(const SunflowSchedule& plan, Time t, Time t_next);
 
  private:

@@ -84,8 +84,15 @@ class ScenarioPolicy {
 
   virtual std::string name() const = 0;
 
+  /// Whether the driver keeps each admitted coflow's remaining demand per
+  /// flow in SimCoflow::flows. A scenario that keeps its flows itself (the
+  /// packet fabric) returns false and reports each finished flow by
+  /// decrementing SimCoflow::unfinished.
+  virtual bool uses_flat_demand() const { return true; }
+
   /// Fills scenario-specific fields of a just-released coflow (the driver
-  /// has already set id/arrival/total/remaining from `coflow`).
+  /// has already set id/arrival/total, the unfinished-flow count and, per
+  /// uses_flat_demand, the flows from `coflow`).
   virtual void OnAdmit(SimCoflow& sc, const Coflow& coflow, Time now) {
     (void)sc;
     (void)coflow;

@@ -7,6 +7,7 @@
 // handling, ε comparisons — is preserved expression-for-expression so
 // replays are bit-identical to the pre-kernel engines.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -82,78 +83,76 @@ bool AnyEstablished(const FabricEstablished& established) {
 // per-flow finish instants (needed for starvation accounting).
 enum class DrainRule { kCircuitDust, kExactFinish };
 
-// Orders reservation pointers by (in, out); heterogeneous overloads let
-// equal_range probe with a bare port pair.
-struct ByPortPair {
-  static std::pair<PortId, PortId> PairOf(const CircuitReservation* r) {
-    return {r->in, r->out};
-  }
-  bool operator()(const CircuitReservation* a,
-                  const CircuitReservation* b) const {
-    return PairOf(a) < PairOf(b);
-  }
-  bool operator()(const CircuitReservation* r,
-                  const std::pair<PortId, PortId>& p) const {
-    return PairOf(r) < p;
-  }
-  bool operator()(const std::pair<PortId, PortId>& p,
-                  const CircuitReservation* r) const {
-    return p < PairOf(r);
-  }
-};
-
 // Executes a plan over [t, t_next): charges each active coflow the circuit
-// time its reservations actually got before the span end. Reservation
-// groups are walked in plan order, preserving the pre-kernel summation
-// order exactly: `scratch` (a caller-owned buffer reused across spans, so
-// the old per-span map-of-vectors churn is gone) is stable-sorted by port
-// pair, which keeps plan order within each pair.
+// time its reservations actually got before the span end. One pass over the
+// plan keeps the reservations whose transmit window overlaps the span and
+// whose flow still has bytes left, and groups them by (active position,
+// flow) with plan order kept inside each group. So every sum, and every
+// FlowFinished, runs in the order of a walk over the active set's flows.
 void ExecutePlanSpan(ReplayDriver& driver, std::vector<SimCoflow>& active,
                      const SunflowSchedule& plan, Time t, Time t_next,
-                     const std::vector<Bandwidth>& rates, DrainRule rule,
-                     std::vector<const CircuitReservation*>& scratch) {
-  scratch.clear();
-  scratch.reserve(plan.reservations.size());
-  for (const auto& r : plan.reservations) scratch.push_back(&r);
-  std::stable_sort(scratch.begin(), scratch.end(), ByPortPair{});
+                     const std::vector<Bandwidth>& rates, DrainRule rule) {
+  std::vector<std::pair<CoflowId, std::size_t>> position;
+  position.reserve(active.size());
+  for (std::size_t i = 0; i < active.size(); ++i)
+    position.emplace_back(active[i].id, i);
+  std::sort(position.begin(), position.end());
+
+  // (active position, flow index, reservation index): sorting these keeps
+  // plan order inside each flow's group.
+  std::vector<std::array<std::size_t, 3>> charges;
+  for (std::size_t k = 0; k < plan.reservations.size(); ++k) {
+    const CircuitReservation& r = plan.reservations[k];
+    if (std::min(r.end, t_next) <= std::max(r.transmit_begin(), t)) continue;
+    const auto pos = std::lower_bound(position.begin(), position.end(),
+                                      std::pair{r.coflow, std::size_t{0}});
+    if (pos == position.end() || pos->first != r.coflow) continue;
+    SimCoflow& sc = active[pos->second];
+    const SimFlow* flow = sc.FindFlow(r.in, r.out);
+    if (flow == nullptr || flow->bytes <= kBytesEps) continue;
+    SUNFLOW_CHECK(static_cast<std::size_t>(r.plane) < rates.size());
+    charges.push_back({pos->second,
+                       static_cast<std::size_t>(flow - sc.flows.data()), k});
+  }
+  std::sort(charges.begin(), charges.end());
 
   // Circuit time per plane; a plane's seconds convert to bytes at its own
   // rate. Summed in plane-id order, so the single-plane fabric reduces to
   // the pre-fabric `served * bandwidth` multiply bit-for-bit.
   std::vector<Time> served_by_plane(rates.size(), 0);
-  for (auto& sc : active) {
+  for (std::size_t g = 0; g < charges.size();) {
+    const std::size_t pos = charges[g][0];
+    SimCoflow& sc = active[pos];
     Bytes served_total = 0;
-    for (auto& [pair, bytes] : sc.remaining) {
-      if (bytes <= kBytesEps) continue;
-      const auto [first, last] =
-          std::equal_range(scratch.begin(), scratch.end(), pair, ByPortPair{});
-      if (first == last) continue;
+    while (g < charges.size() && charges[g][0] == pos) {
+      const std::size_t flow_index = charges[g][1];
+      SimFlow& flow = sc.flows[flow_index];
       std::fill(served_by_plane.begin(), served_by_plane.end(), 0.0);
       Time flow_finish = 0;
-      for (auto rit = first; rit != last; ++rit) {
-        const CircuitReservation* r = *rit;
-        if (r->coflow != sc.id) continue;
-        SUNFLOW_CHECK(static_cast<std::size_t>(r->plane) < rates.size());
-        const Time b = std::max(r->transmit_begin(), t);
-        const Time e = std::min(r->end, t_next);
-        if (e > b) {
-          served_by_plane[static_cast<std::size_t>(r->plane)] += e - b;
-          flow_finish = std::max(flow_finish, e);
-        }
+      for (; g < charges.size() && charges[g][0] == pos &&
+             charges[g][1] == flow_index;
+           ++g) {
+        const CircuitReservation& r = plan.reservations[charges[g][2]];
+        const Time b = std::max(r.transmit_begin(), t);
+        const Time e = std::min(r.end, t_next);
+        served_by_plane[static_cast<std::size_t>(r.plane)] += e - b;
+        flow_finish = std::max(flow_finish, e);
       }
       Bytes served_bytes = 0;
       for (std::size_t p = 0; p < rates.size(); ++p)
         served_bytes += served_by_plane[p] * rates[p];
       if (rule == DrainRule::kCircuitDust) {
-        bytes = std::max(0.0, bytes - served_bytes);
+        flow.bytes = std::max(0.0, flow.bytes - served_bytes);
+        if (flow.bytes <= kBytesEps) --sc.unfinished;
       } else {
-        const Bytes moved = std::min(bytes, served_bytes);
-        bytes -= moved;
+        const Bytes moved = std::min(flow.bytes, served_bytes);
+        flow.bytes -= moved;
         served_total += moved;
-        if (bytes <= kBytesEps) {
-          bytes = 0;
+        if (flow.bytes <= kBytesEps) {
+          flow.bytes = 0;
+          --sc.unfinished;
           sc.last_finish = std::max(sc.last_finish, flow_finish);
-          driver.EmitFlowFinished(flow_finish, sc.id, pair.first, pair.second);
+          driver.EmitFlowFinished(flow_finish, sc.id, flow.in, flow.out);
         }
       }
     }
@@ -185,6 +184,7 @@ void DrainEqualShare(std::vector<std::pair<SimCoflow*, Bytes*>>& flows,
       *f.second = std::max(0.0, *f.second - moved);
       if (*f.second <= kBytesEps) {
         *f.second = 0;
+        --f.first->unfinished;
         f.first->last_finish = std::max(f.first->last_finish, step_end);
         driver.EmitFlowFinished(step_end, f.first->id, in, out);
       } else {
@@ -278,7 +278,7 @@ SunflowSchedule PlanActiveSet(ReplayDriver& driver,
   for (const auto& sc : active) {
     const Bytes remaining_bytes = sc.remaining_bytes();
     views.push_back({sc.id, sc.arrival, sc.RemainingTpl(bandwidth),
-                     sc.static_tpl, remaining_bytes, sc.remaining.size(),
+                     sc.static_tpl, remaining_bytes, sc.unfinished,
                      std::max(0.0, sc.total - remaining_bytes)});
   }
   const std::vector<std::size_t> order = policy.Order(views);
@@ -292,10 +292,10 @@ SunflowSchedule PlanActiveSet(ReplayDriver& driver,
     PlanRequest& req = owned[i];
     req.coflow = sc.id;
     req.start = t;
-    req.demand.reserve(sc.remaining.size());
-    for (const auto& [pair, bytes] : sc.remaining) {
-      if (bytes > kBytesEps)
-        req.demand.push_back({pair.first, pair.second, bytes / bandwidth});
+    req.demand.reserve(sc.unfinished);
+    for (const SimFlow& f : sc.flows) {
+      if (f.bytes > kBytesEps)
+        req.demand.push_back({f.in, f.out, f.bytes / bandwidth});
     }
     requests.push_back(&req);
   }
@@ -375,7 +375,7 @@ class CircuitScenario final : public ScenarioPolicy {
                       StallState(name_, s, plan, t, t_next));
 
     ExecutePlanSpan(driver, active, plan, t, t_next, plane_rates_,
-                    DrainRule::kCircuitDust, span_scratch_);
+                    DrainRule::kCircuitDust);
     driver.EmitExecutedPlan(plan, t, t_next);
     driver.EmitBlockedSpans(plan, t, t_next);
 
@@ -406,7 +406,6 @@ class CircuitScenario final : public ScenarioPolicy {
   CompletionHook hook_;
   std::vector<Bandwidth> plane_rates_;
   FabricEstablished established_;  // carry-over per plane
-  std::vector<const CircuitReservation*> span_scratch_;
   Time last_plan_ = -kTimeInf;
 };
 
@@ -456,7 +455,7 @@ class GuardScenario final : public ScenarioPolicy {
       SUNFLOW_CHECK_MSG(t_next > t, StallState(name(), s, plan, t, t_next));
 
       ExecutePlanSpan(driver, active, plan, t, t_next, plane_rates_,
-                      DrainRule::kExactFinish, span_scratch_);
+                      DrainRule::kExactFinish);
       driver.EmitExecutedPlan(plan, t, t_next);
       driver.EmitBlockedSpans(plan, t, t_next);
       return t_next;
@@ -479,9 +478,9 @@ class GuardScenario final : public ScenarioPolicy {
         const PortId j = phi_.OutputOf(k, i);
         std::vector<std::pair<SimCoflow*, Bytes*>> flows;
         for (auto& sc : active) {
-          auto it = sc.remaining.find({i, j});
-          if (it != sc.remaining.end() && it->second > kBytesEps)
-            flows.emplace_back(&sc, &it->second);
+          SimFlow* f = sc.FindFlow(i, j);
+          if (f != nullptr && f->bytes > kBytesEps)
+            flows.emplace_back(&sc, &f->bytes);
         }
         if (flows.empty()) continue;
         DrainEqualShare(flows, transmit_begin, t_next, bandwidth, driver, i,
@@ -493,10 +492,10 @@ class GuardScenario final : public ScenarioPolicy {
     // whole τ span (no single blaming coflow — the guard owns the fabric).
     if (s.sink() != nullptr && t_next > t + kTimeEps) {
       for (const auto& sc : active) {
-        for (const auto& [pair, bytes] : sc.remaining) {
-          if (bytes <= kBytesEps) continue;
-          if (phi_.OutputOf(k, pair.first) == pair.second) continue;
-          driver.EmitBlockedSpan(t, t_next, sc.id, pair.first, pair.second,
+        for (const SimFlow& f : sc.flows) {
+          if (f.bytes <= kBytesEps) continue;
+          if (phi_.OutputOf(k, f.in) == f.out) continue;
+          driver.EmitBlockedSpan(t, t_next, sc.id, f.in, f.out,
                                  obs::BlockReason::kStarvationHold, -1);
         }
       }
@@ -517,7 +516,6 @@ class GuardScenario final : public ScenarioPolicy {
   StarvationGuardTimeline timeline_;
   PhiAssignments phi_;
   std::vector<Bandwidth> plane_rates_;
-  std::vector<const CircuitReservation*> span_scratch_;
   Time last_traced_tau_ = -kTimeInf;
 };
 
@@ -559,9 +557,9 @@ class RotorScenario final : public ScenarioPolicy {
         const PortId j = phi_.OutputOf(k, i);
         std::vector<std::pair<SimCoflow*, Bytes*>> flows;
         for (auto& sc : active) {
-          auto it = sc.remaining.find({i, j});
-          if (it != sc.remaining.end() && it->second > kBytesEps)
-            flows.emplace_back(&sc, &it->second);
+          SimFlow* f = sc.FindFlow(i, j);
+          if (f != nullptr && f->bytes > kBytesEps)
+            flows.emplace_back(&sc, &f->bytes);
         }
         if (!flows.empty())
           DrainEqualShare(flows, begin, t_next, config_.sunflow.bandwidth,
@@ -593,10 +591,13 @@ class RotorScenario final : public ScenarioPolicy {
 // Rates are piecewise constant between events. A span first reallocates if
 // an admission, a completion or the allocator's own rule (a flow finished,
 // an attained-service threshold crossed) asked for it, then drains until
-// the next arrival, flow finish or threshold crossing. A SimCoflow's
-// `remaining` keeps an entry for exactly the unfinished flows (the bytes
-// live in the ActiveCoflow), so the driver harvests a coflow at the end of
-// the span that drains its last flow.
+// the next arrival, flow finish or threshold crossing. The bytes live in
+// the ActiveCoflow, in trace order: Aalo's equal-share pass uses up port
+// capacity flow by flow and Varys' MADD sums port loads in flow order, so
+// the SimCoflow's (in, out)-sorted flows could not stand in for them bit
+// for bit. The SimCoflow keeps only its unfinished count, which the drain
+// decrements, so the driver harvests a coflow at the end of the span that
+// drains its last flow.
 
 class PacketScenario final : public ScenarioPolicy {
  public:
@@ -608,6 +609,8 @@ class PacketScenario final : public ScenarioPolicy {
   std::string name() const override {
     return std::string("packet/") + allocator_.name();
   }
+
+  bool uses_flat_demand() const override { return false; }
 
   // Flows in trace order, coflows in admission order: the allocators'
   // tie-breaks and summation order depend on both. The TpL feeds the
@@ -677,10 +680,14 @@ class PacketScenario final : public ScenarioPolicy {
         c.sent += moved;
         if (f.done()) {
           SUNFLOW_CHECK(sims[i].id == c.id);
-          sims[i].remaining.erase({f.src, f.dst});
+          --sims[i].unfinished;
           finished = true;
         }
       }
+      SUNFLOW_DCHECK(sims[i].unfinished ==
+                     static_cast<std::size_t>(std::count_if(
+                         c.flows.begin(), c.flows.end(),
+                         [](const auto& f) { return !f.done(); })));
       if (finished) {
         std::erase_if(c.flows, [](const auto& f) { return f.done(); });
         flow_finished = true;

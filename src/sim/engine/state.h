@@ -6,6 +6,8 @@
 // RotorCoflow); scenarios use the fields they need and ignore the rest.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -21,13 +23,27 @@ class TraceSink;
 
 namespace sunflow::engine {
 
+/// One flow's remaining demand during a replay.
+struct SimFlow {
+  PortId in = 0;
+  PortId out = 0;
+  Bytes bytes = 0;
+};
+
 /// Remaining demand of one coflow during a replay, in bytes.
 struct SimCoflow {
   CoflowId id = -1;
   Time arrival = 0;  ///< release instant (CCT is measured from here)
   Time static_tpl = 0;
   Bytes total = 0;  ///< original demand (for attained-service policies)
-  std::map<std::pair<PortId, PortId>, Bytes> remaining;
+  /// Remaining bytes per flow, sorted by (in, out), so every sum over a
+  /// coflow's flows runs in one fixed order. A finished flow keeps its
+  /// entry at ≤ kBytesEps. Empty when the scenario keeps its flows itself
+  /// (ScenarioPolicy::uses_flat_demand).
+  std::vector<SimFlow> flows;
+  /// Flows with more than kBytesEps left: every drain that finishes a flow
+  /// decrements it, and done() reads it.
+  std::size_t unfinished = 0;
   /// End of the last window with non-zero service (starvation accounting).
   Time last_service = 0;
   Time max_gap = 0;
@@ -38,24 +54,47 @@ struct SimCoflow {
 
   Bytes remaining_bytes() const {
     Bytes sum = 0;
-    for (const auto& [pair, b] : remaining) sum += b;
+    for (const SimFlow& f : flows) sum += f.bytes;
     return sum;
   }
-  bool done() const {
-    for (const auto& [pair, b] : remaining)
-      if (b > kBytesEps) return false;
-    return true;
-  }
-  Time RemainingTpl(Bandwidth bandwidth) const {
-    std::map<PortId, Bytes> in_load, out_load;
-    for (const auto& [pair, b] : remaining) {
-      if (b <= kBytesEps) continue;
-      in_load[pair.first] += b;
-      out_load[pair.second] += b;
+  bool done() const { return unfinished == 0; }
+  /// `unfinished` recounted from `flows` (for debug checks).
+  std::size_t CountUnfinished() const {
+    std::size_t n = 0;
+    for (const SimFlow& f : flows) {
+      if (f.bytes > kBytesEps) ++n;
     }
+    return n;
+  }
+  /// The flow (in, out), or null when the coflow has none.
+  SimFlow* FindFlow(PortId in, PortId out) {
+    const auto it = std::lower_bound(
+        flows.begin(), flows.end(), std::pair{in, out},
+        [](const SimFlow& f, const std::pair<PortId, PortId>& p) {
+          return std::pair{f.in, f.out} < p;
+        });
+    return it != flows.end() && it->in == in && it->out == out ? &*it
+                                                               : nullptr;
+  }
+  /// Busiest-port time of the unfinished demand at `bandwidth`. Flows are
+  /// sorted by input, so each input's load is one run of the vector; both
+  /// sides add their flows in (in, out) order.
+  Time RemainingTpl(Bandwidth bandwidth) const {
+    PortId out_ports = 0;
+    for (const SimFlow& f : flows) out_ports = std::max(out_ports, f.out + 1);
+    std::vector<Bytes> out_load(static_cast<std::size_t>(out_ports), 0);
     Bytes busiest = 0;
-    for (const auto& [p, v] : in_load) busiest = std::max(busiest, v);
-    for (const auto& [p, v] : out_load) busiest = std::max(busiest, v);
+    for (std::size_t i = 0; i < flows.size();) {
+      const PortId in = flows[i].in;
+      Bytes in_load = 0;
+      for (; i < flows.size() && flows[i].in == in; ++i) {
+        if (flows[i].bytes <= kBytesEps) continue;
+        in_load += flows[i].bytes;
+        out_load[static_cast<std::size_t>(flows[i].out)] += flows[i].bytes;
+      }
+      busiest = std::max(busiest, in_load);
+    }
+    for (Bytes v : out_load) busiest = std::max(busiest, v);
     return busiest / bandwidth;
   }
 

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -275,6 +276,141 @@ TEST(ReplayDriver, ResultIsIndependentOfTraceCoflowOrder) {
       ScenarioRegistry::Global().Run("circuit", b, policy.get(), UnitConfig());
   ASSERT_EQ(ra.cct.size(), rb.cct.size());
   for (const auto& [id, cct] : ra.cct) EXPECT_DOUBLE_EQ(cct, rb.cct.at(id));
+}
+
+// The per-pair map SimCoflow kept before its flows became a sorted vector,
+// with the two readers as they were then: the flat demand must reproduce
+// both bit for bit.
+using PairBytes = std::map<std::pair<PortId, PortId>, Bytes>;
+
+Bytes MapRemainingBytes(const PairBytes& remaining) {
+  Bytes sum = 0;
+  for (const auto& [pair, b] : remaining) sum += b;
+  return sum;
+}
+
+Time MapRemainingTpl(const PairBytes& remaining, Bandwidth bandwidth) {
+  std::map<PortId, Bytes> in_load, out_load;
+  for (const auto& [pair, b] : remaining) {
+    if (b <= kBytesEps) continue;
+    in_load[pair.first] += b;
+    out_load[pair.second] += b;
+  }
+  Bytes busiest = 0;
+  for (const auto& [p, v] : in_load) busiest = std::max(busiest, v);
+  for (const auto& [p, v] : out_load) busiest = std::max(busiest, v);
+  return busiest / bandwidth;
+}
+
+TEST(SimCoflow, FlatDemandMatchesMapReference) {
+  Rng rng(20161212);
+  for (int trial = 0; trial < 400; ++trial) {
+    // Sparse ports, a dense corner that piles many flows on a few ports,
+    // and byte counts spread across zero, dust, the ε boundary and
+    // magnitudes whose sums round.
+    PairBytes remaining;
+    const auto n = rng.UniformInt(0, 80);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const bool dense = rng.UniformInt(0, 1) == 0;
+      const auto in = static_cast<PortId>(rng.UniformInt(0, dense ? 3 : 2000));
+      const auto out = static_cast<PortId>(rng.UniformInt(0, dense ? 3 : 2000));
+      Bytes bytes = 0;
+      switch (rng.UniformInt(0, 4)) {
+        case 0: bytes = 0; break;
+        case 1: bytes = rng.Uniform(0, kBytesEps); break;
+        case 2: bytes = kBytesEps; break;
+        case 3: bytes = kBytesEps + rng.Uniform(0, 1e-6); break;
+        default: bytes = rng.Uniform(1, 1e9); break;
+      }
+      remaining[{in, out}] = bytes;
+    }
+    SimCoflow sc;
+    for (const auto& [pair, b] : remaining) {
+      sc.flows.push_back({pair.first, pair.second, b});
+      if (b > kBytesEps) ++sc.unfinished;
+    }
+    EXPECT_EQ(sc.unfinished, sc.CountUnfinished());
+    EXPECT_EQ(sc.done(), sc.unfinished == 0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sc.remaining_bytes()),
+              std::bit_cast<std::uint64_t>(MapRemainingBytes(remaining)))
+        << "trial " << trial;
+    for (const Bandwidth bw : {Gbps(1), Gbps(40), 3.0}) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sc.RemainingTpl(bw)),
+                std::bit_cast<std::uint64_t>(MapRemainingTpl(remaining, bw)))
+          << "trial " << trial;
+    }
+    for (const auto& [pair, b] : remaining) {
+      const SimFlow* f = sc.FindFlow(pair.first, pair.second);
+      ASSERT_NE(f, nullptr);
+      EXPECT_EQ(f->bytes, b);
+    }
+    EXPECT_EQ(sc.FindFlow(2001, 0), nullptr);
+  }
+}
+
+// Orders like shortest-first and, at every replan, checks each coflow's
+// view against the driver's live state: remaining_flows counts exactly
+// the flows with more than kBytesEps left, and the flows are sorted by
+// (in, out).
+class RecountingPolicy final : public PriorityPolicy {
+ public:
+  explicit RecountingPolicy(const SimState& state) : state_(state) {}
+  std::string name() const override { return "recounting"; }
+  std::vector<std::size_t> Order(
+      const std::vector<CoflowView>& views) const override {
+    const auto& active = state_.active();
+    EXPECT_EQ(views.size(), active.size());
+    for (std::size_t i = 0; i < views.size() && i < active.size(); ++i) {
+      const auto& flows = active[i].flows;
+      EXPECT_TRUE(std::is_sorted(flows.begin(), flows.end(),
+                                 [](const SimFlow& a, const SimFlow& b) {
+                                   return std::pair{a.in, a.out} <
+                                          std::pair{b.in, b.out};
+                                 }));
+      std::size_t left = 0;
+      for (const SimFlow& f : flows) {
+        if (f.bytes > kBytesEps) ++left;
+      }
+      EXPECT_EQ(views[i].remaining_flows, left) << "coflow " << views[i].id;
+      ++views_checked;
+      if (left < flows.size()) ++views_with_finished_flows;
+    }
+    return shortest_first_->Order(views);
+  }
+
+  mutable int views_checked = 0;
+  mutable int views_with_finished_flows = 0;
+
+ private:
+  const SimState& state_;
+  std::unique_ptr<PriorityPolicy> shortest_first_ = MakeShortestFirstPolicy();
+};
+
+TEST(ReplayDriver, RemainingFlowsCountsOnlyUnfinishedFlows) {
+  SyntheticTraceConfig cfg;
+  cfg.num_coflows = 40;
+  cfg.num_ports = 16;
+  const Trace trace =
+      PerturbFlowSizes(GenerateSyntheticTrace(cfg), 0.05, MB(1), cfg.seed + 1);
+  EngineConfig ec = UnitConfig();
+  ec.guard.big_interval = 0.5;
+  ec.guard.small_interval = 0.05;
+  for (const std::string scenario_name : {"circuit", "guarded"}) {
+    ReplayDriver driver(trace.num_ports, nullptr);
+    RecountingPolicy policy(driver.state());
+    const auto scenario =
+        scenario_name == "circuit"
+            ? MakeCircuitScenario(trace.num_ports, policy, ec)
+            : MakeGuardScenario(trace.num_ports, policy, ec);
+    for (const Coflow& c : trace.coflows)
+      driver.state().PushRelease(c.arrival(), &c);
+    const EngineResult result = driver.Run(*scenario);
+    EXPECT_EQ(result.cct.size(), trace.coflows.size()) << scenario_name;
+    EXPECT_GT(policy.views_checked, 0) << scenario_name;
+    // Coflows with finished flows were replanned, so the count was tested
+    // where the number of flows and the number of unfinished ones differ.
+    EXPECT_GT(policy.views_with_finished_flows, 0) << scenario_name;
+  }
 }
 
 TEST(ScenarioRegistry, ListsTheBuiltinScenarios) {

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -204,6 +205,66 @@ TEST(GoldenEquivalence, PlannerTraceOnContendedCoflows) {
   std::ostringstream out;
   obs::WriteJsonl(out, sink.events());
   CompareOrRegen("planner_trace.jsonl", out.str());
+}
+
+// --- The replay driver's own blocked spans. Inside a replay the planner
+// runs untraced, so every FlowBlocked comes from the driver: a whole span
+// with no circuit, blamed on the first overlapping reservation on the
+// flow's input port, else its output port (circuit), or held by the
+// starvation guard's τ span (guarded). ---
+
+std::string BlockedSpanLines(const std::vector<obs::Event>& events,
+                             std::map<obs::BlockReason, int>& reasons) {
+  std::string out;
+  for (const obs::Event& e : events) {
+    if (e.type != obs::EventType::kFlowBlocked) continue;
+    const auto reason = static_cast<obs::BlockReason>(e.count);
+    ++reasons[reason];
+    out += "t=" + Fmt(e.t) + " coflow=" + std::to_string(e.coflow) +
+           " in=" + std::to_string(e.in) + " out=" + std::to_string(e.out) +
+           " reason=" + obs::ToString(reason) + " blamer=" +
+           std::to_string(static_cast<CoflowId>(e.value)) + "\n";
+  }
+  return out;
+}
+
+TEST(GoldenEquivalence, DriverBlockedSpans) {
+  auto& registry = engine::ScenarioRegistry::Global();
+  const auto policy = MakeShortestFirstPolicy();
+  std::string out;
+  {
+    // Many coflows on few ports: most flows wait behind another coflow's
+    // circuit for whole spans.
+    const Trace trace = GoldenTrace(60, 16);
+    engine::EngineConfig cfg;
+    cfg.sunflow.bandwidth = Gbps(1);
+    cfg.sunflow.delta = Millis(10);
+    obs::MemorySink sink;
+    cfg.sink = &sink;
+    registry.Run("circuit", trace, policy.get(), cfg);
+    std::map<obs::BlockReason, int> reasons;
+    const std::string lines = BlockedSpanLines(sink.events(), reasons);
+    EXPECT_GE(reasons[obs::BlockReason::kInputPortBusy] +
+                  reasons[obs::BlockReason::kOutputPortBusy],
+              50);
+    EXPECT_GT(reasons[obs::BlockReason::kInputPortBusy], 0);
+    EXPECT_GT(reasons[obs::BlockReason::kOutputPortBusy], 0);
+    out += "circuit\n" + lines;
+  }
+  {
+    const Trace trace = GoldenTrace(12, 8);
+    engine::EngineConfig cfg;
+    cfg.guard.big_interval = 0.5;
+    cfg.guard.small_interval = 0.05;
+    obs::MemorySink sink;
+    cfg.sink = &sink;
+    registry.Run("guarded", trace, policy.get(), cfg);
+    std::map<obs::BlockReason, int> reasons;
+    const std::string lines = BlockedSpanLines(sink.events(), reasons);
+    EXPECT_GT(reasons[obs::BlockReason::kStarvationHold], 0);
+    out += "guarded\n" + lines;
+  }
+  CompareOrRegen("driver_blocked_spans.txt", out);
 }
 
 // --- The remaining engines (guarded / rotor / dag / hybrid) are not part

@@ -29,6 +29,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/fabric.h"
 #include "core/policy.h"
 #include "exp/inter_runner.h"
 #include "packet/aalo.h"
@@ -476,6 +477,8 @@ engine::EngineConfig BaseEngineConfig() {
 
 // Replays `trace` both ways — whole-trace seeding vs pulling from a .sft
 // file through a decode pool of `threads` — and demands identical results.
+// "kcore" runs on a 2-plane fabric, where joint planning is the circuit
+// span loop itself, so its stream goes through MakeCircuitScenario.
 void CheckStreamedEquivalence(const std::string& scenario_name, int threads) {
   const Trace trace = GoldenTrace(60, 24);
   const std::string path = TmpPath("replay_" + scenario_name + "_" +
@@ -486,6 +489,10 @@ void CheckStreamedEquivalence(const std::string& scenario_name, int threads) {
 
   const auto policy = MakeShortestFirstPolicy();
   engine::EngineConfig ec = BaseEngineConfig();
+  if (scenario_name == "kcore") {
+    ec.sunflow.fabric =
+        FabricSpec::Uniform(2, ec.sunflow.delta, ec.sunflow.bandwidth);
+  }
   const auto varys = packet::MakeVarysAllocator();
   const auto aalo = packet::MakeAaloAllocator();
   const auto make = [&]() {
@@ -544,6 +551,12 @@ TEST(StreamedReplay, AaloMatchesInMemorySerial) {
 }
 TEST(StreamedReplay, AaloMatchesInMemoryThreads8) {
   CheckStreamedEquivalence("aalo", 8);
+}
+TEST(StreamedReplay, KCoreJointMatchesInMemorySerial) {
+  CheckStreamedEquivalence("kcore", 1);
+}
+TEST(StreamedReplay, KCoreJointMatchesInMemoryThreads8) {
+  CheckStreamedEquivalence("kcore", 8);
 }
 
 TEST(StreamedReplay, CompletionSinkMatchesResultMaps) {
