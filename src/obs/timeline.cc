@@ -94,10 +94,10 @@ TimelineSample& TimelineSampler::WindowAt(Time t) {
 }
 
 void TimelineSampler::AddBusy(PlaneId plane, bool input, Time begin,
-                              Time end) {
+                              Time end, double ports) {
   if (end - begin <= kTimeEps) return;
   planes_ = std::max(planes_, static_cast<int>(plane) + 1);
-  total_busy_s_ += end - begin;
+  total_busy_s_ += ports * (end - begin);
   EnsureOpenThrough(end);
   for (auto& w : open_) {
     const Time lo = std::max(begin, w.begin);
@@ -106,7 +106,7 @@ void TimelineSampler::AddBusy(PlaneId plane, bool input, Time begin,
     auto& busy = input ? w.busy_in : w.busy_out;
     if (busy.size() <= static_cast<std::size_t>(plane))
       busy.resize(static_cast<std::size_t>(plane) + 1, 0.0);
-    busy[static_cast<std::size_t>(plane)] += hi - lo;
+    busy[static_cast<std::size_t>(plane)] += ports * (hi - lo);
   }
 }
 
@@ -180,8 +180,8 @@ void TimelineSampler::IngestCircuits(
     Time t, Time t_next, const std::vector<TimelineCircuitUse>& uses,
     int active, int blocked) {
   for (const auto& u : uses) {
-    AddBusy(u.plane, /*input=*/true, u.begin, u.end);
-    AddBusy(u.plane, /*input=*/false, u.begin, u.end);
+    AddBusy(u.plane, /*input=*/true, u.begin, u.end, u.ports);
+    AddBusy(u.plane, /*input=*/false, u.begin, u.end, u.ports);
   }
   if (t_next - t <= kTimeEps) return;
   EnsureOpenThrough(t_next);

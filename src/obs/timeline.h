@@ -49,12 +49,14 @@ struct TimelineConfig {
 };
 
 /// One clipped circuit interval as the driver executed it: `plane` busy on
-/// one input and one output port for [begin, end). The sampler is
+/// `ports` input and `ports` output ports for [begin, end) — one for a
+/// circuit, Σ rate / B for a fluid (packet) span. The sampler is
 /// deliberately blind to which ports — it aggregates per (plane, side).
 struct TimelineCircuitUse {
   PlaneId plane = 0;
   Time begin = 0;
   Time end = 0;
+  double ports = 1;
 };
 
 /// One retained sample window [begin, end). Interval fields are exact
@@ -76,7 +78,7 @@ struct TimelineSample {
   int active = 0;           ///< max concurrently active coflows
   std::size_t pending = 0;  ///< max pending releases (event-queue depth)
   std::uint64_t admitted = 0;
-  int blocked = 0;  ///< max coflows with zero circuit time in a span
+  int blocked = 0;  ///< max coflows with zero circuit time (rate) in a span
   int replans = 0;
   // --- host-dependent (export-gated; see the determinism contract) -----
   double replan_ns_max = 0;
@@ -149,7 +151,7 @@ class TimelineSampler {
   void NoteEngineSpan(Time begin, Time end);
   /// Clipped circuit occupancy plus coflow gauges for the span
   /// [t, t_next): `active` coflows were admitted, `blocked` of them got
-  /// zero circuit time in the span.
+  /// zero circuit time (or, on a packet fabric, zero rate) in the span.
   void IngestCircuits(Time t, Time t_next,
                       const std::vector<TimelineCircuitUse>& uses, int active,
                       int blocked);
@@ -182,7 +184,8 @@ class TimelineSampler {
  private:
   TimelineSample& WindowAt(Time t);
   void EnsureOpenThrough(Time t);
-  void AddBusy(PlaneId plane, bool input, Time begin, Time end);
+  void AddBusy(PlaneId plane, bool input, Time begin, Time end,
+               double ports);
   void FinalizeThrough(Time t);
   void EmitWindow(TimelineSample s);
   void Decimate();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 
@@ -64,11 +65,6 @@ class AaloAllocator : public RateAllocator {
                        return a.coflow->id < b.coflow->id;
                      });
 
-    for (ActiveCoflow* c : active)
-      for (auto& f : c->flows) f.rate = 0;
-    in_count_.assign(static_cast<std::size_t>(num_ports), 0);
-    out_count_.assign(static_cast<std::size_t>(num_ports), 0);
-
     if (config_.weighted_queues) {
       WeightedAllocate(order, num_ports, bandwidth);
     } else {
@@ -76,9 +72,10 @@ class AaloAllocator : public RateAllocator {
       // Two passes: the first gives each coflow its fair-share slice in
       // priority order; the second backfills leftover capacity (work
       // conservation) in the same order.
-      for (int pass = 0; pass < 2; ++pass) {
-        for (const Queued& q : order) EqualShareAllocate(*q.coflow, cap);
-      }
+      for (const Queued& q : order)
+        EqualShareAllocate(*q.coflow, cap, /*first_pass=*/true);
+      for (const Queued& q : order)
+        EqualShareAllocate(*q.coflow, cap, /*first_pass=*/false);
     }
   }
 
@@ -88,33 +85,26 @@ class AaloAllocator : public RateAllocator {
     ActiveCoflow* coflow;
   };
 
-  int& in_count(PortId p) { return in_count_[static_cast<std::size_t>(p)]; }
-  int& out_count(PortId p) { return out_count_[static_cast<std::size_t>(p)]; }
-
-  // Counts the coflow's unfinished flows per port, or (delta = -1) takes
-  // the same counts back to zero, touching only the coflow's own ports.
-  void CountFlows(const ActiveCoflow& coflow, int delta) {
-    for (const auto& f : coflow.flows) {
-      if (f.done()) continue;
-      in_count(f.src) += delta;
-      out_count(f.dst) += delta;
-    }
-  }
-
   // Flow sizes are unknown to Aalo, so every unfinished flow of the coflow
   // receives an equal split of the remaining capacity of its two ports
-  // (the split counts this coflow's own contenders per port).
-  void EqualShareAllocate(ActiveCoflow& coflow, PortCapacity& cap) {
-    CountFlows(coflow, +1);
-    for (auto& f : coflow.flows) {
-      if (f.done()) continue;
-      const Bandwidth share = std::min(cap.in(f.src) / in_count(f.src),
-                                       cap.out(f.dst) / out_count(f.dst));
-      if (share <= 1e-6) continue;
-      f.rate += share;
+  // (the split counts this coflow's own contenders per port). A flow reads
+  // and writes only its two ports' capacity, so the coflow's wavefront
+  // order gives the bits of its trace order. The first pass writes each
+  // rate, the backfill adds to it.
+  static void EqualShareAllocate(ActiveCoflow& coflow, PortCapacity& cap,
+                                 bool first_pass) {
+    for (const std::uint32_t k : coflow.wave) {
+      FlowState& f = coflow.flows[k];
+      const Bandwidth before = first_pass ? 0 : f.rate;
+      const Bandwidth share = std::min(cap.in(f.src) / coflow.in(f.src),
+                                       cap.out(f.dst) / coflow.out(f.dst));
+      if (share <= 1e-6) {
+        f.rate = before;
+        continue;
+      }
+      f.rate = before + share;
       cap.Consume(f.src, f.dst, share);
     }
-    CountFlows(coflow, -1);
   }
 
   // Weighted cross-queue sharing: each round of allocation runs over the
@@ -141,29 +131,28 @@ class AaloAllocator : public RateAllocator {
       for (ActiveCoflow* c : list) {
         // Allocate inside the queue budget, mirrored against the global
         // capacity so port constraints hold across queues.
-        CountFlows(*c, +1);
-        for (auto& f : c->flows) {
-          if (f.done()) continue;
+        for (const std::uint32_t k : c->wave) {
+          FlowState& f = c->flows[k];
           const Bandwidth r = std::min(
-              {queue_cap.in(f.src) / in_count(f.src),
-               queue_cap.out(f.dst) / out_count(f.dst), cap.in(f.src),
+              {queue_cap.in(f.src) / c->in(f.src),
+               queue_cap.out(f.dst) / c->out(f.dst), cap.in(f.src),
                cap.out(f.dst)});
-          if (r <= 1e-6) continue;
-          f.rate += r;
+          if (r <= 1e-6) {
+            f.rate = 0;
+            continue;
+          }
+          f.rate = r;
           queue_cap.Consume(f.src, f.dst, r);
           cap.Consume(f.src, f.dst, r);
         }
-        CountFlows(*c, -1);
       }
     }
     // Pass 2: unweighted backfill in D-CLAS order (work conservation).
-    for (const Queued& q : order) EqualShareAllocate(*q.coflow, cap);
+    for (const Queued& q : order)
+      EqualShareAllocate(*q.coflow, cap, /*first_pass=*/false);
   }
 
   AaloConfig config_;
-  // Per-port contender counts of the coflow being allocated; zero between
-  // coflows.
-  std::vector<int> in_count_, out_count_;
 };
 
 }  // namespace

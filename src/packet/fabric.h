@@ -7,9 +7,13 @@
 // uses for the packet-switched comparisons.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <iomanip>
 #include <limits>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/units.h"
 #include "trace/coflow.h"
 
@@ -26,17 +30,49 @@ struct FlowState {
   bool done() const { return remaining <= kBytesEps; }
 };
 
-/// Mutable per-coflow state during a replay.
+/// Mutable per-coflow state during a replay, from admission to completion.
+///
+/// `flows` holds the unfinished flows in trace order. `wave` holds the same
+/// flows in wavefront order: level(f) = 1 + max(level of the previous flow
+/// on f's input port, level of the previous flow on f's output port), and
+/// `wave` lists level 1, then level 2, ..., each level in trace order. Flows
+/// of one level share no port, and each port's flows keep their trace order,
+/// so a pass in which each flow reads and writes only its own two ports'
+/// state gives the same bits in `wave` order as in trace order, while the
+/// CPU overlaps the flows of a level.
 struct ActiveCoflow {
+  /// Keeps the flows of more than kBytesEps bytes, counts them per port and
+  /// builds `wave`. The per-port arrays span the coflow's own largest port.
+  ActiveCoflow(CoflowId id, Time arrival, const std::vector<Flow>& flows);
+
   CoflowId id = -1;
   Time arrival = 0;
-  /// The packet scenario (sim/engine) erases each flow in the drain that
-  /// finishes it.
   std::vector<FlowState> flows;
+  /// Indices into `flows`, in wavefront order.
+  std::vector<std::uint32_t> wave;
+  /// Flows per input / output port.
+  std::vector<int> in_count, out_count;
   Bytes sent = 0;  ///< total bytes already delivered (Aalo's queue key)
+
+  /// Moves each flow's rate × dt bytes (at most what it has left) and adds
+  /// them to `sent` in trace order. The flows it finishes leave in the same
+  /// compaction pass, which decrements their ports' counts and records the
+  /// survivors' new indices; `wave` then drops their entries and renumbers
+  /// the rest. Erasing keeps each port's flows in trace order, so `wave`
+  /// is never rebuilt. Returns the number of flows finished.
+  std::size_t Drain(Time dt);
 
   /// Remaining packet lower bound: busiest-port remaining time at full B.
   Time RemainingTpl(Bandwidth bandwidth) const;
+
+  /// Flows on input / output port `p`.
+  int in(PortId p) const { return in_count[static_cast<std::size_t>(p)]; }
+  int out(PortId p) const { return out_count[static_cast<std::size_t>(p)]; }
+
+ private:
+  /// Whether the counts match a recount of `flows` and `wave` lists every
+  /// flow once with each port's flows in trace order (SUNFLOW_DCHECKed).
+  bool Consistent() const;
 };
 
 /// Tracks leftover capacity per port during one allocation round.
@@ -47,8 +83,22 @@ class PortCapacity {
   Bandwidth in(PortId p) const { return in_[static_cast<std::size_t>(p)]; }
   Bandwidth out(PortId p) const { return out_[static_cast<std::size_t>(p)]; }
 
-  /// Consumes `rate` on both ports; checks non-negative leftovers.
-  void Consume(PortId src, PortId dst, Bandwidth rate);
+  /// Consumes `rate` on both ports; checks non-negative leftovers. Inline,
+  /// so the flows of one wavefront level overlap in the allocators' loops.
+  void Consume(PortId src, PortId dst, Bandwidth rate) {
+    SUNFLOW_CHECK(rate >= 0);
+    Bandwidth& i = in_[static_cast<std::size_t>(src)];
+    Bandwidth& o = out_[static_cast<std::size_t>(dst)];
+    // Tolerate tiny FP overshoot, clamp at zero.
+    SUNFLOW_CHECK_MSG(rate <= i * (1 + 1e-9) + 1e-6 &&
+                          rate <= o * (1 + 1e-9) + 1e-6,
+                      "rate exceeds port capacity: flow "
+                          << src << " -> " << dst << std::setprecision(17)
+                          << ", rate " << rate << ", input left " << i
+                          << ", output left " << o);
+    i = std::max(0.0, i - rate);
+    o = std::max(0.0, o - rate);
+  }
 
  private:
   std::vector<Bandwidth> in_;
@@ -78,7 +128,8 @@ class RateAllocator {
 };
 
 /// Verifies the port constraints over the current rates; throws on
-/// violation beyond tolerance.
+/// violation beyond tolerance. Each coflow's rates are summed in `wave`
+/// order, which keeps each port's sum in trace order.
 void CheckRates(const std::vector<ActiveCoflow*>& active, PortId num_ports,
                 Bandwidth bandwidth);
 

@@ -242,6 +242,19 @@ void ReplayDriver::NoteReplan(Time t, const SunflowSchedule& plan,
              .count = static_cast<std::int64_t>(num_requests)});
 }
 
+void ReplayDriver::NoteReallocation(Time t, double wall_ns) {
+  ++state_.result().replans;
+  if (timeline_ != nullptr) timeline_->NoteReplan(t, wall_ns);
+}
+
+void ReplayDriver::SampleFluidSpan(Time t, Time t_next, double busy_ports,
+                                   int blocked) {
+  circuit_uses_.assign(1, {.plane = 0, .begin = t, .end = t_next,
+                           .ports = busy_ports});
+  timeline_->IngestCircuits(t, t_next, circuit_uses_,
+                            static_cast<int>(state_.active().size()), blocked);
+}
+
 void ReplayDriver::SampleExecutedPlan(const SunflowSchedule& plan, Time t,
                                       Time t_next) {
   circuit_uses_.clear();

@@ -88,6 +88,20 @@ class ReplayDriver {
   /// never ran).
   void EmitExecutedPlan(const SunflowSchedule& plan, Time t, Time t_next);
 
+  /// One rate reallocation of a fluid (packet) scenario: bumps
+  /// EngineResult::replans and feeds the timeline its wall ns. It plans no
+  /// circuits, so it emits no kAssignmentComputed.
+  void NoteReallocation(Time t, double wall_ns);
+
+  /// A fluid span [t, t_next) into the timeline: `busy_ports` (Σ rate / B)
+  /// busy on each side of the one plane, `blocked` active coflows with no
+  /// rate. Call only with a timeline attached.
+  void SampleFluidSpan(Time t, Time t_next, double busy_ports, int blocked);
+
+  /// The attached telemetry sampler, or null; scenarios read the clock for
+  /// it only when one is attached.
+  const obs::TimelineSampler* timeline() const { return timeline_; }
+
   /// One τ round of the starvation guard: bumps `starvation.rounds`, emits
   /// kStarvationRound.
   void NoteStarvationRound(Time span_begin, Time dur, int k);

@@ -592,12 +592,13 @@ class RotorScenario final : public ScenarioPolicy {
 // an admission, a completion or the allocator's own rule (a flow finished,
 // an attained-service threshold crossed) asked for it, then drains until
 // the next arrival, flow finish or threshold crossing. The bytes live in
-// the ActiveCoflow, in trace order: Aalo's equal-share pass uses up port
-// capacity flow by flow and Varys' MADD sums port loads in flow order, so
-// the SimCoflow's (in, out)-sorted flows could not stand in for them bit
-// for bit. The SimCoflow keeps only its unfinished count, which the drain
-// decrements, so the driver harvests a coflow at the end of the span that
-// drains its last flow.
+// the ActiveCoflow, in trace order: Varys' MADD and a coflow's `sent` and
+// total rate sum over the whole coflow in that order, so the SimCoflow's
+// (in, out)-sorted flows could not stand in for them bit for bit. The
+// SimCoflow keeps only its unfinished count, which the drain decrements,
+// so the driver harvests a coflow at the end of the span that drains its
+// last flow. With a timeline attached, each reallocation is timed and each
+// span reports Σ rate / B busy ports per side.
 
 class PacketScenario final : public ScenarioPolicy {
  public:
@@ -617,12 +618,7 @@ class PacketScenario final : public ScenarioPolicy {
   // timeline's idleness, as in the circuit scenarios.
   void OnAdmit(SimCoflow& sc, const Coflow& coflow, Time /*now*/) override {
     sc.static_tpl = PacketLowerBound(coflow, bandwidth_);
-    packet::ActiveCoflow& a = active_.emplace_back();
-    a.id = sc.id;
-    a.arrival = sc.arrival;
-    a.flows.reserve(coflow.size());
-    for (const Flow& f : coflow.flows())
-      a.flows.push_back({f.src, f.dst, f.bytes, f.bytes, 0});
+    active_.emplace_back(sc.id, sc.arrival, coflow.flows());
     reallocate_ = true;
   }
 
@@ -636,21 +632,30 @@ class PacketScenario final : public ScenarioPolicy {
     SimState& s = driver.state();
     auto& sims = s.active();
     SUNFLOW_CHECK(sims.size() == active_.size());
+    const bool sampled = driver.timeline() != nullptr;
     if (reallocate_) {
-      SUNFLOW_PROFILE_SCOPE("packet.allocate");
-      pointers_.clear();
-      for (auto& a : active_) pointers_.push_back(&a);
-      allocator_.Allocate(pointers_, s.num_ports(), bandwidth_, t);
-      packet::CheckRates(pointers_, s.num_ports(), bandwidth_);
-      ++s.result().replans;
+      double allocate_ns = 0;
+      {
+        obs::ProfileScope scope("packet.allocate",
+                                sampled ? &allocate_ns : nullptr);
+        pointers_.clear();
+        for (auto& a : active_) pointers_.push_back(&a);
+        allocator_.Allocate(pointers_, s.num_ports(), bandwidth_, t);
+        packet::CheckRates(pointers_, s.num_ports(), bandwidth_);
+      }
+      driver.NoteReallocation(t, allocate_ns);
     }
     SUNFLOW_PROFILE_SCOPE("packet.advance");
 
+    // `flows` holds only unfinished flows (ActiveCoflow::Drain erases the
+    // rest), so a positive rate is all a flow needs to drain.
     Time t_next = s.HasPendingReleases() ? s.NextReleaseTime() : kTimeInf;
+    Bandwidth span_rate = 0;
+    int blocked = 0;
     for (const auto& c : active_) {
       Bandwidth total_rate = 0;
       for (const auto& f : c.flows) {
-        if (f.done() || f.rate <= 0) continue;
+        if (f.rate <= 0) continue;
         total_rate += f.rate;
         t_next = std::min(t_next, t + f.remaining / f.rate);
       }
@@ -659,11 +664,17 @@ class PacketScenario final : public ScenarioPolicy {
         if (std::isfinite(threshold))
           t_next = std::min(t_next, t + (threshold - c.sent) / total_rate);
       }
+      if (sampled) {
+        span_rate += total_rate;
+        if (total_rate <= 0) ++blocked;
+      }
     }
     SUNFLOW_CHECK_MSG(t_next < kTimeInf,
                       "packet replay stalled: active coflows but no rates "
                       "and no arrivals: "
                           << StallState(t));
+    if (sampled)
+      driver.SampleFluidSpan(t, t_next, span_rate / bandwidth_, blocked);
 
     // Drain linearly until the event; a finished flow leaves both views.
     const Time dt = std::max(0.0, t_next - t);
@@ -672,26 +683,13 @@ class PacketScenario final : public ScenarioPolicy {
     for (std::size_t i = 0; i < active_.size(); ++i) {
       packet::ActiveCoflow& c = active_[i];
       const Bytes threshold = allocator_.NextServiceThreshold(c.sent);
-      bool finished = false;
-      for (auto& f : c.flows) {
-        if (f.rate <= 0 || f.done()) continue;
-        const Bytes moved = std::min(f.remaining, f.rate * dt);
-        f.remaining -= moved;
-        c.sent += moved;
-        if (f.done()) {
-          SUNFLOW_CHECK(sims[i].id == c.id);
-          --sims[i].unfinished;
-          finished = true;
-        }
-      }
-      SUNFLOW_DCHECK(sims[i].unfinished ==
-                     static_cast<std::size_t>(std::count_if(
-                         c.flows.begin(), c.flows.end(),
-                         [](const auto& f) { return !f.done(); })));
-      if (finished) {
-        std::erase_if(c.flows, [](const auto& f) { return f.done(); });
+      const std::size_t finished = c.Drain(dt);
+      if (finished > 0) {
+        SUNFLOW_CHECK(sims[i].id == c.id);
+        sims[i].unfinished -= finished;
         flow_finished = true;
       }
+      SUNFLOW_DCHECK(sims[i].unfinished == c.flows.size());
       crossed = crossed || allocator_.NextServiceThreshold(c.sent) != threshold;
     }
     reallocate_ =

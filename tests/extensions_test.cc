@@ -53,11 +53,7 @@ TEST(FairShare, MaxMinRatesExact) {
   // flows, so the max-min allocation is B/2 for every flow — and (0->2)
   // and (1->3) cannot be raised further because their bottleneck ports
   // saturate at that point.
-  packet::ActiveCoflow a;
-  a.id = 1;
-  a.flows = {{0, 2, MB(10), MB(10), 0},
-             {1, 2, MB(10), MB(10), 0},
-             {1, 3, MB(10), MB(10), 0}};
+  packet::ActiveCoflow a(1, 0.0, {{0, 2, MB(10)}, {1, 2, MB(10)}, {1, 3, MB(10)}});
   std::vector<packet::ActiveCoflow*> active = {&a};
   auto fair = packet::MakeFairShareAllocator();
   fair->Allocate(active, 4, Gbps(1), 0.0);

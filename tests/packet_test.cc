@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "packet/aalo.h"
@@ -148,12 +153,9 @@ TEST(Aalo, WeightedQueuesGuaranteeHeavyCoflowService) {
   // queue-0 coflow wants its ports; with weighted sharing it keeps a slice.
   AaloConfig cfg;
   cfg.weighted_queues = true;
-  ActiveCoflow heavy, fresh;
-  heavy.id = 1;
+  ActiveCoflow heavy(1, 0.0, {{0, 1, GB(1)}});
   heavy.sent = MB(500);  // deep queue
-  heavy.flows = {{0, 1, GB(1), GB(1), 0}};
-  fresh.id = 2;
-  fresh.flows = {{0, 1, MB(5), MB(5), 0}};
+  ActiveCoflow fresh(2, 0.0, {{0, 1, MB(5)}});
   std::vector<ActiveCoflow*> active = {&heavy, &fresh};
   auto aalo = MakeAaloAllocator(cfg);
   aalo->Allocate(active, 2, Gbps(1), 0.0);
@@ -166,9 +168,7 @@ TEST(Aalo, WeightedQueuesWorkConserving) {
   // A single coflow still gets the full port bandwidth (backfill).
   AaloConfig cfg;
   cfg.weighted_queues = true;
-  ActiveCoflow only;
-  only.id = 1;
-  only.flows = {{0, 1, MB(50), MB(50), 0}};
+  ActiveCoflow only(1, 0.0, {{0, 1, MB(50)}});
   std::vector<ActiveCoflow*> active = {&only};
   auto aalo = MakeAaloAllocator(cfg);
   aalo->Allocate(active, 2, Gbps(1), 0.0);
@@ -232,6 +232,265 @@ TEST(Aalo, WeightedQueuesCctsArePinned) {
   EXPECT_EQ(result.reschedules, 1479u);
   ASSERT_EQ(result.cct.size(), want.size());
   for (const auto& [id, cct] : want) EXPECT_EQ(result.cct.at(id), cct) << id;
+}
+
+// ---- Aalo's wavefront order against trace order --------------------------
+
+// The reference: Aalo's equal-share passes over each coflow's flows in
+// trace order, with its contenders per port counted from the flows before
+// each coflow's pass and taken back after it (`count_flows`), and every
+// rate reset first. The coflows hold every trace flow, finished ones
+// included. Any change to Aalo's rates must change this reference too.
+struct RefCoflow {
+  CoflowId id = -1;
+  Time arrival = 0;
+  Bytes sent = 0;
+  std::vector<FlowState> flows;
+};
+
+void ReferenceAalo(const AaloConfig& config, std::vector<RefCoflow>& active,
+                   PortId num_ports, Bandwidth bandwidth) {
+  struct Queued {
+    int queue;
+    RefCoflow* coflow;
+  };
+  std::vector<Queued> order;
+  for (RefCoflow& c : active)
+    order.push_back({AaloQueueIndex(config, c.sent), &c});
+  std::stable_sort(order.begin(), order.end(),
+                   [](const Queued& a, const Queued& b) {
+                     if (a.queue != b.queue) return a.queue < b.queue;
+                     if (a.coflow->arrival != b.coflow->arrival)
+                       return a.coflow->arrival < b.coflow->arrival;
+                     return a.coflow->id < b.coflow->id;
+                   });
+  for (RefCoflow& c : active)
+    for (auto& f : c.flows) f.rate = 0;
+  std::vector<int> in_count(static_cast<std::size_t>(num_ports), 0);
+  std::vector<int> out_count(static_cast<std::size_t>(num_ports), 0);
+  auto count_flows = [&](const RefCoflow& c, int delta) {
+    for (const auto& f : c.flows) {
+      if (f.done()) continue;
+      in_count[static_cast<std::size_t>(f.src)] += delta;
+      out_count[static_cast<std::size_t>(f.dst)] += delta;
+    }
+  };
+  auto in_n = [&](PortId p) { return in_count[static_cast<std::size_t>(p)]; };
+  auto out_n = [&](PortId p) {
+    return out_count[static_cast<std::size_t>(p)];
+  };
+  auto equal_share = [&](RefCoflow& c, PortCapacity& cap) {
+    count_flows(c, +1);
+    for (auto& f : c.flows) {
+      if (f.done()) continue;
+      const Bandwidth share =
+          std::min(cap.in(f.src) / in_n(f.src), cap.out(f.dst) / out_n(f.dst));
+      if (share <= 1e-6) continue;
+      f.rate += share;
+      cap.Consume(f.src, f.dst, share);
+    }
+    count_flows(c, -1);
+  };
+
+  PortCapacity cap(num_ports, bandwidth);
+  if (!config.weighted_queues) {
+    for (int pass = 0; pass < 2; ++pass)
+      for (const Queued& q : order) equal_share(*q.coflow, cap);
+    return;
+  }
+  std::map<int, std::vector<RefCoflow*>> queues;
+  for (const Queued& q : order) queues[q.queue].push_back(q.coflow);
+  double total_weight = 0;
+  for (const auto& [q, list] : queues)
+    total_weight += std::pow(config.queue_weight_decay, q);
+  for (const auto& [q, list] : queues) {
+    const double share = std::pow(config.queue_weight_decay, q) / total_weight;
+    PortCapacity queue_cap(num_ports, bandwidth * share);
+    for (RefCoflow* c : list) {
+      count_flows(*c, +1);
+      for (auto& f : c->flows) {
+        if (f.done()) continue;
+        const Bandwidth r =
+            std::min({queue_cap.in(f.src) / in_n(f.src),
+                      queue_cap.out(f.dst) / out_n(f.dst), cap.in(f.src),
+                      cap.out(f.dst)});
+        if (r <= 1e-6) continue;
+        f.rate += r;
+        queue_cap.Consume(f.src, f.dst, r);
+        cap.Consume(f.src, f.dst, r);
+      }
+      count_flows(*c, -1);
+    }
+  }
+  for (const Queued& q : order) equal_share(*q.coflow, cap);
+}
+
+// The reference drain: every flow with a rate moves rate × dt bytes (at
+// most what it has left) into `sent`, in trace order.
+void ReferenceDrain(RefCoflow& c, Time dt) {
+  for (auto& f : c.flows) {
+    if (f.rate <= 0 || f.done()) continue;
+    const Bytes moved = std::min(f.remaining, f.rate * dt);
+    f.remaining -= moved;
+    c.sent += moved;
+  }
+}
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// The counts equal a recount of `flows`, `wave` is a permutation of the
+// flow indices, and each port's entries appear in trace order.
+void ExpectWaveInvariants(const ActiveCoflow& c) {
+  std::vector<int> in_n(c.in_count.size(), 0), out_n(c.out_count.size(), 0);
+  for (const auto& f : c.flows) {
+    EXPECT_FALSE(f.done());
+    ASSERT_LT(static_cast<std::size_t>(f.src), in_n.size());
+    ASSERT_LT(static_cast<std::size_t>(f.dst), out_n.size());
+    ++in_n[static_cast<std::size_t>(f.src)];
+    ++out_n[static_cast<std::size_t>(f.dst)];
+  }
+  EXPECT_EQ(in_n, c.in_count);
+  EXPECT_EQ(out_n, c.out_count);
+  std::vector<std::uint32_t> sorted = c.wave;
+  std::sort(sorted.begin(), sorted.end());
+  ASSERT_EQ(sorted.size(), c.flows.size());
+  for (std::size_t i = 0; i < sorted.size(); ++i) ASSERT_EQ(sorted[i], i);
+  std::map<PortId, std::uint32_t> in_last, out_last;
+  for (const std::uint32_t k : c.wave) {
+    const FlowState& f = c.flows[k];
+    if (in_last.count(f.src) > 0) {
+      EXPECT_LT(in_last[f.src], k);
+    }
+    if (out_last.count(f.dst) > 0) {
+      EXPECT_LT(out_last[f.dst], k);
+    }
+    in_last[f.src] = out_last[f.dst] = k;
+  }
+}
+
+// One random coflow over ports [0, ports): many-to-many, one-to-many,
+// many-to-one or a perfect matching; some flows dust-sized, some of at
+// most one byte (finished on arrival).
+std::vector<Flow> RandomFlows(Rng& rng, PortId ports, int shape) {
+  auto pick = [&](int n) {
+    std::vector<PortId> all(static_cast<std::size_t>(ports));
+    for (PortId p = 0; p < ports; ++p) all[static_cast<std::size_t>(p)] = p;
+    rng.Shuffle(all);
+    all.resize(static_cast<std::size_t>(n));
+    return all;
+  };
+  auto bytes = [&] {
+    const double u = rng.NextDouble();
+    if (u < 0.05) return rng.Uniform(0.1, 1.0);
+    if (u < 0.15) return rng.Uniform(2.0, 500.0);
+    return MB(rng.Uniform(0.5, 200));
+  };
+  std::vector<Flow> flows;
+  const auto n = [&] { return static_cast<int>(rng.UniformInt(1, ports)); };
+  if (shape == 0) {  // many-to-many, a random subset of the pairs
+    const double keep = rng.Uniform(0.3, 1.0);
+    for (PortId s : pick(n()))
+      for (PortId d : pick(n()))
+        if (rng.Bernoulli(keep)) flows.push_back({s, d, bytes()});
+  } else if (shape == 1) {  // one-to-many
+    const PortId s = pick(1)[0];
+    for (PortId d : pick(n())) flows.push_back({s, d, bytes()});
+  } else if (shape == 2) {  // many-to-one
+    const PortId d = pick(1)[0];
+    for (PortId s : pick(n())) flows.push_back({s, d, bytes()});
+  } else {  // a matching: one flow per port fills it
+    const std::vector<PortId> dst = pick(ports);
+    for (PortId s = 0; s < ports; ++s)
+      flows.push_back({s, dst[static_cast<std::size_t>(s)], bytes()});
+  }
+  if (flows.empty()) flows.push_back({0, 0, bytes()});
+  rng.Shuffle(flows);
+  return flows;
+}
+
+TEST(Aalo, WavefrontOrderMatchesTraceOrderBitForBit) {
+  Rng rng(20161212);
+  const AaloConfig strict;
+  AaloConfig weighted;
+  weighted.weighted_queues = true;
+  const Bandwidth bandwidth = Gbps(1);
+  std::size_t allocations = 0;
+  for (int instance = 0; instance < 320; ++instance) {
+    SCOPED_TRACE("instance " + std::to_string(instance));
+    const PortId ports = static_cast<PortId>(rng.UniformInt(2, 16));
+    const int coflows = static_cast<int>(rng.UniformInt(1, 6));
+    std::vector<RefCoflow> ref;
+    std::vector<ActiveCoflow> active;
+    for (int i = 0; i < coflows; ++i) {
+      // The first coflow of every third instance is a fresh matching served
+      // first, so the coflows behind it find their ports already full.
+      const bool fill = instance % 3 == 0 && i == 0;
+      const int shape = fill ? 3 : static_cast<int>(rng.UniformInt(0, 3));
+      const std::vector<Flow> flows = RandomFlows(rng, ports, shape);
+      const Time arrival = fill ? 0 : static_cast<Time>(rng.UniformInt(0, 2));
+      RefCoflow& r = ref.emplace_back();
+      r.id = i + 1;
+      r.arrival = arrival;
+      for (const Flow& f : flows)
+        r.flows.push_back({f.src, f.dst, f.bytes, f.bytes, 0});
+      active.emplace_back(r.id, arrival, flows);
+      // Spread the coflows over Aalo's queues.
+      r.sent = active.back().sent =
+          fill ? 0 : MB(std::pow(10.0, rng.Uniform(-1, 4)));
+      ExpectWaveInvariants(active.back());
+    }
+    const AaloConfig& config = instance % 2 == 0 ? strict : weighted;
+    auto aalo = MakeAaloAllocator(config);
+    for (int round = 0; !active.empty() && round < 4; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      std::vector<ActiveCoflow*> pointers;
+      for (auto& a : active) pointers.push_back(&a);
+      aalo->Allocate(pointers, ports, bandwidth, 0.0);
+      ReferenceAalo(config, ref, ports, bandwidth);
+      ++allocations;
+      CheckRates(pointers, ports, bandwidth);
+      for (std::size_t c = 0; c < active.size(); ++c) {
+        std::vector<const FlowState*> want;
+        for (const auto& f : ref[c].flows)
+          if (!f.done()) want.push_back(&f);
+        ASSERT_EQ(active[c].flows.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(active[c].flows[i].src, want[i]->src);
+          ASSERT_EQ(active[c].flows[i].dst, want[i]->dst);
+          ASSERT_EQ(Bits(active[c].flows[i].rate), Bits(want[i]->rate))
+              << "coflow " << active[c].id << " flow " << i << ": "
+              << active[c].flows[i].rate << " vs " << want[i]->rate;
+        }
+      }
+
+      // Finish a random subset of the flows and drain part of some others,
+      // through Drain and through the reference.
+      for (std::size_t c = 0; c < active.size(); ++c) {
+        std::size_t i = 0;
+        for (auto& f : ref[c].flows) {
+          if (f.done()) {
+            f.rate = 0;
+            continue;
+          }
+          const double u = rng.NextDouble();
+          f.rate = u < 0.3 ? f.remaining : u < 0.6 ? f.remaining / 4 : 0;
+          active[c].flows[i++].rate = f.rate;
+        }
+        ReferenceDrain(ref[c], 1.0);
+        const std::size_t before = active[c].flows.size();
+        const std::size_t finished = active[c].Drain(1.0);
+        EXPECT_EQ(active[c].flows.size(), before - finished);
+        EXPECT_EQ(Bits(active[c].sent), Bits(ref[c].sent));
+        ExpectWaveInvariants(active[c]);
+      }
+      for (std::size_t c = active.size(); c-- > 0;) {
+        if (!active[c].flows.empty()) continue;
+        active.erase(active.begin() + static_cast<std::ptrdiff_t>(c));
+        ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(c));
+      }
+    }
+  }
+  EXPECT_GT(allocations, 900u);
 }
 
 TEST(Aalo, PortConstraintsHold) {
@@ -317,12 +576,39 @@ TEST(Fabric, PortCapacityConsume) {
   EXPECT_DOUBLE_EQ(cap.in(0), 40.0);
   EXPECT_DOUBLE_EQ(cap.out(1), 40.0);
   EXPECT_DOUBLE_EQ(cap.in(1), 100.0);
-  EXPECT_THROW(cap.Consume(0, 1, 50.0), CheckFailure);
+  // The failure names the flow's ports, the rate and both leftovers at
+  // full precision.
+  cap.Consume(2, 2, 100.0 / 3);
+  try {
+    cap.Consume(0, 2, 50.0);
+    FAIL() << "an over-capacity rate must throw";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rate exceeds port capacity: flow 0 -> 2, rate 50, "
+                        "input left 40, output left 66.666666666666657"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(Fabric, CheckRatesNamesTheSumAndTheLimit) {
+  ActiveCoflow a(1, 0.0, {{0, 1, MB(10)}, {0, 2, MB(10)}});
+  a.flows[0].rate = 60.0;
+  a.flows[1].rate = 40.5;
+  try {
+    CheckRates({&a}, 3, 100.0);
+    FAIL() << "an oversubscribed port must throw";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("input port 0 oversubscribed: 100.5 > "
+                        "100.00009999999999"),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(Fabric, RemainingTplTracksProgress) {
-  ActiveCoflow a;
-  a.flows = {{0, 1, MB(100), MB(100), 0}, {0, 2, MB(50), MB(50), 0}};
+  ActiveCoflow a(1, 0.0, {{0, 1, MB(100)}, {0, 2, MB(50)}});
   EXPECT_DOUBLE_EQ(a.RemainingTpl(Gbps(1)), MB(150) / Gbps(1));
   a.flows[0].remaining = MB(10);
   EXPECT_DOUBLE_EQ(a.RemainingTpl(Gbps(1)), MB(60) / Gbps(1));

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -241,20 +242,63 @@ TEST(TimelineEngine, SamplerDoesNotPerturbResults) {
   // replan count are bit-identical with and without it.
   const Trace trace = SmallTrace();
   const auto policy = MakeShortestFirstPolicy();
-  const auto bare = engine::ScenarioRegistry::Global().Run(
-      "circuit", trace, policy.get(), BaseConfig());
-  engine::EngineConfig ec = BaseConfig();
-  TimelineSampler sampler;
-  ec.timeline = &sampler;
-  const auto sampled =
-      engine::ScenarioRegistry::Global().Run("circuit", trace, policy.get(),
-                                             ec);
-  ASSERT_EQ(bare.cct.size(), sampled.cct.size());
-  for (const auto& [id, cct] : bare.cct) {
-    EXPECT_EQ(cct, sampled.cct.at(id)) << "coflow " << id;
+  for (const char* scenario : {"circuit", "varys", "aalo"}) {
+    SCOPED_TRACE(scenario);
+    const auto bare = engine::ScenarioRegistry::Global().Run(
+        scenario, trace, policy.get(), BaseConfig());
+    engine::EngineConfig ec = BaseConfig();
+    TimelineSampler sampler;
+    ec.timeline = &sampler;
+    const auto sampled = engine::ScenarioRegistry::Global().Run(
+        scenario, trace, policy.get(), ec);
+    ASSERT_EQ(bare.cct.size(), sampled.cct.size());
+    for (const auto& [id, cct] : bare.cct) {
+      EXPECT_EQ(cct, sampled.cct.at(id)) << "coflow " << id;
+    }
+    EXPECT_EQ(bare.makespan, sampled.makespan);
+    EXPECT_EQ(bare.replans, sampled.replans);
   }
-  EXPECT_EQ(bare.makespan, sampled.makespan);
-  EXPECT_EQ(bare.replans, sampled.replans);
+}
+
+TEST(TimelineEngine, PacketReplaysFillTheirTimeline) {
+  // A packet span keeps Σ rate / B ports busy on each side of its one
+  // plane, and each byte crosses its input port once and its output port
+  // once, so each side's busy port-seconds add up to Σ bytes / B. Every
+  // reallocation is one replan. Coflows 1 and 2 contend for port 0, and
+  // each allocator starves one of them while the other runs.
+  const Trace trace = SmallTrace();
+  Bytes bytes = 0;
+  for (const Coflow& c : trace.coflows) bytes += c.total_bytes();
+  const double want_busy = bytes / BaseConfig().sunflow.bandwidth;
+  for (const char* scenario : {"varys", "aalo"}) {
+    SCOPED_TRACE(scenario);
+    engine::EngineConfig ec = BaseConfig();
+    TimelineSampler sampler;
+    ec.timeline = &sampler;
+    const auto result =
+        engine::ScenarioRegistry::Global().Run(scenario, trace, nullptr, ec);
+    ASSERT_EQ(result.cct.size(), trace.coflows.size());
+
+    double busy_in = 0, busy_out = 0;
+    std::size_t replans = 0;
+    int blocked = 0;
+    for (const TimelineSample& s : sampler.samples()) {
+      for (double b : s.busy_in) busy_in += b;
+      for (double b : s.busy_out) busy_out += b;
+      replans += static_cast<std::size_t>(s.replans);
+      blocked = std::max(blocked, s.blocked);
+    }
+    EXPECT_EQ(replans, result.replans);
+    EXPECT_NEAR(busy_in, want_busy, 1e-9 * want_busy);
+    EXPECT_NEAR(busy_out, want_busy, 1e-9 * want_busy);
+    EXPECT_GE(blocked, 1);
+    EXPECT_EQ(sampler.planes(), 1);
+    EXPECT_GT(sampler.Summarize().util_mean, 0);
+    EXPECT_EQ(sampler.Summarize().slo.replans, result.replans);
+    std::ostringstream csv;
+    sampler.WriteCsv(csv);
+    EXPECT_NE(csv.str().find(" planes=1 "), std::string::npos) << csv.str();
+  }
 }
 
 TEST(TimelineEngine, KCoreTraceWithSamplerAttributesAndAuditsClean) {
