@@ -49,6 +49,8 @@ int main(int argc, char** argv) {
       cfg.delta = Millis(delta_ms);
       cfg.threads = threads;
       cfg.engine = engine;
+      // --trace_out records each algorithm once, at the paper's 1 Gbps.
+      if (gbps == 1.0) cfg.sink = session.sink();
       const auto run = RunIntra(w.trace, algorithm, cfg);
       const auto ratios =
           run.Collect([](const IntraRecord& r) { return r.CctOverTcl(); });

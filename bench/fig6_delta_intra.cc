@@ -42,6 +42,8 @@ int main(int argc, char** argv) {
     base_cfg.delta = Millis(10);
     base_cfg.threads = threads;
     base_cfg.engine = engine;
+    // --trace_out records each algorithm once, at the paper's δ = 10 ms.
+    base_cfg.sink = session.sink();
     const auto base = RunIntra(w.trace, algorithm, base_cfg);
     std::map<CoflowId, double> base_cct;
     for (const auto& rec : base.records) base_cct[rec.id] = rec.cct;

@@ -4,6 +4,17 @@
 // valid circuit assignment is a matching. Solstice needs maximum-cardinality
 // matchings on thresholded demand graphs (Hopcroft–Karp), Edmonds/TMS need
 // maximum-weight assignments (Hungarian).
+//
+// The graph is one bit row per left vertex, ⌈n_right/64⌉ words each, so a
+// left vertex's neighbours are always visited in ascending right order.
+// Hopcroft–Karp runs its phases on those words: the BFS ORs each layer's
+// rows into a seen-column mask, and the DFS finds a row's admissible
+// neighbours with one mask per layer. The matching is bit for bit the one
+// the adjacency-list Hopcroft–Karp returns with every list sorted
+// ascending: full BFS layers, then a DFS from each free left vertex in
+// index order that takes the first neighbour that is free or matched one
+// layer deeper, and never retries a vertex that failed in the same phase.
+// tests/matching_test.cc keeps that version as the reference.
 #pragma once
 
 #include <cstdint>
@@ -25,26 +36,32 @@ struct BipartiteMatching {
   }
 };
 
-/// Adjacency-list bipartite graph (left -> list of right neighbours).
+/// Bipartite graph stored as one bit row per left vertex: bit r % 64 of
+/// word r / 64 of row l is set iff the edge l -> r exists.
 class BipartiteGraph {
  public:
   BipartiteGraph(int n_left, int n_right);
 
+  /// Adds an edge that is not in the graph yet.
   void AddEdge(int left, int right);
-  /// Removes an existing edge; the other neighbours of `left` keep their
-  /// order.
+  /// Removes an edge that is in the graph.
   void RemoveEdge(int left, int right);
 
   int n_left() const { return n_left_; }
   int n_right() const { return n_right_; }
-  const std::vector<int>& Neighbors(int left) const {
-    return adj_[static_cast<std::size_t>(left)];
+  /// Words per row: ⌈n_right / 64⌉.
+  int words() const { return words_; }
+  /// The `words()` words of left vertex `left`'s row.
+  const std::uint64_t* Row(int left) const {
+    return bits_.data() + static_cast<std::size_t>(left) *
+                              static_cast<std::size_t>(words_);
   }
 
  private:
   int n_left_;
   int n_right_;
-  std::vector<std::vector<int>> adj_;
+  int words_;
+  std::vector<std::uint64_t> bits_;
 };
 
 /// Maximum-cardinality matching in O(E·sqrt(V)) (Hopcroft–Karp).

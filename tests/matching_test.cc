@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <numeric>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/rng.h"
 #include "matching/bipartite.h"
 #include "matching/decomposition.h"
@@ -110,6 +115,201 @@ TEST_P(RandomGraphMatching, AgreesWithBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphMatching,
                          ::testing::Range(0, 40));
+
+// Test-only reference: the adjacency-list Hopcroft–Karp whose matchings the
+// bit-row one must reproduce. adj[u] lists u's right neighbours in the
+// order the DFS tries them.
+class ReferenceHopcroftKarp {
+ public:
+  ReferenceHopcroftKarp(const std::vector<std::vector<int>>& adj, int n_right)
+      : adj_(adj),
+        match_l_(adj.size(), -1),
+        match_r_(static_cast<std::size_t>(n_right), -1),
+        dist_(adj.size(), 0) {}
+
+  BipartiteMatching Run() {
+    while (Bfs()) {
+      for (std::size_t u = 0; u < adj_.size(); ++u)
+        if (match_l_[u] < 0) Dfs(static_cast<int>(u));
+    }
+    return {match_l_, match_r_};
+  }
+
+ private:
+  static constexpr int kInf = std::numeric_limits<int>::max();
+
+  bool Bfs() {
+    std::queue<int> q;
+    bool found_free = false;
+    for (std::size_t u = 0; u < adj_.size(); ++u) {
+      if (match_l_[u] < 0) {
+        dist_[u] = 0;
+        q.push(static_cast<int>(u));
+      } else {
+        dist_[u] = kInf;
+      }
+    }
+    while (!q.empty()) {
+      const int u = q.front();
+      q.pop();
+      for (int v : adj_[static_cast<std::size_t>(u)]) {
+        const int w = match_r_[static_cast<std::size_t>(v)];
+        if (w < 0) {
+          found_free = true;
+        } else if (dist_[static_cast<std::size_t>(w)] == kInf) {
+          dist_[static_cast<std::size_t>(w)] =
+              dist_[static_cast<std::size_t>(u)] + 1;
+          q.push(w);
+        }
+      }
+    }
+    return found_free;
+  }
+
+  bool Dfs(int u) {
+    for (int v : adj_[static_cast<std::size_t>(u)]) {
+      const int w = match_r_[static_cast<std::size_t>(v)];
+      if (w < 0 || (dist_[static_cast<std::size_t>(w)] ==
+                        dist_[static_cast<std::size_t>(u)] + 1 &&
+                    Dfs(w))) {
+        match_l_[static_cast<std::size_t>(u)] = v;
+        match_r_[static_cast<std::size_t>(v)] = u;
+        return true;
+      }
+    }
+    dist_[static_cast<std::size_t>(u)] = kInf;
+    return false;
+  }
+
+  const std::vector<std::vector<int>>& adj_;
+  std::vector<int> match_l_, match_r_, dist_;
+};
+
+// Sizes around the 64-bit word boundaries, plus paper scale (150 ports).
+constexpr int kWordBoundarySizes[] = {1,   2,   63,  64,  65,
+                                      127, 128, 129, 150, 200};
+
+class BitRowMatching : public ::testing::TestWithParam<int> {};
+
+// BigSlice's pattern on random graphs: match, drop a random subset of the
+// matched edges, match again, up to 30 rounds. Every matching must equal
+// the adjacency-list reference's, vertex for vertex.
+TEST_P(BitRowMatching, EqualsAdjacencyListReference) {
+  const int n_left = GetParam();
+  Rng rng(static_cast<std::uint64_t>(n_left) + 1603);
+  for (const int n_right : kWordBoundarySizes) {
+    // 6–10 edges per row (the BvN-tail graph the next test was shrunk
+    // from has 9.6), then sparse, then dense.
+    for (const double density :
+         {std::min(0.9, rng.Uniform(6.0, 10.0) / n_right),
+          rng.Uniform(0.01, 0.1), rng.Uniform(0.1, 0.9)}) {
+      SCOPED_TRACE("n_left=" + std::to_string(n_left) +
+                   " n_right=" + std::to_string(n_right) +
+                   " density=" + std::to_string(density));
+      BipartiteGraph g(n_left, n_right);
+      std::vector<std::vector<int>> adj(static_cast<std::size_t>(n_left));
+      for (int i = 0; i < n_left; ++i) {
+        for (int j = 0; j < n_right; ++j) {
+          if (!rng.Bernoulli(density)) continue;
+          g.AddEdge(i, j);
+          adj[static_cast<std::size_t>(i)].push_back(j);
+        }
+      }
+      for (int round = 0; round < 30; ++round) {
+        const BipartiteMatching got = MaxCardinalityMatching(g);
+        const BipartiteMatching want =
+            ReferenceHopcroftKarp(adj, n_right).Run();
+        ASSERT_EQ(got.match_of_left, want.match_of_left) << "round " << round;
+        ASSERT_EQ(got.match_of_right, want.match_of_right) << "round " << round;
+        std::vector<int> matched;
+        for (int i = 0; i < n_left; ++i)
+          if (want.match_of_left[static_cast<std::size_t>(i)] >= 0)
+            matched.push_back(i);
+        if (matched.empty()) break;
+        // At least one matched edge goes, as in every BigSlice slot.
+        const auto must_drop = static_cast<std::size_t>(rng.UniformInt(
+            0, static_cast<std::int64_t>(matched.size()) - 1));
+        for (std::size_t k = 0; k < matched.size(); ++k) {
+          if (k != must_drop && !rng.Bernoulli(0.5)) continue;
+          const int i = matched[k];
+          const int j = want.match_of_left[static_cast<std::size_t>(i)];
+          g.RemoveEdge(i, j);
+          auto& row = adj[static_cast<std::size_t>(i)];
+          row.erase(std::find(row.begin(), row.end(), j));
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(WordBoundaries, BitRowMatching,
+                         ::testing::ValuesIn(kWordBoundarySizes));
+
+// A left vertex whose DFS failed stays dead for the rest of its phase, even
+// when a later augmentation would let it succeed. In this graph (shrunk
+// from a Solstice BvN-tail graph) the second phase's BFS puts rows 5, 8
+// and 9 in layer 0 and row 4 in layer 1, next to column 5, which is free.
+// Row 5's path hands column 5 to row 0 (layer 3). Row 8 then tries row 4,
+// which fails, and row 8's own path moves column 5 to row 6 (layer 2),
+// right below row 4. Row 9 reaches row 4 through column 2 but must not
+// retry it, so row 9 waits for the third phase.
+TEST(HopcroftKarp, FailedRowStaysDeadForItsPhase) {
+  const std::vector<std::pair<int, int>> edges = {
+      {0, 3}, {0, 5}, {0, 7}, {1, 1}, {1, 3}, {2, 1},  {2, 6},
+      {3, 4}, {3, 9}, {4, 2}, {4, 5}, {5, 6}, {6, 0},  {6, 5},
+      {6, 8}, {7, 0}, {7, 4}, {7, 10}, {8, 2}, {8, 10}, {9, 2}};
+  BipartiteGraph g(10, 11);
+  std::vector<std::vector<int>> adj(10);
+  for (const auto& [i, j] : edges) {
+    g.AddEdge(i, j);
+    adj[static_cast<std::size_t>(i)].push_back(j);
+  }
+  const BipartiteMatching got = MaxCardinalityMatching(g);
+  EXPECT_EQ(got.match_of_left,
+            ReferenceHopcroftKarp(adj, 11).Run().match_of_left);
+  EXPECT_EQ(got.match_of_left,
+            (std::vector<int>{7, 3, 1, 9, 5, 6, 0, 4, 10, 2}));
+}
+
+std::string CheckMessage(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const CheckFailure& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BipartiteGraph, DuplicateEdgeFails) {
+  BipartiteGraph g(2, 70);
+  g.AddEdge(1, 65);
+  EXPECT_NE(CheckMessage([&] { g.AddEdge(1, 65); }).find("added twice"),
+            std::string::npos);
+}
+
+TEST(BipartiteGraph, RemovingAMissingEdgeNamesIt) {
+  BipartiteGraph g(3, 130);
+  g.AddEdge(2, 128);
+  g.RemoveEdge(2, 128);
+  EXPECT_NE(CheckMessage([&] { g.RemoveEdge(2, 128); })
+                .find("no edge 2 -> 128 to remove"),
+            std::string::npos);
+  EXPECT_NE(CheckMessage([&] { g.RemoveEdge(0, 130); })
+                .find("no edge 0 -> 130 to remove"),
+            std::string::npos);
+}
+
+TEST(BipartiteGraph, OutOfRangeIndexFails) {
+  BipartiteGraph g(2, 64);
+  EXPECT_THROW(g.AddEdge(2, 0), CheckFailure);
+  EXPECT_THROW(g.AddEdge(-1, 0), CheckFailure);
+  EXPECT_THROW(g.AddEdge(0, 64), CheckFailure);
+  EXPECT_THROW(g.AddEdge(0, -1), CheckFailure);
+  EXPECT_THROW(g.RemoveEdge(2, 0), CheckFailure);
+  EXPECT_THROW(g.RemoveEdge(-1, 0), CheckFailure);
+  EXPECT_THROW(BipartiteGraph(-1, 3), CheckFailure);
+  EXPECT_THROW(BipartiteGraph(3, -1), CheckFailure);
+}
 
 class RandomAssignment : public ::testing::TestWithParam<int> {};
 
@@ -418,7 +618,9 @@ void ExpectSameSlots(const std::vector<WeightedAssignment>& got,
 
 TEST(Decomposition, MatchesPerSlotRebuildOracle) {
   Rng rng(20161212);
-  for (const int n : {2, 8, 40, 150}) {
+  // 65 and 129 have a partly filled last row word; they come last so the
+  // other sizes keep their draws.
+  for (const int n : {2, 8, 40, 150, 65, 129}) {
     // Sparse: about 3 demand entries per row. Dense: about 15 per row, or
     // half the row when n is small (the oracle's per-slot rebuild makes
     // denser 150-port cases slow).
