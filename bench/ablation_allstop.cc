@@ -64,6 +64,8 @@ int main(int argc, char** argv) {
         cfg.sunflow.bandwidth = Gbps(1);
         cfg.sunflow.delta = Millis(10);
         cfg.carry_over_circuits = carry_options[i];
+        // --trace_out records the paper's replay, carry-over on.
+        if (carry_options[i]) cfg.sink = session.sink();
         replays[i] = engine::ScenarioRegistry::Global().Run(
             "circuit", w.trace, policy.get(), cfg);
       });

@@ -100,22 +100,19 @@ inline int Threads(CliFlags& flags) {
   return n <= 0 ? runtime::HardwareConcurrency() : static_cast<int>(n);
 }
 
-/// The shared --engine flag: which registered simulation-kernel scenario
-/// (sim/engine) replays the trace. Inter benches default to "circuit"
-/// (the paper's Sunflow replay); intra benches default to "" — the direct
-/// single-coflow planner path, with a name opting into the kernel. The
-/// help text lists the registry so new scenarios are discoverable without
-/// touching the benches.
+/// The shared --engine flag of the inter benches: which registered
+/// simulation-kernel scenario (sim/engine) replays the trace. They default
+/// to "circuit" (the paper's Sunflow replay). The help text lists the
+/// registry so new scenarios are discoverable without touching the benches.
 inline std::string Engine(CliFlags& flags, const std::string& def) {
   std::string names;
   for (const auto& [name, desc] : engine::ScenarioRegistry::Global().List()) {
     if (!names.empty()) names += ", ";
     names += name;
   }
-  return flags.GetString(
-      "engine", def,
-      "simulation kernel scenario (registered: " + names +
-          (def.empty() ? "; empty = direct planner path)" : ")"));
+  return flags.GetString("engine", def,
+                         "simulation kernel scenario (registered: " + names +
+                             ")");
 }
 
 /// Standard preamble: handles --help, prints the workload banner.

@@ -45,9 +45,13 @@ int main(int argc, char** argv) {
       engine::EngineConfig cfg;
       cfg.sunflow.bandwidth = Gbps(1);
       cfg.sunflow.delta = deltas[i].second;
-      // Sample only the paper's reference point (δ = 10 ms): the other
-      // points run concurrently and the sampler observes one replay.
-      if (deltas[i].first == "10ms") cfg.timeline = session.timeline();
+      // Trace and sample only the paper's reference point (δ = 10 ms):
+      // the other points run concurrently, and the sink and the sampler
+      // each observe one replay.
+      if (deltas[i].first == "10ms") {
+        cfg.sink = session.sink();
+        cfg.timeline = session.timeline();
+      }
       results[i] = engine::ScenarioRegistry::Global().Run(
           engine_name, w.trace, policy.get(), cfg);
     });

@@ -19,8 +19,7 @@ int main(int argc, char** argv) {
       argc, argv,
       {.name = "fig3_intra_vs_tcl",
        .help = "Figure 3: CCT vs TcL across link rates",
-       .banner = "Figure 3 — CCT/TcL for Sunflow and Solstice",
-       .engine_default = ""});
+       .banner = "Figure 3 — CCT/TcL for Sunflow and Solstice"});
   const double delta_ms =
       session.flags().GetDouble("delta_ms", 10.0, "δ in ms");
   const bool all_algos = session.flags().GetBool(
@@ -29,7 +28,6 @@ int main(int argc, char** argv) {
   if (session.done()) return 0;
   const bench::Workload& w = session.workload();
   const int threads = session.threads();
-  const std::string& engine = session.engine();
 
   std::vector<IntraAlgorithm> algorithms = {IntraAlgorithm::kSunflow,
                                             IntraAlgorithm::kSolstice};
@@ -48,7 +46,6 @@ int main(int argc, char** argv) {
       cfg.bandwidth = Gbps(gbps);
       cfg.delta = Millis(delta_ms);
       cfg.threads = threads;
-      cfg.engine = engine;
       // --trace_out records each algorithm once, at the paper's 1 Gbps.
       if (gbps == 1.0) cfg.sink = session.sink();
       const auto run = RunIntra(w.trace, algorithm, cfg);
@@ -75,7 +72,6 @@ int main(int argc, char** argv) {
   IntraRunConfig cfg;
   cfg.delta = Millis(delta_ms);
   cfg.threads = threads;
-  cfg.engine = engine;
   TextTable cat("Per-category mean CCT/TcL at 1 Gbps");
   cat.SetHeader({"algorithm", "O2O", "O2M", "M2O", "M2M"});
   for (auto algorithm : algorithms) {

@@ -18,16 +18,15 @@ int main(int argc, char** argv) {
       argc, argv,
       {.name = "fig4_m2m_cdf",
        .help = "Figure 4: M2M CDFs of CCT over bounds",
-       .banner = "Figure 4 — CCT over lower bounds on many-to-many coflows",
-       .engine_default = ""});
+       .banner = "Figure 4 — CCT over lower bounds on many-to-many coflows"});
   if (session.done()) return 0;
   const bench::Workload& w = session.workload();
   const int threads = session.threads();
-  const std::string& engine = session.engine();
 
   IntraRunConfig cfg;
   cfg.threads = threads;
-  cfg.engine = engine;
+  // --trace_out records both algorithms' runs, as fig5 does.
+  cfg.sink = session.sink();
   TextTable table("M2M summary");
   table.SetHeader({"series", "mean", "p50", "p95", "max"});
   for (auto algorithm :

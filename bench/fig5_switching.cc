@@ -19,18 +19,15 @@ int main(int argc, char** argv) {
       argc, argv,
       {.name = "fig5_switching",
        .help = "Figure 5: normalized switching counts",
-       .banner = "Figure 5 — switching count over minimum (M2M coflows)",
-       .engine_default = ""});
+       .banner = "Figure 5 — switching count over minimum (M2M coflows)"});
   if (session.done()) return 0;
   const bench::Workload& w = session.workload();
   const int threads = session.threads();
-  const std::string& engine = session.engine();
   bench::BenchTracer& tracer = session.tracer();
 
   IntraRunConfig cfg;
   cfg.sink = tracer.sink();
   cfg.threads = threads;
-  cfg.engine = engine;
   TextTable table("Normalized switching count (M2M)");
   table.SetHeader(
       {"algorithm", "mean", "p50", "p95", "max", "corr(norm, |C|)"});

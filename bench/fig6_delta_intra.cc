@@ -19,14 +19,12 @@ int main(int argc, char** argv) {
       argc, argv,
       {.name = "fig6_delta_intra",
        .help = "Figure 6: intra sensitivity to delta",
-       .banner = "Figure 6 — intra-Coflow CCT vs delta (normalized to 10ms)",
-       .engine_default = ""});
+       .banner = "Figure 6 — intra-Coflow CCT vs delta (normalized to 10ms)"});
   const bool include_solstice = session.flags().GetBool(
       "solstice", true, "also sweep Solstice for the §5.3.1 comparison");
   if (session.done()) return 0;
   const bench::Workload& w = session.workload();
   const int threads = session.threads();
-  const std::string& engine = session.engine();
 
   const std::vector<std::pair<std::string, Time>> deltas = {
       {"100ms", Millis(100)}, {"10ms", Millis(10)},   {"1ms", Millis(1)},
@@ -41,7 +39,6 @@ int main(int argc, char** argv) {
     IntraRunConfig base_cfg;
     base_cfg.delta = Millis(10);
     base_cfg.threads = threads;
-    base_cfg.engine = engine;
     // --trace_out records each algorithm once, at the paper's δ = 10 ms.
     base_cfg.sink = session.sink();
     const auto base = RunIntra(w.trace, algorithm, base_cfg);
@@ -55,7 +52,6 @@ int main(int argc, char** argv) {
       IntraRunConfig cfg;
       cfg.delta = delta;
       cfg.threads = threads;
-      cfg.engine = engine;
       const auto run = RunIntra(w.trace, algorithm, cfg);
       std::vector<double> normalized;
       for (const auto& rec : run.records) {

@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
       argc, argv,
       {.name = "fig7_vs_tpl",
        .help = "Figure 7: Sunflow CCT vs TpL",
-       .banner = "Figure 7 — Sunflow CCT vs packet lower bound",
-       .engine_default = ""});
+       .banner = "Figure 7 — Sunflow CCT vs packet lower bound"});
   const double delta_ms =
       session.flags().GetDouble("delta_ms", 10.0, "δ in ms");
   const std::string csv_out = session.flags().GetString(
@@ -30,12 +29,11 @@ int main(int argc, char** argv) {
   if (session.done()) return 0;
   const bench::Workload& w = session.workload();
   const int threads = session.threads();
-  const std::string& engine = session.engine();
 
   IntraRunConfig cfg;
   cfg.delta = Millis(delta_ms);
   cfg.threads = threads;
-  cfg.engine = engine;
+  cfg.sink = session.sink();
   const auto run = RunIntra(w.trace, IntraAlgorithm::kSunflow, cfg);
 
   std::vector<double> all_r, long_r, short_r, pavg, lemma2_bound;

@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
   cfg.delta = Millis(delta_ms);
   cfg.engine = engine;
   cfg.threads = threads;  // Sunflow/Varys/Aalo replays fan out
+  cfg.sink = session.sink();  // traces the Sunflow circuit replay
   cfg.timeline = session.timeline();  // samples the Sunflow circuit replay
   const auto cmp = RunInterComparison(w.trace, cfg);
 

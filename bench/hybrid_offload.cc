@@ -53,6 +53,10 @@ int main(int argc, char** argv) {
       } else {
         cfg.packet_bandwidth = Gbps(packet_gbps);
         cfg.offload_threshold = MB(thresholds_mb[i - 1]);
+        // --trace_out records the circuit side of the 10 MB replay (the
+        // scenario's default threshold); its packet side stays untraced,
+        // as in every hybrid replay.
+        if (thresholds_mb[i - 1] == 10.0) cfg.sink = session.sink();
         sweeps[i - 1] = registry.Run("hybrid", w.trace, policy.get(), cfg);
       }
     });

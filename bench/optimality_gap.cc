@@ -5,6 +5,10 @@
 // coflows we compute the true optimum by branch-and-bound
 // (sched/optimal.h) and report the real optimality gap — which turns out
 // even tighter than the paper's CCT/TcL ≈ 1.03 suggests.
+//
+// --trace_out is accepted for CLI uniformity but records nothing (the
+// session warns on stderr): every trial plans a fresh coflow with id 1 on
+// its own clock from t = 0, so the trials cannot share one trace.
 #include <iostream>
 
 #include "bench_util.h"

@@ -26,6 +26,8 @@ int main(int argc, char** argv) {
   IntraRunConfig base_cfg;
   base_cfg.order = ReservationOrder::kOrderedPort;
   base_cfg.threads = threads;
+  // --trace_out records the paper's default ordering.
+  base_cfg.sink = session.sink();
   const auto base = RunIntra(w.trace, IntraAlgorithm::kSunflow, base_cfg);
   std::map<CoflowId, double> base_cct;
   for (const auto& rec : base.records) base_cct[rec.id] = rec.cct;

@@ -12,6 +12,8 @@ int main(int argc, char** argv) {
   using namespace sunflow;
   // --threads is accepted for CLI uniformity across bench targets but
   // classification is pure counting; there is nothing to parallelize.
+  // --trace_out is accepted for the same reason: nothing is scheduled, so
+  // the trace stays empty (the session warns on stderr).
   bench::BenchSession session(
       argc, argv,
       {.name = "table4_traffic",

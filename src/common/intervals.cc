@@ -45,11 +45,4 @@ Time IntervalSet::UnionLengthWithin(Time lo, Time hi) const {
   return total;
 }
 
-bool IntervalSet::Covers(Time t) const {
-  for (const auto& iv : Merged()) {
-    if (t >= iv.begin - kTimeEps && t < iv.end + kTimeEps) return true;
-  }
-  return false;
-}
-
 }  // namespace sunflow

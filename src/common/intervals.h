@@ -17,7 +17,6 @@ struct Interval {
 
   Time length() const { return end - begin; }
   bool empty() const { return end <= begin + kTimeEps; }
-  bool Contains(Time t) const { return t >= begin - kTimeEps && t < end + kTimeEps; }
 };
 
 /// A set of half-open time intervals with union/length queries.
@@ -35,8 +34,6 @@ class IntervalSet {
 
   /// The merged, sorted, disjoint intervals.
   std::vector<Interval> Merged() const;
-
-  bool Covers(Time t) const;
 
   bool empty() const { return intervals_.empty(); }
   std::size_t raw_count() const { return intervals_.size(); }

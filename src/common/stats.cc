@@ -25,14 +25,6 @@ double Max(std::span<const double> xs) {
   return *std::max_element(xs.begin(), xs.end());
 }
 
-double StdDev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0;
-  const double m = Mean(xs);
-  double acc = 0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(xs.size() - 1));
-}
-
 double Percentile(std::span<const double> xs, double pct) {
   SUNFLOW_CHECK(!xs.empty());
   SUNFLOW_CHECK(pct >= 0 && pct <= 100);
@@ -108,14 +100,6 @@ std::vector<CdfPoint> EmpiricalCdf(std::span<const double> xs) {
     }
   }
   return cdf;
-}
-
-std::vector<CdfPoint> CdfAt(std::span<const double> xs,
-                            std::span<const double> values) {
-  std::vector<CdfPoint> out;
-  out.reserve(values.size());
-  for (double v : values) out.push_back({v, FractionAtMost(xs, v)});
-  return out;
 }
 
 double FractionAtMost(std::span<const double> xs, double threshold) {

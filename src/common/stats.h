@@ -16,7 +16,6 @@ namespace sunflow::stats {
 double Mean(std::span<const double> xs);
 double Min(std::span<const double> xs);
 double Max(std::span<const double> xs);
-double StdDev(std::span<const double> xs);
 
 /// Percentile in [0, 100] with linear interpolation between order
 /// statistics (the "linear"/type-7 definition used by numpy).
@@ -41,10 +40,6 @@ struct CdfPoint {
 
 /// Full empirical CDF (one point per distinct sample value).
 std::vector<CdfPoint> EmpiricalCdf(std::span<const double> xs);
-
-/// CDF evaluated at the given values: fraction of samples <= v.
-std::vector<CdfPoint> CdfAt(std::span<const double> xs,
-                            std::span<const double> values);
 
 /// Fraction of samples strictly below / at-or-below a threshold.
 double FractionAtMost(std::span<const double> xs, double threshold);

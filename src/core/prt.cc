@@ -181,12 +181,6 @@ Time FabricReservationTable::BusySeconds(Side side, PortId p, Time t0,
   return busy;
 }
 
-Time FabricReservationTable::NextReservationStartAfter(PortId in, PortId out,
-                                                       Time t,
-                                                       PlaneId plane) const {
-  return NextReservationAfter(in, out, t, plane).start;
-}
-
 FabricReservationTable::NextReservation
 FabricReservationTable::NextReservationAfter(PortId in, PortId out, Time t,
                                              PlaneId plane) const {
@@ -250,15 +244,6 @@ Time FabricReservationTable::LastReleaseBefore(Time t) const {
       std::lower_bound(release_times_.begin(), release_times_.end(), t);
   if (it == release_times_.begin()) return -kTimeInf;
   return *std::prev(it);
-}
-
-std::vector<CircuitReservation> FabricReservationTable::TimelineOf(
-    Side side, PortId p, PlaneId plane) const {
-  const PortTimeline& tl = Timeline(side, p, plane);
-  std::vector<CircuitReservation> out;
-  out.reserve(tl.slots.size());
-  for (const Slot& s : tl.slots) out.push_back(all_[s.index]);
-  return out;
 }
 
 void FabricReservationTable::CheckInvariants() const {

@@ -53,30 +53,11 @@ class FabricReservationTable {
   /// preempted.
   Time BusyUntil(Side side, PortId p, Time t, PlaneId plane = 0) const;
 
-  // Legacy single-plane spellings; thin wrappers over the side-indexed
-  // probes above, kept because most call sites only ever touch plane 0.
-  bool InputFreeAt(PortId i, Time t) const { return FreeAt(Side::kIn, i, t); }
-  bool OutputFreeAt(PortId j, Time t) const {
-    return FreeAt(Side::kOut, j, t);
-  }
-  Time InputBusyUntil(PortId i, Time t) const {
-    return BusyUntil(Side::kIn, i, t);
-  }
-  Time OutputBusyUntil(PortId j, Time t) const {
-    return BusyUntil(Side::kOut, j, t);
-  }
-
-  /// Start time of the earliest reservation beginning strictly after t on
-  /// the given port pair of one plane; kTimeInf if none. This is the t_m
-  /// of Algorithm 1 line 16 ("earliest next-reserv-time"), needed only at
-  /// the inter-Coflow level: a lower-priority coflow must release the port
-  /// before a higher-priority reservation begins.
-  Time NextReservationStartAfter(PortId in, PortId out, Time t,
-                                 PlaneId plane = 0) const;
-
   /// The earliest reservation beginning strictly after t on either port of
-  /// one plane, as (start, release): `start` equals
-  /// NextReservationStartAfter(in, out, t, plane) and `release` is the
+  /// one plane, as (start, release). `start` is the t_m of Algorithm 1
+  /// line 16 ("earliest next-reserv-time"), kTimeInf if none, needed only
+  /// at the inter-Coflow level: a lower-priority coflow must release the
+  /// port before a higher-priority reservation begins. `release` is the
   /// latest end among the slots (on these two timelines) that begin
   /// exactly at that start. When the gap [t, start) is too short for a
   /// circuit, `release` is the first instant the blocking constraint can
@@ -112,12 +93,6 @@ class FabricReservationTable {
   /// touching the timeline's probe cursor, so calling them cannot perturb
   /// the planner's amortized forward-scan pattern.
   CoflowId OwnerAt(Side side, PortId p, Time t, PlaneId plane = 0) const;
-  CoflowId InputOwnerAt(PortId i, Time t) const {
-    return OwnerAt(Side::kIn, i, t);
-  }
-  CoflowId OutputOwnerAt(PortId j, Time t) const {
-    return OwnerAt(Side::kOut, j, t);
-  }
 
   /// Coflow id of the earliest reservation beginning strictly after t on
   /// either port of one plane — the blocker in the gap-too-short case of
@@ -137,16 +112,6 @@ class FabricReservationTable {
   /// All reservations in insertion order.
   const std::vector<CircuitReservation>& reservations() const {
     return all_;
-  }
-
-  /// Reservations on one timeline, sorted by start time.
-  std::vector<CircuitReservation> TimelineOf(Side side, PortId p,
-                                             PlaneId plane = 0) const;
-  std::vector<CircuitReservation> InputPortTimeline(PortId i) const {
-    return TimelineOf(Side::kIn, i);
-  }
-  std::vector<CircuitReservation> OutputPortTimeline(PortId j) const {
-    return TimelineOf(Side::kOut, j);
   }
 
   /// Validates the full table (no overlap on any timeline; sane windows).

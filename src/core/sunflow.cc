@@ -1,7 +1,6 @@
 #include "core/sunflow.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <numeric>
 #include <utility>
@@ -27,12 +26,6 @@ const char* ToString(ReservationOrder order) {
       return "SortedDemandAsc";
   }
   return "?";
-}
-
-Time SunflowSchedule::MaxCompletion() const {
-  Time best = 0;
-  for (const auto& [id, cct] : completion_time) best = std::max(best, cct);
-  return best;
 }
 
 PlanRequest PlanRequest::FromCoflow(const Coflow& coflow, Bandwidth bandwidth,
@@ -84,19 +77,9 @@ bool SunflowPlanner::has_established() const {
   return false;
 }
 
-void SunflowPlanner::SetReservationCallback(ReservationCallback callback) {
-  callback_ = std::move(callback);
-}
-
 std::vector<FlowDemand> SunflowPlanner::Ordered(
     const PlanRequest& request) const {
   std::vector<FlowDemand> p = request.demand;
-  if (config_.demand_quantum > 0) {
-    for (FlowDemand& f : p) {
-      f.processing = std::ceil(f.processing / config_.demand_quantum) *
-                     config_.demand_quantum;
-    }
-  }
   switch (config_.order) {
     case ReservationOrder::kOrderedPort:
       std::sort(p.begin(), p.end(), [](const FlowDemand& a, const FlowDemand& b) {
@@ -284,7 +267,6 @@ class SunflowPlanner::Walk {
       prt_.Reserve(reservation);
       ++reservations_made_;
       CloseEpisode(idx, t);
-      if (planner_.callback_) planner_.callback_(reservation);
       obs::Emit(sink_, {.type = obs::EventType::kCircuitSetup,
                         .t = reservation.start,
                         .dur = reservation.length(),

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
@@ -44,14 +43,6 @@ struct SunflowConfig {
   Time delta = Millis(10);  ///< circuit reconfiguration delay δ
   ReservationOrder order = ReservationOrder::kOrderedPort;
   std::uint64_t shuffle_seed = 1;  ///< used only for kRandom
-  /// §6's approximation scheme: processing times are rounded *up* to a
-  /// multiple of this quantum before planning, pruning circuit-release
-  /// events (more flows release simultaneously) at the cost of slightly
-  /// longer reservations. 0 disables. Lemma 1 holds against the quantized
-  /// demand's bounds (≤ true TcL + quantum·|C|); note the effect on a
-  /// specific coflow's CCT is not monotone — greedy scheduling anomalies
-  /// can shift it either way.
-  Time demand_quantum = 0;
   /// The switch planes the planner may assign circuits to (core/fabric.h).
   /// Empty (the default) means one plane inheriting (delta, bandwidth)
   /// from this config — the classic single-switch fabric, byte-identical
@@ -79,8 +70,6 @@ struct SunflowSchedule {
 
   /// All reservations, in the order they were created.
   std::vector<CircuitReservation> reservations;
-
-  Time MaxCompletion() const;
 };
 
 /// Remaining demand of one flow, in processing-time units.
@@ -140,15 +129,6 @@ class SunflowPlanner {
   void SetEstablishedCircuits(EstablishedCircuits circuits, Time at);
   void SetEstablishedCircuitsByPlane(FabricEstablished by_plane, Time at);
 
-  /// §6 latency hiding: "Sunflow may schedule each computed circuit
-  /// individually, thus hiding the scheduling latency by overlapping
-  /// circuit setup with data transmissions." The callback fires the moment
-  /// each reservation is decided; within a single ScheduleOne call the
-  /// emissions are non-decreasing in start time, so a controller can
-  /// dispatch setup commands while later circuits are still being planned.
-  using ReservationCallback = std::function<void(const CircuitReservation&)>;
-  void SetReservationCallback(ReservationCallback callback);
-
   /// Attaches a structured event tracer (obs/trace_sink.h). The planner
   /// emits kCircuitSetup / kCircuitTeardown for every reservation and
   /// kFlowFinished when a flow's demand drains; null (the default)
@@ -166,7 +146,7 @@ class SunflowPlanner {
  private:
   /// True iff any plane has established circuits.
   bool has_established() const;
-  /// The request's demand, quantized and permuted per config().order.
+  /// The request's demand, permuted per config().order.
   std::vector<FlowDemand> Ordered(const PlanRequest& request) const;
   /// Maps the earliest pending wakeup onto the exact instant the rescan's
   /// release-chain walk would visit next (see docs/engine.md).
@@ -184,7 +164,6 @@ class SunflowPlanner {
   std::vector<double> plane_scale_;
   FabricEstablished established_;
   Time established_at_ = -1;
-  ReservationCallback callback_;
   obs::TraceSink* sink_ = nullptr;
   /// ScheduleOne's port → wait-queue slot map, indexed by side × ports +
   /// port and sized on first use. An entry is valid only while the slot it

@@ -1,14 +1,10 @@
 #include "exp/inter_runner.h"
 
-#include <algorithm>
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "common/assert.h"
 #include "core/policy.h"
 #include "runtime/thread_pool.h"
-#include "sim/engine/driver.h"
 #include "sim/engine/scenario.h"
 #include "trace/bounds.h"
 
@@ -62,92 +58,21 @@ InterComparison RunInterComparison(const Trace& trace,
   const auto& registry = engine::ScenarioRegistry::Global();
   engine::EngineConfig packet_ec;
   packet_ec.sunflow.bandwidth = config.bandwidth;
-  std::vector<std::function<void()>> replays;
-  replays.push_back([&] {
-    engine::EngineConfig ec;
-    ec.sunflow.bandwidth = config.bandwidth;
-    ec.sunflow.delta = config.delta;
-    ec.sunflow.fabric = config.fabric;
-    ec.carry_over_circuits = config.carry_over_circuits;
-    ec.sink = config.sink;
-    ec.timeline = config.timeline;
-    const auto policy = MakeShortestFirstPolicy();
-    cmp.sunflow = registry.Run(config.engine, trace, policy.get(), ec).cct;
-  });
-  if (config.run_varys) {
-    replays.push_back([&] {
-      cmp.varys = registry.Run("varys", trace, nullptr, packet_ec).cct;
-    });
-  }
-  if (config.run_aalo) {
-    replays.push_back([&] {
-      cmp.aalo = registry.Run("aalo", trace, nullptr, packet_ec).cct;
-    });
-  }
-  pool.ParallelFor(0, replays.size(),
-                   [&](std::size_t i) { replays[i](); });
-  return cmp;
-}
-
-namespace {
-
-/// Forwards a source while recording each coflow's TpL / pavg — the
-/// comparison's x-axis columns — so the streamed path fills the same
-/// maps the whole-trace path precomputes, without a second pass.
-class BoundsTeeSource final : public CoflowSource {
- public:
-  BoundsTeeSource(CoflowSource& inner, InterComparison& cmp, Bandwidth b)
-      : inner_(&inner), cmp_(&cmp), bandwidth_(b) {}
-
-  PortId num_ports() const override { return inner_->num_ports(); }
-  std::optional<std::uint64_t> size_hint() const override {
-    return inner_->size_hint();
-  }
-  bool Next(Coflow& out) override {
-    if (!inner_->Next(out)) return false;
-    cmp_->tpl[out.id()] = PacketLowerBound(out, bandwidth_);
-    cmp_->pavg[out.id()] = out.AvgProcessingTime(bandwidth_);
-    return true;
-  }
-
- private:
-  CoflowSource* inner_;
-  InterComparison* cmp_;
-  Bandwidth bandwidth_;
-};
-
-}  // namespace
-
-InterComparison RunInterComparisonStreamed(CoflowSource& source,
-                                           const InterRunConfig& config) {
-  SUNFLOW_CHECK_MSG(!config.run_varys && !config.run_aalo,
-                    "a source is read once, so only the optical arm can "
-                    "replay it; disable run_varys/run_aalo for streamed runs");
-  InterComparison cmp;
-  engine::EngineConfig ec;
-  ec.sunflow.bandwidth = config.bandwidth;
-  ec.sunflow.delta = config.delta;
-  ec.sunflow.fabric = config.fabric;
-  ec.carry_over_circuits = config.carry_over_circuits;
-  ec.sink = config.sink;
-  ec.timeline = config.timeline;
-
-  const auto policy = MakeShortestFirstPolicy();
-  std::unique_ptr<engine::ScenarioPolicy> scenario;
-  if (config.engine == "circuit") {
-    scenario = engine::MakeCircuitScenario(source.num_ports(), *policy, ec);
-  } else if (config.engine == "guarded") {
-    scenario = engine::MakeGuardScenario(source.num_ports(), *policy, ec);
-  } else if (config.engine == "rotor") {
-    scenario = engine::MakeRotorScenario(source.num_ports(), ec);
-  } else {
-    SUNFLOW_CHECK_MSG(false,
-                      "streamed replay supports circuit/guarded/rotor only");
-  }
-  BoundsTeeSource tee(source, cmp, config.bandwidth);
-  cmp.sunflow =
-      engine::RunScenarioStream(tee, *scenario, config.sink, config.timeline)
-          .cct;
+  const std::function<void()> replays[] = {
+      [&] {
+        engine::EngineConfig ec;
+        ec.sunflow.bandwidth = config.bandwidth;
+        ec.sunflow.delta = config.delta;
+        ec.sunflow.fabric = config.fabric;
+        ec.sink = config.sink;
+        ec.timeline = config.timeline;
+        const auto policy = MakeShortestFirstPolicy();
+        cmp.sunflow = registry.Run(config.engine, trace, policy.get(), ec).cct;
+      },
+      [&] { cmp.varys = registry.Run("varys", trace, nullptr, packet_ec).cct; },
+      [&] { cmp.aalo = registry.Run("aalo", trace, nullptr, packet_ec).cct; },
+  };
+  pool.ParallelFor(0, std::size(replays), [&](std::size_t i) { replays[i](); });
   return cmp;
 }
 

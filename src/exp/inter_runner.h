@@ -12,7 +12,6 @@
 
 #include "core/fabric.h"
 #include "trace/coflow.h"
-#include "trace/source.h"
 
 namespace sunflow::obs {
 class TimelineSampler;
@@ -28,14 +27,11 @@ struct InterRunConfig {
   /// classic single-plane fabric; Uniform(1, delta, bandwidth) is
   /// byte-identical to empty (the K=1 equivalence contract).
   FabricSpec fabric;
-  bool carry_over_circuits = true;
   /// Named kernel scenario (sim/engine registry) for the optical-switch
   /// arm of the comparison. "circuit" is the paper's Sunflow replay;
   /// other registered scenarios ("guarded", "rotor", "hybrid") slot in
   /// unchanged for ablations. Benches wire the shared --engine flag here.
   std::string engine = "circuit";
-  bool run_varys = true;
-  bool run_aalo = true;
   /// Optional structured event tracer for the Sunflow circuit replay
   /// (packet baselines are not traced).
   obs::TraceSink* sink = nullptr;
@@ -71,17 +67,5 @@ struct InterComparison {
 
 InterComparison RunInterComparison(const Trace& trace,
                                    const InterRunConfig& config);
-
-/// Out-of-core variant: replays the optical arm only, pulling arrivals
-/// from `source` (arrival-ordered; a TraceReader over a sorted stream
-/// file). A source is one pass, enough for one replay, so
-/// config.run_varys/run_aalo must be false. tpl/pavg are computed per
-/// coflow as it streams past. Engine memory is O(active set); the
-/// returned per-coflow maps are O(trace) by the InterComparison contract
-/// (they ARE the product). Supports the "circuit", "guarded" and "rotor"
-/// scenarios (composites orchestrate whole traces). Byte-identical
-/// sunflow/tpl/pavg maps to RunInterComparison on the same sequence.
-InterComparison RunInterComparisonStreamed(CoflowSource& source,
-                                           const InterRunConfig& config);
 
 }  // namespace sunflow::exp

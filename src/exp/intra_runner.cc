@@ -1,10 +1,11 @@
 #include "exp/intra_runner.h"
 
 #include "common/assert.h"
-#include "core/policy.h"
 #include "runtime/sweep.h"
+#include "sched/edmonds.h"
 #include "sched/executor.h"
-#include "sim/engine/scenario.h"
+#include "sched/solstice.h"
+#include "sched/tms.h"
 #include "trace/bounds.h"
 #include "trace/demand_matrix.h"
 
@@ -62,31 +63,6 @@ void RunSunflowOne(const Coflow& coflow, PortId num_ports,
   rec.switching_count = schedule.reservation_count.at(coflow.id());
 }
 
-// The --engine path: the coflow becomes a one-entry trace (arrival 0,
-// matching the isolated-evaluation framing) replayed through the named
-// kernel scenario. The driver emits admitted/completed itself, so the
-// sweep lambda must not double-emit around this call.
-void RunScenarioOne(const Coflow& coflow, PortId num_ports,
-                    const IntraRunConfig& config, IntraRecord& rec,
-                    obs::TraceSink* sink) {
-  Trace one;
-  one.num_ports = num_ports;
-  one.coflows.push_back(coflow.WithArrival(0));
-  engine::EngineConfig ec;
-  ec.sunflow.bandwidth = config.bandwidth;
-  ec.sunflow.delta = config.delta;
-  ec.sunflow.fabric = config.fabric;
-  ec.sunflow.order = config.order;
-  ec.sunflow.shuffle_seed = config.shuffle_seed;
-  ec.sink = sink;
-  const auto policy = MakeShortestFirstPolicy();
-  const engine::EngineResult er = engine::ScenarioRegistry::Global().Run(
-      config.engine, one, policy.get(), ec);
-  rec.cct = er.cct.at(coflow.id());
-  auto it = er.reservations.find(coflow.id());
-  if (it != er.reservations.end()) rec.switching_count = it->second;
-}
-
 void RunBaselineOne(const Coflow& coflow, IntraAlgorithm algorithm,
                     const IntraRunConfig& config, IntraRecord& rec,
                     obs::TraceSink* sink) {
@@ -95,13 +71,13 @@ void RunBaselineOne(const Coflow& coflow, IntraAlgorithm algorithm,
   AssignmentSchedule schedule;
   switch (algorithm) {
     case IntraAlgorithm::kSolstice:
-      schedule = ScheduleSolstice(demand, config.solstice);
+      schedule = ScheduleSolstice(demand);
       break;
     case IntraAlgorithm::kTms:
-      schedule = ScheduleTms(demand, config.tms);
+      schedule = ScheduleTms(demand);
       break;
     case IntraAlgorithm::kEdmonds:
-      schedule = ScheduleEdmonds(demand, config.edmonds);
+      schedule = ScheduleEdmonds(demand);
       break;
     case IntraAlgorithm::kSunflow:
       SUNFLOW_CHECK(false);
@@ -130,33 +106,23 @@ IntraRunResult RunIntra(const Trace& trace, IntraAlgorithm algorithm,
   sweep_cfg.threads = config.threads;
   sweep_cfg.base_seed = config.shuffle_seed;
   runtime::SweepRunner runner(sweep_cfg);
-  const bool engine_path =
-      algorithm == IntraAlgorithm::kSunflow && !config.engine.empty();
   auto sweep = runner.Run<IntraRecord>(
       trace.coflows.size(), config.sink != nullptr,
       [&](runtime::TaskContext& ctx) {
         const Coflow& coflow = trace.coflows[ctx.index];
         IntraRecord rec = BaseRecord(coflow, config);
-        // On the kernel path the replay driver emits admitted/completed;
-        // emitting here as well would duplicate them in the merged stream.
-        if (ctx.sink != nullptr && !engine_path) {
-          obs::Emit(ctx.sink, {.type = obs::EventType::kCoflowAdmitted,
-                               .t = 0,
-                               .coflow = coflow.id()});
-        }
-        if (engine_path) {
-          RunScenarioOne(coflow, trace.num_ports, config, rec, ctx.sink);
-        } else if (algorithm == IntraAlgorithm::kSunflow) {
+        obs::Emit(ctx.sink, {.type = obs::EventType::kCoflowAdmitted,
+                             .t = 0,
+                             .coflow = coflow.id()});
+        if (algorithm == IntraAlgorithm::kSunflow) {
           RunSunflowOne(coflow, trace.num_ports, config, rec, ctx.sink);
         } else {
           RunBaselineOne(coflow, algorithm, config, rec, ctx.sink);
         }
-        if (ctx.sink != nullptr && !engine_path) {
-          obs::Emit(ctx.sink, {.type = obs::EventType::kCoflowCompleted,
-                               .t = rec.cct,
-                               .coflow = coflow.id(),
-                               .value = rec.cct});
-        }
+        obs::Emit(ctx.sink, {.type = obs::EventType::kCoflowCompleted,
+                             .t = rec.cct,
+                             .coflow = coflow.id(),
+                             .value = rec.cct});
         return rec;
       });
   result.records = std::move(sweep.results);

@@ -13,9 +13,6 @@
 #include "core/fabric.h"
 #include "core/sunflow.h"
 #include "obs/trace_sink.h"
-#include "sched/edmonds.h"
-#include "sched/solstice.h"
-#include "sched/tms.h"
 #include "trace/coflow.h"
 
 namespace sunflow::exp {
@@ -34,18 +31,9 @@ struct IntraRunConfig {
   /// Sunflow only: reservation ordering (§5.3.1 sensitivity).
   ReservationOrder order = ReservationOrder::kOrderedPort;
   std::uint64_t shuffle_seed = 1;
-  /// Sunflow only: named kernel scenario (sim/engine registry) to replay
-  /// each coflow through. Empty (default) keeps the direct single-coflow
-  /// planner + executor path; a name (e.g. "circuit") routes the coflow
-  /// through the shared discrete-event kernel instead, whose driver then
-  /// emits the admitted/completed events. Baseline algorithms ignore it.
-  std::string engine;
   /// Baselines only: execute the assignment sequence under the all-stop
   /// switch model instead of not-all-stop (ablation of §3.1.2).
   bool all_stop = false;
-  EdmondsConfig edmonds;
-  SolsticeConfig solstice;
-  TmsConfig tms;
   /// Optional structured event tracer. Intra evaluation runs coflows
   /// back-to-back ("a Coflow arrives only after the previous one is
   /// finished"), so each coflow's events are shifted onto a shared

@@ -67,8 +67,7 @@ std::string Args(const std::string& args_json) {
 
 }  // namespace
 
-void WriteChromeTrace(std::ostream& out, std::span<const Event> events,
-                      const ChromeTraceOptions& options) {
+void WriteChromeTrace(std::ostream& out, std::span<const Event> events) {
   Writer w(out);
 
   std::set<PortId> ports;
@@ -79,7 +78,6 @@ void WriteChromeTrace(std::ostream& out, std::span<const Event> events,
     std::ostringstream args;
     switch (e.type) {
       case EventType::kCircuitSetup: {
-        if (!options.port_tracks) break;
         ports.insert(e.in);
         name << "circuit " << e.in << "->" << e.out;
         args << "\"coflow\":" << e.coflow
@@ -95,14 +93,12 @@ void WriteChromeTrace(std::ostream& out, std::span<const Event> events,
         break;
       }
       case EventType::kCircuitTeardown:
-        if (!options.port_tracks) break;
         ports.insert(e.in);
         name << "teardown " << e.in << "->" << e.out;
         w.Record(name.str(), 'i', Micros(e.t), kPortsPid, e.in,
                  ",\"s\":\"t\"");
         break;
       case EventType::kCoflowAdmitted:
-        if (!options.coflow_tracks) break;
         coflows.insert(e.coflow);
         name << "admitted";
         args << "\"planned_cct_s\":" << FormatJsonNumber(e.value);
@@ -110,7 +106,6 @@ void WriteChromeTrace(std::ostream& out, std::span<const Event> events,
                  ",\"s\":\"t\"" + Args(args.str()));
         break;
       case EventType::kCoflowCompleted:
-        if (!options.coflow_tracks) break;
         coflows.insert(e.coflow);
         name << "coflow " << e.coflow;
         args << "\"cct_s\":" << FormatJsonNumber(e.value);
@@ -119,14 +114,12 @@ void WriteChromeTrace(std::ostream& out, std::span<const Event> events,
                  e.coflow, DurArgs(Micros(e.value), args.str()));
         break;
       case EventType::kFlowFinished:
-        if (!options.coflow_tracks) break;
         coflows.insert(e.coflow);
         name << "flow " << e.in << "->" << e.out << " done";
         w.Record(name.str(), 'i', Micros(e.t), kCoflowsPid, e.coflow,
                  ",\"s\":\"t\"");
         break;
       case EventType::kAssignmentComputed:
-        if (!options.scheduler_track) break;
         name << "plan (" << e.count << " coflows)";
         args << "\"compute_ns\":" << FormatJsonNumber(e.value)
              << ",\"coflows\":" << e.count;
@@ -134,7 +127,6 @@ void WriteChromeTrace(std::ostream& out, std::span<const Event> events,
                  ",\"s\":\"t\"" + Args(args.str()));
         break;
       case EventType::kStarvationRound:
-        if (!options.scheduler_track) break;
         name << "phi " << e.count;
         args << "\"k\":" << e.count;
         w.Record(name.str(), 'X', Micros(e.t), kSchedulerPid, kStarvationTid,
@@ -144,7 +136,6 @@ void WriteChromeTrace(std::ostream& out, std::span<const Event> events,
         // Only the closing kFlowUnblocked knows the span length; the open
         // marker renders as an instant so half-open episodes (truncated
         // traces) still show up.
-        if (!options.coflow_tracks) break;
         coflows.insert(e.coflow);
         name << "blocked " << e.in << "->" << e.out << " ("
              << ToString(static_cast<BlockReason>(e.count)) << ")";
@@ -155,7 +146,6 @@ void WriteChromeTrace(std::ostream& out, std::span<const Event> events,
                  ",\"s\":\"t\"" + Args(args.str()));
         break;
       case EventType::kFlowUnblocked:
-        if (!options.coflow_tracks) break;
         coflows.insert(e.coflow);
         name << "wait " << e.in << "->" << e.out << " ("
              << ToString(static_cast<BlockReason>(e.count)) << ")";
@@ -171,33 +161,30 @@ void WriteChromeTrace(std::ostream& out, std::span<const Event> events,
 
   // Track naming metadata so Perfetto shows "port 3" / "coflow 12" instead
   // of bare tids.
-  if (options.port_tracks && !ports.empty()) {
+  if (!ports.empty()) {
     w.Meta("process_name", "switch ports", kPortsPid, 0);
     for (const PortId p : ports) {
       w.Meta("thread_name", "port " + std::to_string(p), kPortsPid, p);
     }
   }
-  if (options.coflow_tracks && !coflows.empty()) {
+  if (!coflows.empty()) {
     w.Meta("process_name", "coflows", kCoflowsPid, 0);
     for (const CoflowId c : coflows) {
       w.Meta("thread_name", "coflow " + std::to_string(c), kCoflowsPid, c);
     }
   }
-  if (options.scheduler_track) {
-    w.Meta("process_name", "scheduler", kSchedulerPid, 0);
-    w.Meta("thread_name", "compute", kSchedulerPid, kComputeTid);
-    w.Meta("thread_name", "starvation guard", kSchedulerPid, kStarvationTid);
-  }
+  w.Meta("process_name", "scheduler", kSchedulerPid, 0);
+  w.Meta("thread_name", "compute", kSchedulerPid, kComputeTid);
+  w.Meta("thread_name", "starvation guard", kSchedulerPid, kStarvationTid);
 
   w.Close();
 }
 
 void WriteChromeTraceFile(const std::string& path,
-                          std::span<const Event> events,
-                          const ChromeTraceOptions& options) {
+                          std::span<const Event> events) {
   std::ofstream f(path);
   if (!f) throw std::runtime_error("cannot open trace output " + path);
-  WriteChromeTrace(f, events, options);
+  WriteChromeTrace(f, events);
   // Flush before checking so a full disk surfaces here, not in the
   // silent ofstream destructor.
   f.flush();

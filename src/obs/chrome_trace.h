@@ -16,19 +16,11 @@
 
 namespace sunflow::obs {
 
-struct ChromeTraceOptions {
-  bool port_tracks = true;    ///< per-input-port circuit Gantt
-  bool coflow_tracks = true;  ///< per-coflow lifetime spans
-  bool scheduler_track = true;
-};
-
 /// Writes a complete JSON object ({"traceEvents":[...]}) to `out`.
-void WriteChromeTrace(std::ostream& out, std::span<const Event> events,
-                      const ChromeTraceOptions& options = {});
+void WriteChromeTrace(std::ostream& out, std::span<const Event> events);
 
 /// Convenience: writes to a file; throws std::runtime_error on I/O errors.
 void WriteChromeTraceFile(const std::string& path,
-                          std::span<const Event> events,
-                          const ChromeTraceOptions& options = {});
+                          std::span<const Event> events);
 
 }  // namespace sunflow::obs

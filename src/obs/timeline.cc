@@ -12,6 +12,9 @@ namespace sunflow::obs {
 
 namespace {
 
+/// Number of most-recent replans in the rolling p50/p99 window.
+constexpr std::size_t kRollingWindow = 64;
+
 // Per-window fabric utilization: busy port-seconds over the window's
 // total port-time across both sides of every plane seen so far.
 double WindowUtil(const TimelineSample& s, int planes, PortId ports) {
@@ -35,7 +38,6 @@ TimelineSampler::TimelineSampler(const TimelineConfig& config)
     : config_(config) {
   SUNFLOW_CHECK_MSG(config_.dt > 0, "timeline dt must be positive");
   config_.cap = std::max<std::size_t>(config_.cap, 2);
-  config_.rolling_window = std::max<std::size_t>(config_.rolling_window, 1);
   cur_dt_ = config_.dt;
 }
 
@@ -140,11 +142,11 @@ void TimelineSampler::NoteReplan(Time t, double wall_ns) {
     ++slo_burn_;
     if (slo_first_breach_ < 0) slo_first_breach_ = t;
   }
-  if (rolling_.size() < config_.rolling_window) {
+  if (rolling_.size() < kRollingWindow) {
     rolling_.push_back(wall_ns);
   } else {
     rolling_[rolling_next_] = wall_ns;
-    rolling_next_ = (rolling_next_ + 1) % config_.rolling_window;
+    rolling_next_ = (rolling_next_ + 1) % kRollingWindow;
   }
   std::vector<double> sorted = rolling_;
   std::sort(sorted.begin(), sorted.end());

@@ -40,8 +40,6 @@ struct TimelineConfig {
   /// Replan wall-latency SLO budget in microseconds; a replan slower than
   /// this burns the budget (ReplanSloStats::burn). 0 disables the check.
   double slo_budget_us = 0;
-  /// Number of most-recent replans in the rolling p50/p99 window.
-  std::size_t rolling_window = 64;
   /// Export the host-dependent columns (wall latency, rolling
   /// percentiles) in WriteCsv/WriteJsonl. Off by default so the exported
   /// file honours the byte-determinism contract above.
@@ -229,7 +227,7 @@ class TimelineSampler {
 
   // Replan latency: run-level HDR histogram + rolling ring buffer.
   Histogram replan_ns_;
-  std::vector<double> rolling_;  ///< ring buffer, rolling_window entries
+  std::vector<double> rolling_;  ///< ring buffer, kRollingWindow entries
   std::size_t rolling_next_ = 0;
   std::uint64_t slo_burn_ = 0;
   Time slo_first_breach_ = -1;

@@ -1,10 +1,8 @@
 #include "packet/aalo.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 
 #include "common/assert.h"
 
@@ -65,18 +63,14 @@ class AaloAllocator : public RateAllocator {
                        return a.coflow->id < b.coflow->id;
                      });
 
-    if (config_.weighted_queues) {
-      WeightedAllocate(order, num_ports, bandwidth);
-    } else {
-      PortCapacity cap(num_ports, bandwidth);
-      // Two passes: the first gives each coflow its fair-share slice in
-      // priority order; the second backfills leftover capacity (work
-      // conservation) in the same order.
-      for (const Queued& q : order)
-        EqualShareAllocate(*q.coflow, cap, /*first_pass=*/true);
-      for (const Queued& q : order)
-        EqualShareAllocate(*q.coflow, cap, /*first_pass=*/false);
-    }
+    // Strict priority across queues. Two passes: the first gives each
+    // coflow its fair-share slice in priority order; the second backfills
+    // leftover capacity (work conservation) in the same order.
+    PortCapacity cap(num_ports, bandwidth);
+    for (const Queued& q : order)
+      EqualShareAllocate(*q.coflow, cap, /*first_pass=*/true);
+    for (const Queued& q : order)
+      EqualShareAllocate(*q.coflow, cap, /*first_pass=*/false);
   }
 
  private:
@@ -105,51 +99,6 @@ class AaloAllocator : public RateAllocator {
       f.rate = before + share;
       cap.Consume(f.src, f.dst, share);
     }
-  }
-
-  // Weighted cross-queue sharing: each round of allocation runs over the
-  // non-empty queues with a per-queue capacity budget proportional to
-  // decay^q, then a final unweighted backfill soaks the leftovers. The
-  // guaranteed slice for lower-priority (heavier) queues is exactly what
-  // delays small coflows relative to strict priority.
-  void WeightedAllocate(const std::vector<Queued>& order, PortId num_ports,
-                        Bandwidth bandwidth) {
-    std::map<int, std::vector<ActiveCoflow*>> queues;
-    for (const Queued& q : order) queues[q.queue].push_back(q.coflow);
-    double total_weight = 0;
-    for (const auto& [q, list] : queues)
-      total_weight += std::pow(config_.queue_weight_decay, q);
-    SUNFLOW_CHECK(total_weight > 0);
-
-    PortCapacity cap(num_ports, bandwidth);
-    // Pass 1: each queue gets its weighted share of the fabric, realized
-    // as a scaled-down port capacity it may draw from.
-    for (const auto& [q, list] : queues) {
-      const double share =
-          std::pow(config_.queue_weight_decay, q) / total_weight;
-      PortCapacity queue_cap(num_ports, bandwidth * share);
-      for (ActiveCoflow* c : list) {
-        // Allocate inside the queue budget, mirrored against the global
-        // capacity so port constraints hold across queues.
-        for (const std::uint32_t k : c->wave) {
-          FlowState& f = c->flows[k];
-          const Bandwidth r = std::min(
-              {queue_cap.in(f.src) / c->in(f.src),
-               queue_cap.out(f.dst) / c->out(f.dst), cap.in(f.src),
-               cap.out(f.dst)});
-          if (r <= 1e-6) {
-            f.rate = 0;
-            continue;
-          }
-          f.rate = r;
-          queue_cap.Consume(f.src, f.dst, r);
-          cap.Consume(f.src, f.dst, r);
-        }
-      }
-    }
-    // Pass 2: unweighted backfill in D-CLAS order (work conservation).
-    for (const Queued& q : order)
-      EqualShareAllocate(*q.coflow, cap, /*first_pass=*/false);
   }
 
   AaloConfig config_;

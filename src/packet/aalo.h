@@ -23,14 +23,6 @@ struct AaloConfig {
   Bytes first_queue_limit = 10e6;  ///< q0: 10 MB, Aalo's default
   double queue_spacing = 10.0;     ///< E: exponential spacing factor
   int num_queues = 10;             ///< K
-  /// Cross-queue discipline. Strict priority (default) serves lower queues
-  /// first with a work-conserving backfill — the strongest D-CLAS reading.
-  /// With `weighted_queues`, each non-empty queue q is instead *guaranteed*
-  /// a slice of every port proportional to queue_weight_decay^q (Aalo's
-  /// weighted sharing), which deliberately leaks bandwidth to heavy
-  /// coflows and weakens average CCT — closer to the deployed system.
-  bool weighted_queues = false;
-  double queue_weight_decay = 0.5;
 };
 
 std::unique_ptr<RateAllocator> MakeAaloAllocator(const AaloConfig& config = {});

@@ -39,9 +39,4 @@ PacketReplayResult ReplayPacketTrace(const Trace& trace,
                                      RateAllocator& allocator,
                                      const PacketReplayConfig& config);
 
-/// Convenience single-coflow run (intra-level sanity: Varys on one coflow
-/// achieves exactly TpL).
-Time PacketSingleCoflowCct(const Coflow& coflow, RateAllocator& allocator,
-                           const PacketReplayConfig& config);
-
 }  // namespace sunflow::packet

@@ -8,6 +8,8 @@
 
 namespace sunflow {
 
+constexpr int kMaxRounds = 100000;  ///< safety valve; never hit in practice
+
 AssignmentSchedule ScheduleEdmonds(const DemandMatrix& demand,
                                    const EdmondsConfig& config) {
   SUNFLOW_PROFILE_SCOPE("sched.edmonds");
@@ -19,8 +21,7 @@ AssignmentSchedule ScheduleEdmonds(const DemandMatrix& demand,
 
   const int n = demand.rows();
   DemandMatrix remaining = demand;
-  for (int round = 0; round < config.max_rounds && !remaining.IsZero();
-       ++round) {
+  for (int round = 0; round < kMaxRounds && !remaining.IsZero(); ++round) {
     // Weight = full remaining demand, as in the classic c-Through/Helios
     // formulation: the matching chases heavy pairs, so light flows languish
     // for many rounds — one of the inefficiencies §3.1.1 attributes to this
@@ -59,7 +60,7 @@ AssignmentSchedule ScheduleEdmonds(const DemandMatrix& demand,
     schedule.slots.push_back(std::move(slot));
   }
   SUNFLOW_CHECK_MSG(remaining.IsZero(),
-                    "Edmonds hit max_rounds with demand left");
+                    "Edmonds hit kMaxRounds with demand left");
   return schedule;
 }
 

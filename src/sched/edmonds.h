@@ -15,7 +15,6 @@ namespace sunflow {
 
 struct EdmondsConfig {
   Time slot_duration = Millis(300);  ///< externally fixed assignment length
-  int max_rounds = 100000;           ///< safety valve; never hit in practice
 };
 
 AssignmentSchedule ScheduleEdmonds(const DemandMatrix& demand,

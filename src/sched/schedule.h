@@ -21,12 +21,6 @@ struct AssignmentSchedule {
   std::vector<WeightedAssignment> slots;  ///< col_of_row may contain -1
 
   std::size_t num_slots() const { return slots.size(); }
-  /// Sum of slot durations (excludes reconfiguration penalties).
-  Time TotalDuration() const {
-    Time t = 0;
-    for (const auto& s : slots) t += s.duration;
-    return t;
-  }
 };
 
 }  // namespace sunflow

@@ -5,8 +5,7 @@
 
 namespace sunflow {
 
-AssignmentSchedule ScheduleSolstice(const DemandMatrix& demand,
-                                    const SolsticeConfig& config) {
+AssignmentSchedule ScheduleSolstice(const DemandMatrix& demand) {
   SUNFLOW_PROFILE_SCOPE("sched.solstice");
   SUNFLOW_CHECK_MSG(demand.rows() == demand.cols(),
                     "Solstice needs a square matrix; call MakeSquare()");
@@ -39,15 +38,14 @@ AssignmentSchedule ScheduleSolstice(const DemandMatrix& demand,
   }
 
   DemandMatrix stuffed = demand;
-  Time target = 0;
   {
     SUNFLOW_PROFILE_SCOPE("sched.solstice.stuff");
-    target = QuickStuff(stuffed);
+    QuickStuff(stuffed);
   }
-  const Time eps = std::max(kTimeEps, target * config.rel_floor);
   {
     SUNFLOW_PROFILE_SCOPE("sched.solstice.slice");
-    schedule.slots = BigSliceDecompose(std::move(stuffed), eps);
+    // Slices keep halving down to numeric zero.
+    schedule.slots = BigSliceDecompose(std::move(stuffed), kTimeEps);
   }
   return schedule;
 }

@@ -14,15 +14,8 @@
 
 namespace sunflow {
 
-struct SolsticeConfig {
-  /// Slice-threshold floor relative to T: slices below T·rel_floor are left
-  /// to the exact BvN tail. 0 keeps halving down to numeric zero.
-  double rel_floor = 0.0;
-};
-
 /// Schedules one coflow demand matrix. `demand` must be square (call
 /// MakeSquare()); entries are processing times.
-AssignmentSchedule ScheduleSolstice(const DemandMatrix& demand,
-                                    const SolsticeConfig& config = {});
+AssignmentSchedule ScheduleSolstice(const DemandMatrix& demand);
 
 }  // namespace sunflow

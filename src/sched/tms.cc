@@ -9,6 +9,10 @@ namespace sunflow {
 
 namespace {
 
+constexpr int kSinkhornIterations = 10;
+/// Sinkhorn rounds before the exact cleanup round.
+constexpr int kMaxRounds = 32;
+
 // Subtracts the time served by `slots` from the remaining real demand.
 void SubtractServed(DemandMatrix& remaining,
                     const std::vector<WeightedAssignment>& slots) {
@@ -24,8 +28,7 @@ void SubtractServed(DemandMatrix& remaining,
 
 }  // namespace
 
-AssignmentSchedule ScheduleTms(const DemandMatrix& demand,
-                               const TmsConfig& config) {
+AssignmentSchedule ScheduleTms(const DemandMatrix& demand) {
   SUNFLOW_PROFILE_SCOPE("sched.tms");
   SUNFLOW_CHECK_MSG(demand.rows() == demand.cols(),
                     "TMS needs a square matrix; call MakeSquare()");
@@ -34,14 +37,13 @@ AssignmentSchedule ScheduleTms(const DemandMatrix& demand,
   if (demand.IsZero()) return schedule;
 
   DemandMatrix remaining = demand;
-  for (int round = 0; round < config.max_rounds && !remaining.IsZero();
-       ++round) {
+  for (int round = 0; round < kMaxRounds && !remaining.IsZero(); ++round) {
     const Time target = remaining.MaxLineSum();
     // Sinkhorn towards doubly stochastic (scaled to the line-sum target),
     // then QuickStuff to make the matrix exactly perfect for BvN.
     DemandMatrix scaled = [&] {
       SUNFLOW_PROFILE_SCOPE("sched.tms.sinkhorn");
-      return SinkhornScale(remaining, target, config.sinkhorn_iterations);
+      return SinkhornScale(remaining, target, kSinkhornIterations);
     }();
     QuickStuff(scaled);
     auto slots = [&] {

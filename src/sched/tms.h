@@ -16,12 +16,6 @@
 
 namespace sunflow {
 
-struct TmsConfig {
-  int sinkhorn_iterations = 10;
-  int max_rounds = 32;  ///< Sinkhorn rounds before the exact cleanup round
-};
-
-AssignmentSchedule ScheduleTms(const DemandMatrix& demand,
-                               const TmsConfig& config = {});
+AssignmentSchedule ScheduleTms(const DemandMatrix& demand);
 
 }  // namespace sunflow

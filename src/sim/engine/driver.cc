@@ -148,8 +148,8 @@ void ReplayDriver::AdmitOne(ScenarioPolicy& scenario,
   const CoflowId id = sc.id;
   state_.active().push_back(std::move(sc));
   // dur carries the admission queueing wait (admit instant minus release
-  // instant — positive when the replan throttle queued the release), the
-  // pre-admission component of the CCT decomposition.
+  // instant), the pre-admission component of the CCT decomposition. Every
+  // built-in scenario ends its span at the next release, so it is 0 there.
   obs::Emit(state_.sink(), {.type = obs::EventType::kCoflowAdmitted,
                             .t = std::max(t, entry.t),
                             .dur = std::max(0.0, t - entry.t),

@@ -46,10 +46,6 @@ struct EngineConfig {
   /// Re-reserve circuits that are mid-transmission at a replan instant
   /// without a new setup δ ("circuit" and "kcore" scenarios).
   bool carry_over_circuits = true;
-  /// Controller-load throttle: arrivals do not trigger a replan until at
-  /// least this long after the previous one ("circuit" and "kcore"
-  /// scenarios).
-  Time min_replan_interval = 0;
   /// Optional structured event tracer; the driver is the only emitter.
   obs::TraceSink* sink = nullptr;
   /// Optional sim-time telemetry sampler (obs/timeline.h); like the sink,
@@ -62,9 +58,6 @@ struct EngineConfig {
   runtime::ThreadPool* plan_pool = nullptr;
   /// (T + τ) cadence for the "guarded" scenario (τ > δ required).
   StarvationGuardConfig guard;
-  /// How long each Φ assignment stays up in the "rotor" scenario
-  /// (excluding the δ to install it; the rotor δ is `sunflow.delta`).
-  Time rotor_slot_duration = Millis(90);
   /// Companion packet fabric for the "hybrid" scenario.
   Bandwidth packet_bandwidth = Gbps(0.1);
   /// Coflows with total bytes at or below this go to the packet network
@@ -136,8 +129,7 @@ using CompletionHook = std::function<void(SimState&, CoflowId, Time)>;
 // --- Built-in scenario factories (defined in scenarios.cc). -------------
 
 /// Sunflow circuit replay: Varys-like replan on arrivals/completions,
-/// optional carry-over and replan throttle. `hook` enables DAG gating
-/// (sim/dag_replay.h).
+/// optional carry-over. `hook` enables DAG gating (sim/dag_replay.h).
 std::unique_ptr<ScenarioPolicy> MakeCircuitScenario(
     PortId num_ports, const PriorityPolicy& policy, const EngineConfig& config,
     CompletionHook hook = nullptr);

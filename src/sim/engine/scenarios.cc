@@ -355,17 +355,9 @@ class CircuitScenario final : public ScenarioPolicy {
     SunflowSchedule plan = PlanActiveSet(
         driver, policy_, config_, plan_step_,
         config_.carry_over_circuits ? &established_ : nullptr, t);
-    last_plan_ = t;
 
-    // Next event: a release or the earliest planned completion. A release
-    // only forces a replan once min_replan_interval has elapsed since the
-    // previous plan; until then newly released coflows queue while the
-    // current plan keeps executing (completions always replan).
-    Time t_next = kTimeInf;
-    if (s.HasPendingReleases()) {
-      t_next = std::max(s.NextReleaseTime(),
-                        last_plan_ + config_.min_replan_interval);
-    }
+    // Next event: a release or the earliest planned completion.
+    Time t_next = s.HasPendingReleases() ? s.NextReleaseTime() : kTimeInf;
     for (const auto& sc : active) {
       auto it = plan.completion_time.find(sc.id);
       SUNFLOW_CHECK(it != plan.completion_time.end());
@@ -406,7 +398,6 @@ class CircuitScenario final : public ScenarioPolicy {
   CompletionHook hook_;
   std::vector<Bandwidth> plane_rates_;
   FabricEstablished established_;  // carry-over per plane
-  Time last_plan_ = -kTimeInf;
 };
 
 // --- "guarded": the (T + τ) starvation-guard cadence of §4.2. -----------
@@ -445,7 +436,7 @@ class GuardScenario final : public ScenarioPolicy {
 
     if (!timeline_.InTauInterval(t)) {
       // --- T span: priority-scheduled InterCoflow plan, cut at events
-      // (no carry-over, no throttle — each span replans from scratch). ---
+      // (no carry-over — each span replans from scratch). ---
       SunflowSchedule plan =
           PlanActiveSet(driver, policy_, config_, PlanJoint, nullptr, t);
 
@@ -521,13 +512,16 @@ class GuardScenario final : public ScenarioPolicy {
 
 // --- "rotor": demand-oblivious blind Φ rotation. ------------------------
 
+/// How long each Φ assignment stays up (excluding the δ to install it; the
+/// rotor δ is `sunflow.delta`).
+constexpr Time kRotorSlotDuration = Millis(90);
+
 class RotorScenario final : public ScenarioPolicy {
  public:
   RotorScenario(PortId num_ports, const EngineConfig& config)
       : config_(config),
         phi_(num_ports),
-        span_(config.sunflow.delta + config.rotor_slot_duration) {
-    SUNFLOW_CHECK(config_.rotor_slot_duration > 0);
+        span_(config.sunflow.delta + kRotorSlotDuration) {
     SUNFLOW_CHECK(config_.sunflow.delta >= 0);
     SUNFLOW_CHECK_MSG(config_.sunflow.fabric.num_planes() == 1,
                       "blind rotation models a single-plane fabric");
@@ -860,7 +854,7 @@ std::unique_ptr<ScenarioPolicy> MakePacketScenario(
 void RegisterBuiltinScenarios(ScenarioRegistry& registry) {
   registry.Register("circuit",
                     "Sunflow OCS replay: replan on arrivals/completions, "
-                    "carry-over + replan throttle",
+                    "carry-over",
                     RunCircuit);
   registry.Register("guarded",
                     "circuit replay under the (T+tau) starvation guard",
@@ -902,14 +896,6 @@ PacketReplayResult ReplayPacketTrace(const Trace& trace,
                                      const PacketReplayConfig& config) {
   engine::EngineResult r = engine::RunPacket(trace, allocator, config.bandwidth);
   return {std::move(r.cct), std::move(r.completion), r.makespan, r.replans};
-}
-
-Time PacketSingleCoflowCct(const Coflow& coflow, RateAllocator& allocator,
-                           const PacketReplayConfig& config) {
-  Trace trace;
-  trace.num_ports = std::max<PortId>(coflow.max_port(), 1);
-  trace.coflows.push_back(coflow.WithArrival(0));
-  return ReplayPacketTrace(trace, allocator, config).cct.at(coflow.id());
 }
 
 }  // namespace sunflow::packet

@@ -97,8 +97,7 @@ ExtSortStats ExternalSortTrace(const std::string& input_path,
                                const ExtSortOptions& options) {
   SUNFLOW_CHECK(options.fan_in >= 2);
   SUNFLOW_CHECK(options.run_payload_bytes > 0);
-  const std::string prefix =
-      options.tmp_prefix.empty() ? output_path + ".run" : options.tmp_prefix;
+  const std::string prefix = output_path + ".run";
   ExtSortStats stats;
 
   // Phase 1: bounded-memory run generation. Each run is sorted in memory

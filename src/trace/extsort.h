@@ -25,9 +25,8 @@ struct ExtSortOptions {
   /// Streams merged per pass (>= 2). Runs beyond this merge in multiple
   /// passes: ceil(log_fan_in(runs)) levels.
   std::size_t fan_in = 16;
-  /// Prefix for spilled run files; "" uses "<output_path>.run". Run files
-  /// are deleted as they are consumed unless keep_runs.
-  std::string tmp_prefix;
+  /// Spilled run files are named "<output_path>.run*" and deleted as they
+  /// are consumed unless keep_runs.
   bool keep_runs = false;
   /// Block size / codec / read-ahead / decode pool for every stream
   /// opened by the sorter.

@@ -7,13 +7,36 @@ namespace sunflow {
 
 namespace {
 
+// Category mix — paper Table 4 (fractions of coflows).
+constexpr double kFracOneToOne = 0.234;
+constexpr double kFracOneToMany = 0.099;
+constexpr double kFracManyToOne = 0.401;
+// many-to-many gets the remainder (0.266).
+
+// Width (fan-in/out) distribution for "many" sides: Pareto tail capped
+// at num_ports. M2M coflows in the Facebook trace are *wide* (up to
+// 150x150) with *small* per-flow sizes — the width, not the flow size,
+// carries the bytes.
+constexpr double kWidthParetoShape = 0.9;
+constexpr double kWidthParetoScale = 8.0;
+
+// Flow sizes in MB. Small categories draw near the floor; M2M sizes are
+// heavy-tailed but MB-scale.
+// Calibrated against the published trace statistics (see DESIGN.md §4.1):
+// 12% network idleness at 1 Gbps (paper: 12%), M2M ≈ 98.9% of bytes
+// (99.94%), long coflows (avg subflow ≥ 5 MB) 25.3% of coflows carrying
+// 98.9% of bytes (paper: 25.2% / 98.8%).
+constexpr double kSmallFlowMbMean = 2.0;  ///< exponential, floored at 1 MB
+constexpr double kM2mFlowMbScale = 3.0;   ///< Pareto scale (MB, per mapper)
+constexpr double kM2mFlowMbShape = 1.15;  ///< Pareto shape (heavy tail)
+constexpr double kM2mFlowMbCap = 2048.0;  ///< per-flow cap (MB)
+
 // MB-rounded with a 1 MB floor, matching the original trace's granularity.
 Bytes RoundedMb(double mb) { return MB(std::max(1.0, std::round(mb))); }
 
 // Draws a fan width in [2, num_ports] with a Pareto tail.
 int DrawWidth(Rng& rng, const SyntheticTraceConfig& cfg) {
-  const double w =
-      rng.Pareto(cfg.width_pareto_scale, cfg.width_pareto_shape);
+  const double w = rng.Pareto(kWidthParetoScale, kWidthParetoShape);
   return static_cast<int>(
       std::clamp(w, 2.0, static_cast<double>(cfg.num_ports)));
 }
@@ -26,11 +49,10 @@ void GenerateSyntheticTrace(const SyntheticTraceConfig& cfg,
   SUNFLOW_CHECK(cfg.num_coflows >= 0);
   Rng rng(cfg.seed);
 
-  const double frac_m2m = 1.0 - cfg.frac_one_to_one - cfg.frac_one_to_many -
-                          cfg.frac_many_to_one;
-  SUNFLOW_CHECK_MSG(frac_m2m >= 0, "category fractions exceed 1");
-  const std::vector<double> mix = {cfg.frac_one_to_one, cfg.frac_one_to_many,
-                                   cfg.frac_many_to_one, frac_m2m};
+  const double frac_m2m =
+      1.0 - kFracOneToOne - kFracOneToMany - kFracManyToOne;
+  const std::vector<double> mix = {kFracOneToOne, kFracOneToMany,
+                                   kFracManyToOne, frac_m2m};
 
   // Poisson arrivals: exponential gaps with mean horizon / num_coflows.
   const double gap_mean =
@@ -68,9 +90,9 @@ void GenerateSyntheticTrace(const SyntheticTraceConfig& cfg,
       // Shuffle-like: each reducer receives a heavy-tailed total, split
       // evenly across mappers (mirrors the benchmark format semantics).
       for (PortId dst : dst_ports) {
-        const double total_mb = std::min(
-            cfg.m2m_flow_mb_cap * senders,
-            rng.Pareto(cfg.m2m_flow_mb_scale * senders, cfg.m2m_flow_mb_shape));
+        const double total_mb =
+            std::min(kM2mFlowMbCap * senders,
+                     rng.Pareto(kM2mFlowMbScale * senders, kM2mFlowMbShape));
         for (PortId src : src_ports) {
           flows.push_back({src, dst, RoundedMb(total_mb / senders)});
         }
@@ -79,7 +101,7 @@ void GenerateSyntheticTrace(const SyntheticTraceConfig& cfg,
       for (PortId src : src_ports) {
         for (PortId dst : dst_ports) {
           flows.push_back(
-              {src, dst, RoundedMb(rng.Exponential(cfg.small_flow_mb_mean))});
+              {src, dst, RoundedMb(rng.Exponential(kSmallFlowMbMean))});
         }
       }
     }

@@ -26,30 +26,8 @@ struct SyntheticTraceConfig {
   int num_coflows = 526;
   Time horizon = 3600.0;  ///< arrivals spread over one hour
   std::uint64_t seed = 20161212;  ///< CoNEXT'16 dates make a fine seed
-
-  // Category mix — paper Table 4 (fractions of coflows).
-  double frac_one_to_one = 0.234;
-  double frac_one_to_many = 0.099;
-  double frac_many_to_one = 0.401;
-  // many-to-many gets the remainder (0.266).
-
-  // Width (fan-in/out) distribution for "many" sides: Pareto tail capped
-  // at num_ports. M2M coflows in the Facebook trace are *wide* (up to
-  // 150x150) with *small* per-flow sizes — the width, not the flow size,
-  // carries the bytes.
-  double width_pareto_shape = 0.9;
-  double width_pareto_scale = 8.0;
-
-  // Flow sizes in MB. Small categories draw near the floor; M2M sizes are
-  // heavy-tailed but MB-scale.
-  // Defaults calibrated against the published trace statistics (see
-  // DESIGN.md §4.1): 12% network idleness at 1 Gbps (paper: 12%),
-  // M2M ≈ 98.9% of bytes (99.94%), long coflows (avg subflow ≥ 5 MB)
-  // 25.3% of coflows carrying 98.9% of bytes (paper: 25.2% / 98.8%).
-  double small_flow_mb_mean = 2.0;        ///< exponential, floored at 1 MB
-  double m2m_flow_mb_scale = 3.0;         ///< Pareto scale (MB, per mapper)
-  double m2m_flow_mb_shape = 1.15;        ///< Pareto shape (heavy tail)
-  double m2m_flow_mb_cap = 2048.0;        ///< per-flow cap (MB)
+  // The category mix, fan widths and flow sizes are fixed calibration
+  // constants (generator.cc).
 
   /// Draw arrivals i.i.d. Uniform(0, horizon) instead of cumulative
   /// Poisson gaps. The *streamed* emission order is then generation

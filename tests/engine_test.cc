@@ -278,6 +278,41 @@ TEST(ReplayDriver, ResultIsIndependentOfTraceCoflowOrder) {
   for (const auto& [id, cct] : ra.cct) EXPECT_DOUBLE_EQ(cct, rb.cct.at(id));
 }
 
+// A span sums each flow's circuit time in plan order. The order shows only
+// when one flow has three or more reservations on one plane inside one span
+// and is still unfinished at its end. Here all three coflows arrive at 0 and
+// FIFO plans them by id. Coflow 1 holds out.1/out.2/out.3 until 0.042,
+// 0.166 and 0.306 s, so coflow 2 leaves three gaps on in.0. Coflow 3 fills
+// all three before coflow 1's completion ends the span, and keeps 5 KB for
+// after coflow 2. Summing its three gaps in any other order moves its CCT
+// in the last bit.
+TEST(ReplayDriver, SpanSumsEachFlowsGapsInPlanOrder) {
+  Trace trace;
+  trace.num_ports = 4;
+  trace.coflows.push_back(
+      Coflow(1, 0.0, {{1, 1, MB(4)}, {2, 2, MB(19.5)}, {3, 3, MB(37)}}));
+  trace.coflows.push_back(
+      Coflow(2, 0.0, {{0, 1, MB(6)}, {0, 2, MB(6)}, {0, 3, MB(6)}}));
+  trace.coflows.push_back(Coflow(3, 0.0, {{0, 0, 20005000}}));
+  obs::MemorySink sink;
+  EngineConfig ec = UnitConfig();
+  ec.sink = &sink;
+  const auto policy = MakeFifoPolicy();
+  const EngineResult result =
+      ScenarioRegistry::Global().Run("circuit", trace, policy.get(), ec);
+
+  int gaps_in_first_span = 0;
+  for (const obs::Event& e : sink.events()) {
+    if (e.type == obs::EventType::kCircuitSetup && e.coflow == 3 &&
+        e.t < result.cct.at(1))
+      ++gaps_in_first_span;
+  }
+  ASSERT_EQ(gaps_in_first_span, 3);
+  EXPECT_EQ(result.cct.at(1), 0.30599999999999999);
+  EXPECT_EQ(result.cct.at(2), 0.36399999999999999);
+  EXPECT_EQ(result.cct.at(3), 0.37404000000000004);
+}
+
 // The per-pair map SimCoflow kept before its flows became a sorted vector,
 // with the two readers as they were then: the flat demand must reproduce
 // both bit for bit.

@@ -1,13 +1,12 @@
-// Tests for the extension features: per-flow fair-share baseline, deadline
-// admission, and schedule serialization.
+// Tests for the extension features: per-flow fair-share baseline and
+// deadline admission.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
-#include <sstream>
+#include <string>
 
-#include "common/rng.h"
 #include "core/admission.h"
-#include "core/schedule_io.h"
 #include "core/sunflow.h"
 #include "exp/csv_export.h"
 #include "packet/fair_share.h"
@@ -27,10 +26,20 @@ packet::PacketReplayConfig FairConfig() {
   return c;
 }
 
+// The CCT of `coflow` replayed alone from t = 0.
+Time SingleCoflowCct(const Coflow& coflow, packet::RateAllocator& allocator,
+                     const packet::PacketReplayConfig& config) {
+  Trace trace;
+  trace.num_ports = std::max<PortId>(coflow.max_port(), 1);
+  trace.coflows.push_back(coflow.WithArrival(0));
+  return packet::ReplayPacketTrace(trace, allocator, config)
+      .cct.at(coflow.id());
+}
+
 TEST(FairShare, SingleFlowGetsFullRate) {
   const Coflow c(1, 0, {{0, 1, MB(100)}});
   auto fair = packet::MakeFairShareAllocator();
-  EXPECT_NEAR(packet::PacketSingleCoflowCct(c, *fair, FairConfig()),
+  EXPECT_NEAR(SingleCoflowCct(c, *fair, FairConfig()),
               MB(100) / Gbps(1), 1e-6);
 }
 
@@ -182,53 +191,6 @@ TEST(CsvExport, RejectsRaggedColumns) {
       std::runtime_error);
   EXPECT_THROW(exp::WriteCsv("/nonexistent-dir/x.csv", {{"a", {1}}}),
                std::runtime_error);
-}
-
-// ---------- schedule serialization ----------
-
-TEST(ScheduleIo, RoundTrips) {
-  Rng rng(66);
-  std::vector<Flow> flows;
-  for (int k = 0; k < 12; ++k) {
-    const PortId s = static_cast<PortId>(rng.UniformInt(0, 5));
-    const PortId d = static_cast<PortId>(rng.UniformInt(0, 5));
-    bool dup = false;
-    for (const auto& f : flows)
-      if (f.src == s && f.dst == d) dup = true;
-    if (!dup) flows.push_back({s, d, MB(rng.Uniform(1, 30))});
-  }
-  const Coflow c(7, 0, std::move(flows));
-  const auto schedule = ScheduleSingleCoflow(c, 6, Config());
-
-  std::ostringstream out;
-  WriteReservationsCsv(out, schedule.reservations);
-  std::istringstream in(out.str());
-  const auto parsed = ReadReservationsCsv(in);
-
-  ASSERT_EQ(parsed.size(), schedule.reservations.size());
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    EXPECT_EQ(parsed[i].coflow, schedule.reservations[i].coflow);
-    EXPECT_EQ(parsed[i].in, schedule.reservations[i].in);
-    EXPECT_EQ(parsed[i].out, schedule.reservations[i].out);
-    EXPECT_DOUBLE_EQ(parsed[i].start, schedule.reservations[i].start);
-    EXPECT_DOUBLE_EQ(parsed[i].end, schedule.reservations[i].end);
-    EXPECT_DOUBLE_EQ(parsed[i].setup, schedule.reservations[i].setup);
-  }
-}
-
-TEST(ScheduleIo, RejectsMalformedInput) {
-  {
-    std::istringstream in("not,a,header\n");
-    EXPECT_THROW(ReadReservationsCsv(in), std::runtime_error);
-  }
-  {
-    std::istringstream in("coflow,in,out,start,end,setup\n1,0,1,2.0,1.0,0\n");
-    EXPECT_THROW(ReadReservationsCsv(in), std::runtime_error);  // end<start
-  }
-  {
-    std::istringstream in("coflow,in,out,start,end,setup\n1,0,1,0.0\n");
-    EXPECT_THROW(ReadReservationsCsv(in), std::runtime_error);  // truncated
-  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Randomized end-to-end invariant sweep: across δ regimes, orderings,
-// quantization, carry-over, policies and K ∈ {1, 2, 3} switch planes,
+// carry-over, policies and K ∈ {1, 2, 3} switch planes,
 // every pipeline stage must uphold its contracts (bounds, conservation,
 // executability) on random workloads. Executability is the trace audit
 // (obs/audit.h) with the demand input: every intra plan and every inter
@@ -24,7 +24,8 @@ struct FuzzCase {
   std::uint64_t seed;
   double delta;
   ReservationOrder order;
-  double quantum;
+  /// Flow-size jitter of the random trace (§5.1's ±5%, floored at 1 MB).
+  double perturb;
   bool carry_over;
   bool fifo;
 };
@@ -37,7 +38,6 @@ std::string CaseName(const ::testing::TestParamInfo<FuzzCase>& info) {
   name += std::to_string(static_cast<int>(p.delta * 1e6));
   name += "us_";
   name += ToString(p.order);
-  if (p.quantum > 0) name += "_q";
   if (p.carry_over) name += "_carry";
   if (p.fifo) name += "_fifo";
   return name;
@@ -65,7 +65,8 @@ TEST_P(EndToEndFuzz, AllInvariantsHold) {
   tc.horizon = 40.0;
   tc.seed = param.seed * 977 + 3;
   const Trace trace =
-      PerturbFlowSizes(GenerateSyntheticTrace(tc), 0.05, MB(1), param.seed);
+      PerturbFlowSizes(GenerateSyntheticTrace(tc), param.perturb, MB(1),
+                       param.seed);
 
   for (int k = 1; k <= 3; ++k) {
     SCOPED_TRACE("K=" + std::to_string(k));
@@ -73,7 +74,6 @@ TEST_P(EndToEndFuzz, AllInvariantsHold) {
     sc.delta = param.delta;
     sc.order = param.order;
     sc.shuffle_seed = param.seed;
-    sc.demand_quantum = param.quantum;
     // Plane p runs at B/(p+1) with δ·(p+1), so both audit rules see
     // unequal planes. K = 1 is the classic fabric bit for bit.
     Bandwidth aggregate = 0;
@@ -85,16 +85,14 @@ TEST_P(EndToEndFuzz, AllInvariantsHold) {
     const obs::AuditDemand demand = AuditDemandOf(trace, sc);
 
     // --- Intra: every plan audits clean against its demand; on one plane
-    // every coflow is within Lemma 1 (against quantized bounds). ---
+    // every coflow is within Lemma 1. ---
     for (const Coflow& c : trace.coflows) {
       obs::MemorySink sink;
       const auto schedule = ScheduleSingleCoflow(c.WithArrival(0),
                                                  trace.num_ports, sc, &sink);
       if (k == 1) {
         const Time tcl = CircuitLowerBound(c, sc.bandwidth, sc.delta);
-        const Time slack = param.quantum * static_cast<double>(c.size());
-        ASSERT_LE(schedule.completion_time.at(c.id()),
-                  2 * (tcl + slack) + 1e-9)
+        ASSERT_LE(schedule.completion_time.at(c.id()), 2 * tcl + 1e-9)
             << c.DebugString();
       }
       ExpectAuditsClean(sink.events(), demand,
@@ -128,17 +126,15 @@ std::vector<FuzzCase> MakeCases() {
   for (double delta : {0.0, 1e-5, 1e-3, 1e-2, 0.1}) {
     for (auto order :
          {ReservationOrder::kOrderedPort, ReservationOrder::kRandom}) {
-      cases.push_back({seed++, delta, order, 0.0, true, false});
+      cases.push_back({seed++, delta, order, 0.05, true, false});
     }
   }
-  // Quantization / carry-over / FIFO corners.
-  cases.push_back({seed++, 1e-2, ReservationOrder::kOrderedPort, 0.05, true,
-                   false});
-  cases.push_back({seed++, 1e-2, ReservationOrder::kRandom, 0.2, false,
-                   false});
-  cases.push_back({seed++, 1e-2, ReservationOrder::kSortedDemandDesc, 0.0,
+  // Carry-over / FIFO corners. They keep seeds 13 and 14: a case's seed
+  // picks its trace and is part of its name.
+  seed = 13;
+  cases.push_back({seed++, 1e-2, ReservationOrder::kSortedDemandDesc, 0.05,
                    false, true});
-  cases.push_back({seed++, 1e-3, ReservationOrder::kSortedDemandAsc, 0.0,
+  cases.push_back({seed++, 1e-3, ReservationOrder::kSortedDemandAsc, 0.05,
                    true, true});
   return cases;
 }

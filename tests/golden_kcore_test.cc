@@ -7,7 +7,7 @@
 // the K=1 equivalence contract of core/fabric.h as a regression test:
 // resolving one explicit plane must not change a single bit of any
 // schedule, because plane-0 arithmetic rides the IEEE identities
-// x * 1.0 == x and x / 1.0 == x. The fig9/fig3 sections additionally run
+// x * 1.0 == x and x / 1.0 == x. The fig9 section additionally runs
 // through the "kcore" scenario in joint mode, pinning that the plane-aware
 // dispatch layer is transparent at K=1 too.
 //
@@ -65,13 +65,12 @@ std::string ReadGolden(const std::string& name) {
 }
 
 std::string IntraSection(const Trace& trace, exp::IntraAlgorithm algorithm,
-                         int threads, const std::string& engine) {
+                         int threads) {
   exp::IntraRunConfig cfg;
   cfg.bandwidth = Gbps(1);
   cfg.delta = Millis(10);
   cfg.fabric = FabricSpec::Uniform(1, cfg.delta, cfg.bandwidth);
   cfg.threads = threads;
-  if (algorithm == exp::IntraAlgorithm::kSunflow) cfg.engine = engine;
   const auto run = exp::RunIntra(trace, algorithm, cfg);
   std::string out = "algorithm=" + run.algorithm + "\n";
   for (const auto& r : run.records) {
@@ -88,21 +87,18 @@ std::string IntraSection(const Trace& trace, exp::IntraAlgorithm algorithm,
 TEST(GoldenKCore, Fig3Fig5IntraMatchesClassicGolden) {
   const Trace trace = GoldenTrace(80, 40);
   const std::string golden = ReadGolden("fig3_fig5_intra.txt");
-  // The direct planner path and the plane-aware "kcore" joint scenario
-  // must both land on the classic bytes with one explicit plane.
-  for (const std::string& engine : {std::string(), std::string("kcore")}) {
-    std::string out;
-    for (auto algorithm :
-         {exp::IntraAlgorithm::kSunflow, exp::IntraAlgorithm::kSolstice}) {
-      const std::string serial = IntraSection(trace, algorithm, 1, engine);
-      const std::string parallel = IntraSection(trace, algorithm, 8, engine);
-      ASSERT_EQ(serial, parallel) << "intra records depend on --threads";
-      out += serial;
-    }
-    EXPECT_TRUE(out == golden)
-        << "explicit K=1 fabric diverges from the classic golden "
-        << "(engine=" << (engine.empty() ? "<direct>" : engine) << ")";
+  // The direct planner path must land on the classic bytes with one
+  // explicit plane.
+  std::string out;
+  for (auto algorithm :
+       {exp::IntraAlgorithm::kSunflow, exp::IntraAlgorithm::kSolstice}) {
+    const std::string serial = IntraSection(trace, algorithm, 1);
+    const std::string parallel = IntraSection(trace, algorithm, 8);
+    ASSERT_EQ(serial, parallel) << "intra records depend on --threads";
+    out += serial;
   }
+  EXPECT_TRUE(out == golden)
+      << "explicit K=1 fabric diverges from the classic golden";
 }
 
 std::string InterSection(const Trace& trace, int threads,

@@ -141,7 +141,7 @@ TEST(LemmaProof, IdleGapsOnlyWhileNeededPeersBusy) {
       // Outputs still needed: destinations of reservations after the gap.
       bool some_needed_output_busy = false;
       for (std::size_t j = i + 1; j < list.size(); ++j) {
-        if (!prt.OutputFreeAt(list[j].out, probe))
+        if (!prt.FreeAt(PortReservationTable::Side::kOut, list[j].out, probe))
           some_needed_output_busy = true;
       }
       EXPECT_TRUE(some_needed_output_busy)

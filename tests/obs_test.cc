@@ -431,13 +431,14 @@ TEST(ObsChromeTrace, TrackSelectionAndEmptyInput) {
        .in = 0, .out = 1, .value = 0.01},
       {.type = EventType::kCoflowCompleted, .t = 1, .coflow = 1, .value = 1},
   };
-  obs::ChromeTraceOptions no_ports;
-  no_ports.port_tracks = false;
+  // Every track that has events is named: the port Gantt and the coflow
+  // lifetimes, beside the always-present scheduler process.
   std::ostringstream out;
-  obs::WriteChromeTrace(out, events, no_ports);
+  obs::WriteChromeTrace(out, events);
   EXPECT_TRUE(JsonChecker(out.str()).Valid()) << out.str();
-  EXPECT_EQ(out.str().find("switch ports"), std::string::npos);
+  EXPECT_NE(out.str().find("switch ports"), std::string::npos);
   EXPECT_NE(out.str().find("coflow 1"), std::string::npos);
+  EXPECT_NE(out.str().find("scheduler"), std::string::npos);
 
   std::ostringstream empty;
   obs::WriteChromeTrace(empty, {});

@@ -34,6 +34,15 @@ PacketReplayConfig VarysConfig() {
 // only the link rate too.
 PacketReplayConfig AaloReplayConfig() { return VarysConfig(); }
 
+// The CCT of `coflow` replayed alone from t = 0.
+Time SingleCoflowCct(const Coflow& coflow, RateAllocator& allocator,
+                     const PacketReplayConfig& config) {
+  Trace trace;
+  trace.num_ports = std::max<PortId>(coflow.max_port(), 1);
+  trace.coflows.push_back(coflow.WithArrival(0));
+  return ReplayPacketTrace(trace, allocator, config).cct.at(coflow.id());
+}
+
 TEST(Varys, SingleCoflowAchievesPacketLowerBound) {
   // MADD on an uncontended fabric finishes exactly at TpL.
   Rng rng(81);
@@ -46,7 +55,7 @@ TEST(Varys, SingleCoflowAchievesPacketLowerBound) {
     if (flows.empty()) flows.push_back({0, 0, MB(5)});
     const Coflow c(1, 0, std::move(flows));
     auto varys = MakeVarysAllocator();
-    const Time cct = PacketSingleCoflowCct(c, *varys, VarysConfig());
+    const Time cct = SingleCoflowCct(c, *varys, VarysConfig());
     EXPECT_NEAR(cct, PacketLowerBound(c, Gbps(1)), 1e-6);
   }
 }
@@ -109,7 +118,7 @@ TEST(Aalo, NextThreshold) {
 TEST(Aalo, SingleCoflowCompletes) {
   const Coflow c(1, 0, {{0, 1, MB(30)}, {0, 2, MB(60)}, {1, 2, MB(90)}});
   auto aalo = MakeAaloAllocator();
-  const Time cct = PacketSingleCoflowCct(c, *aalo, AaloReplayConfig());
+  const Time cct = SingleCoflowCct(c, *aalo, AaloReplayConfig());
   // Equal split is work-conserving on a single coflow with backfill, so it
   // still lands on the packet lower bound here.
   EXPECT_GE(cct, PacketLowerBound(c, Gbps(1)) - 1e-6);
@@ -146,92 +155,6 @@ TEST(Aalo, ReplayFollowsItsOwnQueueLimits) {
   // Arrivals at 0 and 1 ms, coflow 1 crossing 1 MB (8 ms) and 10 MB,
   // coflow 2 finishing at 12 ms.
   EXPECT_EQ(result.reschedules, 5u);
-}
-
-TEST(Aalo, WeightedQueuesGuaranteeHeavyCoflowService) {
-  // Under strict priority a heavy (demoted) coflow gets nothing while a
-  // queue-0 coflow wants its ports; with weighted sharing it keeps a slice.
-  AaloConfig cfg;
-  cfg.weighted_queues = true;
-  ActiveCoflow heavy(1, 0.0, {{0, 1, GB(1)}});
-  heavy.sent = MB(500);  // deep queue
-  ActiveCoflow fresh(2, 0.0, {{0, 1, MB(5)}});
-  std::vector<ActiveCoflow*> active = {&heavy, &fresh};
-  auto aalo = MakeAaloAllocator(cfg);
-  aalo->Allocate(active, 2, Gbps(1), 0.0);
-  EXPECT_GT(heavy.flows[0].rate, 0.0);
-  EXPECT_GT(fresh.flows[0].rate, heavy.flows[0].rate);
-  CheckRates(active, 2, Gbps(1));
-}
-
-TEST(Aalo, WeightedQueuesWorkConserving) {
-  // A single coflow still gets the full port bandwidth (backfill).
-  AaloConfig cfg;
-  cfg.weighted_queues = true;
-  ActiveCoflow only(1, 0.0, {{0, 1, MB(50)}});
-  std::vector<ActiveCoflow*> active = {&only};
-  auto aalo = MakeAaloAllocator(cfg);
-  aalo->Allocate(active, 2, Gbps(1), 0.0);
-  EXPECT_NEAR(only.flows[0].rate, Gbps(1), 1.0);
-}
-
-TEST(Aalo, WeightedQueuesCctsArePinned) {
-  // No golden covers the weighted_queues path, so its per-coflow CCTs on
-  // one seeded trace are pinned bit for bit (recorded with %.17g).
-  SyntheticTraceConfig cfg;
-  cfg.num_coflows = 40;
-  cfg.num_ports = 16;
-  cfg.seed = 7;
-  const Trace trace = GenerateSyntheticTrace(cfg);
-  AaloConfig aalo_cfg;
-  aalo_cfg.weighted_queues = true;
-  auto aalo = MakeAaloAllocator(aalo_cfg);
-  const auto result = ReplayPacketTrace(trace, *aalo, AaloReplayConfig());
-  const std::map<CoflowId, Time> want = {
-      {1, 0.19587168509713848},
-      {2, 0.17607000532785833},
-      {3, 0.19863159409297282},
-      {4, 0.28373300017648262},
-      {5, 0.28154112301893974},
-      {6, 0.14132370958526508},
-      {7, 0.27787425564378054},
-      {8, 0.040000000000020464},
-      {9, 0.34633617307360964},
-      {10, 0.37645799334109142},
-      {11, 0.031999999999925421},
-      {12, 0.15868370700172818},
-      {13, 0.38767146165560007},
-      {14, 0.13325374329019724},
-      {15, 0.28329359011149791},
-      {16, 0.33029809353320161},
-      {17, 0.28801637529568325},
-      {18, 0.15267266759019549},
-      {19, 0.38893005753379839},
-      {20, 6.271284207883582},
-      {21, 7.4066048931540536},
-      {22, 0.15887421918250766},
-      {23, 1.3123834918819739},
-      {24, 0.30669162641652292},
-      {25, 6.8535582353838436},
-      {26, 0.29839312207059265},
-      {27, 0.35799637988384347},
-      {28, 0.36846612808903956},
-      {29, 0.43445716095902753},
-      {30, 0.28969377966041066},
-      {31, 0.0079999999998108251},
-      {32, 0.10390938565069519},
-      {33, 0.37384739303979586},
-      {34, 0.23580471611330722},
-      {35, 0.32523810627571947},
-      {36, 1.7974883233191576},
-      {37, 9.2031750426249346},
-      {38, 15.945663962791969},
-      {39, 0.0079999999998108251},
-      {40, 1.523918321070596},
-  };
-  EXPECT_EQ(result.reschedules, 1479u);
-  ASSERT_EQ(result.cct.size(), want.size());
-  for (const auto& [id, cct] : want) EXPECT_EQ(result.cct.at(id), cct) << id;
 }
 
 // ---- Aalo's wavefront order against trace order --------------------------
@@ -293,36 +216,8 @@ void ReferenceAalo(const AaloConfig& config, std::vector<RefCoflow>& active,
   };
 
   PortCapacity cap(num_ports, bandwidth);
-  if (!config.weighted_queues) {
-    for (int pass = 0; pass < 2; ++pass)
-      for (const Queued& q : order) equal_share(*q.coflow, cap);
-    return;
-  }
-  std::map<int, std::vector<RefCoflow*>> queues;
-  for (const Queued& q : order) queues[q.queue].push_back(q.coflow);
-  double total_weight = 0;
-  for (const auto& [q, list] : queues)
-    total_weight += std::pow(config.queue_weight_decay, q);
-  for (const auto& [q, list] : queues) {
-    const double share = std::pow(config.queue_weight_decay, q) / total_weight;
-    PortCapacity queue_cap(num_ports, bandwidth * share);
-    for (RefCoflow* c : list) {
-      count_flows(*c, +1);
-      for (auto& f : c->flows) {
-        if (f.done()) continue;
-        const Bandwidth r =
-            std::min({queue_cap.in(f.src) / in_n(f.src),
-                      queue_cap.out(f.dst) / out_n(f.dst), cap.in(f.src),
-                      cap.out(f.dst)});
-        if (r <= 1e-6) continue;
-        f.rate += r;
-        queue_cap.Consume(f.src, f.dst, r);
-        cap.Consume(f.src, f.dst, r);
-      }
-      count_flows(*c, -1);
-    }
-  }
-  for (const Queued& q : order) equal_share(*q.coflow, cap);
+  for (int pass = 0; pass < 2; ++pass)
+    for (const Queued& q : order) equal_share(*q.coflow, cap);
 }
 
 // The reference drain: every flow with a rate moves rate × dt bytes (at
@@ -410,9 +305,7 @@ std::vector<Flow> RandomFlows(Rng& rng, PortId ports, int shape) {
 
 TEST(Aalo, WavefrontOrderMatchesTraceOrderBitForBit) {
   Rng rng(20161212);
-  const AaloConfig strict;
-  AaloConfig weighted;
-  weighted.weighted_queues = true;
+  const AaloConfig config;
   const Bandwidth bandwidth = Gbps(1);
   std::size_t allocations = 0;
   for (int instance = 0; instance < 320; ++instance) {
@@ -439,7 +332,6 @@ TEST(Aalo, WavefrontOrderMatchesTraceOrderBitForBit) {
           fill ? 0 : MB(std::pow(10.0, rng.Uniform(-1, 4)));
       ExpectWaveInvariants(active.back());
     }
-    const AaloConfig& config = instance % 2 == 0 ? strict : weighted;
     auto aalo = MakeAaloAllocator(config);
     for (int round = 0; !active.empty() && round < 4; ++round) {
       SCOPED_TRACE("round " + std::to_string(round));

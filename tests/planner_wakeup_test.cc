@@ -14,6 +14,7 @@
 // Ordered() positions, never in heap-arrival order.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -108,7 +109,9 @@ PlanRequest RandomRequest(Rng& rng, PortId ports, CoflowId id, Time start) {
   return req;
 }
 
-SunflowConfig RandomConfig(Rng& rng) {
+// Sets `*quantum` to the step a trial rounds its demand up to (0 = none);
+// Quantized applies it.
+SunflowConfig RandomConfig(Rng& rng, Time* quantum) {
   SunflowConfig cfg;
   cfg.bandwidth = 1.0;  // processing times are given directly
   static constexpr Time kDeltas[] = {0.0, 1e-4, 0.01, 0.4};
@@ -118,8 +121,18 @@ SunflowConfig RandomConfig(Rng& rng) {
       ReservationOrder::kSortedDemandDesc, ReservationOrder::kSortedDemandAsc};
   cfg.order = kOrders[rng.UniformInt(0, 3)];
   cfg.shuffle_seed = rng.NextU64();
-  cfg.demand_quantum = rng.Uniform(0, 1) < 0.3 ? 0.05 : 0.0;
+  *quantum = rng.Uniform(0, 1) < 0.3 ? 0.05 : 0.0;
   return cfg;
+}
+
+// Rounds every processing time up to a multiple of `quantum` (0 = none),
+// so whole release clusters finish at once.
+PlanRequest Quantized(PlanRequest req, Time quantum) {
+  if (quantum > 0) {
+    for (FlowDemand& f : req.demand)
+      f.processing = std::ceil(f.processing / quantum) * quantum;
+  }
+  return req;
 }
 
 // ScheduleOne must be bit-identical to the rescan oracle on randomized
@@ -128,12 +141,13 @@ TEST(PlannerWakeup, DifferentialAgainstRescanOracle) {
   Rng rng(4711);
   for (int trial = 0; trial < 120; ++trial) {
     const auto ports = static_cast<PortId>(rng.UniformInt(2, 10));
-    const SunflowConfig cfg = RandomConfig(rng);
+    Time quantum = 0;
+    const SunflowConfig cfg = RandomConfig(rng, &quantum);
     ThreeWayPlan plan(ports, cfg);
     Time t = rng.Uniform(0, 5.0);
     const int coflows = rng.UniformInt(1, 5);
     for (CoflowId id = 0; id < coflows; ++id) {
-      plan.Plan(RandomRequest(rng, ports, id, t),
+      plan.Plan(Quantized(RandomRequest(rng, ports, id, t), quantum),
                 "trial=" + std::to_string(trial) +
                     " coflow=" + std::to_string(id));
       if (rng.Uniform(0, 1) < 0.5) t += rng.Uniform(0, 1.0);
@@ -148,7 +162,8 @@ TEST(PlannerWakeup, DifferentialWithEstablishedCircuits) {
   Rng rng(815);
   for (int trial = 0; trial < 60; ++trial) {
     const auto ports = static_cast<PortId>(rng.UniformInt(2, 8));
-    const SunflowConfig cfg = RandomConfig(rng);
+    Time quantum = 0;
+    const SunflowConfig cfg = RandomConfig(rng, &quantum);
     const Time t0 = rng.Uniform(0, 3.0);
     EstablishedCircuits circuits;
     for (PortId p = 0; p < ports; ++p) {
@@ -160,7 +175,7 @@ TEST(PlannerWakeup, DifferentialWithEstablishedCircuits) {
     plan.SetEstablished(circuits, t0);
     const int coflows = rng.UniformInt(1, 4);
     for (CoflowId id = 0; id < coflows; ++id) {
-      plan.Plan(RandomRequest(rng, ports, id, t0),
+      plan.Plan(Quantized(RandomRequest(rng, ports, id, t0), quantum),
                 "trial=" + std::to_string(trial));
     }
     plan.ExpectAllEqual();
@@ -177,7 +192,8 @@ TEST(PlannerWakeup, DifferentialOnKPlaneFabrics) {
   static constexpr Bandwidth kRates[] = {0.25, 0.5, 1.0, 2.0};
   for (int trial = 0; trial < 300; ++trial) {
     const auto ports = static_cast<PortId>(rng.UniformInt(2, 8));
-    SunflowConfig cfg = RandomConfig(rng);
+    Time quantum = 0;
+    SunflowConfig cfg = RandomConfig(rng, &quantum);
     const int planes = rng.UniformInt(1, 3);
     for (int p = 0; p < planes; ++p) {
       cfg.fabric.planes.push_back(
@@ -195,7 +211,7 @@ TEST(PlannerWakeup, DifferentialOnKPlaneFabrics) {
     plan.SetEstablishedByPlane(circuits, t0);
     const int coflows = rng.UniformInt(1, 4);
     for (CoflowId id = 0; id < coflows; ++id) {
-      plan.Plan(RandomRequest(rng, ports, id, t0),
+      plan.Plan(Quantized(RandomRequest(rng, ports, id, t0), quantum),
                 "trial=" + std::to_string(trial) +
                     " planes=" + std::to_string(planes));
     }
@@ -244,7 +260,8 @@ TEST(PlannerWakeup, DifferentialOnWideCoflows) {
   static constexpr Bandwidth kRates[] = {0.5, 1.0, 2.0};
   for (int trial = 0; trial < 24; ++trial) {
     const auto ports = static_cast<PortId>(rng.UniformInt(16, 40));
-    SunflowConfig cfg = RandomConfig(rng);
+    Time quantum = 0;
+    SunflowConfig cfg = RandomConfig(rng, &quantum);
     const int planes = static_cast<int>(rng.UniformInt(1, 2));
     if (planes == 2) {
       for (int p = 0; p < planes; ++p) {
@@ -257,7 +274,7 @@ TEST(PlannerWakeup, DifferentialOnWideCoflows) {
     const int coflows = static_cast<int>(rng.UniformInt(2, 4));
     for (CoflowId id = 0; id < coflows; ++id) {
       const Shape shape = kShapes[rng.UniformInt(0, 2)];
-      plan.Plan(WideRequest(rng, ports, shape, id, t),
+      plan.Plan(Quantized(WideRequest(rng, ports, shape, id, t), quantum),
                 "trial=" + std::to_string(trial) +
                     " coflow=" + std::to_string(id) +
                     " planes=" + std::to_string(planes));
@@ -391,7 +408,8 @@ TEST(PlannerWakeup, ScheduleAllEqualsSequentialScheduleOne) {
   Rng rng(2718);
   for (int trial = 0; trial < 40; ++trial) {
     const auto ports = static_cast<PortId>(rng.UniformInt(2, 10));
-    const SunflowConfig cfg = RandomConfig(rng);
+    Time quantum = 0;
+    const SunflowConfig cfg = RandomConfig(rng, &quantum);
     const Time start = rng.Uniform(0, 5.0);
     EstablishedCircuits circuits;
     if (rng.Uniform(0, 1) < 0.5) {
@@ -403,7 +421,8 @@ TEST(PlannerWakeup, ScheduleAllEqualsSequentialScheduleOne) {
     std::vector<PlanRequest> reqs;
     const int coflows = rng.UniformInt(1, 6);
     for (CoflowId id = 0; id < coflows; ++id)
-      reqs.push_back(RandomRequest(rng, ports, id, start));
+      reqs.push_back(
+          Quantized(RandomRequest(rng, ports, id, start), quantum));
 
     SunflowPlanner all(ports, cfg);
     all.SetEstablishedCircuits(circuits, start);

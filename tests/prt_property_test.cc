@@ -179,19 +179,19 @@ class Workload {
 
 void CheckProbe(const PortReservationTable& prt, const Oracle& oracle,
                 PortId in, PortId out, Time t) {
-  EXPECT_EQ(prt.InputFreeAt(in, t), oracle.InputFreeAt(in, t)) << "t=" << t;
-  EXPECT_EQ(prt.OutputFreeAt(out, t), oracle.OutputFreeAt(out, t))
+  using Side = PortReservationTable::Side;
+  EXPECT_EQ(prt.FreeAt(Side::kIn, in, t), oracle.InputFreeAt(in, t))
       << "t=" << t;
-  EXPECT_EQ(prt.InputBusyUntil(in, t), oracle.InputBusyUntil(in, t))
+  EXPECT_EQ(prt.FreeAt(Side::kOut, out, t), oracle.OutputFreeAt(out, t))
       << "t=" << t;
-  EXPECT_EQ(prt.OutputBusyUntil(out, t), oracle.OutputBusyUntil(out, t))
+  EXPECT_EQ(prt.BusyUntil(Side::kIn, in, t), oracle.InputBusyUntil(in, t))
+      << "t=" << t;
+  EXPECT_EQ(prt.BusyUntil(Side::kOut, out, t), oracle.OutputBusyUntil(out, t))
       << "t=" << t;
   const auto got = prt.NextReservationAfter(in, out, t);
   const auto want = oracle.NextReservationAfter(in, out, t);
   EXPECT_EQ(got.start, want.start) << "t=" << t;
   EXPECT_EQ(got.release, want.release) << "t=" << t;
-  EXPECT_EQ(prt.NextReservationStartAfter(in, out, t), want.start)
-      << "t=" << t;
   EXPECT_EQ(prt.NextReleaseAfter(t), oracle.NextReleaseAfter(t)) << "t=" << t;
   EXPECT_EQ(prt.FirstReleaseAtOrAfter(t), oracle.FirstReleaseAtOrAfter(t))
       << "t=" << t;

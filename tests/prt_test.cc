@@ -7,6 +7,8 @@
 namespace sunflow {
 namespace {
 
+using Side = PortReservationTable::Side;
+
 CircuitReservation Res(PortId in, PortId out, Time start, Time end,
                        Time setup = 0.01, CoflowId coflow = 1) {
   return {in, out, start, end, setup, coflow};
@@ -14,36 +16,36 @@ CircuitReservation Res(PortId in, PortId out, Time start, Time end,
 
 TEST(Prt, FreshPortsAreFree) {
   PortReservationTable prt(4);
-  EXPECT_TRUE(prt.InputFreeAt(0, 0.0));
-  EXPECT_TRUE(prt.OutputFreeAt(3, 100.0));
-  EXPECT_EQ(prt.NextReservationStartAfter(0, 1, 0.0), kTimeInf);
+  EXPECT_TRUE(prt.FreeAt(Side::kIn, 0, 0.0));
+  EXPECT_TRUE(prt.FreeAt(Side::kOut, 3, 100.0));
+  EXPECT_EQ(prt.NextReservationAfter(0, 1, 0.0).start, kTimeInf);
   EXPECT_EQ(prt.NextReleaseAfter(0.0), kTimeInf);
 }
 
 TEST(Prt, ReservationOccupiesBothPorts) {
   PortReservationTable prt(4);
   prt.Reserve(Res(0, 1, 1.0, 2.0));
-  EXPECT_FALSE(prt.InputFreeAt(0, 1.5));
-  EXPECT_FALSE(prt.OutputFreeAt(1, 1.5));
-  EXPECT_TRUE(prt.InputFreeAt(1, 1.5));   // other input port untouched
-  EXPECT_TRUE(prt.OutputFreeAt(0, 1.5));  // other direction untouched
+  EXPECT_FALSE(prt.FreeAt(Side::kIn, 0, 1.5));
+  EXPECT_FALSE(prt.FreeAt(Side::kOut, 1, 1.5));
+  EXPECT_TRUE(prt.FreeAt(Side::kIn, 1, 1.5));   // other input port untouched
+  EXPECT_TRUE(prt.FreeAt(Side::kOut, 0, 1.5));  // other direction untouched
 }
 
 TEST(Prt, HalfOpenIntervals) {
   PortReservationTable prt(4);
   prt.Reserve(Res(0, 1, 1.0, 2.0));
-  EXPECT_TRUE(prt.InputFreeAt(0, 0.999999));
-  EXPECT_FALSE(prt.InputFreeAt(0, 1.0));  // busy at start
-  EXPECT_TRUE(prt.InputFreeAt(0, 2.0));   // free at end
+  EXPECT_TRUE(prt.FreeAt(Side::kIn, 0, 0.999999));
+  EXPECT_FALSE(prt.FreeAt(Side::kIn, 0, 1.0));  // busy at start
+  EXPECT_TRUE(prt.FreeAt(Side::kIn, 0, 2.0));   // free at end
 }
 
 TEST(Prt, NextReservationStart) {
   PortReservationTable prt(4);
   prt.Reserve(Res(0, 1, 5.0, 6.0));
   prt.Reserve(Res(2, 3, 3.0, 4.0));
-  EXPECT_DOUBLE_EQ(prt.NextReservationStartAfter(0, 3, 0.0), 3.0);
-  EXPECT_DOUBLE_EQ(prt.NextReservationStartAfter(0, 1, 0.0), 5.0);
-  EXPECT_DOUBLE_EQ(prt.NextReservationStartAfter(2, 3, 3.5), kTimeInf);
+  EXPECT_DOUBLE_EQ(prt.NextReservationAfter(0, 3, 0.0).start, 3.0);
+  EXPECT_DOUBLE_EQ(prt.NextReservationAfter(0, 1, 0.0).start, 5.0);
+  EXPECT_DOUBLE_EQ(prt.NextReservationAfter(2, 3, 3.5).start, kTimeInf);
 }
 
 TEST(Prt, NextReleaseAfter) {
@@ -90,11 +92,18 @@ TEST(Prt, TimelinesSorted) {
   prt.Reserve(Res(0, 1, 4.0, 5.0));
   prt.Reserve(Res(0, 2, 0.0, 1.0));
   prt.Reserve(Res(0, 3, 2.0, 3.0));
-  const auto timeline = prt.InputPortTimeline(0);
-  ASSERT_EQ(timeline.size(), 3u);
-  EXPECT_DOUBLE_EQ(timeline[0].start, 0.0);
-  EXPECT_DOUBLE_EQ(timeline[1].start, 2.0);
-  EXPECT_DOUBLE_EQ(timeline[2].start, 4.0);
+  // Inserted out of order, input port 0's slots are probed in start order
+  // (output port 0 holds none).
+  std::vector<Time> starts;
+  for (Time t = -1.0;;) {
+    t = prt.NextReservationAfter(0, 0, t).start;
+    if (t == kTimeInf) break;
+    starts.push_back(t);
+  }
+  EXPECT_EQ(starts, (std::vector<Time>{0.0, 2.0, 4.0}));
+  EXPECT_DOUBLE_EQ(prt.BusyUntil(Side::kIn, 0, 0.5), 1.0);
+  EXPECT_DOUBLE_EQ(prt.BusyUntil(Side::kIn, 0, 2.5), 3.0);
+  EXPECT_DOUBLE_EQ(prt.BusyUntil(Side::kIn, 0, 4.5), 5.0);
 }
 
 // Property: random non-overlapping insertions keep invariants; random

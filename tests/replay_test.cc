@@ -214,33 +214,6 @@ TEST(CircuitReplay, WeightedPolicyProtectsImportantCoflow) {
   EXPECT_GT(r_plain.cct.at(1), alone + 0.3);  // preempted by the short one
 }
 
-TEST(CircuitReplay, ReplanThrottleBatchesArrivals) {
-  // Coflow 2 arrives on disjoint ports shortly after coflow 1 starts.
-  // Unthrottled, it is planned at its arrival; with a large throttle it
-  // waits until the next replan — coflow 1's completion.
-  Trace trace;
-  trace.num_ports = 4;
-  trace.coflows.push_back(Coflow(1, 0.0, {{0, 1, MB(100)}}));  // 0.81 s
-  trace.coflows.push_back(Coflow(2, 0.1, {{2, 3, MB(10)}}));
-  const auto policy = MakeShortestFirstPolicy();
-
-  const auto prompt = RunCircuit(trace, *policy, Config());
-  EXPECT_NEAR(prompt.cct.at(2), Millis(10) + MB(10) / Gbps(1), 1e-9);
-
-  engine::EngineConfig throttled = Config();
-  throttled.min_replan_interval = 5.0;
-  const auto batched = RunCircuit(trace, *policy, throttled);
-  // Coflow 1 is unaffected; coflow 2 starts only at coflow 1's completion
-  // (t = 0.81), so its CCT includes the 0.71 s queueing delay.
-  EXPECT_NEAR(batched.cct.at(1), prompt.cct.at(1), 1e-9);
-  const Time first_completion = Millis(10) + MB(100) / Gbps(1);
-  EXPECT_NEAR(batched.cct.at(2),
-              (first_completion - 0.1) + Millis(10) + MB(10) / Gbps(1),
-              1e-9);
-  // Fewer replans overall.
-  EXPECT_LT(batched.replans, prompt.replans);
-}
-
 TEST(CircuitReplay, ZeroDeltaApproachesPacketBound) {
   Trace trace;
   trace.num_ports = 3;

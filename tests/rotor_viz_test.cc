@@ -16,7 +16,6 @@ engine::EngineConfig UnitConfig() {
   engine::EngineConfig c;
   c.sunflow.bandwidth = Gbps(1);
   c.sunflow.delta = Millis(10);
-  c.rotor_slot_duration = Millis(90);
   return c;
 }
 

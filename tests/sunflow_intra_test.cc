@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/rng.h"
 #include "core/sunflow.h"
@@ -214,52 +215,27 @@ TEST(SunflowIntra, StartTimeOffsetsSchedule) {
   EXPECT_DOUBLE_EQ(planner.prt().reservations()[0].start, 5.0);
 }
 
-TEST(SunflowIntra, DemandQuantumRoundsUp) {
-  // 100 MB at 1 Gbps = 0.8 s; quantum 0.3 s rounds to 0.9 s -> CCT = δ+0.9.
-  const Coflow c(1, 0, {{0, 1, MB(100)}});
-  SunflowConfig cfg = Config();
-  cfg.demand_quantum = 0.3;
-  const auto schedule = ScheduleSingleCoflow(c, 4, cfg);
-  EXPECT_NEAR(schedule.completion_time.at(1), Millis(10) + 0.9, 1e-9);
-}
-
 TEST(SunflowIntra, DemandQuantumKeepsLemma1Bound) {
-  // NOTE: quantization is NOT monotone — changing release-time alignment
-  // can shift the greedy schedule either way (a Graham-type anomaly). What
-  // must hold: the quantized schedule covers the (over-)rounded demand and
+  // Demand rounded up to a quantum (processing times to multiples of
+  // 0.05 s) aligns release times. NOTE: quantization is NOT monotone —
+  // changing release-time alignment can shift the greedy schedule either
+  // way (a Graham-type anomaly). What must hold: the quantized schedule
   // stays within Lemma 1 against the quantized circuit bound, which
   // exceeds the true bound by at most one quantum per flow.
   Rng rng(77);
   for (int trial = 0; trial < 15; ++trial) {
     const Coflow c = RandomCoflow(rng, 10, 6);
-    SunflowConfig cfg = Config();
-    cfg.demand_quantum = 0.05;
-    const auto rounded = ScheduleSingleCoflow(c, 10, cfg);
+    PlanRequest req = PlanRequest::FromCoflow(c, Gbps(1));
+    for (FlowDemand& f : req.demand)
+      f.processing = std::ceil(f.processing / 0.05) * 0.05;
+    SunflowPlanner planner(10, Config());
+    SunflowSchedule rounded;
+    planner.ScheduleOne(req, rounded);
     EXPECT_GT(rounded.completion_time.at(1), 0.0);
     EXPECT_LE(rounded.completion_time.at(1),
               2 * (CircuitLowerBound(c, Gbps(1), Millis(10)) +
                    0.05 * static_cast<double>(c.size())) +
                   1e-9);
-  }
-}
-
-TEST(SunflowIntra, StreamingCallbackEmitsAllReservationsInStartOrder) {
-  // §6 latency hiding: reservations stream out as they are decided, in
-  // non-decreasing start order within one ScheduleOne call.
-  Rng rng(78);
-  for (int trial = 0; trial < 10; ++trial) {
-    const Coflow c = RandomCoflow(rng, 10, 6);
-    SunflowPlanner planner(10, Config());
-    std::vector<CircuitReservation> streamed;
-    planner.SetReservationCallback(
-        [&](const CircuitReservation& r) { streamed.push_back(r); });
-    SunflowSchedule out;
-    planner.ScheduleOne(PlanRequest::FromCoflow(c, Gbps(1), 0.0), out);
-    ASSERT_EQ(streamed.size(), planner.prt().reservations().size());
-    for (std::size_t i = 1; i < streamed.size(); ++i) {
-      EXPECT_GE(streamed[i].start + kTimeEps, streamed[i - 1].start)
-          << "stream went backwards at " << i;
-    }
   }
 }
 

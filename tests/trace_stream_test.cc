@@ -31,7 +31,6 @@
 
 #include "core/fabric.h"
 #include "core/policy.h"
-#include "exp/inter_runner.h"
 #include "packet/aalo.h"
 #include "packet/varys.h"
 #include "runtime/thread_pool.h"
@@ -611,27 +610,6 @@ TEST(StreamedReplay, UnsortedSourceIsRejected) {
   TraceCoflowSource source(trace);
   EXPECT_THROW(engine::RunScenarioStream(source, *scenario, nullptr),
                CheckFailure);
-}
-
-// --- Inter-comparison streamed path -------------------------------------
-
-TEST(StreamedReplay, InterComparisonStreamedMatchesWholeTrace) {
-  const Trace trace = GoldenTrace(60, 24);
-  exp::InterRunConfig cfg;
-  cfg.bandwidth = Gbps(1);
-  cfg.delta = Millis(10);
-  cfg.run_varys = false;
-  cfg.run_aalo = false;
-  const auto whole = exp::RunInterComparison(trace, cfg);
-
-  for (int threads : {1, 8}) {
-    cfg.threads = threads;
-    TraceCoflowSource source(trace);
-    const auto streamed = exp::RunInterComparisonStreamed(source, cfg);
-    EXPECT_EQ(whole.sunflow, streamed.sunflow) << "threads=" << threads;
-    EXPECT_EQ(whole.tpl, streamed.tpl);
-    EXPECT_EQ(whole.pavg, streamed.pavg);
-  }
 }
 
 // --- The committed fig10 golden, replayed through the streamed path -----
