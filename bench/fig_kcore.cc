@@ -1,5 +1,6 @@
-// K-core OCS sweep: joint plane-aware planning vs the Sunflow-per-core
-// baseline on the same K-plane fabric, K ∈ {1, 2, 4, 8} by default.
+// K-core OCS sweep: joint plane-aware planning ("circuit") vs the
+// Sunflow-per-core baseline ("kcore") on the same K-plane fabric,
+// K ∈ {1, 2, 4, 8} by default.
 //
 // For each K the fabric is FabricSpec::Uniform(K, δ, B/K) — the aggregate
 // capacity is held constant across the sweep (pass --split_bandwidth=false
@@ -82,12 +83,11 @@ int main(int argc, char** argv) {
     double totals[2] = {0, 0};
     double makespans[2] = {0, 0};
     for (int mode = 0; mode < 2; ++mode) {
-      ec.kcore_joint = mode == 0;
       obs::MemorySink sink;
       ec.sink = &sink;
       const engine::EngineResult result =
-          engine::ScenarioRegistry::Global().Run("kcore", w.trace,
-                                                 policy.get(), ec);
+          engine::ScenarioRegistry::Global().Run(
+              mode == 0 ? "circuit" : "kcore", w.trace, policy.get(), ec);
       for (const auto& [id, cct] : result.cct) totals[mode] += cct;
       makespans[mode] = result.makespan;
 

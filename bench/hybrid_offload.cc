@@ -32,35 +32,30 @@ int main(int argc, char** argv) {
 
   const auto policy = MakeShortestFirstPolicy();
 
-  // Pure-OCS baseline plus one replay per threshold — five independent
-  // whole-trace simulations, fanned out over the pool. Per-threshold rows
-  // compare the *offloaded subset's* average CCT against what the same
-  // coflows saw on the OCS (the baseline).
+  // One replay per threshold — four independent whole-trace simulations,
+  // fanned out over the pool. The 0 MB replay offloads nothing, so it is
+  // the pure-OCS baseline: per-threshold rows compare the *offloaded
+  // subset's* average CCT against what the same coflows saw there.
   const std::vector<double> thresholds_mb = {0.0, 10.0, 50.0, 200.0};
-  std::map<CoflowId, Time> baseline;
   std::vector<engine::EngineResult> sweeps(thresholds_mb.size());
   {
     runtime::ThreadPool pool(
-        std::min<int>(threads, static_cast<int>(thresholds_mb.size()) + 1));
-    pool.ParallelFor(0, thresholds_mb.size() + 1, [&](std::size_t i) {
-      auto& registry = engine::ScenarioRegistry::Global();
+        std::min<int>(threads, static_cast<int>(thresholds_mb.size())));
+    pool.ParallelFor(0, thresholds_mb.size(), [&](std::size_t i) {
       engine::EngineConfig cfg;
       cfg.sunflow.bandwidth = Gbps(1);
       cfg.sunflow.delta = Millis(delta_ms);
-      if (i == 0) {
-        cfg.offload_threshold = 0;
-        baseline = registry.Run("hybrid", w.trace, policy.get(), cfg).cct;
-      } else {
-        cfg.packet_bandwidth = Gbps(packet_gbps);
-        cfg.offload_threshold = MB(thresholds_mb[i - 1]);
-        // --trace_out records the circuit side of the 10 MB replay (the
-        // scenario's default threshold); its packet side stays untraced,
-        // as in every hybrid replay.
-        if (thresholds_mb[i - 1] == 10.0) cfg.sink = session.sink();
-        sweeps[i - 1] = registry.Run("hybrid", w.trace, policy.get(), cfg);
-      }
+      cfg.packet_bandwidth = Gbps(packet_gbps);
+      cfg.offload_threshold = MB(thresholds_mb[i]);
+      // --trace_out records the circuit side of the 10 MB replay (the
+      // scenario's default threshold); its packet side stays untraced,
+      // as in every hybrid replay.
+      if (thresholds_mb[i] == 10.0) cfg.sink = session.sink();
+      sweeps[i] = engine::ScenarioRegistry::Global().Run("hybrid", w.trace,
+                                                         policy.get(), cfg);
     });
   }
+  const std::map<CoflowId, Time>& baseline = sweeps[0].cct;
 
   TextTable table("Offload-threshold sweep (packet side " +
                   TextTable::Fmt(packet_gbps, 2) + " Gbps)");

@@ -594,14 +594,6 @@ Time SunflowPlanner::ScheduleOneRescan(const PlanRequest& request,
 }
 
 SunflowSchedule SunflowPlanner::ScheduleAll(
-    const std::vector<PlanRequest>& requests) {
-  std::vector<const PlanRequest*> ptrs;
-  ptrs.reserve(requests.size());
-  for (const PlanRequest& req : requests) ptrs.push_back(&req);
-  return ScheduleAll(ptrs);
-}
-
-SunflowSchedule SunflowPlanner::ScheduleAll(
     const std::vector<const PlanRequest*>& requests) {
   SunflowSchedule out;
   for (const PlanRequest* req : requests) ScheduleOne(*req, out);

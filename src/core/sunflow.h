@@ -114,11 +114,9 @@ class SunflowPlanner {
 
   /// Algorithm 1, InterCoflow: schedules requests in the given order
   /// (callers sort by priority policy first). Earlier requests are planned
-  /// first and therefore never blocked by later ones.
-  SunflowSchedule ScheduleAll(const std::vector<PlanRequest>& requests);
-
-  /// As above, via pointers: lets a caller plan a subset of its requests
-  /// (e.g. one core's share) without copying demand vectors.
+  /// first and therefore never blocked by later ones. Pointers let a caller
+  /// plan a subset of its requests (e.g. one core's share) without copying
+  /// demand vectors.
   SunflowSchedule ScheduleAll(const std::vector<const PlanRequest*>& requests);
 
   /// Declares circuits already up at plan start (replay carry-over).

@@ -1,7 +1,7 @@
 // Trace replay on the fluid packet fabric (Varys / Aalo side of §5.4).
 //
 // The replay is the kernel's packet scenario (engine::MakePacketScenario,
-// also registered as "varys" and "aalo"): rates are piecewise constant
+// also the "varys" and "aalo" scenarios): rates are piecewise constant
 // between events, and the allocator is re-run on arrivals, completions and
 // its own rescheduling rule (RateAllocator). In between, completed flows
 // simply stop and leave their bandwidth idle — the Varys behaviour §5.4

@@ -6,13 +6,12 @@
 // assign each one wholly to the least-loaded core, and run the single-core
 // scheduler (here: Sunflow's Algorithm 1) independently per core. This
 // module implements that ordering + assignment step; the "kcore" engine
-// scenario (sim/engine/scenarios.cc) and the fig_kcore bench use it as the
-// baseline the joint plane-aware planner (core/sunflow.cc) is compared
-// against.
+// scenario (sim/engine/scenarios.cc) runs it as the baseline that fig_kcore
+// compares with the joint plane-aware planner ("circuit" on a K-plane
+// fabric, core/sunflow.cc).
 //
-// Header-only by design: the engine consumes sched only through headers
-// (sunflow_sched links sunflow_engine back, so the engine library must not
-// need sched symbols at link time — see src/sim/engine/CMakeLists.txt).
+// Header-only, so the engine library uses it without linking sunflow_sched
+// (see src/sim/engine/CMakeLists.txt).
 #pragma once
 
 #include <algorithm>

@@ -411,10 +411,8 @@ EngineResult RunScenarioReplay(const Trace& trace, ScenarioPolicy& scenario,
                                obs::TraceSink* sink,
                                obs::TimelineSampler* timeline) {
   ReplayDriver driver(trace.num_ports, sink, timeline);
-  std::vector<std::pair<Time, const Coflow*>> seed;
-  seed.reserve(trace.coflows.size());
-  for (const Coflow& c : trace.coflows) seed.emplace_back(c.arrival(), &c);
-  driver.state().PushReleaseBatch(seed);
+  for (const Coflow& c : trace.coflows)
+    driver.state().PushRelease(c.arrival(), &c);
   return driver.Run(scenario);
 }
 

@@ -55,23 +55,6 @@ class EventQueue {
         stats_.depth_high_water, heap_.size());
   }
 
-  /// Batched push: appends every (time, payload) pair — assigning
-  /// sequence numbers in batch order, exactly as element-wise Push would —
-  /// then heapifies once. (time, seq) is a total order (seq is unique), so
-  /// the pop order is identical to N element-wise pushes; only the number
-  /// of sift operations changes: one make_heap instead of N push_heaps.
-  void PushBatch(const std::vector<std::pair<Time, Payload>>& batch) {
-    if (batch.empty()) return;
-    stats_.pushes += batch.size();
-    heap_.reserve(heap_.size() + batch.size());
-    for (const auto& [t, payload] : batch) {
-      heap_.push_back(Entry{t, next_seq_++, payload});
-    }
-    std::make_heap(heap_.begin(), heap_.end(), Later);
-    stats_.depth_high_water = std::max<std::uint64_t>(
-        stats_.depth_high_water, heap_.size());
-  }
-
   Entry Pop() {
     ++stats_.pops;
     std::pop_heap(heap_.begin(), heap_.end(), Later);

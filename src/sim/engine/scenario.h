@@ -1,6 +1,6 @@
 // ScenarioPolicy — the strategy interface every replay engine implements —
-// and the string-keyed registry that makes new fabric models one-file
-// additions (see docs/engine.md for the contract and a worked example).
+// and the fixed table of built-in scenarios behind the shared `--engine`
+// flag (see docs/engine.md for the contract and a worked example).
 //
 // A scenario owns the *physics* of one span: how the active set is planned
 // (or not), which executor model drains bytes, and when the next event
@@ -10,9 +10,7 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,7 +38,7 @@ class ReplayDriver;
 
 /// Union of the knobs the built-in scenarios consume. Each scenario reads
 /// its own slice and ignores the rest, so one config type can flow from a
-/// `--engine` flag through any registry entry.
+/// `--engine` flag through any built-in scenario.
 struct EngineConfig {
   SunflowConfig sunflow;
   /// Re-reserve circuits that are mid-transmission at a replan instant
@@ -63,11 +61,6 @@ struct EngineConfig {
   /// Coflows with total bytes at or below this go to the packet network
   /// ("hybrid" scenario).
   Bytes offload_threshold = 10e6;
-  /// "kcore" scenario: plan the active set jointly on the K-plane fabric
-  /// (true, the default — earliest-feasible-plane greedy inside the
-  /// planner), or run the literature's per-core baseline (false — each
-  /// coflow pinned wholly to one core, Sunflow independently per core).
-  bool kcore_joint = true;
 };
 
 /// Per-scenario hooks around the driver's plan → execute → replan loop.
@@ -126,7 +119,7 @@ class ScenarioPolicy {
 /// and instant; pushes newly released coflows into the state.
 using CompletionHook = std::function<void(SimState&, CoflowId, Time)>;
 
-// --- Built-in scenario factories (defined in scenarios.cc). -------------
+// --- Built-in scenarios (defined in scenarios.cc). ----------------------
 
 /// Sunflow circuit replay: Varys-like replan on arrivals/completions,
 /// optional carry-over. `hook` enables DAG gating (sim/dag_replay.h).
@@ -134,53 +127,37 @@ std::unique_ptr<ScenarioPolicy> MakeCircuitScenario(
     PortId num_ports, const PriorityPolicy& policy, const EngineConfig& config,
     CompletionHook hook = nullptr);
 
-/// Circuit replay under the §4.2 starvation guard's (T + τ) cadence.
-std::unique_ptr<ScenarioPolicy> MakeGuardScenario(PortId num_ports,
-                                                  const PriorityPolicy& policy,
-                                                  const EngineConfig& config);
-
-/// Demand-oblivious blind Φ rotation (no priority policy).
-std::unique_ptr<ScenarioPolicy> MakeRotorScenario(PortId num_ports,
-                                                  const EngineConfig& config);
-
-/// The fluid packet fabric at `bandwidth` per port, rates set by
-/// `allocator` (Varys, Aalo, fair share), which must outlive the scenario.
-/// The registry's "varys" and "aalo" run it at `sunflow.bandwidth`.
+/// The fluid packet fabric at `bandwidth` per port, rates set by a
+/// caller-owned `allocator` (Varys, Aalo, fair share), which must outlive
+/// the scenario. "varys" and "aalo" own their default allocator instead.
 std::unique_ptr<ScenarioPolicy> MakePacketScenario(
     packet::RateAllocator& allocator, Bandwidth bandwidth);
 
-// --- Registry ------------------------------------------------------------
+/// Builds the named single-fabric built-in — "circuit", "kcore",
+/// "guarded", "rotor", "varys" or "aalo" — for a whole-trace replay
+/// (ScenarioRegistry::Run) or a streamed one (RunScenarioStream). `policy`
+/// may be null for the policy-free "rotor", "varys" and "aalo". "hybrid"
+/// is a composite of two replays and runs only through Run.
+std::unique_ptr<ScenarioPolicy> MakeScenario(const std::string& name,
+                                             PortId num_ports,
+                                             const PriorityPolicy* policy,
+                                             const EngineConfig& config);
 
-/// A registered scenario is a whole-trace run function; most wrap a
-/// ScenarioPolicy in a ReplayDriver, but composites (e.g. "hybrid", which
-/// splits the trace across two fabrics) own their orchestration. `policy`
-/// may be null for policy-free scenarios ("rotor", "varys", "aalo").
-using ScenarioFn = std::function<EngineResult(
-    const Trace&, const PriorityPolicy* policy, const EngineConfig&)>;
-
+/// The built-ins ("aalo", "circuit", "guarded", "hybrid", "kcore",
+/// "rotor", "varys") as one constant table, by name. Nothing writes it, so
+/// any number of threads may read it at once.
 class ScenarioRegistry {
  public:
-  /// The process-wide registry, with the built-ins ("circuit", "guarded",
-  /// "rotor", "hybrid", "kcore", "varys", "aalo") registered on first use.
-  /// Thread-safe.
-  static ScenarioRegistry& Global();
+  static const ScenarioRegistry& Global();
 
-  void Register(std::string name, std::string description, ScenarioFn run);
   bool Has(const std::string& name) const;
-  /// Runs the named scenario; throws CheckFailure for unknown names.
+  /// Replays the whole trace through the named scenario; every coflow must
+  /// complete. Throws CheckFailure for unknown names.
   EngineResult Run(const std::string& name, const Trace& trace,
                    const PriorityPolicy* policy,
                    const EngineConfig& config) const;
   /// (name, description) pairs, sorted by name — for --help text.
   std::vector<std::pair<std::string, std::string>> List() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::pair<std::string, ScenarioFn>> scenarios_;
 };
-
-/// Registers the built-in scenarios into `registry` (idempotent only if
-/// called once; ScenarioRegistry::Global() handles that).
-void RegisterBuiltinScenarios(ScenarioRegistry& registry);
 
 }  // namespace sunflow::engine

@@ -1,15 +1,18 @@
-// The built-in scenarios: "circuit" (Sunflow replan-on-events replay),
-// "kcore" (the same loop on K switch planes, joint or per-core planning),
-// "guarded" (the §4.2 starvation guard's (T + τ) cadence), "rotor" (blind
-// Φ rotation), "varys"/"aalo" (packet fabric) and "hybrid" (circuit +
-// companion packet fabric). Each is a direct port of a former standalone
-// engine loop onto the kernel; the arithmetic — summation order, dust
-// handling, ε comparisons — is preserved expression-for-expression so
-// replays are bit-identical to the pre-kernel engines.
+// The built-in scenarios: "circuit" (Sunflow replan-on-events replay,
+// planned jointly across the planes of a K-plane fabric), "kcore" (the same
+// loop with the per-core baseline's planning), "guarded" (the §4.2
+// starvation guard's (T + τ) cadence), "rotor" (blind Φ rotation),
+// "varys"/"aalo" (packet fabric) and "hybrid" (circuit + companion packet
+// fabric), and the constant table that names them. Each is a direct port
+// of a former standalone engine loop onto the kernel; the arithmetic —
+// summation order, dust handling, ε comparisons — is preserved
+// expression-for-expression so replays are bit-identical to the pre-kernel
+// engines.
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -315,8 +318,8 @@ SunflowSchedule PlanActiveSet(ReplayDriver& driver,
 //
 // The one circuit span loop: plan the active set with `plan_step`, execute
 // the plan until the next event, carry the circuits still up across the
-// replan. "circuit" and joint "kcore" plan with PlanJoint, the per-core
-// "kcore" baseline with PlanPerCore.
+// replan. "circuit" plans with PlanJoint, the per-core "kcore" baseline
+// with PlanPerCore.
 
 class CircuitScenario final : public ScenarioPolicy {
  public:
@@ -600,6 +603,12 @@ class PacketScenario final : public ScenarioPolicy {
       : allocator_(allocator), bandwidth_(bandwidth) {
     SUNFLOW_CHECK(bandwidth_ > 0);
   }
+  // Owns its allocator ("varys" and "aalo").
+  PacketScenario(std::unique_ptr<packet::RateAllocator> owned,
+                 Bandwidth bandwidth)
+      : PacketScenario(*owned, bandwidth) {
+    owned_ = std::move(owned);
+  }
 
   std::string name() const override {
     return std::string("packet/") + allocator_.name();
@@ -715,74 +724,13 @@ class PacketScenario final : public ScenarioPolicy {
     return os.str();
   }
 
+  std::unique_ptr<packet::RateAllocator> owned_;
   packet::RateAllocator& allocator_;
   Bandwidth bandwidth_ = 0;
   std::vector<packet::ActiveCoflow> active_;  // index-aligned with s.active()
   std::vector<packet::ActiveCoflow*> pointers_;
   bool reallocate_ = false;  // EngineResult::replans counts reallocations
 };
-
-// --- Registry run functions. --------------------------------------------
-
-// Replays the whole trace through the circuit span loop; every coflow must
-// complete.
-EngineResult RunCircuitLoop(const std::string& name, PlanStep plan_step,
-                            const Trace& trace, const PriorityPolicy* policy,
-                            const EngineConfig& config) {
-  trace.Validate();
-  SUNFLOW_CHECK_MSG(policy != nullptr,
-                    "the " << name << " scenario needs a priority policy");
-  CircuitScenario scenario(name, plan_step, *policy, config, nullptr);
-  auto result = RunScenarioReplay(trace, scenario, config.sink, config.timeline);
-  SUNFLOW_CHECK(result.cct.size() == trace.coflows.size());
-  return result;
-}
-
-EngineResult RunCircuit(const Trace& trace, const PriorityPolicy* policy,
-                        const EngineConfig& config) {
-  return RunCircuitLoop("circuit", PlanJoint, trace, policy, config);
-}
-
-// Joint planning over all K planes is the plane-aware circuit loop itself —
-// with an empty fabric spec byte-identical to "circuit" (the K=1
-// equivalence contract, core/fabric.h).
-EngineResult RunKCore(const Trace& trace, const PriorityPolicy* policy,
-                      const EngineConfig& config) {
-  return RunCircuitLoop("kcore", config.kcore_joint ? PlanJoint : PlanPerCore,
-                        trace, policy, config);
-}
-
-EngineResult RunGuarded(const Trace& trace, const PriorityPolicy* policy,
-                        const EngineConfig& config) {
-  trace.Validate();
-  SUNFLOW_CHECK_MSG(policy != nullptr,
-                    "the guarded scenario needs a priority policy");
-  GuardScenario scenario(trace.num_ports, *policy, config);
-  auto result = RunScenarioReplay(trace, scenario, config.sink, config.timeline);
-  SUNFLOW_CHECK(result.cct.size() == trace.coflows.size());
-  return result;
-}
-
-EngineResult RunRotor(const Trace& trace, const PriorityPolicy* /*policy*/,
-                      const EngineConfig& config) {
-  trace.Validate();
-  RotorScenario scenario(trace.num_ports, config);
-  auto result = RunScenarioReplay(trace, scenario, config.sink, config.timeline);
-  SUNFLOW_CHECK(result.cct.size() == trace.coflows.size());
-  return result;
-}
-
-// Replays the whole trace on the packet fabric at `bandwidth`; every
-// coflow must complete.
-EngineResult RunPacket(const Trace& trace, packet::RateAllocator& allocator,
-                       Bandwidth bandwidth, obs::TraceSink* sink = nullptr,
-                       obs::TimelineSampler* timeline = nullptr) {
-  trace.Validate();
-  PacketScenario scenario(allocator, bandwidth);
-  auto result = RunScenarioReplay(trace, scenario, sink, timeline);
-  SUNFLOW_CHECK(result.cct.size() == trace.coflows.size());
-  return result;
-}
 
 // Hybrid is a composite, not a span scenario: the trace is split by the
 // offload rule and each side replays on its own (physically separate)
@@ -803,18 +751,20 @@ EngineResult RunHybrid(const Trace& trace, const PriorityPolicy* policy,
     }
   }
 
+  const ScenarioRegistry& registry = ScenarioRegistry::Global();
   EngineResult result;
   if (!circuit_side.coflows.empty())
-    result = RunCircuit(circuit_side, policy, config);
+    result = registry.Run("circuit", circuit_side, policy, config);
   result.offloaded = packet_side.coflows.size();
   result.circuit = circuit_side.coflows.size();
   if (!packet_side.coflows.empty()) {
     // The companion packet network is coflow-scheduled too (the offloaded
     // traffic is small, so SEBF+MADD is a natural choice there). Untraced:
     // the auditor cannot tell its coflows from the circuit side's.
-    const auto varys = packet::MakeVarysAllocator();
+    EngineConfig packet_config;
+    packet_config.sunflow.bandwidth = config.packet_bandwidth;
     const EngineResult packet_result =
-        RunPacket(packet_side, *varys, config.packet_bandwidth);
+        registry.Run("varys", packet_side, nullptr, packet_config);
     result.cct.insert(packet_result.cct.begin(), packet_result.cct.end());
     result.completion.insert(packet_result.completion.begin(),
                              packet_result.completion.end());
@@ -826,6 +776,80 @@ EngineResult RunHybrid(const Trace& trace, const PriorityPolicy* policy,
   return result;
 }
 
+// --- The table. -----------------------------------------------------------
+
+struct Builtin {
+  const char* name;
+  const char* description;
+  bool needs_policy;
+  // Null for "hybrid", which Run orchestrates (RunHybrid).
+  std::unique_ptr<ScenarioPolicy> (*make)(PortId num_ports,
+                                          const PriorityPolicy* policy,
+                                          const EngineConfig& config);
+};
+
+template <typename S, typename... Args>
+std::unique_ptr<ScenarioPolicy> New(Args&&... args) {
+  return std::make_unique<S>(std::forward<Args>(args)...);
+}
+
+// Sorted by name. The packet baselines run at the link rate every
+// single-fabric scenario reads; the allocator imposes its own order, so
+// they take no policy.
+constexpr Builtin kBuiltins[] = {
+    {"aalo", "packet fabric, Aalo: D-CLAS queues (no policy)", false,
+     [](PortId, const PriorityPolicy*, const EngineConfig& c) {
+       return New<PacketScenario>(packet::MakeAaloAllocator(),
+                                  c.sunflow.bandwidth);
+     }},
+    {"circuit",
+     "Sunflow OCS replay: replan on arrivals/completions, carry-over; plans "
+     "jointly across the planes of a K-plane fabric",
+     true,
+     [](PortId n, const PriorityPolicy* p, const EngineConfig& c) {
+       return MakeCircuitScenario(n, *p, c);
+     }},
+    {"guarded", "circuit replay under the (T+tau) starvation guard", true,
+     [](PortId n, const PriorityPolicy* p, const EngineConfig& c) {
+       return New<GuardScenario>(n, *p, c);
+     }},
+    {"hybrid",
+     "OCS for big coflows, companion packet fabric below the offload "
+     "threshold",
+     false, nullptr},
+    {"kcore",
+     "K-core per-core baseline: each coflow pinned to one core, Sunflow per "
+     "core (joint K-plane planning is \"circuit\" on a K-plane fabric)",
+     true,
+     [](PortId, const PriorityPolicy* p, const EngineConfig& c) {
+       return New<CircuitScenario>("kcore", PlanPerCore, *p, c, nullptr);
+     }},
+    {"rotor", "demand-oblivious blind Phi rotation (no policy)", false,
+     [](PortId n, const PriorityPolicy*, const EngineConfig& c) {
+       return New<RotorScenario>(n, c);
+     }},
+    {"varys", "packet fabric, Varys: SEBF + MADD (no policy)", false,
+     [](PortId, const PriorityPolicy*, const EngineConfig& c) {
+       return New<PacketScenario>(packet::MakeVarysAllocator(),
+                                  c.sunflow.bandwidth);
+     }},
+};
+
+const Builtin& Find(const std::string& name) {
+  const Builtin* b = std::ranges::find(kBuiltins, name, &Builtin::name);
+  if (b == std::end(kBuiltins)) {
+    std::string names;
+    for (const Builtin& row : kBuiltins) {
+      if (!names.empty()) names += ", ";
+      names += row.name;
+    }
+    SUNFLOW_CHECK_MSG(false, "unknown scenario '" << name
+                                                  << "' — registered: "
+                                                  << names);
+  }
+  return *b;
+}
+
 }  // namespace
 
 std::unique_ptr<ScenarioPolicy> MakeCircuitScenario(
@@ -835,56 +859,52 @@ std::unique_ptr<ScenarioPolicy> MakeCircuitScenario(
                                            config, std::move(hook));
 }
 
-std::unique_ptr<ScenarioPolicy> MakeGuardScenario(
-    PortId num_ports, const PriorityPolicy& policy,
-    const EngineConfig& config) {
-  return std::make_unique<GuardScenario>(num_ports, policy, config);
-}
-
-std::unique_ptr<ScenarioPolicy> MakeRotorScenario(PortId num_ports,
-                                                  const EngineConfig& config) {
-  return std::make_unique<RotorScenario>(num_ports, config);
-}
-
 std::unique_ptr<ScenarioPolicy> MakePacketScenario(
     packet::RateAllocator& allocator, Bandwidth bandwidth) {
   return std::make_unique<PacketScenario>(allocator, bandwidth);
 }
 
-void RegisterBuiltinScenarios(ScenarioRegistry& registry) {
-  registry.Register("circuit",
-                    "Sunflow OCS replay: replan on arrivals/completions, "
-                    "carry-over",
-                    RunCircuit);
-  registry.Register("guarded",
-                    "circuit replay under the (T+tau) starvation guard",
-                    RunGuarded);
-  registry.Register("rotor",
-                    "demand-oblivious blind Phi rotation (no policy)",
-                    RunRotor);
-  registry.Register("hybrid",
-                    "OCS for big coflows, companion packet fabric below the "
-                    "offload threshold",
-                    RunHybrid);
-  registry.Register("kcore",
-                    "K-core OCS fabric: joint plane-aware planning "
-                    "(kcore_joint), or the per-core baseline — each coflow "
-                    "pinned to one core, Sunflow per core",
-                    RunKCore);
-  // The packet baselines run at the link rate every single-fabric scenario
-  // reads; the allocator imposes its own order, so they take no policy.
-  registry.Register(
-      "varys", "packet fabric, Varys: SEBF + MADD (no policy)",
-      [](const Trace& trace, const PriorityPolicy*, const EngineConfig& c) {
-        return RunPacket(trace, *packet::MakeVarysAllocator(),
-                         c.sunflow.bandwidth, c.sink, c.timeline);
-      });
-  registry.Register(
-      "aalo", "packet fabric, Aalo: D-CLAS queues (no policy)",
-      [](const Trace& trace, const PriorityPolicy*, const EngineConfig& c) {
-        return RunPacket(trace, *packet::MakeAaloAllocator(),
-                         c.sunflow.bandwidth, c.sink, c.timeline);
-      });
+std::unique_ptr<ScenarioPolicy> MakeScenario(const std::string& name,
+                                             PortId num_ports,
+                                             const PriorityPolicy* policy,
+                                             const EngineConfig& config) {
+  const Builtin& b = Find(name);
+  SUNFLOW_CHECK_MSG(b.make != nullptr,
+                    "\"" << name
+                         << "\" is a composite of two replays and runs only "
+                            "through ScenarioRegistry::Run");
+  SUNFLOW_CHECK_MSG(!b.needs_policy || policy != nullptr,
+                    "the " << name << " scenario needs a priority policy");
+  return b.make(num_ports, policy, config);
+}
+
+const ScenarioRegistry& ScenarioRegistry::Global() {
+  static const ScenarioRegistry registry{};
+  return registry;
+}
+
+bool ScenarioRegistry::Has(const std::string& name) const {
+  return std::ranges::find(kBuiltins, name, &Builtin::name) !=
+         std::end(kBuiltins);
+}
+
+EngineResult ScenarioRegistry::Run(const std::string& name, const Trace& trace,
+                                   const PriorityPolicy* policy,
+                                   const EngineConfig& config) const {
+  if (Find(name).make == nullptr) return RunHybrid(trace, policy, config);
+  trace.Validate();
+  const auto scenario = MakeScenario(name, trace.num_ports, policy, config);
+  auto result =
+      RunScenarioReplay(trace, *scenario, config.sink, config.timeline);
+  SUNFLOW_CHECK(result.cct.size() == trace.coflows.size());
+  return result;
+}
+
+std::vector<std::pair<std::string, std::string>> ScenarioRegistry::List()
+    const {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const Builtin& b : kBuiltins) out.emplace_back(b.name, b.description);
+  return out;
 }
 
 }  // namespace sunflow::engine
@@ -894,7 +914,10 @@ namespace sunflow::packet {
 PacketReplayResult ReplayPacketTrace(const Trace& trace,
                                      RateAllocator& allocator,
                                      const PacketReplayConfig& config) {
-  engine::EngineResult r = engine::RunPacket(trace, allocator, config.bandwidth);
+  trace.Validate();
+  const auto scenario = engine::MakePacketScenario(allocator, config.bandwidth);
+  engine::EngineResult r = engine::RunScenarioReplay(trace, *scenario, nullptr);
+  SUNFLOW_CHECK(r.cct.size() == trace.coflows.size());
   return {std::move(r.cct), std::move(r.completion), r.makespan, r.replans};
 }
 

@@ -142,12 +142,6 @@ class SimState {
   void PushRelease(Time release, const Coflow* coflow) {
     releases_.Push(release, coflow);
   }
-  /// Batched variant for whole-trace seeding: one heapify instead of one
-  /// sift per coflow, identical (time, seq) pop order (event_queue.h).
-  void PushReleaseBatch(
-      const std::vector<std::pair<Time, const Coflow*>>& batch) {
-    releases_.PushBatch(batch);
-  }
   bool HasPendingReleases() const { return !releases_.empty(); }
   Time NextReleaseTime() const { return releases_.next_time(); }
   EventQueue<const Coflow*>& releases() { return releases_; }

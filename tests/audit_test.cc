@@ -276,9 +276,11 @@ TEST(Driver, InterCoflowPlanExecutes) {
   obs::MemorySink sink;
   SunflowPlanner planner(4, Config());
   planner.SetTraceSink(&sink);
-  planner.ScheduleAll(
-      {PlanRequest::FromCoflow(trace.coflows[0], Gbps(1), 0.0),
-       PlanRequest::FromCoflow(trace.coflows[1], Gbps(1), 0.0)});
+  const PlanRequest first =
+      PlanRequest::FromCoflow(trace.coflows[0], Gbps(1), 0.0);
+  const PlanRequest second =
+      PlanRequest::FromCoflow(trace.coflows[1], Gbps(1), 0.0);
+  planner.ScheduleAll({&first, &second});
   EXPECT_EQ(Violations(sink.events(), AuditDemandOf(trace, Config())),
             kClean);
 }

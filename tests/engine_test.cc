@@ -64,11 +64,9 @@ TEST(EventQueue, CountsPushesAndPops) {
 }
 
 TEST(EventQueue, BatchOpsMatchElementWiseUnderRandomInterleavings) {
-  // Property: a queue driven by PushBatch/PopDue pops the exact same
-  // (time, payload) sequence as one driven element-wise, under randomized
-  // interleavings of pushes and drains. (time, seq) is a total order —
-  // seq is unique — so one make_heap over appended entries must be
-  // indistinguishable from heapifying push by push.
+  // Property: a queue drained by PopDue pops the exact same (time,
+  // payload) sequence as one drained Pop by Pop, under randomized
+  // interleavings of pushes and drains.
   Rng rng(20161212);
   for (int trial = 0; trial < 40; ++trial) {
     EventQueue<int> element_wise;
@@ -78,15 +76,13 @@ TEST(EventQueue, BatchOpsMatchElementWiseUnderRandomInterleavings) {
     int next_payload = 0;
     for (int step = 0; step < 30; ++step) {
       if (rng.UniformInt(0, 2) != 0) {
-        // Push the same batch to both sides: element-wise to one, one
-        // PushBatch (including possibly-empty batches) to the other.
-        std::vector<std::pair<Time, int>> batch;
+        // Push the same (possibly empty) batch to both sides.
         const auto k = rng.UniformInt(0, 5);
         for (std::int64_t i = 0; i < k; ++i) {
-          batch.emplace_back(rng.Uniform(0, 10), next_payload++);
+          const Time t = rng.Uniform(0, 10);
+          element_wise.Push(t, next_payload);
+          batched.Push(t, next_payload++);
         }
-        for (const auto& [t, p] : batch) element_wise.Push(t, p);
-        batched.PushBatch(batch);
       } else {
         // Drain everything due at a random cutoff from both sides.
         const Time cutoff = rng.Uniform(0, 12);
@@ -434,9 +430,7 @@ TEST(ReplayDriver, RemainingFlowsCountsOnlyUnfinishedFlows) {
     ReplayDriver driver(trace.num_ports, nullptr);
     RecountingPolicy policy(driver.state());
     const auto scenario =
-        scenario_name == "circuit"
-            ? MakeCircuitScenario(trace.num_ports, policy, ec)
-            : MakeGuardScenario(trace.num_ports, policy, ec);
+        MakeScenario(scenario_name, trace.num_ports, &policy, ec);
     for (const Coflow& c : trace.coflows)
       driver.state().PushRelease(c.arrival(), &c);
     const EngineResult result = driver.Run(*scenario);
@@ -449,14 +443,51 @@ TEST(ReplayDriver, RemainingFlowsCountsOnlyUnfinishedFlows) {
 }
 
 TEST(ScenarioRegistry, ListsTheBuiltinScenarios) {
-  auto& registry = ScenarioRegistry::Global();
-  for (const char* name :
-       {"circuit", "guarded", "rotor", "hybrid", "varys", "aalo"}) {
-    EXPECT_TRUE(registry.Has(name)) << name;
-  }
+  const auto& registry = ScenarioRegistry::Global();
+  const std::vector<std::string> names = {"aalo",   "circuit", "guarded",
+                                          "hybrid", "kcore",   "rotor",
+                                          "varys"};
   const auto listed = registry.List();
-  EXPECT_GE(listed.size(), 6u);
-  EXPECT_TRUE(std::is_sorted(listed.begin(), listed.end()));
+  ASSERT_EQ(listed.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(listed[i].first, names[i]);
+    EXPECT_FALSE(listed[i].second.empty()) << names[i];
+    EXPECT_TRUE(registry.Has(names[i])) << names[i];
+  }
+  EXPECT_FALSE(registry.Has("joint"));
+}
+
+TEST(ScenarioRegistry, MakeScenarioNamesWhatItCannotBuild) {
+  const auto policy = MakeShortestFirstPolicy();
+  const EngineConfig ec = UnitConfig();
+  const auto message = [&](const std::string& name,
+                           const PriorityPolicy* p) -> std::string {
+    try {
+      MakeScenario(name, 4, p, ec);
+    } catch (const CheckFailure& e) {
+      return e.what();
+    }
+    ADD_FAILURE() << name << " was built";
+    return "";
+  };
+  EXPECT_NE(message("joint", policy.get())
+                .find("unknown scenario 'joint' — registered: aalo, circuit, "
+                      "guarded, hybrid, kcore, rotor, varys"),
+            std::string::npos);
+  EXPECT_NE(message("hybrid", policy.get())
+                .find("\"hybrid\" is a composite of two replays and runs "
+                      "only through ScenarioRegistry::Run"),
+            std::string::npos);
+  for (const char* name : {"circuit", "guarded", "kcore"}) {
+    EXPECT_NE(message(name, nullptr)
+                  .find(std::string("the ") + name +
+                        " scenario needs a priority policy"),
+              std::string::npos)
+        << name;
+    EXPECT_EQ(MakeScenario(name, 4, policy.get(), ec)->name(), name);
+  }
+  for (const char* name : {"rotor", "varys", "aalo"})
+    EXPECT_NE(MakeScenario(name, 4, nullptr, ec), nullptr) << name;
 }
 
 TEST(ScenarioRegistry, RunExecutesByName) {
@@ -522,17 +553,18 @@ void ExpectBitIdentical(const std::map<CoflowId, Time>& a,
   }
 }
 
-// One registered scenario in one configuration. Every scenario-wide
-// property test walks this table and fails if a registered scenario is
-// missing from it.
+// One built-in scenario in one configuration. Every scenario-wide
+// property test walks this table and fails if a built-in is missing from
+// it.
 struct ScenarioCase {
   std::string scenario;
   bool plans;  // records per-coflow reservations
   int planes;
-  bool kcore_joint;
 
   std::string what() const {
-    return scenario + (kcore_joint ? "" : " (per-core)");
+    return scenario + (planes > 1 ? " on " + std::to_string(planes) +
+                                        " planes"
+                                  : "");
   }
   EngineConfig Config() const {
     EngineConfig ec = UnitConfig();
@@ -540,17 +572,17 @@ struct ScenarioCase {
       ec.sunflow.fabric = FabricSpec::Uniform(planes, ec.sunflow.delta,
                                               ec.sunflow.bandwidth);
     }
-    ec.kcore_joint = kcore_joint;
     return ec;
   }
 };
 
+// "circuit" on two planes plans jointly; "kcore" there is the per-core
+// baseline.
 const std::vector<ScenarioCase>& ScenarioCases() {
   static const std::vector<ScenarioCase> cases = {
-      {"circuit", true, 1, true},  {"guarded", true, 1, true},
-      {"rotor", false, 1, true},   {"hybrid", true, 1, true},
-      {"kcore", true, 2, true},    {"kcore", true, 2, false},
-      {"varys", false, 1, true},   {"aalo", false, 1, true},
+      {"circuit", true, 1}, {"guarded", true, 1}, {"rotor", false, 1},
+      {"hybrid", true, 1},  {"circuit", true, 2}, {"kcore", true, 2},
+      {"varys", false, 1},  {"aalo", false, 1},
   };
   return cases;
 }
@@ -563,7 +595,7 @@ void ExpectEveryScenarioCovered(const std::set<std::string>& covered,
 
 TEST(ScenarioRegistry, RepeatedReplayIsBitIdentical) {
   // Results are a pure function of (trace, policy, config): replaying one
-  // trace twice in the same process through every registered scenario
+  // trace twice in the same process through every built-in scenario
   // must reproduce the first run bit for bit — no planner, cache or
   // registry state may carry from one run into the next.
   Trace trace;
@@ -645,7 +677,7 @@ TEST(ScenarioRegistry, CctsInvariantUnderByteAndRateScaling) {
       EngineResult scaled;
       if (c.scenario == "aalo") {
         // Aalo's queue limits (10 MB × 10^k) are byte thresholds too, so
-        // they scale with the bytes; the registry entry keeps the default.
+        // they scale with the bytes; the "aalo" row keeps the default.
         packet::AaloConfig aalo_cfg;
         aalo_cfg.first_queue_limit *= factor;
         const auto aalo = packet::MakeAaloAllocator(aalo_cfg);

@@ -200,7 +200,7 @@ TEST(GoldenEquivalence, PlannerTraceOnContendedCoflows) {
   SunflowPlanner planner(10, cfg);
   obs::MemorySink sink;
   planner.SetTraceSink(&sink);
-  planner.ScheduleAll(std::vector<PlanRequest>{o2m, m2m});
+  planner.ScheduleAll({&o2m, &m2m});
   ASSERT_GT(sink.CountOf(obs::EventType::kFlowBlocked), 0u);
   std::ostringstream out;
   obs::WriteJsonl(out, sink.events());

@@ -8,8 +8,9 @@
 // resolving one explicit plane must not change a single bit of any
 // schedule, because plane-0 arithmetic rides the IEEE identities
 // x * 1.0 == x and x / 1.0 == x. The fig9 section additionally runs
-// through the "kcore" scenario in joint mode, pinning that the plane-aware
-// dispatch layer is transparent at K=1 too.
+// through the per-core "kcore" scenario, pinning that at K=1 the per-core
+// baseline (every coflow on core 0, planned on one Uniform(1, δ, B) plane)
+// is the joint planner, bit for bit.
 //
 // Never regenerate goldens from this suite — it exists to be compared
 // against the classic path's output (golden_equivalence_test.cc owns

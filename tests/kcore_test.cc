@@ -1,9 +1,10 @@
 // K-core OCS fabric: the per-core assignment layer (sched/kcore.h), the
-// "kcore" engine scenario, and the K=1 equivalence contract — with an
-// empty fabric (or an explicit single full-rate plane) the plane-aware
-// machinery must reproduce the classic "circuit" scenario exactly, and on
-// K>1 fabrics every emitted trace must audit clean against its demand
-// (per-plane port exclusivity and δ, every byte served).
+// per-core "kcore" engine scenario, and the K=1 equivalence contract — with
+// an empty fabric (or an explicit single full-rate plane) the per-core
+// baseline must reproduce the classic "circuit" scenario exactly, and on
+// K>1 fabrics every emitted trace, joint ("circuit") or per-core, must
+// audit clean against its demand (per-plane port exclusivity and δ, every
+// byte served).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "sched/kcore.h"
 #include "sim/engine/scenario.h"
 #include "trace/coflow.h"
+#include "trace/generator.h"
 
 namespace sunflow {
 namespace {
@@ -118,24 +120,38 @@ TEST(KCoreScenario, IsRegistered) {
   EXPECT_TRUE(engine::ScenarioRegistry::Global().Has("kcore"));
 }
 
-TEST(KCoreScenario, JointOnDefaultFabricMatchesCircuitExactly) {
-  // The K=1 equivalence contract, engine side: "kcore" in joint mode with
-  // an empty fabric IS the plane-aware circuit scenario, and its results
-  // must be bit-identical to "circuit", not merely close.
-  const Trace trace = SmallTrace();
+TEST(KCoreScenario, PerCoreOnOnePlaneMatchesCircuitExactly) {
+  // The K=1 equivalence contract, engine side: on one plane the per-core
+  // baseline pins every coflow to core 0 in priority order and plans it on
+  // a Uniform(1, δ, B) planner, which is the joint planner. So "kcore" must
+  // reproduce "circuit" exactly, not merely closely, on the empty fabric
+  // and on an explicit single plane, through replans that carry circuits.
+  SyntheticTraceConfig cfg;
+  cfg.num_coflows = 40;
+  cfg.num_ports = 16;
+  const Trace trace =
+      PerturbFlowSizes(GenerateSyntheticTrace(cfg), 0.05, MB(1), cfg.seed + 1);
   const auto policy = MakeShortestFirstPolicy();
-  const auto circuit = engine::ScenarioRegistry::Global().Run(
-      "circuit", trace, policy.get(), BaseConfig());
-  engine::EngineConfig ec = BaseConfig();
-  ec.kcore_joint = true;
-  const auto kcore =
-      engine::ScenarioRegistry::Global().Run("kcore", trace, policy.get(), ec);
-  ASSERT_EQ(circuit.cct.size(), kcore.cct.size());
-  for (const auto& [id, cct] : circuit.cct) {
-    EXPECT_EQ(cct, kcore.cct.at(id)) << "coflow " << id;
+  const auto& registry = engine::ScenarioRegistry::Global();
+  const auto circuit =
+      registry.Run("circuit", trace, policy.get(), BaseConfig());
+  engine::EngineConfig no_carry = BaseConfig();
+  no_carry.carry_over_circuits = false;
+  EXPECT_NE(registry.Run("circuit", trace, policy.get(), no_carry).cct,
+            circuit.cct)
+      << "no circuit is carried across a replan";
+
+  engine::EngineConfig explicit_one = BaseConfig();
+  explicit_one.sunflow.fabric = FabricSpec::Uniform(
+      1, explicit_one.sunflow.delta, explicit_one.sunflow.bandwidth);
+  for (const engine::EngineConfig& ec : {BaseConfig(), explicit_one}) {
+    const auto kcore = registry.Run("kcore", trace, policy.get(), ec);
+    EXPECT_EQ(kcore.cct, circuit.cct);
+    EXPECT_EQ(kcore.completion, circuit.completion);
+    EXPECT_EQ(kcore.reservations, circuit.reservations);
+    EXPECT_EQ(kcore.makespan, circuit.makespan);
+    EXPECT_EQ(kcore.replans, circuit.replans);
   }
-  EXPECT_EQ(circuit.makespan, kcore.makespan);
-  EXPECT_EQ(circuit.replans, kcore.replans);
 }
 
 TEST(KCoreScenario, ExplicitSinglePlaneMatchesDefaultFabric) {
@@ -143,19 +159,18 @@ TEST(KCoreScenario, ExplicitSinglePlaneMatchesDefaultFabric) {
   // fabric defaults to, on both the joint and the per-core path.
   const Trace trace = SmallTrace();
   const auto policy = MakeShortestFirstPolicy();
-  for (const bool joint : {true, false}) {
-    engine::EngineConfig base = BaseConfig();
-    base.kcore_joint = joint;
+  for (const char* scenario : {"circuit", "kcore"}) {
+    const engine::EngineConfig base = BaseConfig();
     engine::EngineConfig explicit_one = base;
     explicit_one.sunflow.fabric =
         FabricSpec::Uniform(1, base.sunflow.delta, base.sunflow.bandwidth);
-    const auto a = engine::ScenarioRegistry::Global().Run("kcore", trace,
+    const auto a = engine::ScenarioRegistry::Global().Run(scenario, trace,
                                                           policy.get(), base);
     const auto b = engine::ScenarioRegistry::Global().Run(
-        "kcore", trace, policy.get(), explicit_one);
+        scenario, trace, policy.get(), explicit_one);
     ASSERT_EQ(a.cct.size(), b.cct.size());
     for (const auto& [id, cct] : a.cct) {
-      EXPECT_EQ(cct, b.cct.at(id)) << "coflow " << id << " joint=" << joint;
+      EXPECT_EQ(cct, b.cct.at(id)) << "coflow " << id << " " << scenario;
     }
   }
 }
@@ -166,7 +181,6 @@ TEST(KCoreScenario, PerCoreUsesAllPlanesAndAuditsClean) {
   engine::EngineConfig ec = BaseConfig();
   ec.sunflow.fabric =
       FabricSpec::Uniform(2, ec.sunflow.delta, ec.sunflow.bandwidth);
-  ec.kcore_joint = false;
   obs::MemorySink sink;
   ec.sink = &sink;
   const auto result =
@@ -193,9 +207,10 @@ TEST(KCoreScenario, PerCoreUsesAllPlanesAndAuditsClean) {
 
 TEST(KCoreScenario, JointMultiPlaneAuditsCleanAndBeatsSplitPerCore) {
   // K=2 with the aggregate bandwidth split B/2 per plane. Joint planning
-  // may interleave every coflow across both planes; the per-core baseline
-  // pins each coflow to one half-rate core, so its total CCT can only be
-  // worse or equal. Both traces must be physically consistent per plane.
+  // ("circuit") may interleave every coflow across both planes; the
+  // per-core baseline ("kcore") pins each coflow to one half-rate core, so
+  // its total CCT can only be worse or equal. Both traces must be
+  // physically consistent per plane.
   const Trace trace = SmallTrace();
   const auto policy = MakeShortestFirstPolicy();
   engine::EngineConfig ec = BaseConfig();
@@ -204,11 +219,10 @@ TEST(KCoreScenario, JointMultiPlaneAuditsCleanAndBeatsSplitPerCore) {
 
   double totals[2] = {0, 0};
   for (const bool joint : {true, false}) {
-    ec.kcore_joint = joint;
     obs::MemorySink sink;
     ec.sink = &sink;
     const auto result = engine::ScenarioRegistry::Global().Run(
-        "kcore", trace, policy.get(), ec);
+        joint ? "circuit" : "kcore", trace, policy.get(), ec);
     EXPECT_EQ(result.cct.size(), trace.coflows.size());
     for (const auto& [id, cct] : result.cct) totals[joint ? 0 : 1] += cct;
     const obs::AuditDemand demand = AuditDemandOf(trace, ec.sunflow);
@@ -236,7 +250,6 @@ TEST(KCoreScenario, TwoFullRatePlanesRemoveCrossCoflowContention) {
   engine::EngineConfig ec = BaseConfig();
   ec.sunflow.fabric =
       FabricSpec::Uniform(2, ec.sunflow.delta, ec.sunflow.bandwidth);
-  ec.kcore_joint = false;
   const auto result =
       engine::ScenarioRegistry::Global().Run("kcore", trace, policy.get(), ec);
   EXPECT_NEAR(result.cct.at(1), solo, 1e-9);

@@ -424,9 +424,11 @@ TEST(PlannerWakeup, ScheduleAllEqualsSequentialScheduleOne) {
       reqs.push_back(
           Quantized(RandomRequest(rng, ports, id, start), quantum));
 
+    std::vector<const PlanRequest*> pointers;
+    for (const PlanRequest& r : reqs) pointers.push_back(&r);
     SunflowPlanner all(ports, cfg);
     all.SetEstablishedCircuits(circuits, start);
-    const SunflowSchedule got = all.ScheduleAll(reqs);
+    const SunflowSchedule got = all.ScheduleAll(pointers);
 
     SunflowPlanner seq(ports, cfg);
     seq.SetEstablishedCircuits(circuits, start);
@@ -437,7 +439,7 @@ TEST(PlannerWakeup, ScheduleAllEqualsSequentialScheduleOne) {
 
     SunflowPlanner again(ports, cfg);
     again.SetEstablishedCircuits(circuits, start);
-    ExpectSchedulesEqual(again.ScheduleAll(reqs), got);
+    ExpectSchedulesEqual(again.ScheduleAll(pointers), got);
   }
 }
 

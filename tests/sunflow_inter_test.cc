@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "core/policy.h"
 #include "core/starvation.h"
@@ -17,6 +19,14 @@ SunflowConfig Config() {
   return c;
 }
 
+// InterCoflow over `requests` in the given order.
+SunflowSchedule PlanInOrder(SunflowPlanner& planner,
+                            const std::vector<PlanRequest>& requests) {
+  std::vector<const PlanRequest*> pointers;
+  for (const PlanRequest& r : requests) pointers.push_back(&r);
+  return planner.ScheduleAll(pointers);
+}
+
 TEST(SunflowInter, HigherPriorityNeverBlocked) {
   // Two coflows competing for the same ports. The one scheduled first must
   // finish exactly as if it were alone.
@@ -26,9 +36,9 @@ TEST(SunflowInter, HigherPriorityNeverBlocked) {
   const auto alone = ScheduleSingleCoflow(high, 4, Config());
 
   SunflowPlanner planner(4, Config());
-  const auto combined = planner.ScheduleAll(
-      {PlanRequest::FromCoflow(high, Gbps(1), 0.0),
-       PlanRequest::FromCoflow(low, Gbps(1), 0.0)});
+  const auto combined =
+      PlanInOrder(planner, {PlanRequest::FromCoflow(high, Gbps(1), 0.0),
+                            PlanRequest::FromCoflow(low, Gbps(1), 0.0)});
 
   EXPECT_NEAR(combined.completion_time.at(1),
               alone.completion_time.at(1), 1e-9);
@@ -57,13 +67,13 @@ TEST(SunflowInter, AddingLowPriorityNeverHurtsAnyHigher) {
     // Plan first two, then all three; first two must be unchanged.
     SunflowPlanner p2(5, Config());
     const auto plan2 =
-        p2.ScheduleAll({PlanRequest::FromCoflow(coflows[0], Gbps(1), 0.0),
-                        PlanRequest::FromCoflow(coflows[1], Gbps(1), 0.0)});
+        PlanInOrder(p2, {PlanRequest::FromCoflow(coflows[0], Gbps(1), 0.0),
+                         PlanRequest::FromCoflow(coflows[1], Gbps(1), 0.0)});
     SunflowPlanner p3(5, Config());
     const auto plan3 =
-        p3.ScheduleAll({PlanRequest::FromCoflow(coflows[0], Gbps(1), 0.0),
-                        PlanRequest::FromCoflow(coflows[1], Gbps(1), 0.0),
-                        PlanRequest::FromCoflow(coflows[2], Gbps(1), 0.0)});
+        PlanInOrder(p3, {PlanRequest::FromCoflow(coflows[0], Gbps(1), 0.0),
+                         PlanRequest::FromCoflow(coflows[1], Gbps(1), 0.0),
+                         PlanRequest::FromCoflow(coflows[2], Gbps(1), 0.0)});
     EXPECT_NEAR(plan2.completion_time.at(1), plan3.completion_time.at(1),
                 1e-9);
     EXPECT_NEAR(plan2.completion_time.at(2), plan3.completion_time.at(2),
@@ -86,10 +96,10 @@ TEST(SunflowInter, PaperFigure2Shape) {
   SunflowPlanner planner(8, Config());
   obs::MemorySink sink;
   planner.SetTraceSink(&sink);
-  const auto plan = planner.ScheduleAll(
-      {PlanRequest::FromCoflow(c1, Gbps(1), 0.0),
-       PlanRequest::FromCoflow(c2, Gbps(1), 0.0),
-       PlanRequest::FromCoflow(c3, Gbps(1), 0.0)});
+  const auto plan =
+      PlanInOrder(planner, {PlanRequest::FromCoflow(c1, Gbps(1), 0.0),
+                            PlanRequest::FromCoflow(c2, Gbps(1), 0.0),
+                            PlanRequest::FromCoflow(c3, Gbps(1), 0.0)});
 
   EXPECT_NEAR(plan.completion_time.at(1), c1_alone.completion_time.at(1),
               1e-9);
@@ -108,9 +118,9 @@ TEST(SunflowInter, LowerPriorityReservationsMaySplit) {
   const Coflow high(1, 0, {{0, 1, MB(50)}, {2, 1, MB(50)}});
   const Coflow low(2, 0, {{2, 3, MB(100)}});
   SunflowPlanner planner(4, Config());
-  const auto plan = planner.ScheduleAll(
-      {PlanRequest::FromCoflow(high, Gbps(1), 0.0),
-       PlanRequest::FromCoflow(low, Gbps(1), 0.0)});
+  const auto plan =
+      PlanInOrder(planner, {PlanRequest::FromCoflow(high, Gbps(1), 0.0),
+                            PlanRequest::FromCoflow(low, Gbps(1), 0.0)});
   // in.2 serves high's (2->1) starting at 0.05+... low (2->3) must wait or
   // fit around it; in either case both complete and the PRT stays valid.
   EXPECT_GT(plan.reservation_count.at(2), 0);
@@ -232,8 +242,9 @@ TEST(Policy, CombinedTraceReplays) {
   trace.coflows.push_back(Coflow(2, 0.0, {{0, 1, MB(50)}}));
   const auto combined = CombineTraceByClass(trace, {{1, 0}, {2, 0}});
   SunflowPlanner planner(3, Config());
-  const auto plan = planner.ScheduleAll({PlanRequest::FromCoflow(
-      combined.trace.coflows[0], Gbps(1), 0.0)});
+  const auto plan = PlanInOrder(
+      planner,
+      {PlanRequest::FromCoflow(combined.trace.coflows[0], Gbps(1), 0.0)});
   // 100 MB merged on one circuit: one reservation, δ + 0.8 s.
   EXPECT_NEAR(plan.completion_time.at(kCombinedIdBase), Millis(10) + 0.8,
               1e-9);

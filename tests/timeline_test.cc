@@ -149,7 +149,8 @@ TEST(EventQueue, DepthHighWaterTracksPeakSize) {
   q.Pop();
   q.Push(4.0, 40);  // size back to 2: high water must stay at 3
   EXPECT_EQ(q.stats().depth_high_water, 3u);
-  q.PushBatch({{5.0, 50}, {6.0, 60}});
+  q.Push(5.0, 50);
+  q.Push(6.0, 60);
   EXPECT_EQ(q.stats().depth_high_water, 4u);
 }
 
@@ -310,7 +311,6 @@ TEST(TimelineEngine, KCoreTraceWithSamplerAttributesAndAuditsClean) {
   engine::EngineConfig ec = BaseConfig();
   ec.sunflow.fabric =
       FabricSpec::Uniform(2, ec.sunflow.delta, ec.sunflow.bandwidth);
-  ec.kcore_joint = false;
   TimelineSampler sampler;
   obs::MemorySink sink;
   ec.timeline = &sampler;

@@ -31,8 +31,6 @@
 
 #include "core/fabric.h"
 #include "core/policy.h"
-#include "packet/aalo.h"
-#include "packet/varys.h"
 #include "runtime/thread_pool.h"
 #include "sim/engine/driver.h"
 #include "sim/engine/scenario.h"
@@ -475,36 +473,25 @@ engine::EngineConfig BaseEngineConfig() {
 }
 
 // Replays `trace` both ways — whole-trace seeding vs pulling from a .sft
-// file through a decode pool of `threads` — and demands identical results.
-// "kcore" runs on a 2-plane fabric, where joint planning is the circuit
-// span loop itself, so its stream goes through MakeCircuitScenario.
-void CheckStreamedEquivalence(const std::string& scenario_name, int threads) {
+// file through a decode pool of `threads` — on a fabric of `planes` planes,
+// and demands identical results. Both ways build the scenario from its
+// name alone.
+void CheckStreamedEquivalence(const std::string& scenario_name, int planes,
+                              int threads) {
   const Trace trace = GoldenTrace(60, 24);
-  const std::string path = TmpPath("replay_" + scenario_name + "_" +
-                                   std::to_string(threads) + ".sft");
+  const std::string path =
+      TmpPath("replay_" + scenario_name + "_" + std::to_string(planes) + "_" +
+              std::to_string(threads) + ".sft");
   TraceStreamOptions so;
   so.block_bytes = 2048;
   WriteTraceStream(path, trace, so);
 
   const auto policy = MakeShortestFirstPolicy();
   engine::EngineConfig ec = BaseEngineConfig();
-  if (scenario_name == "kcore") {
+  if (planes > 1) {
     ec.sunflow.fabric =
-        FabricSpec::Uniform(2, ec.sunflow.delta, ec.sunflow.bandwidth);
+        FabricSpec::Uniform(planes, ec.sunflow.delta, ec.sunflow.bandwidth);
   }
-  const auto varys = packet::MakeVarysAllocator();
-  const auto aalo = packet::MakeAaloAllocator();
-  const auto make = [&]() {
-    if (scenario_name == "guarded")
-      return engine::MakeGuardScenario(trace.num_ports, *policy, ec);
-    if (scenario_name == "rotor")
-      return engine::MakeRotorScenario(trace.num_ports, ec);
-    if (scenario_name == "varys")
-      return engine::MakePacketScenario(*varys, ec.sunflow.bandwidth);
-    if (scenario_name == "aalo")
-      return engine::MakePacketScenario(*aalo, ec.sunflow.bandwidth);
-    return engine::MakeCircuitScenario(trace.num_ports, *policy, ec);
-  };
 
   const auto in_memory = engine::ScenarioRegistry::Global().Run(
       scenario_name, trace, policy.get(), ec);
@@ -513,7 +500,8 @@ void CheckStreamedEquivalence(const std::string& scenario_name, int threads) {
   if (threads > 1) pool = std::make_unique<runtime::ThreadPool>(threads);
   TraceStreamOptions ro = so;
   ro.pool = pool.get();
-  auto scenario = make();
+  const auto scenario =
+      engine::MakeScenario(scenario_name, trace.num_ports, policy.get(), ec);
   TraceReader reader(path, ro);
   const auto streamed =
       engine::RunScenarioStream(reader, *scenario, nullptr, nullptr);
@@ -522,40 +510,48 @@ void CheckStreamedEquivalence(const std::string& scenario_name, int threads) {
 }
 
 TEST(StreamedReplay, CircuitMatchesInMemorySerial) {
-  CheckStreamedEquivalence("circuit", 1);
+  CheckStreamedEquivalence("circuit", 1, 1);
 }
 TEST(StreamedReplay, CircuitMatchesInMemoryThreads8) {
-  CheckStreamedEquivalence("circuit", 8);
+  CheckStreamedEquivalence("circuit", 1, 8);
 }
 TEST(StreamedReplay, GuardedMatchesInMemorySerial) {
-  CheckStreamedEquivalence("guarded", 1);
+  CheckStreamedEquivalence("guarded", 1, 1);
 }
 TEST(StreamedReplay, GuardedMatchesInMemoryThreads8) {
-  CheckStreamedEquivalence("guarded", 8);
+  CheckStreamedEquivalence("guarded", 1, 8);
 }
 TEST(StreamedReplay, RotorMatchesInMemorySerial) {
-  CheckStreamedEquivalence("rotor", 1);
+  CheckStreamedEquivalence("rotor", 1, 1);
 }
 TEST(StreamedReplay, RotorMatchesInMemoryThreads8) {
-  CheckStreamedEquivalence("rotor", 8);
+  CheckStreamedEquivalence("rotor", 1, 8);
 }
 TEST(StreamedReplay, VarysMatchesInMemorySerial) {
-  CheckStreamedEquivalence("varys", 1);
+  CheckStreamedEquivalence("varys", 1, 1);
 }
 TEST(StreamedReplay, VarysMatchesInMemoryThreads8) {
-  CheckStreamedEquivalence("varys", 8);
+  CheckStreamedEquivalence("varys", 1, 8);
 }
 TEST(StreamedReplay, AaloMatchesInMemorySerial) {
-  CheckStreamedEquivalence("aalo", 1);
+  CheckStreamedEquivalence("aalo", 1, 1);
 }
 TEST(StreamedReplay, AaloMatchesInMemoryThreads8) {
-  CheckStreamedEquivalence("aalo", 8);
+  CheckStreamedEquivalence("aalo", 1, 8);
 }
+// Joint planning on a K-plane fabric is "circuit" there; "kcore" is the
+// per-core baseline on the same fabric.
 TEST(StreamedReplay, KCoreJointMatchesInMemorySerial) {
-  CheckStreamedEquivalence("kcore", 1);
+  CheckStreamedEquivalence("circuit", 2, 1);
 }
 TEST(StreamedReplay, KCoreJointMatchesInMemoryThreads8) {
-  CheckStreamedEquivalence("kcore", 8);
+  CheckStreamedEquivalence("circuit", 2, 8);
+}
+TEST(StreamedReplay, KCorePerCoreMatchesInMemorySerial) {
+  CheckStreamedEquivalence("kcore", 2, 1);
+}
+TEST(StreamedReplay, KCorePerCoreMatchesInMemoryThreads8) {
+  CheckStreamedEquivalence("kcore", 2, 8);
 }
 
 TEST(StreamedReplay, CompletionSinkMatchesResultMaps) {
