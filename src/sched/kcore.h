@@ -15,13 +15,13 @@
 #pragma once
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "common/assert.h"
 #include "common/units.h"
 #include "core/fabric.h"
 #include "core/sunflow.h"
+#include "trace/bounds.h"
 
 namespace sunflow {
 
@@ -42,17 +42,11 @@ struct KCoreAssignment {
 /// Σ-column of the demand matrix) — the lower bound TcL any single core
 /// needs to drain the coflow.
 inline Time BottleneckProcessing(const PlanRequest& request) {
-  std::map<PortId, Time> in_sum;
-  std::map<PortId, Time> out_sum;
-  for (const FlowDemand& f : request.demand) {
-    in_sum[f.src] += f.processing;
-    out_sum[f.dst] += f.processing;
-  }
-  Time bottleneck = 0;
-  for (const auto& [port, sum] : in_sum) bottleneck = std::max(bottleneck, sum);
-  for (const auto& [port, sum] : out_sum)
-    bottleneck = std::max(bottleneck, sum);
-  return bottleneck;
+  PortId ports = 0;
+  for (const FlowDemand& f : request.demand)
+    ports = std::max({ports, f.src + 1, f.dst + 1});
+  return MaxPortSum(request.demand, ports,
+                    [](const FlowDemand& f) { return f.processing; });
 }
 
 /// The papers' per-core greedy: shortest-effective-bottleneck-first

@@ -1,37 +1,17 @@
 #include "trace/bounds.h"
 
-#include <algorithm>
-#include <map>
-
 namespace sunflow {
-
-namespace {
-// Computes max over in-ports / out-ports of the per-flow cost function.
-template <typename CostFn>
-Time MaxPortLoad(const Coflow& coflow, CostFn cost) {
-  std::map<PortId, Time> in_load, out_load;
-  for (const Flow& f : coflow.flows()) {
-    const Time c = cost(f);
-    in_load[f.src] += c;
-    out_load[f.dst] += c;
-  }
-  Time best = 0;
-  for (const auto& [p, v] : in_load) best = std::max(best, v);
-  for (const auto& [p, v] : out_load) best = std::max(best, v);
-  return best;
-}
-}  // namespace
 
 Time PacketLowerBound(const Coflow& coflow, Bandwidth bandwidth) {
   SUNFLOW_CHECK(bandwidth > 0);
-  return MaxPortLoad(coflow,
-                     [&](const Flow& f) { return f.bytes / bandwidth; });
+  return MaxPortSum(coflow.flows(), coflow.max_port(),
+                    [&](const Flow& f) { return f.bytes / bandwidth; });
 }
 
 Time CircuitLowerBound(const Coflow& coflow, Bandwidth bandwidth, Time delta) {
   SUNFLOW_CHECK(bandwidth > 0);
   SUNFLOW_CHECK(delta >= 0);
-  return MaxPortLoad(coflow, [&](const Flow& f) {
+  return MaxPortSum(coflow.flows(), coflow.max_port(), [&](const Flow& f) {
     return f.bytes > 0 ? f.bytes / bandwidth + delta : 0.0;
   });
 }

@@ -1,8 +1,8 @@
 #include "trace/coflow.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <set>
 #include <sstream>
 
 namespace sunflow {
@@ -25,35 +25,40 @@ Coflow::Coflow(CoflowId id, Time arrival, std::vector<Flow> flows)
     : id_(id), arrival_(arrival), flows_(std::move(flows)) {
   SUNFLOW_CHECK_MSG(std::isfinite(arrival_),
                     "non-finite arrival in coflow " << id_);
-  std::set<PortId> senders, receivers;
-  std::set<std::pair<PortId, PortId>> pairs;
+  // The (src, dst) keys seen so far, in an open-addressing table at most
+  // half full. Checked ports are non-negative, so no key is kEmpty.
+  constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  const std::size_t slots = std::bit_ceil(2 * flows_.size() + 1);
+  const int shift = 64 - std::bit_width(slots - 1);  // top log2(slots) bits
+  std::vector<std::uint64_t> seen(slots, kEmpty);
   for (const Flow& f : flows_) {
     SUNFLOW_CHECK_MSG(f.src >= 0 && f.dst >= 0,
                       "negative port in coflow " << id_);
     SUNFLOW_CHECK_MSG(f.bytes > 0 && std::isfinite(f.bytes),
                       "non-positive or non-finite flow size in coflow " << id_);
-    SUNFLOW_CHECK_MSG(pairs.insert({f.src, f.dst}).second,
-                      "duplicate (src,dst)=(" << f.src << "," << f.dst
-                                              << ") in coflow " << id_);
-    senders.insert(f.src);
-    receivers.insert(f.dst);
+    const std::uint64_t key = static_cast<std::uint64_t>(f.src) << 32 |
+                              static_cast<std::uint64_t>(f.dst);
+    std::size_t i = (key * 0x9E3779B97F4A7C15u) >> shift;  // Fibonacci hash
+    while (seen[i] != kEmpty && seen[i] != key) i = (i + 1) & (slots - 1);
+    SUNFLOW_CHECK_MSG(seen[i] != key, "duplicate (src,dst)=("
+                                          << f.src << "," << f.dst
+                                          << ") in coflow " << id_);
+    seen[i] = key;
+    one_sender_ = one_sender_ && f.src == flows_.front().src;
+    one_receiver_ = one_receiver_ && f.dst == flows_.front().dst;
     total_bytes_ += f.bytes;
     max_port_ = std::max({max_port_, static_cast<PortId>(f.src + 1),
                           static_cast<PortId>(f.dst + 1)});
   }
   SUNFLOW_CHECK_MSG(std::isfinite(total_bytes_),
                     "non-finite total size in coflow " << id_);
-  num_senders_ = static_cast<int>(senders.size());
-  num_receivers_ = static_cast<int>(receivers.size());
 }
 
 CoflowCategory Coflow::category() const {
   SUNFLOW_CHECK(!flows_.empty());
-  const bool one_sender = num_senders_ == 1;
-  const bool one_receiver = num_receivers_ == 1;
-  if (one_sender && one_receiver) return CoflowCategory::kOneToOne;
-  if (one_sender) return CoflowCategory::kOneToMany;
-  if (one_receiver) return CoflowCategory::kManyToOne;
+  if (one_sender_ && one_receiver_) return CoflowCategory::kOneToOne;
+  if (one_sender_) return CoflowCategory::kOneToMany;
+  if (one_receiver_) return CoflowCategory::kManyToOne;
   return CoflowCategory::kManyToMany;
 }
 

@@ -51,10 +51,6 @@ class Coflow {
 
   Bytes total_bytes() const { return total_bytes_; }
 
-  /// Number of distinct senders / receivers.
-  int num_senders() const { return num_senders_; }
-  int num_receivers() const { return num_receivers_; }
-
   CoflowCategory category() const;
 
   /// Largest port index referenced + 1 (a lower bound on fabric size).
@@ -81,9 +77,10 @@ class Coflow {
   std::vector<Flow> flows_;
   // Cached aggregates (flows_ is immutable after construction).
   Bytes total_bytes_ = 0;
-  int num_senders_ = 0;
-  int num_receivers_ = 0;
   PortId max_port_ = 0;
+  // Whether every flow shares the first flow's src / dst.
+  bool one_sender_ = true;
+  bool one_receiver_ = true;
 };
 
 /// A trace: fabric size plus coflows sorted by arrival time.

@@ -1,32 +1,29 @@
 #include "trace/demand_matrix.h"
 
 #include <algorithm>
-#include <map>
 
 namespace sunflow {
 
 DemandMatrix::DemandMatrix(const Coflow& coflow, Bandwidth bandwidth) {
   SUNFLOW_CHECK(bandwidth > 0);
-  std::map<PortId, int> in_index, out_index;
-  for (const Flow& f : coflow.flows()) {
-    in_index.emplace(f.src, 0);
-    out_index.emplace(f.dst, 0);
+  // Row / column of each fabric port: -1 if the coflow leaves it idle;
+  // active ports, marked 0 first, take rows and columns in port order.
+  std::vector<int> row(static_cast<std::size_t>(coflow.max_port()), -1);
+  std::vector<int> col(row.size(), -1);
+  for (const Flow& f : coflow.flows()) row[f.src] = col[f.dst] = 0;
+  for (PortId p = 0; p < coflow.max_port(); ++p) {
+    if (row[p] == 0) {
+      row[p] = static_cast<int>(in_ports_.size());
+      in_ports_.push_back(p);
+    }
+    if (col[p] == 0) {
+      col[p] = static_cast<int>(out_ports_.size());
+      out_ports_.push_back(p);
+    }
   }
-  int r = 0;
-  for (auto& [port, idx] : in_index) {
-    idx = r++;
-    in_ports_.push_back(port);
-  }
-  int c = 0;
-  for (auto& [port, idx] : out_index) {
-    idx = c++;
-    out_ports_.push_back(port);
-  }
-  m_.assign(in_index.size(), std::vector<Time>(out_index.size(), 0));
-  for (const Flow& f : coflow.flows()) {
-    m_[static_cast<std::size_t>(in_index[f.src])]
-      [static_cast<std::size_t>(out_index[f.dst])] = f.bytes / bandwidth;
-  }
+  m_.assign(in_ports_.size(), std::vector<Time>(out_ports_.size(), 0));
+  for (const Flow& f : coflow.flows())
+    m_[row[f.src]][col[f.dst]] = f.bytes / bandwidth;
 }
 
 DemandMatrix::DemandMatrix(std::vector<std::vector<Time>> entries)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include "common/rng.h"
 #include "core/sunflow.h"
@@ -130,6 +131,19 @@ struct LemmaCase {
   double delta_ms;
   ReservationOrder order;
 };
+
+// gtest prints each parameter into the discovered test name, where CMake
+// puts the printout in place of the case index; without a printer it
+// dumps the struct's bytes, tail padding included.
+void PrintTo(const LemmaCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_delta";
+  if (c.delta_ms >= 1 || c.delta_ms == 0) {
+    *os << std::lround(c.delta_ms) << "ms";
+  } else {
+    *os << std::lround(c.delta_ms * 1e3) << "us";
+  }
+  *os << "_" << ToString(c.order);
+}
 
 class Lemma1Property : public ::testing::TestWithParam<LemmaCase> {};
 

@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "common/assert.h"
+#include "common/rng.h"
+#include "core/sunflow.h"
 #include "exp/classify.h"
+#include "sched/kcore.h"
 #include "trace/bounds.h"
 #include "trace/coflow.h"
 #include "trace/demand_matrix.h"
@@ -28,8 +36,7 @@ TEST(Coflow, Aggregates) {
   const Coflow c = MakeM2M();
   EXPECT_EQ(c.size(), 4u);
   EXPECT_DOUBLE_EQ(c.total_bytes(), MB(65));
-  EXPECT_EQ(c.num_senders(), 2);
-  EXPECT_EQ(c.num_receivers(), 2);
+  EXPECT_EQ(c.category(), CoflowCategory::kManyToMany);
   EXPECT_EQ(c.max_port(), 4);
   EXPECT_DOUBLE_EQ(c.min_flow_bytes(), MB(5));
 }
@@ -189,6 +196,13 @@ TEST(Parser, RejectsBadInput) {
   EXPECT_THROW(ParseCoflowBenchmark(bad_token), std::runtime_error);
 }
 
+// Distinct senders (`Flow::src`) or receivers (`Flow::dst`) of a coflow.
+std::size_t DistinctPorts(const Coflow& c, PortId Flow::*side) {
+  std::set<PortId> ports;
+  for (const Flow& f : c.flows()) ports.insert(f.*side);
+  return ports.size();
+}
+
 TEST(Parser, RoundTripsThroughWriter) {
   SyntheticTraceConfig cfg;
   cfg.num_coflows = 20;
@@ -208,10 +222,10 @@ TEST(Parser, RoundTripsThroughWriter) {
     const Coflow& a = original.coflows[i];
     const Coflow& b = parsed.coflows[i];
     EXPECT_NEAR(b.arrival(), a.arrival(), 1e-3);
-    EXPECT_EQ(b.num_senders(), a.num_senders());
-    EXPECT_EQ(b.num_receivers(), a.num_receivers());
+    EXPECT_EQ(DistinctPorts(b, &Flow::src), DistinctPorts(a, &Flow::src));
+    EXPECT_EQ(DistinctPorts(b, &Flow::dst), DistinctPorts(a, &Flow::dst));
     EXPECT_NEAR(b.total_bytes(), a.total_bytes(),
-                MB(0.5) * a.num_receivers() + 1);
+                MB(0.5) * DistinctPorts(a, &Flow::dst) + 1);
   }
 }
 
@@ -477,6 +491,218 @@ TEST(Parser, FileErrorsNameThePath) {
         << "parse error should carry the file path: " << e.what();
   }
   std::remove(path.c_str());
+}
+
+// ---- The flat Coflow checks and per-port sums against the std::set and
+// std::map code they replaced. Validation must reject the same flow with the
+// same reason text; every aggregate, bound and matrix entry must be equal
+// bit for bit, because each port still sums its flows in list order.
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The reason text (after " — ") of the CheckFailure `f` throws, or "".
+std::string Reason(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    const std::string sep = " — ";
+    return what.substr(what.find(sep) + sep.size());
+  }
+  return "";
+}
+
+struct ReferenceCoflow {
+  std::string rejection;  ///< reason text of the failing check, "" if valid
+  Bytes total_bytes = 0;
+  PortId max_port = 0;
+  CoflowCategory category = CoflowCategory::kOneToOne;
+};
+
+/// The Coflow constructor's per-flow checks and aggregates over std::sets.
+ReferenceCoflow ReferenceValidate(CoflowId id, const std::vector<Flow>& flows) {
+  ReferenceCoflow ref;
+  std::set<PortId> senders, receivers;
+  std::set<std::pair<PortId, PortId>> pairs;
+  std::ostringstream why;
+  for (const Flow& f : flows) {
+    if (!(f.src >= 0 && f.dst >= 0)) {
+      why << "negative port in coflow " << id;
+    } else if (!(f.bytes > 0 && std::isfinite(f.bytes))) {
+      why << "non-positive or non-finite flow size in coflow " << id;
+    } else if (!pairs.insert({f.src, f.dst}).second) {
+      why << "duplicate (src,dst)=(" << f.src << "," << f.dst
+          << ") in coflow " << id;
+    }
+    if (!why.str().empty()) break;
+    senders.insert(f.src);
+    receivers.insert(f.dst);
+    ref.total_bytes += f.bytes;
+    ref.max_port = std::max({ref.max_port, f.src + 1, f.dst + 1});
+  }
+  if (why.str().empty() && !std::isfinite(ref.total_bytes))
+    why << "non-finite total size in coflow " << id;
+  ref.rejection = why.str();
+  const bool one_sender = senders.size() == 1;
+  const bool one_receiver = receivers.size() == 1;
+  ref.category = one_sender && one_receiver ? CoflowCategory::kOneToOne
+                 : one_sender               ? CoflowCategory::kOneToMany
+                 : one_receiver             ? CoflowCategory::kManyToOne
+                                            : CoflowCategory::kManyToMany;
+  return ref;
+}
+
+/// Max over ports of summed cost(f), each port's sum kept in a std::map.
+template <typename Flows, typename CostFn>
+Time ReferenceMaxPortLoad(const Flows& flows, CostFn cost) {
+  std::map<PortId, Time> in_load, out_load;
+  for (const auto& f : flows) {
+    const Time c = cost(f);
+    in_load[f.src] += c;
+    out_load[f.dst] += c;
+  }
+  Time best = 0;
+  for (const auto& [p, v] : in_load) best = std::max(best, v);
+  for (const auto& [p, v] : out_load) best = std::max(best, v);
+  return best;
+}
+
+/// DemandMatrix(coflow, bandwidth) with its port maps in std::maps.
+struct ReferenceMatrix {
+  std::vector<PortId> in_ports, out_ports;
+  std::vector<std::vector<Time>> m;
+};
+ReferenceMatrix ReferenceDemandMatrix(const Coflow& coflow, Bandwidth b) {
+  std::map<PortId, int> in_index, out_index;
+  for (const Flow& f : coflow.flows()) {
+    in_index.emplace(f.src, 0);
+    out_index.emplace(f.dst, 0);
+  }
+  ReferenceMatrix ref;
+  for (auto& [port, idx] : in_index) {
+    idx = static_cast<int>(ref.in_ports.size());
+    ref.in_ports.push_back(port);
+  }
+  for (auto& [port, idx] : out_index) {
+    idx = static_cast<int>(ref.out_ports.size());
+    ref.out_ports.push_back(port);
+  }
+  ref.m.assign(in_index.size(), std::vector<Time>(out_index.size(), 0));
+  for (const Flow& f : coflow.flows())
+    ref.m[in_index[f.src]][out_index[f.dst]] = f.bytes / b;
+  return ref;
+}
+
+/// 0–400 flows on distinct pairs of 1–40 ports (a quarter of the lists on
+/// high ports only), sizes over 13 decades so each port's sum depends on
+/// its order. When `malformed`, each at a random position: 0–3 flows that
+/// repeat a pair, and often one flow with a negative port or a zero,
+/// negative or non-finite size.
+std::vector<Flow> RandomFlowList(Rng& rng, bool malformed) {
+  const auto ports = static_cast<PortId>(rng.UniformInt(1, 40));
+  const auto base = static_cast<PortId>(
+      rng.UniformInt(0, 3) == 0 ? rng.UniformInt(100, 5000) : 0);
+  std::vector<std::pair<PortId, PortId>> pairs;
+  for (PortId s = 0; s < ports; ++s)
+    for (PortId d = 0; d < ports; ++d) pairs.emplace_back(base + s, base + d);
+  const auto n = static_cast<std::size_t>(std::min<std::int64_t>(
+      rng.UniformInt(0, 400), static_cast<std::int64_t>(pairs.size())));
+  auto size = [&] { return std::exp(rng.Uniform(0, 30)); };
+  auto at = [&](const std::vector<Flow>& v) {
+    return v.begin() + rng.UniformInt(0, static_cast<std::int64_t>(v.size()));
+  };
+  std::vector<Flow> flows;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto j = i + static_cast<std::size_t>(rng.UniformInt(
+                           0, static_cast<std::int64_t>(pairs.size() - i - 1)));
+    std::swap(pairs[i], pairs[j]);
+    flows.push_back({pairs[i].first, pairs[i].second, size()});
+  }
+  if (!malformed) return flows;
+  for (std::int64_t r = rng.UniformInt(0, 3); r > 0 && !flows.empty(); --r) {
+    Flow repeat = flows[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(flows.size()) - 1))];
+    repeat.bytes = size();
+    flows.insert(at(flows), repeat);
+  }
+  Flow bad{base + static_cast<PortId>(rng.UniformInt(0, ports - 1)),
+           base + static_cast<PortId>(rng.UniformInt(0, ports - 1)), size()};
+  switch (rng.UniformInt(0, 9)) {
+    case 0: bad.src = -static_cast<PortId>(rng.UniformInt(1, 70)); break;
+    case 1: bad.dst = -1; break;
+    case 2: bad.bytes = 0; break;
+    case 3: bad.bytes = -bad.bytes; break;
+    case 4: bad.bytes = std::numeric_limits<double>::infinity(); break;
+    case 5: bad.bytes = std::numeric_limits<double>::quiet_NaN(); break;
+    default: return flows;
+  }
+  flows.insert(at(flows), bad);
+  return flows;
+}
+
+TEST(Coflow, ValidationMatchesSetReference) {
+  Rng rng(2016);
+  std::map<std::string, int> seen;  // reason kind -> lists
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::vector<Flow> flows = RandomFlowList(rng, /*malformed=*/true);
+    const ReferenceCoflow want = ReferenceValidate(trial, flows);
+    ++seen[want.rejection.substr(0, want.rejection.find(' '))];
+    const std::string got = Reason([&] {
+      const Coflow c(trial, 0, flows);
+      EXPECT_EQ(Bits(c.total_bytes()), Bits(want.total_bytes)) << trial;
+      EXPECT_EQ(c.max_port(), want.max_port) << trial;
+      if (!flows.empty()) {
+        EXPECT_EQ(c.category(), want.category) << trial;
+      }
+    });
+    ASSERT_EQ(got, want.rejection) << "trial " << trial;
+  }
+  // Every outcome occurs often enough to catch a reordered check.
+  for (const char* kind : {"", "duplicate", "negative", "non-positive"})
+    EXPECT_GT(seen[kind], 200) << "'" << kind << "'";
+}
+
+TEST(Bounds, PerPortSumsMatchMapReference) {
+  Rng rng(1603);
+  for (int trial = 0; trial < 1000; ++trial) {
+    const Coflow c(trial, 0, RandomFlowList(rng, /*malformed=*/false));
+    const Bandwidth b = Gbps(rng.Uniform(0.1, 100));
+    const Time delta = rng.Uniform(0, 0.1);
+    EXPECT_EQ(Bits(PacketLowerBound(c, b)),
+              Bits(ReferenceMaxPortLoad(
+                  c.flows(), [&](const Flow& f) { return f.bytes / b; })))
+        << trial;
+    EXPECT_EQ(Bits(CircuitLowerBound(c, b, delta)),
+              Bits(ReferenceMaxPortLoad(c.flows(), [&](const Flow& f) {
+                return f.bytes / b + delta;
+              })))
+        << trial;
+    const PlanRequest req = PlanRequest::FromCoflow(c, b);
+    EXPECT_EQ(Bits(BottleneckProcessing(req)),
+              Bits(ReferenceMaxPortLoad(req.demand, [](const FlowDemand& f) {
+                return f.processing;
+              })))
+        << trial;
+  }
+}
+
+TEST(DemandMatrix, MatchesMapReference) {
+  Rng rng(526);
+  for (int trial = 0; trial < 1000; ++trial) {
+    const Coflow c(trial, 0, RandomFlowList(rng, /*malformed=*/false));
+    const Bandwidth b = Gbps(rng.Uniform(0.1, 100));
+    const DemandMatrix got(c, b);
+    const ReferenceMatrix want = ReferenceDemandMatrix(c, b);
+    ASSERT_EQ(static_cast<std::size_t>(got.rows()), want.in_ports.size());
+    ASSERT_EQ(static_cast<std::size_t>(got.cols()), want.out_ports.size());
+    for (int r = 0; r < got.rows(); ++r)
+      EXPECT_EQ(got.InPort(r), want.in_ports[r]);
+    for (int col = 0; col < got.cols(); ++col)
+      EXPECT_EQ(got.OutPort(col), want.out_ports[col]);
+    for (int r = 0; r < got.rows(); ++r)
+      for (int col = 0; col < got.cols(); ++col)
+        EXPECT_EQ(Bits(got.at(r, col)), Bits(want.m[r][col])) << trial;
+  }
 }
 
 }  // namespace
