@@ -24,10 +24,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/cli.h"
 #include "exp/csv_export.h"
@@ -231,7 +233,9 @@ struct BenchOptions {
   std::string banner = {};  ///< printed banner (defaults to `help`)
   /// Default for the shared --engine flag; nullopt skips registering it.
   std::optional<std::string> engine_default = std::nullopt;
-  bool use_threads = true;
+  /// Registers the --timeline_* flags. Set it only in a bench that hands
+  /// timeline() to a replay: elsewhere nothing would feed the sampler.
+  bool use_timeline = false;
   bool load_workload = true;
 };
 
@@ -250,44 +254,11 @@ class BenchSession {
         flags_(argc, argv),
         manifest_(obs::RunManifest::Begin(opts_.name, argc, argv)) {
     if (opts_.load_workload) workload_ = LoadWorkload(flags_);
-    if (opts_.use_threads) threads_ = Threads(flags_);
+    threads_ = Threads(flags_);
     if (opts_.engine_default.has_value())
       engine_ = Engine(flags_, *opts_.engine_default);
     tracer_.emplace(flags_);
-    // Telemetry-timeline flags (obs/timeline.h). Registered always so they
-    // show in --help; the sampler exists only when an output path was
-    // given, so default runs skip every sampling branch.
-    timeline_path_ = flags_.GetString(
-        "timeline_out", "",
-        "write the sim-time telemetry timeline (.jsonl = JSON lines, "
-        "otherwise CSV); also folds util.*/idle.*/replan.*/slo.* "
-        "aggregates into the run manifest");
-    const double timeline_dt_ms = flags_.GetDouble(
-        "timeline_dt_ms", 100.0, "timeline sample window, sim milliseconds");
-    const auto timeline_cap = flags_.GetInt(
-        "timeline_cap", 4096,
-        "max retained timeline samples; at the cap the buffer halves "
-        "resolution (adjacent-sample merge) so memory stays bounded");
-    const double timeline_slo_us = flags_.GetDouble(
-        "timeline_slo_us", 0.0,
-        "replan wall-latency SLO budget in microseconds (0 = no SLO)");
-    const bool timeline_wall = flags_.GetBool(
-        "timeline_wall", false,
-        "include host-dependent columns (replan wall latency) in the "
-        "timeline export; off keeps the file byte-identical at any "
-        "--threads");
-    if (!timeline_path_.empty()) {
-      if (!std::ofstream(timeline_path_)) {
-        throw std::runtime_error("cannot open timeline output " +
-                                 timeline_path_);
-      }
-      obs::TimelineConfig tc;
-      tc.dt = timeline_dt_ms / 1e3;
-      tc.cap = static_cast<std::size_t>(std::max<long long>(timeline_cap, 2));
-      tc.slo_budget_us = timeline_slo_us;
-      tc.include_wall = timeline_wall;
-      timeline_.emplace(tc);
-    }
+    if (opts_.use_timeline) AddTimelineFlags();
     manifest_path_ = flags_.GetString(
         "manifest_out", opts_.name + ".manifest.json",
         "write the self-describing run manifest JSON (empty = skip)");
@@ -310,13 +281,21 @@ class BenchSession {
 
   /// Call once after registering bench-specific flags: on --help, prints
   /// the help text (covering the just-registered flags) and returns true
-  /// — main should return 0 and the manifest is suppressed. Otherwise
+  /// — main should return 0 and the manifest is suppressed. A flag no
+  /// Get* call registered is a typo or belongs to another bench: it is
+  /// named on stderr and the process exits 1 before any run. Otherwise
   /// prints the workload banner and returns false.
   bool done() {
     if (flags_.help_requested()) {
       flags_.PrintHelp(opts_.help);
       done_ = true;
       return true;
+    }
+    const std::vector<std::string> unknown = flags_.Unregistered();
+    if (!unknown.empty()) {
+      for (const std::string& name : unknown)
+        std::fprintf(stderr, "unknown flag --%s; see --help\n", name.c_str());
+      std::exit(1);
     }
     Banner(opts_.banner.empty() ? opts_.help : opts_.banner, workload_);
     return false;
@@ -366,13 +345,7 @@ class BenchSession {
       if (!f) {
         throw std::runtime_error("cannot open " + timeline_path_);
       }
-      if (timeline_path_.size() >= 6 &&
-          timeline_path_.compare(timeline_path_.size() - 6, 6, ".jsonl") ==
-              0) {
-        timeline_->WriteJsonl(f);
-      } else {
-        timeline_->WriteCsv(f);
-      }
+      timeline_->WriteCsv(f);
       f.flush();
       if (!f) throw std::runtime_error("failed writing " + timeline_path_);
       std::printf("wrote %zu timeline samples to %s\n",
@@ -408,6 +381,42 @@ class BenchSession {
   }
 
  private:
+  /// Telemetry-timeline flags (obs/timeline.h). The sampler exists only
+  /// when an output path was given, so default runs skip every sampling
+  /// branch.
+  void AddTimelineFlags() {
+    timeline_path_ = flags_.GetString(
+        "timeline_out", "",
+        "write the sim-time telemetry timeline as CSV; also folds "
+        "util.*/idle.*/replan.*/slo.* aggregates into the run manifest");
+    const double timeline_dt_ms = flags_.GetDouble(
+        "timeline_dt_ms", 100.0, "timeline sample window, sim milliseconds");
+    const auto timeline_cap = flags_.GetInt(
+        "timeline_cap", 4096,
+        "max retained timeline samples; at the cap the buffer halves "
+        "resolution (adjacent-sample merge) so memory stays bounded");
+    const double timeline_slo_us = flags_.GetDouble(
+        "timeline_slo_us", 0.0,
+        "replan wall-latency SLO budget in microseconds (0 = no SLO)");
+    const bool timeline_wall = flags_.GetBool(
+        "timeline_wall", false,
+        "include host-dependent columns (replan wall latency) in the "
+        "timeline export; off keeps the file byte-identical at any "
+        "--threads");
+    if (!timeline_path_.empty()) {
+      if (!std::ofstream(timeline_path_)) {
+        throw std::runtime_error("cannot open timeline output " +
+                                 timeline_path_);
+      }
+      obs::TimelineConfig tc;
+      tc.dt = timeline_dt_ms / 1e3;
+      tc.cap = static_cast<std::size_t>(std::max<long long>(timeline_cap, 2));
+      tc.slo_budget_us = timeline_slo_us;
+      tc.include_wall = timeline_wall;
+      timeline_.emplace(tc);
+    }
+  }
+
   BenchOptions opts_;
   CliFlags flags_;
   obs::RunManifest manifest_;

@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
       argc, argv,
       {.name = "engine_replan",
        .help = "Microbench: kernel replans/sec and queue traffic",
-       .engine_default = "circuit"});
+       .engine_default = "circuit",
+       .use_timeline = true});
   const auto repeat = session.flags().GetInt(
       "repeat", 3, "timed whole-trace replay repetitions");
   const std::string sweep_csv = session.flags().GetString(

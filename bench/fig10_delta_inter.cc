@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
       {.name = "fig10_delta_inter",
        .help = "Figure 10: inter sensitivity to delta",
        .banner = "Figure 10 — inter-Coflow CCT vs delta (normalized to 10ms)",
-       .engine_default = "circuit"});
+       .engine_default = "circuit",
+       .use_timeline = true});
   if (session.done()) return 0;
   const bench::Workload& w = session.workload();
   const int threads = session.threads();
@@ -37,6 +38,21 @@ int main(int argc, char** argv) {
       {"100ms", Millis(100)}, {"10ms", Millis(10)},   {"1ms", Millis(1)},
       {"100us", Micros(100)}, {"10us", Micros(10)},
   };
+  // The guard's τ spans must outlast δ (core/starvation.h); refuse before
+  // the sweep rather than fail one point while the others replay.
+  if (engine_name == "guarded") {
+    const Time tau = engine::EngineConfig{}.guard.small_interval;
+    Time max_delta = 0;
+    for (const auto& [label, delta] : deltas)
+      max_delta = std::max(max_delta, delta);
+    if (tau <= max_delta) {
+      std::fprintf(stderr,
+                   "--engine=guarded needs tau > delta, but tau is %g ms "
+                   "and the sweep's largest delta is %g ms\n",
+                   tau * 1e3, max_delta * 1e3);
+      return 1;
+    }
+  }
   std::vector<engine::EngineResult> results(deltas.size());
   {
     runtime::ThreadPool pool(

@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
       {.name = "fig8_inter_idleness",
        .help = "Figure 8: inter-Coflow avg CCT vs idleness",
        .banner = "Figure 8 — inter-Coflow comparison with Varys and Aalo",
-       .engine_default = "circuit"});
+       .engine_default = "circuit",
+       .use_timeline = true});
   const double delta_ms =
       session.flags().GetDouble("delta_ms", 10.0, "δ in ms");
   const bool all_bandwidths = session.flags().GetBool(

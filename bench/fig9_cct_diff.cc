@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
       {.name = "fig9_cct_diff",
        .help = "Figure 9: per-coflow delta-CCT vs TpL",
        .banner = "Figure 9 — Sunflow CCT minus Varys/Aalo CCT by TpL",
-       .engine_default = "circuit"});
+       .engine_default = "circuit",
+       .use_timeline = true});
   const double delta_ms =
       session.flags().GetDouble("delta_ms", 10.0, "δ in ms");
   const std::string csv_out = session.flags().GetString(

@@ -68,6 +68,7 @@ int main(int argc, char** argv) {
        .help = "Out-of-core pipeline: generate, external sort, streamed "
                "replay under an RSS ceiling",
        .banner = "Trace scale — bounded-memory million-coflow replay",
+       .use_timeline = true,
        .load_workload = false});
   CliFlags& flags = session.flags();
   const auto coflows = flags.GetInt("coflows", 20000, "coflows to replay");

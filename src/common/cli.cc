@@ -1,5 +1,6 @@
 #include "common/cli.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
@@ -85,6 +86,17 @@ std::string CliFlags::GetString(const std::string& name,
   Register(name, def, help);
   if (auto raw = Raw(name)) return *raw;
   return def;
+}
+
+std::vector<std::string> CliFlags::Unregistered() const {
+  std::vector<std::string> names;
+  for (const auto& [name, value] : values_) {
+    if (std::ranges::none_of(docs_, [&](const FlagDoc& d) {
+          return d.name == name;
+        }))
+      names.push_back(name);
+  }
+  return names;
 }
 
 void CliFlags::PrintHelp(const std::string& program_description) const {

@@ -35,6 +35,9 @@ class CliFlags {
   /// Positional (non-flag) arguments.
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Parsed flags that no Get* call has registered, sorted by name.
+  std::vector<std::string> Unregistered() const;
+
  private:
   std::optional<std::string> Raw(const std::string& name) const;
   void Register(const std::string& name, const std::string& def,

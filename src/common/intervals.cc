@@ -28,12 +28,6 @@ std::vector<Interval> IntervalSet::Merged() const {
   return merged;
 }
 
-Time IntervalSet::UnionLength() const {
-  Time total = 0;
-  for (const auto& iv : Merged()) total += iv.length();
-  return total;
-}
-
 Time IntervalSet::UnionLengthWithin(Time lo, Time hi) const {
   SUNFLOW_CHECK(lo <= hi);
   Time total = 0;

@@ -2,7 +2,7 @@
 //
 // Used by the network-idleness metric (§5.4): idleness is the fraction of
 // the horizon not covered by the union of [arrival, arrival + TpL)
-// intervals, and by schedule validators that need per-port busy coverage.
+// intervals.
 #pragma once
 
 #include <vector>
@@ -14,9 +14,6 @@ namespace sunflow {
 struct Interval {
   Time begin = 0;
   Time end = 0;
-
-  Time length() const { return end - begin; }
-  bool empty() const { return end <= begin + kTimeEps; }
 };
 
 /// A set of half-open time intervals with union/length queries.
@@ -24,10 +21,6 @@ class IntervalSet {
  public:
   /// Adds [begin, end); ignored if empty.
   void Add(Time begin, Time end);
-  void Add(const Interval& iv) { Add(iv.begin, iv.end); }
-
-  /// Total measure of the union of all added intervals.
-  Time UnionLength() const;
 
   /// Union restricted to [lo, hi).
   Time UnionLengthWithin(Time lo, Time hi) const;
@@ -36,7 +29,6 @@ class IntervalSet {
   std::vector<Interval> Merged() const;
 
   bool empty() const { return intervals_.empty(); }
-  std::size_t raw_count() const { return intervals_.size(); }
 
  private:
   std::vector<Interval> intervals_;

@@ -62,12 +62,6 @@ std::string TextTable::Fmt(double v, int precision) {
   return o.str();
 }
 
-std::string TextTable::FmtSci(double v, int precision) {
-  std::ostringstream o;
-  o << std::scientific << std::setprecision(precision) << v;
-  return o.str();
-}
-
 std::string TextTable::FmtPct(double fraction, int precision) {
   std::ostringstream o;
   o << std::fixed << std::setprecision(precision) << fraction * 100.0 << "%";

@@ -27,7 +27,6 @@ class TextTable {
 
   // Convenience formatters.
   static std::string Fmt(double v, int precision = 2);
-  static std::string FmtSci(double v, int precision = 2);
   static std::string FmtPct(double fraction, int precision = 1);
 
  private:

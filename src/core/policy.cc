@@ -31,7 +31,6 @@ bool TieBreak(const CoflowView& a, const CoflowView& b) {
 
 class ShortestFirstPolicy : public PriorityPolicy {
  public:
-  std::string name() const override { return "shortest-coflow-first"; }
   std::vector<std::size_t> Order(
       const std::vector<CoflowView>& views) const override {
     return SortBy(views, [](const CoflowView& a, const CoflowView& b) {
@@ -44,7 +43,6 @@ class ShortestFirstPolicy : public PriorityPolicy {
 
 class StaticShortestFirstPolicy : public PriorityPolicy {
  public:
-  std::string name() const override { return "static-shortest-first"; }
   std::vector<std::size_t> Order(
       const std::vector<CoflowView>& views) const override {
     return SortBy(views, [](const CoflowView& a, const CoflowView& b) {
@@ -56,7 +54,6 @@ class StaticShortestFirstPolicy : public PriorityPolicy {
 
 class FifoPolicy : public PriorityPolicy {
  public:
-  std::string name() const override { return "fifo"; }
   std::vector<std::size_t> Order(
       const std::vector<CoflowView>& views) const override {
     return SortBy(views, TieBreak);
@@ -67,8 +64,6 @@ class ClassPolicy : public PriorityPolicy {
  public:
   ClassPolicy(std::map<CoflowId, int> classes, int default_class)
       : classes_(std::move(classes)), default_class_(default_class) {}
-
-  std::string name() const override { return "class-based"; }
 
   std::vector<std::size_t> Order(
       const std::vector<CoflowView>& views) const override {
@@ -98,8 +93,6 @@ class LeastAttainedServicePolicy : public PriorityPolicy {
       : first_limit_(first_queue_limit), spacing_(queue_spacing) {
     SUNFLOW_CHECK(first_queue_limit > 0 && queue_spacing > 1);
   }
-
-  std::string name() const override { return "least-attained-service"; }
 
   std::vector<std::size_t> Order(
       const std::vector<CoflowView>& views) const override {
@@ -132,8 +125,6 @@ class WeightedShortestFirstPolicy : public PriorityPolicy {
       : weights_(std::move(weights)) {
     for (const auto& [id, w] : weights_) SUNFLOW_CHECK(w > 0);
   }
-
-  std::string name() const override { return "weighted-shortest-first"; }
 
   std::vector<std::size_t> Order(
       const std::vector<CoflowView>& views) const override {

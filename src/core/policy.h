@@ -8,7 +8,6 @@
 
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/units.h"
@@ -37,7 +36,6 @@ struct CoflowView {
 class PriorityPolicy {
  public:
   virtual ~PriorityPolicy() = default;
-  virtual std::string name() const = 0;
 
   /// Returns indices into `views`, highest priority first. Implementations
   /// must return a permutation of [0, views.size()).

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/assert.h"
-#include "obs/metrics.h"
 
 namespace sunflow {
 
@@ -15,18 +14,6 @@ PortId PhiAssignments::OutputOf(int k, PortId i) const {
   SUNFLOW_CHECK(k >= 0 && k < num_ports_);
   SUNFLOW_CHECK(i >= 0 && i < num_ports_);
   return static_cast<PortId>((i + k) % num_ports_);
-}
-
-std::vector<std::pair<PortId, PortId>> PhiAssignments::Assignment(
-    int k) const {
-  // thread_local: GlobalMetrics() shards per thread (see obs/metrics.h).
-  static thread_local obs::Counter& materialized =
-      obs::GlobalMetrics().GetCounter("starvation.phi_assignments");
-  materialized.Increment();
-  std::vector<std::pair<PortId, PortId>> pairs;
-  pairs.reserve(static_cast<std::size_t>(num_ports_));
-  for (PortId i = 0; i < num_ports_; ++i) pairs.emplace_back(i, OutputOf(k, i));
-  return pairs;
 }
 
 StarvationGuardTimeline::StarvationGuardTimeline(

@@ -30,9 +30,6 @@ class PhiAssignments {
   /// Output port that input `i` connects to in assignment A_k (k in [0,N)).
   PortId OutputOf(int k, PortId i) const;
 
-  /// The whole assignment A_k as (in -> out) pairs.
-  std::vector<std::pair<PortId, PortId>> Assignment(int k) const;
-
  private:
   PortId num_ports_;
 };

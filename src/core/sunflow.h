@@ -135,7 +135,6 @@ class SunflowPlanner {
   obs::TraceSink* trace_sink() const { return sink_; }
 
   const PortReservationTable& prt() const { return prt_; }
-  const SunflowConfig& config() const { return config_; }
 
   /// The effective plane list (FabricSpec::EffectivePlanes).
   const std::vector<PlaneSpec>& planes() const { return planes_; }

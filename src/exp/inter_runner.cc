@@ -17,18 +17,6 @@ double InterComparison::AvgCct(const std::map<CoflowId, Time>& cct) const {
   return total / static_cast<double>(cct.size());
 }
 
-std::vector<double> InterComparison::Ratios(
-    const std::map<CoflowId, Time>& a, const std::map<CoflowId, Time>& b) {
-  std::vector<double> out;
-  out.reserve(a.size());
-  for (const auto& [id, va] : a) {
-    auto it = b.find(id);
-    if (it == b.end() || it->second <= 0) continue;
-    out.push_back(va / it->second);
-  }
-  return out;
-}
-
 std::vector<double> InterComparison::Differences(
     const std::map<CoflowId, Time>& a, const std::map<CoflowId, Time>& b) {
   std::vector<double> out;

@@ -57,9 +57,6 @@ struct InterComparison {
   std::map<CoflowId, Time> pavg;
 
   double AvgCct(const std::map<CoflowId, Time>& cct) const;
-  /// Per-coflow ratios a/b for every coflow present in both maps.
-  static std::vector<double> Ratios(const std::map<CoflowId, Time>& a,
-                                    const std::map<CoflowId, Time>& b);
   /// Per-coflow differences a−b (Fig 9's ΔCCT).
   static std::vector<double> Differences(const std::map<CoflowId, Time>& a,
                                          const std::map<CoflowId, Time>& b);

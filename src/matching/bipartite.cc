@@ -199,11 +199,6 @@ BipartiteMatching MaxCardinalityMatching(const BipartiteGraph& graph) {
   return HopcroftKarp(graph).Run();
 }
 
-bool HasPerfectMatching(const BipartiteGraph& graph) {
-  if (graph.n_left() > graph.n_right()) return false;
-  return MaxCardinalityMatching(graph).size() == graph.n_left();
-}
-
 std::vector<int> MaxWeightAssignment(
     const std::vector<std::vector<double>>& weight) {
   const int n = static_cast<int>(weight.size());

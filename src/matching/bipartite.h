@@ -67,9 +67,6 @@ class BipartiteGraph {
 /// Maximum-cardinality matching in O(E·sqrt(V)) (Hopcroft–Karp).
 BipartiteMatching MaxCardinalityMatching(const BipartiteGraph& graph);
 
-/// True iff the graph admits a matching saturating every left vertex.
-bool HasPerfectMatching(const BipartiteGraph& graph);
-
 /// Maximum-weight assignment on an n×n weight matrix (weights may be 0 for
 /// absent edges; entries must be finite). Returns a *perfect* matching that
 /// maximizes total weight — the Hungarian algorithm, O(n³).

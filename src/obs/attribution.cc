@@ -24,7 +24,6 @@ struct CoflowEvents {
   bool admitted_seen = false;
   bool completed_seen = false;
   Time admitted = 0;
-  Time pre_admission = 0;
   Time completed = 0;
   Time cct_value = 0;
   double planner_compute_ns = 0;
@@ -220,7 +219,6 @@ AttributionReport Attribute(std::span<const Event> events) {
       case EventType::kCoflowAdmitted:
         ce.admitted_seen = true;
         ce.admitted = e.t;
-        ce.pre_admission = std::max(0.0, e.dur);
         break;
       case EventType::kCoflowCompleted:
         ce.completed_seen = true;
@@ -258,7 +256,7 @@ AttributionReport Attribute(std::span<const Event> events) {
   }
 
   AttributionReport report;
-  Time sums[6] = {0, 0, 0, 0, 0, 0};
+  Time sums[5] = {0, 0, 0, 0, 0};
   for (auto& [id, ce] : per_coflow) {
     if (!ce.completed_seen || !ce.admitted_seen) continue;
     // Episodes never closed: blocked until completion.
@@ -278,10 +276,7 @@ AttributionReport Attribute(std::span<const Event> events) {
     row.coflow = id;
     row.admitted = ce.admitted;
     row.completed = ce.completed;
-    row.pre_admission = ce.pre_admission;
-    row.cct = ce.cct_value > 0
-                  ? ce.cct_value
-                  : ce.pre_admission + (ce.completed - ce.admitted);
+    row.cct = ce.cct_value > 0 ? ce.cct_value : ce.completed - ce.admitted;
     Sweep(ce, row);
     // Planner compute while this coflow was in flight, its per-coflow
     // share of each pass (value = wall ns, count = coflows planned).
@@ -292,12 +287,11 @@ AttributionReport Attribute(std::span<const Event> events) {
       }
     }
 
-    sums[0] += row.pre_admission;
-    sums[1] += row.delta;
-    sums[2] += row.contention;
-    sums[3] += row.starvation_hold;
-    sums[4] += row.transmit;
-    sums[5] += row.unattributed;
+    sums[0] += row.delta;
+    sums[1] += row.contention;
+    sums[2] += row.starvation_hold;
+    sums[3] += row.transmit;
+    sums[4] += row.unattributed;
     report.total_cct += row.cct;
     report.coflows.push_back(std::move(row));
   }
@@ -309,12 +303,11 @@ AttributionReport Attribute(std::span<const Event> events) {
             });
 
   if (report.total_cct > 0) {
-    report.pre_admission_fraction = sums[0] / report.total_cct;
-    report.delta_fraction = sums[1] / report.total_cct;
-    report.contention_fraction = sums[2] / report.total_cct;
-    report.starvation_fraction = sums[3] / report.total_cct;
-    report.transmit_fraction = sums[4] / report.total_cct;
-    report.unattributed_fraction = sums[5] / report.total_cct;
+    report.delta_fraction = sums[0] / report.total_cct;
+    report.contention_fraction = sums[1] / report.total_cct;
+    report.starvation_fraction = sums[2] / report.total_cct;
+    report.transmit_fraction = sums[3] / report.total_cct;
+    report.unattributed_fraction = sums[4] / report.total_cct;
   }
 
   if (!report.coflows.empty()) {

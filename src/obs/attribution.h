@@ -7,9 +7,9 @@
 // setup prefix was in progress) > contention (every pending flow blocked
 // behind other reservations, attributed per blaming coflow) > starvation
 // hold (the §4.2 guard owned the fabric) > unattributed (nothing in the
-// trace explains the gap). Segment lengths telescope, so the components
-// plus the pre-admission wait sum to the measured CCT up to floating-point
-// rounding — the "explain every coflow's completion time" contract that
+// trace explains the gap). Segment lengths telescope, and a coflow is
+// admitted at its release instant, so the components sum to the measured
+// CCT up to floating-point rounding — the "explain every coflow's completion time" contract that
 // tools/trace_inspect --attribution surfaces and tests pin down.
 //
 // Inputs are the events of obs/event.h, typically read back with
@@ -57,7 +57,6 @@ struct CoflowAttribution {
   Time completed = 0;
   Time cct = 0;  ///< measured CCT (CoflowCompleted value, else derived)
 
-  Time pre_admission = 0;    ///< release → admission queueing wait
   Time delta = 0;            ///< δ reconfiguration stalls
   Time contention = 0;       ///< blocked behind other reservations
   Time starvation_hold = 0;  ///< held by the starvation guard's τ spans
@@ -74,8 +73,7 @@ struct CoflowAttribution {
   /// The additive components; equals `cct` up to rounding on any trace
   /// that passes the audit.
   Time Sum() const {
-    return pre_admission + delta + contention + starvation_hold + transmit +
-           unattributed;
+    return delta + contention + starvation_hold + transmit + unattributed;
   }
 };
 
@@ -86,7 +84,6 @@ struct AttributionReport {
   std::vector<CoflowAttribution> coflows;  ///< sorted by cct, largest first
 
   Time total_cct = 0;  ///< denominator of the fractions below
-  double pre_admission_fraction = 0;
   double delta_fraction = 0;
   double contention_fraction = 0;
   double starvation_fraction = 0;

@@ -80,7 +80,6 @@ AuditReport AuditTrace(std::span<const Event> events,
     int admitted = 0;
     int completed = 0;
     Time admitted_t = 0;
-    Time admitted_wait = 0;
     Time completed_t = 0;
     double cct = 0;
   };
@@ -156,7 +155,6 @@ AuditReport AuditTrace(std::span<const Event> events,
         auto& lc = lives.back();
         ++lc.admitted;
         lc.admitted_t = e.t;
-        lc.admitted_wait = e.dur;
         break;
       }
       case EventType::kCoflowCompleted: {
@@ -355,12 +353,11 @@ AuditReport AuditTrace(std::span<const Event> events,
                     return os.str();
                   });
       if (lc.cct > 0) {
-        const Time derived =
-            (lc.completed_t - lc.admitted_t) + lc.admitted_wait;
+        const Time derived = lc.completed_t - lc.admitted_t;
         audit.Check("completion", SameInstant(lc.cct, derived), [&] {
           std::ostringstream os;
           os << "coflow " << id << " CCT payload " << lc.cct
-             << " != completed - admitted + wait = " << derived;
+             << " != completed - admitted = " << derived;
           return os.str();
         });
       }

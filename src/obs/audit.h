@@ -31,7 +31,7 @@
 //   completion         CoflowCompleted is unique per coflow, not before
 //                      its admission, equals the last FlowFinished when
 //                      per-flow finishes are traced, and its CCT payload
-//                      equals completed − admitted + queueing wait
+//                      equals completed − admitted
 //   admission          exactly one CoflowAdmitted per coflow
 //   blocked-pairing    FlowBlocked/FlowUnblocked strictly alternate per
 //                      flow, and each Unblocked mirrors its opener's

@@ -94,12 +94,6 @@ void JsonValue::Append(JsonValue v) {
   AsArray().push_back(std::move(v));
 }
 
-std::size_t JsonValue::size() const {
-  if (is_array()) return std::get<Array>(value_).size();
-  if (is_object()) return std::get<Object>(value_).size();
-  return 0;
-}
-
 void JsonValue::Write(std::ostream& out, int indent) const {
   WriteIndented(out, indent, 0);
 }

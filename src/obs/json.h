@@ -76,8 +76,6 @@ class JsonValue {
   /// Array append (converts a null value into an array first).
   void Append(JsonValue v);
 
-  std::size_t size() const;
-
   /// Serialization. indent < 0 writes compact one-line JSON; indent >= 0
   /// pretty-prints with that many spaces per level.
   void Write(std::ostream& out, int indent = -1) const;

@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "obs/json.h"
-#include "obs/trace_sink.h"
 
 namespace sunflow::obs {
 
@@ -53,38 +52,18 @@ std::string EscapeJson(std::string_view s) {
   return out;
 }
 
-void WriteJsonlEvent(std::ostream& out, const Event& e) {
-  out << "{\"type\":\"" << ToString(e.type)
-      << "\",\"t\":" << FormatJsonNumber(e.t);
-  if (e.dur != 0) out << ",\"dur\":" << FormatJsonNumber(e.dur);
-  if (e.coflow >= 0) out << ",\"coflow\":" << e.coflow;
-  if (e.in >= 0) out << ",\"in\":" << e.in;
-  if (e.out >= 0) out << ",\"out\":" << e.out;
-  if (e.value != 0) out << ",\"value\":" << FormatJsonNumber(e.value);
-  if (e.count != 0) out << ",\"count\":" << e.count;
-  if (e.plane != 0) out << ",\"plane\":" << e.plane;
-  out << "}\n";
-}
-
 void WriteJsonl(std::ostream& out, std::span<const Event> events) {
-  for (const Event& e : events) WriteJsonlEvent(out, e);
-}
-
-void JsonlStreamSink::OnEvent(const Event& event) {
-  SUNFLOW_DCHECK(guard_.CheckCurrentThread());
-  WriteJsonlEvent(out_, event);
-}
-
-JsonlStreamSink::~JsonlStreamSink() {
-  // Best-effort: destructors must not throw, but the flush still makes
-  // the already-written lines durable on early exit / unwind.
-  out_.flush();
-}
-
-void JsonlStreamSink::Flush() {
-  out_.flush();
-  if (!out_.good()) {
-    throw std::runtime_error("jsonl sink: stream failed during flush");
+  for (const Event& e : events) {
+    out << "{\"type\":\"" << ToString(e.type)
+        << "\",\"t\":" << FormatJsonNumber(e.t);
+    if (e.dur != 0) out << ",\"dur\":" << FormatJsonNumber(e.dur);
+    if (e.coflow >= 0) out << ",\"coflow\":" << e.coflow;
+    if (e.in >= 0) out << ",\"in\":" << e.in;
+    if (e.out >= 0) out << ",\"out\":" << e.out;
+    if (e.value != 0) out << ",\"value\":" << FormatJsonNumber(e.value);
+    if (e.count != 0) out << ",\"count\":" << e.count;
+    if (e.plane != 0) out << ",\"plane\":" << e.plane;
+    out << "}\n";
   }
 }
 

@@ -19,10 +19,7 @@ namespace sunflow::obs {
 /// JSON string-escapes `s` (quotes, backslash, control characters).
 std::string EscapeJson(std::string_view s);
 
-/// Writes one event as a single JSONL line (with trailing newline).
-void WriteJsonlEvent(std::ostream& out, const Event& event);
-
-/// Writes all events, one line each.
+/// Writes all events, one line each (with trailing newline).
 void WriteJsonl(std::ostream& out, std::span<const Event> events);
 
 /// Parses a JSONL stream written by WriteJsonl, one JsonValue::Parse per

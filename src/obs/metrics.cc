@@ -82,12 +82,6 @@ Counter& MetricsRegistry::GetCounter(std::string_view name) {
   return it->second;
 }
 
-Gauge& MetricsRegistry::GetGauge(std::string_view name) {
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) it = gauges_.try_emplace(std::string(name)).first;
-  return it->second;
-}
-
 Histogram& MetricsRegistry::GetHistogram(std::string_view name) {
   auto it = histograms_.find(name);
   if (it == histograms_.end())
@@ -106,11 +100,6 @@ const Counter* MetricsRegistry::FindCounter(std::string_view name) const {
   return it != counters_.end() ? &it->second : nullptr;
 }
 
-const Gauge* MetricsRegistry::FindGauge(std::string_view name) const {
-  const auto it = gauges_.find(name);
-  return it != gauges_.end() ? &it->second : nullptr;
-}
-
 const Histogram* MetricsRegistry::FindHistogram(std::string_view name) const {
   const auto it = histograms_.find(name);
   return it != histograms_.end() ? &it->second : nullptr;
@@ -123,20 +112,13 @@ const PhaseStats* MetricsRegistry::FindPhase(std::string_view name) const {
 
 std::vector<MetricRow> MetricsRegistry::Rows() const {
   std::vector<MetricRow> rows;
-  rows.reserve(counters_.size() + gauges_.size() + histograms_.size());
+  rows.reserve(counters_.size() + histograms_.size());
   for (const auto& [name, c] : counters_) {
     MetricRow row;
     row.name = name;
     row.kind = "counter";
     row.count = c.value();
     row.value = static_cast<double>(c.value());
-    rows.push_back(std::move(row));
-  }
-  for (const auto& [name, g] : gauges_) {
-    MetricRow row;
-    row.name = name;
-    row.kind = "gauge";
-    row.value = g.value();
     rows.push_back(std::move(row));
   }
   for (const auto& [name, h] : histograms_) {
@@ -170,8 +152,6 @@ void MetricsRegistry::WriteText(std::ostream& out) const {
     out << row.name << " (" << row.kind << ")";
     if (row.kind == "counter") {
       out << " value=" << row.count;
-    } else if (row.kind == "gauge") {
-      out << " value=" << row.value;
     } else {
       out << " count=" << row.count << " mean=" << row.mean
           << " p50=" << row.p50 << " p95=" << row.p95 << " max=" << row.max;
@@ -182,7 +162,6 @@ void MetricsRegistry::WriteText(std::ostream& out) const {
 
 void MetricsRegistry::Reset() {
   for (auto& [name, c] : counters_) c.Reset();
-  for (auto& [name, g] : gauges_) g.Reset();
   for (auto& [name, h] : histograms_) h.Reset();
   for (auto& [name, p] : phases_) p = PhaseStats{};
 }
@@ -190,7 +169,6 @@ void MetricsRegistry::Reset() {
 void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
   for (const auto& [name, c] : other.counters_)
     GetCounter(name).Increment(c.value());
-  for (const auto& [name, g] : other.gauges_) GetGauge(name).Add(g.value());
   for (const auto& [name, h] : other.histograms_)
     GetHistogram(name).MergeFrom(h);
   for (const auto& [name, p] : other.phases_) GetPhase(name).MergeFrom(p);
@@ -233,17 +211,13 @@ MetricsRegistry ShardedMetricsRegistry::Merged() const {
   return merged;
 }
 
-std::vector<MetricRow> ShardedMetricsRegistry::Rows() const {
-  return Merged().Rows();
-}
-
 void ShardedMetricsRegistry::WriteText(std::ostream& out) const {
   Merged().WriteText(out);
 }
 
 namespace {
-/// Backing store for ShardedMetricsRegistry::Find* — a merged snapshot
-/// that stays alive until the same thread's next Find* call.
+/// Backing store for ShardedMetricsRegistry::FindCounter — a merged
+/// snapshot that stays alive until the same thread's next call.
 MetricsRegistry& FindSnapshot() {
   thread_local MetricsRegistry snapshot;
   return snapshot;
@@ -254,17 +228,6 @@ const Counter* ShardedMetricsRegistry::FindCounter(
     std::string_view name) const {
   FindSnapshot() = Merged();
   return FindSnapshot().FindCounter(name);
-}
-
-const Gauge* ShardedMetricsRegistry::FindGauge(std::string_view name) const {
-  FindSnapshot() = Merged();
-  return FindSnapshot().FindGauge(name);
-}
-
-const Histogram* ShardedMetricsRegistry::FindHistogram(
-    std::string_view name) const {
-  FindSnapshot() = Merged();
-  return FindSnapshot().FindHistogram(name);
 }
 
 void ShardedMetricsRegistry::Reset() {

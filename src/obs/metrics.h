@@ -1,4 +1,4 @@
-// Metrics registry — counters, gauges and log-bucketed latency histograms.
+// Metrics registry — counters, log-bucketed latency histograms and phases.
 //
 // One process-wide registry (GlobalMetrics) replaces the ad-hoc
 // `circuit_setups`-style tallies that used to be recomputed inside each
@@ -19,7 +19,7 @@
 // single-threaded shard, and the process-wide GlobalMetrics() is a
 // ShardedMetricsRegistry whose Get* calls resolve to the *calling
 // thread's* private shard (so recording is lock- and race-free) and whose
-// Rows()/WriteText()/Merged() fold all shards together commutatively —
+// WriteText()/Merged() fold all shards together commutatively —
 // counters and histogram buckets sum, so the merged view is identical at
 // any thread count. Collect only after workers have quiesced (e.g. after
 // ParallelFor returned). Hot paths that cache an instrument reference must
@@ -48,17 +48,6 @@ class Counter {
 
  private:
   std::uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void Set(double v) { value_ = v; }
-  void Add(double delta) { value_ += delta; }
-  double value() const { return value_; }
-  void Reset() { value_ = 0; }
-
- private:
-  double value_ = 0;
 };
 
 /// HDR-style histogram: positive values land in logarithmic buckets with
@@ -129,9 +118,9 @@ struct ProfileRow {
 /// Flat dump row (one per instrument) for text and CSV export.
 struct MetricRow {
   std::string name;
-  std::string kind;  ///< "counter" | "gauge" | "histogram"
+  std::string kind;  ///< "counter" | "histogram"
   std::uint64_t count = 0;
-  double value = 0;  ///< counter/gauge value; histogram sum
+  double value = 0;  ///< counter value; histogram sum
   double mean = 0;
   double p50 = 0;
   double p95 = 0;
@@ -143,17 +132,15 @@ class MetricsRegistry {
   /// Creates on first use; returned references are stable for the life of
   /// the registry (Reset does not invalidate them).
   Counter& GetCounter(std::string_view name);
-  Gauge& GetGauge(std::string_view name);
   Histogram& GetHistogram(std::string_view name);
   PhaseStats& GetPhase(std::string_view name);
 
   /// Read-only lookups; null when the instrument was never created.
   const Counter* FindCounter(std::string_view name) const;
-  const Gauge* FindGauge(std::string_view name) const;
   const Histogram* FindHistogram(std::string_view name) const;
   const PhaseStats* FindPhase(std::string_view name) const;
 
-  /// All counters, gauges and histograms, sorted by name.
+  /// All counters and histograms, sorted by name.
   std::vector<MetricRow> Rows() const;
 
   /// Phases entered at least once since the last Reset(), sorted by name.
@@ -165,13 +152,11 @@ class MetricsRegistry {
   /// Zeroes every instrument, keeping registrations and addresses.
   void Reset();
 
-  /// Folds another registry in: counters, histograms and phases sum,
-  /// gauges add their values (shards track deltas under fan-out).
+  /// Folds another registry in: counters, histograms and phases sum.
   void MergeFrom(const MetricsRegistry& other);
 
  private:
   std::map<std::string, Counter, std::less<>> counters_;
-  std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
   std::map<std::string, PhaseStats, std::less<>> phases_;
 };
@@ -179,7 +164,7 @@ class MetricsRegistry {
 /// Thread-safe façade over per-thread MetricsRegistry shards. Recording
 /// (Get*) touches only the calling thread's shard — no locks, no atomics,
 /// no false sharing on the hot path; the one-time shard creation takes a
-/// mutex. Reading (Rows/WriteText/Merged/Find*) folds all shards together
+/// mutex. Reading (WriteText/Merged/FindCounter) folds all shards together
 /// and must only run once concurrent writers have quiesced (after the
 /// pool's ParallelFor returned / the pool was destroyed).
 class ShardedMetricsRegistry {
@@ -196,7 +181,6 @@ class ShardedMetricsRegistry {
   Counter& GetCounter(std::string_view name) {
     return Shard().GetCounter(name);
   }
-  Gauge& GetGauge(std::string_view name) { return Shard().GetGauge(name); }
   Histogram& GetHistogram(std::string_view name) {
     return Shard().GetHistogram(name);
   }
@@ -207,17 +191,14 @@ class ShardedMetricsRegistry {
   /// Merged snapshot of every shard. Quiesce writers first.
   MetricsRegistry Merged() const;
 
-  /// Merged read-only views (same contract as Merged). The returned rows
-  /// are identical at any thread count for the same recorded values.
-  std::vector<MetricRow> Rows() const;
+  /// Merged text dump (same contract as Merged): identical at any thread
+  /// count for the same recorded values.
   void WriteText(std::ostream& out) const;
 
-  /// Merged lookups: null when no shard ever created the instrument. The
+  /// Merged lookup: null when no shard ever created the counter. The
   /// pointee is a snapshot owned by an internal buffer that is replaced on
-  /// the next Find* call from the same thread — read it immediately.
+  /// the next call from the same thread — read it immediately.
   const Counter* FindCounter(std::string_view name) const;
-  const Gauge* FindGauge(std::string_view name) const;
-  const Histogram* FindHistogram(std::string_view name) const;
 
   /// Zeroes every instrument in every shard (registrations survive).
   void Reset();

@@ -361,45 +361,4 @@ void TimelineSampler::WriteCsv(std::ostream& os) const {
   }
 }
 
-void TimelineSampler::WriteJsonl(std::ostream& os) const {
-  os << "{\"schema\":\"sunflow.timeline/v1\",\"dt\":"
-     << FormatJsonNumber(config_.dt)
-     << ",\"effective_dt\":" << FormatJsonNumber(cur_dt_)
-     << ",\"cap\":" << config_.cap << ",\"planes\":" << planes_
-     << ",\"ports\":" << ports_ << ",\"decimations\":" << decimations_
-     << ",\"include_wall\":" << (config_.include_wall ? "true" : "false")
-     << "}\n";
-  const int planes = std::max(planes_, 1);
-  for (const auto& s : samples_) {
-    os << "{\"t0\":" << FormatJsonNumber(s.begin)
-       << ",\"t1\":" << FormatJsonNumber(s.end) << ",\"util_in\":[";
-    for (int p = 0; p < planes; ++p) {
-      if (p > 0) os << ',';
-      os << FormatJsonNumber(
-          SideUtil(s.busy_in, static_cast<std::size_t>(p), ports_, s.width()));
-    }
-    os << "],\"util_out\":[";
-    for (int p = 0; p < planes; ++p) {
-      if (p > 0) os << ',';
-      os << FormatJsonNumber(SideUtil(s.busy_out, static_cast<std::size_t>(p),
-                                      ports_, s.width()));
-    }
-    const double active_frac =
-        s.width() > kTimeEps
-            ? std::clamp(s.engine_active_s / s.width(), 0.0, 1.0)
-            : 0.0;
-    os << "],\"engine_active_frac\":" << FormatJsonNumber(active_frac)
-       << ",\"active\":" << s.active << ",\"queue_depth\":" << s.pending
-       << ",\"admitted\":" << s.admitted << ",\"blocked\":" << s.blocked
-       << ",\"replans\":" << s.replans;
-    if (config_.include_wall) {
-      os << ",\"replan_ns_max\":" << FormatJsonNumber(s.replan_ns_max)
-         << ",\"replan_ns_sum\":" << FormatJsonNumber(s.replan_ns_sum)
-         << ",\"rolling_p50_ns\":" << FormatJsonNumber(s.rolling_p50_ns)
-         << ",\"rolling_p99_ns\":" << FormatJsonNumber(s.rolling_p99_ns);
-    }
-    os << "}\n";
-  }
-}
-
 }  // namespace sunflow::obs

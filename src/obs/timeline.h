@@ -1,7 +1,7 @@
 // Sim-time telemetry timelines: a sim-clock-driven sampler that turns one
 // engine replay into a bounded-memory time series — per-plane fabric
 // utilization, idle fraction, coflow/queue gauges and replan wall latency
-// with a rolling SLO check — plus CSV/JSONL export and end-of-run
+// with a rolling SLO check — plus CSV export and end-of-run
 // aggregates for the run manifest.
 //
 // Determinism contract (docs/observability.md "Telemetry timelines"):
@@ -41,7 +41,7 @@ struct TimelineConfig {
   /// this burns the budget (ReplanSloStats::burn). 0 disables the check.
   double slo_budget_us = 0;
   /// Export the host-dependent columns (wall latency, rolling
-  /// percentiles) in WriteCsv/WriteJsonl. Off by default so the exported
+  /// percentiles) in WriteCsv. Off by default so the exported
   /// file honours the byte-determinism contract above.
   bool include_wall = false;
 };
@@ -164,20 +164,16 @@ class TimelineSampler {
   // --- inspection / export -------------------------------------------
 
   const std::vector<TimelineSample>& samples() const { return samples_; }
-  const TimelineConfig& config() const { return config_; }
   std::size_t decimations() const { return decimations_; }
   /// Current effective window width (config.dt * 2^decimations).
   Time effective_dt() const { return cur_dt_; }
   int planes() const { return planes_; }
-  PortId ports() const { return ports_; }
   bool empty() const { return samples_.empty() && open_.empty(); }
 
   TimelineSummary Summarize() const;
   /// `# sunflow.timeline/v1` header comment + CSV rows. Deterministic
   /// bytes unless config.include_wall.
   void WriteCsv(std::ostream& os) const;
-  /// One meta object then one object per sample.
-  void WriteJsonl(std::ostream& os) const;
 
  private:
   TimelineSample& WindowAt(Time t);

@@ -9,14 +9,13 @@
 // engine: an individual sink is single-threaded — one sink per simulation
 // task, like the planner itself — and parallel sweeps give every task a
 // private MemorySink whose buffer is folded into the final sink *in task
-// order* after the fan-out completes (runtime::MergeEvents), so exported
+// order* after the fan-out completes (exp::RunIntra), so exported
 // traces are byte-identical at any thread count. Debug builds assert on
 // cross-thread misuse: emitting into the same buffering sink from two
 // threads trips a SUNFLOW_DCHECK instead of silently corrupting the
 // buffer.
 #pragma once
 
-#include <iosfwd>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -67,7 +66,7 @@ class SingleThreadGuard {
 /// Buffers events in memory, in emission order. The default sink for
 /// benches and tests; export afterwards with WriteChromeTrace/WriteJsonl.
 /// Single-threaded: parallel sweeps use one MemorySink per task and merge
-/// the buffers in task order (runtime::MergeEvents).
+/// the buffers in task order.
 class MemorySink : public TraceSink {
  public:
   void OnEvent(const Event& event) override {
@@ -96,26 +95,6 @@ class MemorySink : public TraceSink {
   detail::SingleThreadGuard guard_;
 };
 
-/// Streams each event as one JSONL line the moment it is emitted — bounded
-/// memory for large runs. The stream must outlive the sink. Single-
-/// threaded like MemorySink (debug builds assert on cross-thread use).
-class JsonlStreamSink : public TraceSink {
- public:
-  explicit JsonlStreamSink(std::ostream& out) : out_(out) {}
-  /// Flushes on destruction so lines written before an early exit or an
-  /// exception unwind reach the stream (the referenced stream's own
-  /// destructor does not run here).
-  ~JsonlStreamSink() override;
-  void OnEvent(const Event& event) override;
-  /// Flushes the underlying stream; throws std::runtime_error if the
-  /// stream has failed (e.g. disk full), so truncation is loud.
-  void Flush();
-
- private:
-  std::ostream& out_;
-  detail::SingleThreadGuard guard_;
-};
-
 /// Shifts every event by a fixed time offset before forwarding — used by
 /// the intra runner, which evaluates coflows back-to-back ("a Coflow
 /// arrives only after the previous one is finished", §5.3) but plans each
@@ -125,7 +104,6 @@ class OffsetSink : public TraceSink {
   explicit OffsetSink(TraceSink* inner) : inner_(inner) {}
 
   void set_offset(Time offset) { offset_ = offset; }
-  Time offset() const { return offset_; }
 
   void OnEvent(const Event& event) override {
     Event shifted = event;

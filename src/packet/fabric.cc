@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/assert.h"
+#include "trace/bounds.h"
 
 namespace sunflow::packet {
 
@@ -123,19 +124,13 @@ bool ActiveCoflow::Consistent() const {
 
 Time ActiveCoflow::RemainingTpl(Bandwidth bandwidth) const {
   SUNFLOW_CHECK(bandwidth > 0);
-  PortId ports = 0;
-  for (const auto& f : flows) ports = std::max({ports, f.src + 1, f.dst + 1});
-  std::vector<Bytes> in_load(static_cast<std::size_t>(ports), 0);
-  std::vector<Bytes> out_load(static_cast<std::size_t>(ports), 0);
-  for (const auto& f : flows) {
-    if (f.done()) continue;
-    in_load[static_cast<std::size_t>(f.src)] += f.remaining;
-    out_load[static_cast<std::size_t>(f.dst)] += f.remaining;
-  }
-  Bytes busiest = 0;
-  for (Bytes v : in_load) busiest = std::max(busiest, v);
-  for (Bytes v : out_load) busiest = std::max(busiest, v);
-  return busiest / bandwidth;
+  const auto ports =
+      static_cast<PortId>(std::max(in_count.size(), out_count.size()));
+  return MaxPortSum(flows, ports,
+                    [](const FlowState& f) {
+                      return f.done() ? 0.0 : f.remaining;
+                    }) /
+         bandwidth;
 }
 
 PortCapacity::PortCapacity(PortId num_ports, Bandwidth bandwidth)

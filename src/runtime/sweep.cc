@@ -12,12 +12,4 @@ std::uint64_t TaskSeed(std::uint64_t base_seed, std::uint64_t task_index) {
   return z ^ (z >> 31);
 }
 
-void MergeEvents(obs::TraceSink* sink,
-                 const std::vector<std::vector<obs::Event>>& events) {
-  if (sink == nullptr) return;
-  for (const auto& buffer : events) {
-    for (const obs::Event& e : buffer) sink->OnEvent(e);
-  }
-}
-
 }  // namespace sunflow::runtime

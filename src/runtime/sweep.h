@@ -57,11 +57,6 @@ struct Sweep {
   std::vector<std::vector<obs::Event>> events;
 };
 
-/// Forwards every buffered event to `sink`, buffers in task order (the
-/// deterministic merge). A null sink is a no-op.
-void MergeEvents(obs::TraceSink* sink,
-                 const std::vector<std::vector<obs::Event>>& events);
-
 class SweepRunner {
  public:
   explicit SweepRunner(const SweepConfig& config)

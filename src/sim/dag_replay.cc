@@ -51,8 +51,6 @@ class StagePolicy : public PriorityPolicy {
   explicit StagePolicy(std::map<CoflowId, int> stage_of)
       : stage_of_(std::move(stage_of)) {}
 
-  std::string name() const override { return "earlier-stage-first"; }
-
   std::vector<std::size_t> Order(
       const std::vector<CoflowView>& views) const override {
     std::vector<std::size_t> order(views.size());

@@ -136,7 +136,7 @@ void ReplayDriver::AdmitOne(ScenarioPolicy& scenario,
     // A coflow holds each (in, out) pair once, so this order is total.
     std::sort(sc.flows.begin(), sc.flows.end(),
               [](const SimFlow& a, const SimFlow& b) {
-                return std::pair{a.in, a.out} < std::pair{b.in, b.out};
+                return std::pair{a.src, a.dst} < std::pair{b.src, b.dst};
               });
   }
   scenario.OnAdmit(sc, coflow, t);
@@ -147,12 +147,8 @@ void ReplayDriver::AdmitOne(ScenarioPolicy& scenario,
     timeline_->NoteAdmitted(entry.t, sc.static_tpl);
   const CoflowId id = sc.id;
   state_.active().push_back(std::move(sc));
-  // dur carries the admission queueing wait (admit instant minus release
-  // instant), the pre-admission component of the CCT decomposition. Every
-  // built-in scenario ends its span at the next release, so it is 0 there.
   obs::Emit(state_.sink(), {.type = obs::EventType::kCoflowAdmitted,
                             .t = std::max(t, entry.t),
-                            .dur = std::max(0.0, t - entry.t),
                             .coflow = id});
   if (source_ != nullptr) {
     // Admissions consume the pulled window strictly FIFO (the queue pops
@@ -374,12 +370,12 @@ void ReplayDriver::EmitBlockedSpans(const SunflowSchedule& plan, Time t,
       // (when planning traced) carry the detail; the driver only derives
       // whole-span blocks.
       if (std::binary_search(served.begin(), served.end(),
-                             std::tuple{sc.id, f.in, f.out}))
+                             std::tuple{sc.id, f.src, f.dst}))
         continue;
       const CircuitReservation* in_blocker =
-          first_on_in[static_cast<std::size_t>(f.in)];
+          first_on_in[static_cast<std::size_t>(f.src)];
       const CircuitReservation* out_blocker =
-          first_on_out[static_cast<std::size_t>(f.out)];
+          first_on_out[static_cast<std::size_t>(f.dst)];
       obs::BlockReason reason = obs::BlockReason::kCircuitConflict;
       CoflowId blamer = -1;
       if (in_blocker != nullptr) {
@@ -389,7 +385,7 @@ void ReplayDriver::EmitBlockedSpans(const SunflowSchedule& plan, Time t,
         reason = obs::BlockReason::kOutputPortBusy;
         blamer = out_blocker->coflow;
       }
-      EmitBlockedSpan(t, t_next, sc.id, f.in, f.out, reason, blamer);
+      EmitBlockedSpan(t, t_next, sc.id, f.src, f.dst, reason, blamer);
     }
   }
 }

@@ -150,7 +150,6 @@ class ScenarioRegistry {
  public:
   static const ScenarioRegistry& Global();
 
-  bool Has(const std::string& name) const;
   /// Replays the whole trace through the named scenario; every coflow must
   /// complete. Throws CheckFailure for unknown names.
   EngineResult Run(const std::string& name, const Trace& trace,

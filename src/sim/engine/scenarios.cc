@@ -155,7 +155,7 @@ void ExecutePlanSpan(ReplayDriver& driver, std::vector<SimCoflow>& active,
           flow.bytes = 0;
           --sc.unfinished;
           sc.last_finish = std::max(sc.last_finish, flow_finish);
-          driver.EmitFlowFinished(flow_finish, sc.id, flow.in, flow.out);
+          driver.EmitFlowFinished(flow_finish, sc.id, flow.src, flow.dst);
         }
       }
     }
@@ -298,7 +298,7 @@ SunflowSchedule PlanActiveSet(ReplayDriver& driver,
     req.demand.reserve(sc.unfinished);
     for (const SimFlow& f : sc.flows) {
       if (f.bytes > kBytesEps)
-        req.demand.push_back({f.in, f.out, f.bytes / bandwidth});
+        req.demand.push_back({f.src, f.dst, f.bytes / bandwidth});
     }
     requests.push_back(&req);
   }
@@ -488,8 +488,8 @@ class GuardScenario final : public ScenarioPolicy {
       for (const auto& sc : active) {
         for (const SimFlow& f : sc.flows) {
           if (f.bytes <= kBytesEps) continue;
-          if (phi_.OutputOf(k, f.in) == f.out) continue;
-          driver.EmitBlockedSpan(t, t_next, sc.id, f.in, f.out,
+          if (phi_.OutputOf(k, f.src) == f.dst) continue;
+          driver.EmitBlockedSpan(t, t_next, sc.id, f.src, f.dst,
                                  obs::BlockReason::kStarvationHold, -1);
         }
       }
@@ -881,11 +881,6 @@ std::unique_ptr<ScenarioPolicy> MakeScenario(const std::string& name,
 const ScenarioRegistry& ScenarioRegistry::Global() {
   static const ScenarioRegistry registry{};
   return registry;
-}
-
-bool ScenarioRegistry::Has(const std::string& name) const {
-  return std::ranges::find(kBuiltins, name, &Builtin::name) !=
-         std::end(kBuiltins);
 }
 
 EngineResult ScenarioRegistry::Run(const std::string& name, const Trace& trace,

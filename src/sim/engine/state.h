@@ -15,6 +15,7 @@
 
 #include "common/units.h"
 #include "sim/engine/event_queue.h"
+#include "trace/bounds.h"
 #include "trace/coflow.h"
 
 namespace sunflow::obs {
@@ -25,8 +26,8 @@ namespace sunflow::engine {
 
 /// One flow's remaining demand during a replay.
 struct SimFlow {
-  PortId in = 0;
-  PortId out = 0;
+  PortId src = 0;
+  PortId dst = 0;
   Bytes bytes = 0;
 };
 
@@ -36,7 +37,7 @@ struct SimCoflow {
   Time arrival = 0;  ///< release instant (CCT is measured from here)
   Time static_tpl = 0;
   Bytes total = 0;  ///< original demand (for attained-service policies)
-  /// Remaining bytes per flow, sorted by (in, out), so every sum over a
+  /// Remaining bytes per flow, sorted by (src, dst), so every sum over a
   /// coflow's flows runs in one fixed order. A finished flow keeps its
   /// entry at ≤ kBytesEps. Empty when the scenario keeps its flows itself
   /// (ScenarioPolicy::uses_flat_demand).
@@ -71,31 +72,22 @@ struct SimCoflow {
     const auto it = std::lower_bound(
         flows.begin(), flows.end(), std::pair{in, out},
         [](const SimFlow& f, const std::pair<PortId, PortId>& p) {
-          return std::pair{f.in, f.out} < p;
+          return std::pair{f.src, f.dst} < p;
         });
-    return it != flows.end() && it->in == in && it->out == out ? &*it
-                                                               : nullptr;
+    return it != flows.end() && it->src == in && it->dst == out ? &*it
+                                                                : nullptr;
   }
-  /// Busiest-port time of the unfinished demand at `bandwidth`. Flows are
-  /// sorted by input, so each input's load is one run of the vector; both
-  /// sides add their flows in (in, out) order.
+  /// Busiest-port time of the unfinished demand at `bandwidth`; each port
+  /// adds its flows in (src, dst) order.
   Time RemainingTpl(Bandwidth bandwidth) const {
-    PortId out_ports = 0;
-    for (const SimFlow& f : flows) out_ports = std::max(out_ports, f.out + 1);
-    std::vector<Bytes> out_load(static_cast<std::size_t>(out_ports), 0);
-    Bytes busiest = 0;
-    for (std::size_t i = 0; i < flows.size();) {
-      const PortId in = flows[i].in;
-      Bytes in_load = 0;
-      for (; i < flows.size() && flows[i].in == in; ++i) {
-        if (flows[i].bytes <= kBytesEps) continue;
-        in_load += flows[i].bytes;
-        out_load[static_cast<std::size_t>(flows[i].out)] += flows[i].bytes;
-      }
-      busiest = std::max(busiest, in_load);
-    }
-    for (Bytes v : out_load) busiest = std::max(busiest, v);
-    return busiest / bandwidth;
+    PortId ports = 0;
+    for (const SimFlow& f : flows)
+      ports = std::max({ports, f.src + 1, f.dst + 1});
+    return MaxPortSum(flows, ports,
+                      [](const SimFlow& f) {
+                        return f.bytes > kBytesEps ? f.bytes : 0.0;
+                      }) /
+           bandwidth;
   }
 
   void NoteService(Time window_begin, Time window_end) {

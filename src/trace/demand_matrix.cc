@@ -71,14 +71,6 @@ Time DemandMatrix::Total() const {
   return s;
 }
 
-int DemandMatrix::NonZeroCount() const {
-  int n = 0;
-  for (const auto& row : m_)
-    for (Time v : row)
-      if (v > kTimeEps) ++n;
-  return n;
-}
-
 bool DemandMatrix::IsZero(Time eps) const {
   for (const auto& row : m_)
     for (Time v : row)

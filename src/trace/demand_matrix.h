@@ -35,7 +35,6 @@ class DemandMatrix {
   /// max(max row sum, max col sum) — the packet lower bound of the matrix.
   Time MaxLineSum() const;
   Time Total() const;
-  int NonZeroCount() const;
   bool IsZero(Time eps = kTimeEps) const;
 
   /// Fabric port id for matrix row r / column c.

@@ -145,13 +145,4 @@ Trace PerturbFlowSizes(const Trace& trace, double fraction, Bytes min_bytes,
   return out;
 }
 
-Trace ToBackToBack(const Trace& trace) {
-  Trace out;
-  out.num_ports = trace.num_ports;
-  out.coflows.reserve(trace.coflows.size());
-  for (const Coflow& c : trace.coflows)
-    out.coflows.push_back(c.WithArrival(0));
-  return out;
-}
-
 }  // namespace sunflow

@@ -54,9 +54,4 @@ void GenerateSyntheticTrace(const SyntheticTraceConfig& config,
 Trace PerturbFlowSizes(const Trace& trace, double fraction, Bytes min_bytes,
                        std::uint64_t seed);
 
-/// Intra-Coflow evaluation arrival model (§5.1): "a Coflow arrives only
-/// after the previous one is finished" — i.e. arrival times are ignored.
-/// Returns the same coflows with arrival 0, preserving order.
-Trace ToBackToBack(const Trace& trace);
-
 }  // namespace sunflow

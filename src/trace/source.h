@@ -28,9 +28,7 @@ class CoflowSource {
 
   /// Total coflow count when known up front (e.g. a closed stream file's
   /// header); nullopt for open-ended sources.
-  virtual std::optional<std::uint64_t> size_hint() const {
-    return std::nullopt;
-  }
+  virtual std::optional<std::uint64_t> size_hint() const = 0;
 
   virtual bool Next(Coflow& out) = 0;
 };

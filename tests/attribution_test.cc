@@ -4,13 +4,12 @@
 //
 //   coflow 2: admitted at 0, circuit 0->5 up over [0, 2) with a 0.25 s
 //             setup prefix, finishes at 2.            cct = 2.0
-//   coflow 1: released at 0.5 but admitted at 1.0 (0.5 s queueing wait),
-//             blocked behind coflow 2 on input port 0 over [1, 2), then a
-//             circuit 0->1 over [2, 4) with a 0.25 s setup prefix.
-//                                                     cct = 3.5
+//   coflow 1: admitted at 1.0, blocked behind coflow 2 on input port 0
+//             over [1, 2), then a circuit 0->1 over [2, 4) with a 0.25 s
+//             setup prefix.                           cct = 3.0
 //
-// so coflow 1 must decompose into wait 0.5 + contention 1.0 (blaming
-// coflow 2) + δ 0.25 + transmit 1.75, with nothing unattributed — and the
+// so coflow 1 must decompose into contention 1.0 (blaming coflow 2) +
+// δ 0.25 + transmit 1.75, with nothing unattributed — and the
 // same trace must pass the physical audit, while corrupted variants fail
 // it with the right invariant named.
 #include <gtest/gtest.h>
@@ -36,7 +35,7 @@ std::vector<Event> HandBuiltTrace() {
       {.type = EventType::kCoflowAdmitted, .t = 0.0, .coflow = 2},
       {.type = EventType::kCircuitSetup, .t = 0.0, .dur = 2.0, .coflow = 2,
        .in = 0, .out = 5, .value = 0.25},
-      {.type = EventType::kCoflowAdmitted, .t = 1.0, .dur = 0.5, .coflow = 1},
+      {.type = EventType::kCoflowAdmitted, .t = 1.0, .coflow = 1},
       {.type = EventType::kFlowBlocked, .t = 1.0, .coflow = 1, .in = 0,
        .out = 1, .value = 2.0, .count = kInBusy},
       {.type = EventType::kFlowUnblocked, .t = 2.0, .dur = 1.0, .coflow = 1,
@@ -54,7 +53,7 @@ std::vector<Event> HandBuiltTrace() {
       {.type = EventType::kCircuitTeardown, .t = 4.0, .coflow = 1, .in = 0,
        .out = 1},
       {.type = EventType::kCoflowCompleted, .t = 4.0, .coflow = 1,
-       .value = 3.5},
+       .value = 3.0},
   };
 }
 
@@ -75,8 +74,7 @@ TEST(Attribution, ComponentsSumToMeasuredCct) {
 
   const obs::CoflowAttribution* c1 = RowOf(report, 1);
   ASSERT_NE(c1, nullptr);
-  EXPECT_NEAR(c1->cct, 3.5, 1e-12);
-  EXPECT_NEAR(c1->pre_admission, 0.5, 1e-12);
+  EXPECT_NEAR(c1->cct, 3.0, 1e-12);
   EXPECT_NEAR(c1->contention, 1.0, 1e-12);
   EXPECT_NEAR(c1->delta, 0.25, 1e-12);
   EXPECT_NEAR(c1->transmit, 1.75, 1e-12);
@@ -86,7 +84,6 @@ TEST(Attribution, ComponentsSumToMeasuredCct) {
   const obs::CoflowAttribution* c2 = RowOf(report, 2);
   ASSERT_NE(c2, nullptr);
   EXPECT_NEAR(c2->cct, 2.0, 1e-12);
-  EXPECT_NEAR(c2->pre_admission, 0.0, 1e-12);
   EXPECT_NEAR(c2->delta, 0.25, 1e-12);
   EXPECT_NEAR(c2->transmit, 1.75, 1e-12);
   EXPECT_NEAR(c2->contention, 0.0, 1e-12);
@@ -105,11 +102,10 @@ TEST(Attribution, ContentionBlamesTheHoldingCoflow) {
 TEST(Attribution, AggregateFractionsShareTotalCct) {
   const auto events = HandBuiltTrace();
   const obs::AttributionReport report = obs::Attribute(events);
-  EXPECT_NEAR(report.total_cct, 5.5, 1e-12);
-  EXPECT_NEAR(report.delta_fraction, 0.5 / 5.5, 1e-12);
-  EXPECT_NEAR(report.contention_fraction, 1.0 / 5.5, 1e-12);
-  EXPECT_NEAR(report.transmit_fraction, 3.5 / 5.5, 1e-12);
-  EXPECT_NEAR(report.pre_admission_fraction, 0.5 / 5.5, 1e-12);
+  EXPECT_NEAR(report.total_cct, 5.0, 1e-12);
+  EXPECT_NEAR(report.delta_fraction, 0.5 / 5.0, 1e-12);
+  EXPECT_NEAR(report.contention_fraction, 1.0 / 5.0, 1e-12);
+  EXPECT_NEAR(report.transmit_fraction, 3.5 / 5.0, 1e-12);
   EXPECT_NEAR(report.unattributed_fraction, 0.0, 1e-12);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/assert.h"
@@ -172,7 +173,7 @@ TEST(Intervals, UnionMergesOverlaps) {
   set.Add(0, 2);
   set.Add(1, 3);
   set.Add(5, 6);
-  EXPECT_DOUBLE_EQ(set.UnionLength(), 4.0);
+  EXPECT_DOUBLE_EQ(set.UnionLengthWithin(0, 6), 4.0);
   const auto merged = set.Merged();
   ASSERT_EQ(merged.size(), 2u);
   EXPECT_DOUBLE_EQ(merged[0].begin, 0);
@@ -192,7 +193,7 @@ TEST(Intervals, EmptyIntervalsIgnored) {
   set.Add(3, 3);
   set.Add(5, 4);
   EXPECT_TRUE(set.empty());
-  EXPECT_DOUBLE_EQ(set.UnionLength(), 0.0);
+  EXPECT_DOUBLE_EQ(set.UnionLengthWithin(0, 10), 0.0);
 }
 
 TEST(Cli, ParsesFlagsAndPositionals) {
@@ -213,6 +214,18 @@ TEST(Cli, MalformedNumberThrows) {
   const char* argv[] = {"prog", "--n=abc"};
   CliFlags flags(2, argv);
   EXPECT_THROW(flags.GetInt("n", 0), std::invalid_argument);
+}
+
+TEST(Cli, NamesFlagsNoGetterRegistered) {
+  const char* argv[] = {"prog", "--coflow=80", "--ports=6", "--zeta", "1"};
+  CliFlags flags(5, argv);
+  EXPECT_EQ(flags.GetInt("ports", 150), 6);
+  EXPECT_EQ(flags.GetInt("coflows", 526), 526);  // registered, not given
+  EXPECT_EQ(flags.Unregistered(),
+            (std::vector<std::string>{"coflow", "zeta"}));
+  flags.GetString("zeta", "");
+  flags.GetInt("coflow", 0);
+  EXPECT_TRUE(flags.Unregistered().empty());
 }
 
 TEST(Cli, HelpDetected) {

@@ -386,7 +386,6 @@ TEST(SimCoflow, FlatDemandMatchesMapReference) {
 class RecountingPolicy final : public PriorityPolicy {
  public:
   explicit RecountingPolicy(const SimState& state) : state_(state) {}
-  std::string name() const override { return "recounting"; }
   std::vector<std::size_t> Order(
       const std::vector<CoflowView>& views) const override {
     const auto& active = state_.active();
@@ -395,8 +394,8 @@ class RecountingPolicy final : public PriorityPolicy {
       const auto& flows = active[i].flows;
       EXPECT_TRUE(std::is_sorted(flows.begin(), flows.end(),
                                  [](const SimFlow& a, const SimFlow& b) {
-                                   return std::pair{a.in, a.out} <
-                                          std::pair{b.in, b.out};
+                                   return std::pair{a.src, a.dst} <
+                                          std::pair{b.src, b.dst};
                                  }));
       std::size_t left = 0;
       for (const SimFlow& f : flows) {
@@ -452,9 +451,7 @@ TEST(ScenarioRegistry, ListsTheBuiltinScenarios) {
   for (std::size_t i = 0; i < names.size(); ++i) {
     EXPECT_EQ(listed[i].first, names[i]);
     EXPECT_FALSE(listed[i].second.empty()) << names[i];
-    EXPECT_TRUE(registry.Has(names[i])) << names[i];
   }
-  EXPECT_FALSE(registry.Has("joint"));
 }
 
 TEST(ScenarioRegistry, MakeScenarioNamesWhatItCannotBuild) {

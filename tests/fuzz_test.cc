@@ -7,6 +7,7 @@
 // once per circuit and serves every byte of every flow it finishes.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 
 #include "common/rng.h"
@@ -20,15 +21,24 @@
 namespace sunflow {
 namespace {
 
+// gtest prints a parameter that has no PrintTo as its bytes, and CMake
+// puts that print into each case's ctest name. The two pad fields fill
+// the holes the compiler would leave after `order` and `fifo`, so every
+// printed byte is a value and the names read the same in every build;
+// a PrintTo would rename every case.
 struct FuzzCase {
-  std::uint64_t seed;
-  double delta;
-  ReservationOrder order;
+  std::uint64_t seed = 0;
+  double delta = 0;
+  ReservationOrder order = ReservationOrder::kOrderedPort;
+  std::uint32_t pad_after_order = 0;
   /// Flow-size jitter of the random trace (§5.1's ±5%, floored at 1 MB).
-  double perturb;
-  bool carry_over;
-  bool fifo;
+  double perturb = 0;
+  bool carry_over = false;
+  bool fifo = false;
+  std::array<char, 6> pad_after_fifo = {};
 };
+static_assert(sizeof(FuzzCase) == 40,
+              "a hole in FuzzCase prints stack bytes into the ctest names");
 
 std::string CaseName(const ::testing::TestParamInfo<FuzzCase>& info) {
   const FuzzCase& p = info.param;
@@ -126,16 +136,27 @@ std::vector<FuzzCase> MakeCases() {
   for (double delta : {0.0, 1e-5, 1e-3, 1e-2, 0.1}) {
     for (auto order :
          {ReservationOrder::kOrderedPort, ReservationOrder::kRandom}) {
-      cases.push_back({seed++, delta, order, 0.05, true, false});
+      cases.push_back({.seed = seed++,
+                       .delta = delta,
+                       .order = order,
+                       .perturb = 0.05,
+                       .carry_over = true});
     }
   }
   // Carry-over / FIFO corners. They keep seeds 13 and 14: a case's seed
   // picks its trace and is part of its name.
   seed = 13;
-  cases.push_back({seed++, 1e-2, ReservationOrder::kSortedDemandDesc, 0.05,
-                   false, true});
-  cases.push_back({seed++, 1e-3, ReservationOrder::kSortedDemandAsc, 0.05,
-                   true, true});
+  cases.push_back({.seed = seed++,
+                   .delta = 1e-2,
+                   .order = ReservationOrder::kSortedDemandDesc,
+                   .perturb = 0.05,
+                   .fifo = true});
+  cases.push_back({.seed = seed++,
+                   .delta = 1e-3,
+                   .order = ReservationOrder::kSortedDemandAsc,
+                   .perturb = 0.05,
+                   .carry_over = true,
+                   .fifo = true});
   return cases;
 }
 

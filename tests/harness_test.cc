@@ -39,7 +39,6 @@ TEST(TextTable, Formatters) {
   EXPECT_EQ(TextTable::Fmt(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::Fmt(2.0, 0), "2");
   EXPECT_EQ(TextTable::FmtPct(0.5), "50.0%");
-  EXPECT_NE(TextTable::FmtSci(12345.0).find("e"), std::string::npos);
 }
 
 TEST(PrintCdfAscii, RendersGrid) {
@@ -115,27 +114,15 @@ TEST(IntraRunner, AllStopFlagChangesBaselineResults) {
   EXPECT_LE(fast_total, slow_total + 1e-9);
 }
 
-TEST(InterRunner, RatioAndDifferenceHelpers) {
+TEST(InterRunner, DifferenceHelpers) {
   exp::InterComparison cmp;
   cmp.sunflow = {{1, 2.0}, {2, 4.0}};
   cmp.varys = {{1, 1.0}, {2, 8.0}};
-  const auto ratios = exp::InterComparison::Ratios(cmp.sunflow, cmp.varys);
-  ASSERT_EQ(ratios.size(), 2u);
-  EXPECT_DOUBLE_EQ(ratios[0], 2.0);
-  EXPECT_DOUBLE_EQ(ratios[1], 0.5);
   const auto diffs =
       exp::InterComparison::Differences(cmp.sunflow, cmp.varys);
   EXPECT_DOUBLE_EQ(diffs[0], 1.0);
   EXPECT_DOUBLE_EQ(diffs[1], -4.0);
   EXPECT_DOUBLE_EQ(cmp.AvgCct(cmp.sunflow), 3.0);
-}
-
-TEST(InterRunner, SkipsMissingAndZeroDenominators) {
-  std::map<CoflowId, Time> a = {{1, 2.0}, {2, 4.0}, {3, 1.0}};
-  std::map<CoflowId, Time> b = {{1, 0.0}, {3, 2.0}};  // 2 missing, 1 zero
-  const auto ratios = exp::InterComparison::Ratios(a, b);
-  ASSERT_EQ(ratios.size(), 1u);
-  EXPECT_DOUBLE_EQ(ratios[0], 0.5);
 }
 
 }  // namespace

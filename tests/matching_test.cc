@@ -58,7 +58,6 @@ TEST(HopcroftKarp, SimplePerfectMatching) {
   g.AddEdge(2, 2);
   const auto m = MaxCardinalityMatching(g);
   EXPECT_EQ(m.size(), 3);
-  EXPECT_TRUE(HasPerfectMatching(g));
 }
 
 TEST(HopcroftKarp, DetectsNoPerfectMatching) {
@@ -67,7 +66,6 @@ TEST(HopcroftKarp, DetectsNoPerfectMatching) {
   g.AddEdge(1, 0);  // both compete for right-0
   const auto m = MaxCardinalityMatching(g);
   EXPECT_EQ(m.size(), 1);
-  EXPECT_FALSE(HasPerfectMatching(g));
 }
 
 TEST(HopcroftKarp, EmptyGraph) {

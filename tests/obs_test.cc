@@ -470,7 +470,7 @@ TEST(ObsChromeTrace, TimestampsKeepEveryDigit) {
 // ---------------------------------------------------------------------------
 // Metrics.
 
-TEST(ObsMetrics, CounterAndGaugeBasics) {
+TEST(ObsMetrics, CounterBasics) {
   obs::MetricsRegistry reg;
   EXPECT_EQ(reg.FindCounter("c"), nullptr);
   obs::Counter& c = reg.GetCounter("c");
@@ -480,14 +480,8 @@ TEST(ObsMetrics, CounterAndGaugeBasics) {
   EXPECT_EQ(&reg.GetCounter("c"), &c);  // stable address on re-get
   EXPECT_EQ(reg.FindCounter("c")->value(), 5u);
 
-  obs::Gauge& g = reg.GetGauge("g");
-  g.Set(2.5);
-  g.Add(-1.0);
-  EXPECT_DOUBLE_EQ(g.value(), 1.5);
-
   reg.Reset();
   EXPECT_EQ(c.value(), 0u);            // cached reference still valid
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
   EXPECT_NE(reg.FindCounter("c"), nullptr);  // registration survives Reset
 }
 
@@ -546,14 +540,14 @@ TEST(ObsMetrics, RowsSortedAndTextDump) {
   obs::MetricsRegistry reg;
   reg.GetCounter("z.last").Increment(2);
   reg.GetHistogram("a.first").Record(5.0);
-  reg.GetGauge("m.mid").Set(1.5);
+  reg.GetCounter("m.mid").Increment(3);
   const auto rows = reg.Rows();
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0].name, "a.first");
   EXPECT_EQ(rows[0].kind, "histogram");
   EXPECT_EQ(rows[0].count, 1u);
   EXPECT_EQ(rows[1].name, "m.mid");
-  EXPECT_DOUBLE_EQ(rows[1].value, 1.5);
+  EXPECT_DOUBLE_EQ(rows[1].value, 3.0);
   EXPECT_EQ(rows[2].name, "z.last");
   EXPECT_DOUBLE_EQ(rows[2].value, 2.0);
   std::ostringstream text;

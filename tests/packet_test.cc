@@ -499,6 +499,49 @@ TEST(Fabric, CheckRatesNamesTheSumAndTheLimit) {
   }
 }
 
+// ActiveCoflow::RemainingTpl as it read before it called MaxPortSum: per
+// port, the remaining bytes of the unfinished flows in trace order, then
+// the largest load over the link rate. The reference of the check below.
+Time ReferenceRemainingTpl(const ActiveCoflow& c, Bandwidth bandwidth) {
+  PortId ports = 0;
+  for (const auto& f : c.flows)
+    ports = std::max({ports, f.src + 1, f.dst + 1});
+  std::vector<Bytes> in_load(static_cast<std::size_t>(ports), 0);
+  std::vector<Bytes> out_load(static_cast<std::size_t>(ports), 0);
+  for (const auto& f : c.flows) {
+    if (f.done()) continue;
+    in_load[static_cast<std::size_t>(f.src)] += f.remaining;
+    out_load[static_cast<std::size_t>(f.dst)] += f.remaining;
+  }
+  Bytes busiest = 0;
+  for (Bytes v : in_load) busiest = std::max(busiest, v);
+  for (Bytes v : out_load) busiest = std::max(busiest, v);
+  return busiest / bandwidth;
+}
+
+TEST(Fabric, RemainingTplMatchesPerPortSumBitForBit) {
+  Rng rng(526150);
+  for (int instance = 0; instance < 400; ++instance) {
+    SCOPED_TRACE("instance " + std::to_string(instance));
+    const PortId ports = static_cast<PortId>(rng.UniformInt(2, 16));
+    const int shape = static_cast<int>(rng.UniformInt(0, 3));
+    ActiveCoflow a(1, 0.0, RandomFlows(rng, ports, shape));
+    // Drain part of the demand: Drain drops the flows it finishes, and a
+    // flow left at dust size stays in `flows` as finished.
+    for (auto& f : a.flows) {
+      const double u = rng.NextDouble();
+      f.rate = u < 0.3 ? f.remaining : u < 0.6 ? f.remaining / 3 : 0;
+    }
+    a.Drain(1.0);
+    for (auto& f : a.flows) {
+      if (rng.Bernoulli(0.2)) f.remaining = rng.Uniform(0, kBytesEps);
+    }
+    for (const Bandwidth bw : {Gbps(1), Gbps(40), 3.0}) {
+      EXPECT_EQ(Bits(a.RemainingTpl(bw)), Bits(ReferenceRemainingTpl(a, bw)));
+    }
+  }
+}
+
 TEST(Fabric, RemainingTplTracksProgress) {
   ActiveCoflow a(1, 0.0, {{0, 1, MB(100)}, {0, 2, MB(50)}});
   EXPECT_DOUBLE_EQ(a.RemainingTpl(Gbps(1)), MB(150) / Gbps(1));

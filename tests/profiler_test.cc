@@ -320,7 +320,7 @@ TEST(JsonTest, RoundTripsDocuments) {
   const std::string text =
       "{\"a\":[1,2.5,true,null,\"s\\u00e9\"],\"b\":{\"nested\":-3e2}}";
   const JsonValue v = JsonValue::Parse(text);
-  EXPECT_EQ(v.at("a").size(), 5u);
+  EXPECT_EQ(v.at("a").AsArray().size(), 5u);
   EXPECT_DOUBLE_EQ(v.at("b").at("nested").AsNumber(), -300.0);
   EXPECT_EQ(JsonValue::Parse(v.ToString()), v);
   EXPECT_EQ(JsonValue::Parse(v.ToString(2)), v);  // pretty-print too
@@ -355,7 +355,7 @@ TEST(ManifestTest, JsonRoundTripPreservesEveryField) {
   const JsonValue j = m.ToJson();
   EXPECT_EQ(j.at("schema").AsString(), kRunManifestSchema);
   EXPECT_EQ(j.at("tool").AsString(), "profiler_test");
-  EXPECT_EQ(j.at("argv").size(), 2u);
+  EXPECT_EQ(j.at("argv").AsArray().size(), 2u);
   EXPECT_TRUE(j.at("profile").at("phases").Find("test.phase") != nullptr);
 
   const RunManifest back = RunManifest::FromJson(j);

@@ -13,37 +13,45 @@ namespace {
 
 constexpr Time kDelta = 0.01;
 
-DemandMatrix RandomSquareDemand(Rng& rng, int n, double density = 0.6) {
+// A random n×n demand; `flows` (when given) receives its number of
+// non-zero entries.
+DemandMatrix RandomSquareDemand(Rng& rng, int n, std::size_t* flows = nullptr,
+                                double density = 0.6) {
   std::vector<std::vector<Time>> e(
       static_cast<std::size_t>(n),
       std::vector<Time>(static_cast<std::size_t>(n), 0));
-  bool any = false;
+  std::size_t set = 0;
   for (auto& row : e) {
     for (auto& v : row) {
       if (rng.Bernoulli(density)) {
         v = rng.Uniform(0.05, 2.0);
-        any = true;
+        ++set;
       }
     }
   }
-  if (!any) e[0][0] = 1.0;
+  if (set == 0) {
+    e[0][0] = 1.0;
+    set = 1;
+  }
+  if (flows != nullptr) *flows = set;
   return DemandMatrix(e);
 }
 
-void ExpectCovers(const DemandMatrix& demand, const AssignmentSchedule& s) {
+void ExpectCovers(const DemandMatrix& demand, std::size_t flows,
+                  const AssignmentSchedule& s) {
   // The not-all-stop executor throws if any demand is left unserved.
   const auto exec = ExecuteNotAllStop(demand, s, kDelta);
   EXPECT_GT(exec.cct, 0.0);
-  EXPECT_EQ(exec.completions.size(),
-            static_cast<std::size_t>(demand.NonZeroCount()));
+  EXPECT_EQ(exec.completions.size(), flows);
 }
 
 TEST(Solstice, CoversRandomDemand) {
   Rng rng(71);
   for (int trial = 0; trial < 25; ++trial) {
     const int n = 2 + static_cast<int>(rng.UniformInt(0, 6));
-    const DemandMatrix demand = RandomSquareDemand(rng, n);
-    ExpectCovers(demand, ScheduleSolstice(demand));
+    std::size_t flows = 0;
+    const DemandMatrix demand = RandomSquareDemand(rng, n, &flows);
+    ExpectCovers(demand, flows, ScheduleSolstice(demand));
   }
 }
 
@@ -74,15 +82,16 @@ TEST(Solstice, SwitchingGrowsWithSkew) {
   DemandMatrix demand({{5.0, 0.3, 0.0}, {0.0, 4.0, 0.7}, {1.1, 0.0, 2.0}});
   const auto schedule = ScheduleSolstice(demand);
   const auto exec = ExecuteNotAllStop(demand, schedule, kDelta);
-  EXPECT_GT(exec.circuit_setups, demand.NonZeroCount());
+  EXPECT_GT(exec.circuit_setups, 7);  // the matrix's seven flows
 }
 
 TEST(Tms, CoversRandomDemand) {
   Rng rng(72);
   for (int trial = 0; trial < 15; ++trial) {
     const int n = 2 + static_cast<int>(rng.UniformInt(0, 4));
-    const DemandMatrix demand = RandomSquareDemand(rng, n);
-    ExpectCovers(demand, ScheduleTms(demand));
+    std::size_t flows = 0;
+    const DemandMatrix demand = RandomSquareDemand(rng, n, &flows);
+    ExpectCovers(demand, flows, ScheduleTms(demand));
   }
 }
 
@@ -92,8 +101,9 @@ TEST(Edmonds, CoversRandomDemand) {
   cfg.slot_duration = 0.5;
   for (int trial = 0; trial < 15; ++trial) {
     const int n = 2 + static_cast<int>(rng.UniformInt(0, 4));
-    const DemandMatrix demand = RandomSquareDemand(rng, n);
-    ExpectCovers(demand, ScheduleEdmonds(demand, cfg));
+    std::size_t flows = 0;
+    const DemandMatrix demand = RandomSquareDemand(rng, n, &flows);
+    ExpectCovers(demand, flows, ScheduleEdmonds(demand, cfg));
   }
 }
 

@@ -1,7 +1,7 @@
 // sunflow_trace_inspect — summarize a structured JSONL trace.
 //
-// Reads an event stream written by the obs tracer (JsonlStreamSink or
-// WriteJsonl) and reports what the paper's evaluation cares about:
+// Reads an event stream written by the obs tracer (obs::WriteJsonl, a
+// bench's --trace_out=x.jsonl) and reports what the paper's evaluation cares about:
 // per-coflow Gantt stats, the δ-overhead fraction (reconfiguration time
 // over circuit-hold time), per-port idleness over the horizon, and
 // scheduler compute-time percentiles. The same numbers are cross-checkable
@@ -278,19 +278,18 @@ int RunAttribution(const std::vector<Event>& events, bool csv,
 
   if (csv) {
     std::printf(
-        "coflow,cct_s,pre_admission_s,delta_s,contention_s,starvation_s,"
-        "transmit_s,unattributed_s,sum_s,residual_s,top_blamer,"
-        "top_blamer_s,planner_ns\n");
+        "coflow,cct_s,delta_s,contention_s,starvation_s,transmit_s,"
+        "unattributed_s,sum_s,residual_s,top_blamer,top_blamer_s,"
+        "planner_ns\n");
     for (const obs::CoflowAttribution& a : report.coflows) {
       const Time sum = a.Sum();
       const CoflowId top_blamer =
           a.by_blamer.empty() ? -1 : a.by_blamer.front().blamer;
       const Time top_blamer_s =
           a.by_blamer.empty() ? 0 : a.by_blamer.front().seconds;
-      std::printf("%lld,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.3g,%lld,"
-                  "%.9g,%.9g\n",
-                  static_cast<long long>(a.coflow), a.cct, a.pre_admission,
-                  a.delta, a.contention, a.starvation_hold, a.transmit,
+      std::printf("%lld,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.3g,%lld,%.9g,"
+                  "%.9g\n",
+                  static_cast<long long>(a.coflow), a.cct, a.delta, a.contention, a.starvation_hold, a.transmit,
                   a.unattributed, sum, a.cct - sum,
                   static_cast<long long>(top_blamer), top_blamer_s,
                   a.planner_compute_ns);
@@ -301,7 +300,7 @@ int RunAttribution(const std::vector<Event>& events, bool csv,
   TextTable table("CCT attribution (top " +
                   std::to_string(std::min(top, report.coflows.size())) +
                   " by CCT; components sum to the measured CCT)");
-  table.SetHeader({"coflow", "cct_s", "wait_s", "delta_s", "contend_s",
+  table.SetHeader({"coflow", "cct_s", "delta_s", "contend_s",
                    "hold_s", "transmit_s", "unattr_s", "top blamer"});
   for (std::size_t i = 0; i < report.coflows.size() && i < top; ++i) {
     const obs::CoflowAttribution& a = report.coflows[i];
@@ -311,7 +310,6 @@ int RunAttribution(const std::vector<Event>& events, bool csv,
                TextTable::Fmt(a.by_blamer.front().seconds, 4) + " s)";
     }
     table.AddRow({std::to_string(a.coflow), TextTable::Fmt(a.cct, 4),
-                  TextTable::Fmt(a.pre_admission, 4),
                   TextTable::Fmt(a.delta, 4),
                   TextTable::Fmt(a.contention, 4),
                   TextTable::Fmt(a.starvation_hold, 4),
@@ -320,8 +318,7 @@ int RunAttribution(const std::vector<Event>& events, bool csv,
   }
   table.AddFootnote(
       "aggregate shares of " + TextTable::Fmt(report.total_cct, 4) +
-      " s total CCT: wait " +
-      TextTable::FmtPct(report.pre_admission_fraction, 1) + ", delta " +
+      " s total CCT: delta " +
       TextTable::FmtPct(report.delta_fraction, 1) + ", contention " +
       TextTable::FmtPct(report.contention_fraction, 1) + ", hold " +
       TextTable::FmtPct(report.starvation_fraction, 1) + ", transmit " +
@@ -404,8 +401,8 @@ int main(int argc, char** argv) {
   const std::string manifest_path = flags.GetString(
       "manifest", "",
       "run manifest JSON to inspect instead of a trace: prints the "
-      "plan-cache counters and per-phase self-time shares (with --audit: "
-      "cross-checks the trace's setup count against its metrics)");
+      "pool's waiter-steal counter and per-phase self-time shares (with "
+      "--audit: cross-checks the trace's setup count against its metrics)");
   const bool attribution = flags.GetBool(
       "attribution", false,
       "decompose each coflow's CCT into causal components (with --csv for "
