@@ -366,9 +366,6 @@ class BenchSession {
       AddManifestValue("replan.p50_us", ts.slo.p50_ns / 1e3);
       AddManifestValue("replan.p99_us", ts.slo.p99_ns / 1e3);
       AddManifestValue("replan.max_us", ts.slo.max_ns / 1e3);
-      AddManifestValue("slo.burn", static_cast<double>(ts.slo.burn));
-      if (ts.slo.first_breach_t >= 0)
-        AddManifestValue("slo.first_breach_t", ts.slo.first_breach_t);
     }
     if (!manifest_path_.empty()) {
       manifest_.seed = workload_.seed;
@@ -388,16 +385,13 @@ class BenchSession {
     timeline_path_ = flags_.GetString(
         "timeline_out", "",
         "write the sim-time telemetry timeline as CSV; also folds "
-        "util.*/idle.*/replan.*/slo.* aggregates into the run manifest");
+        "util.*/idle.*/replan.* aggregates into the run manifest");
     const double timeline_dt_ms = flags_.GetDouble(
         "timeline_dt_ms", 100.0, "timeline sample window, sim milliseconds");
     const auto timeline_cap = flags_.GetInt(
         "timeline_cap", 4096,
         "max retained timeline samples; at the cap the buffer halves "
         "resolution (adjacent-sample merge) so memory stays bounded");
-    const double timeline_slo_us = flags_.GetDouble(
-        "timeline_slo_us", 0.0,
-        "replan wall-latency SLO budget in microseconds (0 = no SLO)");
     const bool timeline_wall = flags_.GetBool(
         "timeline_wall", false,
         "include host-dependent columns (replan wall latency) in the "
@@ -411,7 +405,6 @@ class BenchSession {
       obs::TimelineConfig tc;
       tc.dt = timeline_dt_ms / 1e3;
       tc.cap = static_cast<std::size_t>(std::max<long long>(timeline_cap, 2));
-      tc.slo_budget_us = timeline_slo_us;
       tc.include_wall = timeline_wall;
       timeline_.emplace(tc);
     }

@@ -62,8 +62,6 @@ void TimelineSampler::BeginRun(PortId num_ports) {
   replan_ns_.Reset();
   rolling_.clear();
   rolling_next_ = 0;
-  slo_burn_ = 0;
-  slo_first_breach_ = -1;
 }
 
 void TimelineSampler::EnsureOpenThrough(Time t) {
@@ -137,11 +135,6 @@ void TimelineSampler::NoteQueueDepth(Time t, std::size_t depth) {
 
 void TimelineSampler::NoteReplan(Time t, double wall_ns) {
   replan_ns_.Record(wall_ns);
-  const double budget_ns = config_.slo_budget_us * 1e3;
-  if (budget_ns > 0 && wall_ns > budget_ns) {
-    ++slo_burn_;
-    if (slo_first_breach_ < 0) slo_first_breach_ = t;
-  }
   if (rolling_.size() < kRollingWindow) {
     rolling_.push_back(wall_ns);
   } else {
@@ -314,8 +307,6 @@ TimelineSummary TimelineSampler::Summarize() const {
   out.slo.p50_ns = replan_ns_.ValueAtPercentile(50);
   out.slo.p99_ns = replan_ns_.ValueAtPercentile(99);
   out.slo.max_ns = replan_ns_.max();
-  out.slo.burn = slo_burn_;
-  out.slo.first_breach_t = slo_first_breach_;
   return out;
 }
 

@@ -1,7 +1,7 @@
 // Sim-time telemetry timelines: a sim-clock-driven sampler that turns one
 // engine replay into a bounded-memory time series — per-plane fabric
 // utilization, idle fraction, coflow/queue gauges and replan wall latency
-// with a rolling SLO check — plus CSV export and end-of-run
+// with rolling percentiles — plus CSV export and end-of-run
 // aggregates for the run manifest.
 //
 // Determinism contract (docs/observability.md "Telemetry timelines"):
@@ -37,9 +37,6 @@ struct TimelineConfig {
   /// Hard ceiling on retained samples (>= 2). The buffer is decimated
   /// before it would reach this, so size() <= cap always holds.
   std::size_t cap = 4096;
-  /// Replan wall-latency SLO budget in microseconds; a replan slower than
-  /// this burns the budget (ReplanSloStats::burn). 0 disables the check.
-  double slo_budget_us = 0;
   /// Export the host-dependent columns (wall latency, rolling
   /// percentiles) in WriteCsv. Off by default so the exported
   /// file honours the byte-determinism contract above.
@@ -87,16 +84,12 @@ struct TimelineSample {
   Time width() const { return end - begin; }
 };
 
-/// Run-level replan wall-latency aggregates against the SLO budget.
+/// Run-level replan wall-latency aggregates.
 struct ReplanSloStats {
   std::uint64_t replans = 0;
   double p50_ns = 0;
   double p99_ns = 0;
   double max_ns = 0;
-  /// Replans that exceeded the budget (0 when no budget configured).
-  std::uint64_t burn = 0;
-  /// Sim time of the first over-budget replan, -1 if none.
-  Time first_breach_t = -1;
 };
 
 /// End-of-run aggregates. Utilization and idleness come from exact
@@ -225,8 +218,6 @@ class TimelineSampler {
   Histogram replan_ns_;
   std::vector<double> rolling_;  ///< ring buffer, kRollingWindow entries
   std::size_t rolling_next_ = 0;
-  std::uint64_t slo_burn_ = 0;
-  Time slo_first_breach_ = -1;
 };
 
 }  // namespace sunflow::obs

@@ -84,11 +84,12 @@ class AaloAllocator : public RateAllocator {
   // (the split counts this coflow's own contenders per port). A flow reads
   // and writes only its two ports' capacity, so the coflow's wavefront
   // order gives the bits of its trace order. The first pass writes each
-  // rate, the backfill adds to it.
+  // rate, the backfill adds to it; finished flows keep their rate of 0.
   static void EqualShareAllocate(ActiveCoflow& coflow, PortCapacity& cap,
                                  bool first_pass) {
     for (const std::uint32_t k : coflow.wave) {
       FlowState& f = coflow.flows[k];
+      if (f.done()) continue;
       const Bandwidth before = first_pass ? 0 : f.rate;
       const Bandwidth share = std::min(cap.in(f.src) / coflow.in(f.src),
                                        cap.out(f.dst) / coflow.out(f.dst));

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <numeric>
+#include <limits>
 
 #include "common/assert.h"
 #include "trace/bounds.h"
@@ -13,8 +13,14 @@ namespace {
 
 std::size_t Index(PortId p) { return static_cast<std::size_t>(p); }
 
-// Drain's renumbering of an erased flow.
+// Compact's renumbering of an erased flow.
 constexpr std::uint32_t kGone = std::numeric_limits<std::uint32_t>::max();
+
+// A coflow compacts once more than 1/kCompactRatio of its entries are
+// finished flows: the passes over it then walk at most that share of dead
+// entries, and a compaction costs one walk per 1/kCompactRatio of its
+// flows finishing rather than one per finish.
+constexpr std::size_t kCompactRatio = 32;
 
 }  // namespace
 
@@ -59,35 +65,37 @@ ActiveCoflow::ActiveCoflow(CoflowId id_in, Time arrival_in,
 }
 
 std::size_t ActiveCoflow::Drain(Time dt) {
-  // Moves f's bytes; true when that finishes it.
-  const auto drain = [&](FlowState& f) {
-    if (f.rate <= 0) return false;
+  std::size_t finished = 0;
+  for (FlowState& f : flows) {
+    if (f.rate <= 0) continue;
     const Bytes moved = std::min(f.remaining, f.rate * dt);
     f.remaining -= moved;
     sent += moved;
-    return f.done();
-  };
-  const std::size_t n = flows.size();
-  std::size_t i = 0;
-  while (i < n && !drain(flows[i])) ++i;
-  if (i == n) return 0;
+    if (!f.done()) continue;
+    f.rate = 0;
+    --in_count[Index(f.src)];
+    --out_count[Index(f.dst)];
+    ++finished;
+  }
+  finished_ += finished;
+  if (finished_ * kCompactRatio > flows.size()) Compact();
+  if (finished > 0) SUNFLOW_DCHECK(Consistent());
+  return finished;
+}
 
-  // From the first finished flow on, each survivor moves down to `kept`.
-  // renumber[k] is flow k's index after the compaction, kGone once it
-  // finished.
+void ActiveCoflow::Compact() {
+  // Each unfinished flow moves down to `kept`. renumber[k] is flow k's
+  // index after the compaction, kGone if it finished.
   static thread_local std::vector<std::uint32_t> renumber;
-  if (renumber.size() < n) renumber.resize(n);
-  std::iota(renumber.begin(), renumber.begin() + static_cast<std::ptrdiff_t>(i),
-            std::uint32_t{0});
-  std::size_t kept = i;
-  while (i < n) {  // flows[i] has just finished
-    --in_count[Index(flows[i].src)];
-    --out_count[Index(flows[i].dst)];
-    renumber[i] = kGone;
-    while (++i < n && !drain(flows[i])) {
-      renumber[i] = static_cast<std::uint32_t>(kept);
-      flows[kept++] = flows[i];
+  if (renumber.size() < flows.size()) renumber.resize(flows.size());
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < flows.size(); ++k) {
+    if (flows[k].done()) {
+      renumber[k] = kGone;
+      continue;
     }
+    renumber[k] = static_cast<std::uint32_t>(kept);
+    flows[kept++] = flows[k];
   }
   flows.resize(kept);
   std::size_t w = 0;
@@ -96,13 +104,13 @@ std::size_t ActiveCoflow::Drain(Time dt) {
     w += wave[w] != kGone ? 1 : 0;
   }
   wave.resize(w);
-  SUNFLOW_DCHECK(Consistent());
-  return n - kept;
+  finished_ = 0;
 }
 
 bool ActiveCoflow::Consistent() const {
   if (wave.size() != flows.size()) return false;
   std::vector<int> in_n(in_count.size(), 0), out_n(out_count.size(), 0);
+  std::size_t finished = 0;
   // Each port's latest flow index seen in `wave`, +1 (0 = none yet).
   std::vector<std::size_t> in_last(in_count.size(), 0);
   std::vector<std::size_t> out_last(out_count.size(), 0);
@@ -111,15 +119,20 @@ bool ActiveCoflow::Consistent() const {
     if (k >= flows.size() || seen[k]) return false;
     seen[k] = true;
     const FlowState& f = flows[k];
-    if (f.done()) return false;
     const std::size_t s = Index(f.src), d = Index(f.dst);
     if (s >= in_n.size() || d >= out_n.size()) return false;
     if (k + 1 <= in_last[s] || k + 1 <= out_last[d]) return false;
     in_last[s] = out_last[d] = k + 1;
+    if (f.done()) {
+      if (f.rate != 0) return false;
+      ++finished;
+      continue;
+    }
     ++in_n[s];
     ++out_n[d];
   }
-  return in_n == in_count && out_n == out_count;
+  return finished == finished_ && finished_ * kCompactRatio <= flows.size() &&
+         in_n == in_count && out_n == out_count;
 }
 
 Time ActiveCoflow::RemainingTpl(Bandwidth bandwidth) const {
@@ -139,28 +152,17 @@ PortCapacity::PortCapacity(PortId num_ports, Bandwidth bandwidth)
   SUNFLOW_CHECK(num_ports > 0 && bandwidth > 0);
 }
 
-void CheckRates(const std::vector<ActiveCoflow*>& active, PortId num_ports,
-                Bandwidth bandwidth) {
-  std::vector<Bandwidth> in(static_cast<std::size_t>(num_ports), 0);
-  std::vector<Bandwidth> out(static_cast<std::size_t>(num_ports), 0);
-  for (const ActiveCoflow* c : active) {
-    for (const std::uint32_t k : c->wave) {
-      const FlowState& f = c->flows[k];
-      SUNFLOW_CHECK(f.rate >= 0);
-      in[Index(f.src)] += f.rate;
-      out[Index(f.dst)] += f.rate;
-    }
-  }
+void PortRateSums::Check(Bandwidth bandwidth) const {
   const Bandwidth limit = bandwidth * (1 + 1e-6);
-  for (PortId p = 0; p < num_ports; ++p) {
-    SUNFLOW_CHECK_MSG(in[Index(p)] <= limit,
-                      "input port " << p << " oversubscribed: "
-                                    << std::setprecision(17) << in[Index(p)]
-                                    << " > " << limit);
-    SUNFLOW_CHECK_MSG(out[Index(p)] <= limit,
-                      "output port " << p << " oversubscribed: "
-                                     << std::setprecision(17) << out[Index(p)]
-                                     << " > " << limit);
+  for (std::size_t p = 0; p < in_.size(); ++p) {
+    SUNFLOW_CHECK_MSG(in_[p] <= limit, "input port "
+                                           << p << " oversubscribed: "
+                                           << std::setprecision(17) << in_[p]
+                                           << " > " << limit);
+    SUNFLOW_CHECK_MSG(out_[p] <= limit, "output port "
+                                            << p << " oversubscribed: "
+                                            << std::setprecision(17)
+                                            << out_[p] << " > " << limit);
   }
 }
 

@@ -32,11 +32,14 @@ struct FlowState {
 
 /// Mutable per-coflow state during a replay, from admission to completion.
 ///
-/// `flows` holds the unfinished flows in trace order. `wave` holds the same
-/// flows in wavefront order: level(f) = 1 + max(level of the previous flow
-/// on f's input port, level of the previous flow on f's output port), and
-/// `wave` lists level 1, then level 2, ..., each level in trace order. Flows
-/// of one level share no port, and each port's flows keep their trace order,
+/// `flows` holds the coflow's flows in trace order. A flow that finishes
+/// keeps its entry at rate 0, counted on neither port, until a compaction
+/// drops the finished entries; allocators must leave finished flows at
+/// rate 0 (the packet replay checks it). `wave` holds the same entries in
+/// wavefront order: level(f) = 1 + max(level of the previous flow on f's
+/// input port, level of the previous flow on f's output port), and `wave`
+/// lists level 1, then level 2, ..., each level in trace order. Flows of
+/// one level share no port, and each port's flows keep their trace order,
 /// so a pass in which each flow reads and writes only its own two ports'
 /// state gives the same bits in `wave` order as in trace order, while the
 /// CPU overlaps the flows of a level.
@@ -48,31 +51,38 @@ struct ActiveCoflow {
   CoflowId id = -1;
   Time arrival = 0;
   std::vector<FlowState> flows;
-  /// Indices into `flows`, in wavefront order.
+  /// Indices into `flows`, in wavefront order; finished entries included.
   std::vector<std::uint32_t> wave;
-  /// Flows per input / output port.
+  /// Unfinished flows per input / output port.
   std::vector<int> in_count, out_count;
   Bytes sent = 0;  ///< total bytes already delivered (Aalo's queue key)
 
   /// Moves each flow's rate × dt bytes (at most what it has left) and adds
-  /// them to `sent` in trace order. The flows it finishes leave in the same
-  /// compaction pass, which decrements their ports' counts and records the
-  /// survivors' new indices; `wave` then drops their entries and renumbers
-  /// the rest. Erasing keeps each port's flows in trace order, so `wave`
-  /// is never rebuilt. Returns the number of flows finished.
+  /// them to `sent` in trace order. A flow it finishes drops to rate 0 and
+  /// leaves its ports' counts. Once more than 1/32 of `flows` are
+  /// finished, one compaction pass erases them and renumbers `wave`;
+  /// erasing keeps each port's flows in trace order, so `wave` is never
+  /// rebuilt. Returns the number of flows finished.
   std::size_t Drain(Time dt);
 
   /// Remaining packet lower bound: busiest-port remaining time at full B.
   Time RemainingTpl(Bandwidth bandwidth) const;
 
-  /// Flows on input / output port `p`.
+  /// Unfinished flows on input / output port `p`.
   int in(PortId p) const { return in_count[static_cast<std::size_t>(p)]; }
   int out(PortId p) const { return out_count[static_cast<std::size_t>(p)]; }
+  /// Unfinished flows.
+  std::size_t live() const { return flows.size() - finished_; }
 
  private:
-  /// Whether the counts match a recount of `flows` and `wave` lists every
-  /// flow once with each port's flows in trace order (SUNFLOW_DCHECKed).
+  /// Erases the finished entries of `flows` and `wave`, renumbering `wave`.
+  void Compact();
+  /// Whether the counts match a recount of the unfinished flows, finished
+  /// entries sit at rate 0 and number `finished_`, and `wave` lists every
+  /// entry once with each port's entries in trace order (SUNFLOW_DCHECKed).
   bool Consistent() const;
+
+  std::size_t finished_ = 0;  ///< finished entries still in `flows`
 };
 
 /// Tracks leftover capacity per port during one allocation round.
@@ -127,10 +137,26 @@ class RateAllocator {
   }
 };
 
-/// Verifies the port constraints over the current rates; throws on
-/// violation beyond tolerance. Each coflow's rates are summed in `wave`
-/// order, which keeps each port's sum in trace order.
-void CheckRates(const std::vector<ActiveCoflow*>& active, PortId num_ports,
-                Bandwidth bandwidth);
+/// Per-port sums of the flows' rates, checked against the link rate. The
+/// packet replay adds every positive rate after each reallocation, coflow
+/// by coflow and each coflow's flows in trace order.
+class PortRateSums {
+ public:
+  /// Zeroes the sums of ports [0, num_ports).
+  void Reset(PortId num_ports) {
+    in_.assign(static_cast<std::size_t>(num_ports), 0);
+    out_.assign(static_cast<std::size_t>(num_ports), 0);
+  }
+  void Add(const FlowState& f) {
+    in_[static_cast<std::size_t>(f.src)] += f.rate;
+    out_[static_cast<std::size_t>(f.dst)] += f.rate;
+  }
+  /// Throws, naming the port, its sum and the limit, if a port's sum
+  /// exceeds `bandwidth` beyond tolerance.
+  void Check(Bandwidth bandwidth) const;
+
+ private:
+  std::vector<Bandwidth> in_, out_;
+};
 
 }  // namespace sunflow::packet

@@ -77,9 +77,6 @@ class FairShareAllocator : public RateAllocator {
       }
       if (inc <= 0) break;  // numeric floor: everything left is saturated
     }
-    // Clamp tiny negative leftovers from the lockstep arithmetic.
-    for (auto& v : in_left) v = std::max(0.0, v);
-    for (auto& v : out_left) v = std::max(0.0, v);
   }
 };
 

@@ -594,8 +594,10 @@ class RotorScenario final : public ScenarioPolicy {
 // (in, out)-sorted flows could not stand in for them bit for bit. The
 // SimCoflow keeps only its unfinished count, which the drain decrements,
 // so the driver harvests a coflow at the end of the span that drains its
-// last flow. With a timeline attached, each reallocation is timed and each
-// span reports Σ rate / B busy ports per side.
+// last flow. The walk that finds the span's end also checks the rates:
+// no finished flow may have one, and after a reallocation no port may
+// carry more than B. With a timeline attached, each reallocation is timed
+// and each span reports Σ rate / B busy ports per side.
 
 class PacketScenario final : public ScenarioPolicy {
  public:
@@ -636,7 +638,8 @@ class PacketScenario final : public ScenarioPolicy {
     auto& sims = s.active();
     SUNFLOW_CHECK(sims.size() == active_.size());
     const bool sampled = driver.timeline() != nullptr;
-    if (reallocate_) {
+    const bool reallocated = reallocate_;
+    if (reallocated) {
       double allocate_ns = 0;
       {
         obs::ProfileScope scope("packet.allocate",
@@ -644,21 +647,29 @@ class PacketScenario final : public ScenarioPolicy {
         pointers_.clear();
         for (auto& a : active_) pointers_.push_back(&a);
         allocator_.Allocate(pointers_, s.num_ports(), bandwidth_, t);
-        packet::CheckRates(pointers_, s.num_ports(), bandwidth_);
       }
       driver.NoteReallocation(t, allocate_ns);
     }
     SUNFLOW_PROFILE_SCOPE("packet.advance");
 
-    // `flows` holds only unfinished flows (ActiveCoflow::Drain erases the
-    // rest), so a positive rate is all a flow needs to drain.
+    // Finished flows sit at rate 0 until their coflow compacts, so a rate
+    // is all a flow needs to drain; a negative or NaN rate, or one on a
+    // finished flow, fails. Each port's rate sum adds its flows coflow by
+    // coflow in trace order.
+    if (reallocated) port_rates_.Reset(s.num_ports());
     Time t_next = s.HasPendingReleases() ? s.NextReleaseTime() : kTimeInf;
     Bandwidth span_rate = 0;
     int blocked = 0;
     for (const auto& c : active_) {
       Bandwidth total_rate = 0;
       for (const auto& f : c.flows) {
-        if (f.rate <= 0) continue;
+        if (f.rate == 0) continue;
+        SUNFLOW_CHECK_MSG(f.rate > 0 && !f.done(),
+                          (f.done() ? "finished " : "")
+                              << "flow " << f.src << " -> " << f.dst
+                              << " of coflow " << c.id << " has rate "
+                              << f.rate << ", allocator " << allocator_.name());
+        if (reallocated) port_rates_.Add(f);
         total_rate += f.rate;
         t_next = std::min(t_next, t + f.remaining / f.rate);
       }
@@ -672,6 +683,7 @@ class PacketScenario final : public ScenarioPolicy {
         if (total_rate <= 0) ++blocked;
       }
     }
+    if (reallocated) port_rates_.Check(bandwidth_);
     SUNFLOW_CHECK_MSG(t_next < kTimeInf,
                       "packet replay stalled: active coflows but no rates "
                       "and no arrivals: "
@@ -692,7 +704,7 @@ class PacketScenario final : public ScenarioPolicy {
         sims[i].unfinished -= finished;
         flow_finished = true;
       }
-      SUNFLOW_DCHECK(sims[i].unfinished == c.flows.size());
+      SUNFLOW_DCHECK(sims[i].unfinished == c.live());
       crossed = crossed || allocator_.NextServiceThreshold(c.sent) != threshold;
     }
     reallocate_ =
@@ -729,6 +741,7 @@ class PacketScenario final : public ScenarioPolicy {
   Bandwidth bandwidth_ = 0;
   std::vector<packet::ActiveCoflow> active_;  // index-aligned with s.active()
   std::vector<packet::ActiveCoflow*> pointers_;
+  packet::PortRateSums port_rates_;  // the latest reallocation's, checked
   bool reallocate_ = false;  // EngineResult::replans counts reallocations
 };
 

@@ -14,6 +14,8 @@
 #include "packet/aalo.h"
 #include "packet/replay.h"
 #include "packet/varys.h"
+#include "sim/engine/driver.h"
+#include "sim/engine/scenario.h"
 #include "trace/bounds.h"
 #include "trace/generator.h"
 
@@ -231,21 +233,70 @@ void ReferenceDrain(RefCoflow& c, Time dt) {
   }
 }
 
+// ActiveCoflow::RemainingTpl as it read before it called MaxPortSum: per
+// port, the remaining bytes of the unfinished flows in trace order, then
+// the largest load over the link rate.
+Time ReferenceRemainingTpl(const std::vector<FlowState>& flows,
+                           Bandwidth bandwidth) {
+  PortId ports = 0;
+  for (const auto& f : flows) ports = std::max({ports, f.src + 1, f.dst + 1});
+  std::vector<Bytes> in_load(static_cast<std::size_t>(ports), 0);
+  std::vector<Bytes> out_load(static_cast<std::size_t>(ports), 0);
+  for (const auto& f : flows) {
+    if (f.done()) continue;
+    in_load[static_cast<std::size_t>(f.src)] += f.remaining;
+    out_load[static_cast<std::size_t>(f.dst)] += f.remaining;
+  }
+  Bytes busiest = 0;
+  for (Bytes v : in_load) busiest = std::max(busiest, v);
+  for (Bytes v : out_load) busiest = std::max(busiest, v);
+  return busiest / bandwidth;
+}
+
 std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-// The counts equal a recount of `flows`, `wave` is a permutation of the
-// flow indices, and each port's entries appear in trace order.
+// The packet replay's port check over `active`: every positive rate into
+// its ports' sums, coflow by coflow in trace order, then the limit.
+void CheckPortRates(const std::vector<ActiveCoflow*>& active, PortId ports,
+                    Bandwidth bandwidth) {
+  PortRateSums sums;
+  sums.Reset(ports);
+  for (const ActiveCoflow* c : active)
+    for (const FlowState& f : c->flows)
+      if (f.rate > 0) sums.Add(f);
+  sums.Check(bandwidth);
+}
+
+// The unfinished flows among `flows`, in trace order.
+std::vector<const FlowState*> LiveFlows(const std::vector<FlowState>& flows) {
+  std::vector<const FlowState*> live;
+  for (const auto& f : flows)
+    if (!f.done()) live.push_back(&f);
+  return live;
+}
+
+// The counts equal a recount of the unfinished flows; a finished entry has
+// rate 0, and finished entries are at most 1/32 of `flows` (Drain
+// compacts past that). `wave` is a permutation of the entries, and each
+// port's entries appear in trace order.
 void ExpectWaveInvariants(const ActiveCoflow& c) {
   std::vector<int> in_n(c.in_count.size(), 0), out_n(c.out_count.size(), 0);
+  std::size_t finished = 0;
   for (const auto& f : c.flows) {
-    EXPECT_FALSE(f.done());
     ASSERT_LT(static_cast<std::size_t>(f.src), in_n.size());
     ASSERT_LT(static_cast<std::size_t>(f.dst), out_n.size());
+    if (f.done()) {
+      EXPECT_EQ(f.rate, 0.0);
+      ++finished;
+      continue;
+    }
     ++in_n[static_cast<std::size_t>(f.src)];
     ++out_n[static_cast<std::size_t>(f.dst)];
   }
   EXPECT_EQ(in_n, c.in_count);
   EXPECT_EQ(out_n, c.out_count);
+  EXPECT_EQ(c.live(), c.flows.size() - finished);
+  EXPECT_LE(finished * 32, c.flows.size());
   std::vector<std::uint32_t> sorted = c.wave;
   std::sort(sorted.begin(), sorted.end());
   ASSERT_EQ(sorted.size(), c.flows.size());
@@ -330,7 +381,7 @@ TEST(Aalo, WavefrontOrderMatchesTraceOrderBitForBit) {
       // Spread the coflows over Aalo's queues.
       r.sent = active.back().sent =
           fill ? 0 : MB(std::pow(10.0, rng.Uniform(-1, 4)));
-      ExpectWaveInvariants(active.back());
+      ASSERT_NO_FATAL_FAILURE(ExpectWaveInvariants(active.back()));
     }
     auto aalo = MakeAaloAllocator(config);
     for (int round = 0; !active.empty() && round < 4; ++round) {
@@ -340,24 +391,27 @@ TEST(Aalo, WavefrontOrderMatchesTraceOrderBitForBit) {
       aalo->Allocate(pointers, ports, bandwidth, 0.0);
       ReferenceAalo(config, ref, ports, bandwidth);
       ++allocations;
-      CheckRates(pointers, ports, bandwidth);
+      CheckPortRates(pointers, ports, bandwidth);
       for (std::size_t c = 0; c < active.size(); ++c) {
-        std::vector<const FlowState*> want;
-        for (const auto& f : ref[c].flows)
-          if (!f.done()) want.push_back(&f);
-        ASSERT_EQ(active[c].flows.size(), want.size());
+        const std::vector<const FlowState*> want = LiveFlows(ref[c].flows);
+        const std::vector<const FlowState*> got = LiveFlows(active[c].flows);
+        ASSERT_EQ(got.size(), want.size());
         for (std::size_t i = 0; i < want.size(); ++i) {
-          ASSERT_EQ(active[c].flows[i].src, want[i]->src);
-          ASSERT_EQ(active[c].flows[i].dst, want[i]->dst);
-          ASSERT_EQ(Bits(active[c].flows[i].rate), Bits(want[i]->rate))
+          ASSERT_EQ(got[i]->src, want[i]->src);
+          ASSERT_EQ(got[i]->dst, want[i]->dst);
+          ASSERT_EQ(Bits(got[i]->rate), Bits(want[i]->rate))
               << "coflow " << active[c].id << " flow " << i << ": "
-              << active[c].flows[i].rate << " vs " << want[i]->rate;
+              << got[i]->rate << " vs " << want[i]->rate;
         }
+        ASSERT_NO_FATAL_FAILURE(ExpectWaveInvariants(active[c]));
       }
 
       // Finish a random subset of the flows and drain part of some others,
       // through Drain and through the reference.
       for (std::size_t c = 0; c < active.size(); ++c) {
+        std::vector<FlowState*> live;
+        for (auto& f : active[c].flows)
+          if (!f.done()) live.push_back(&f);
         std::size_t i = 0;
         for (auto& f : ref[c].flows) {
           if (f.done()) {
@@ -366,17 +420,17 @@ TEST(Aalo, WavefrontOrderMatchesTraceOrderBitForBit) {
           }
           const double u = rng.NextDouble();
           f.rate = u < 0.3 ? f.remaining : u < 0.6 ? f.remaining / 4 : 0;
-          active[c].flows[i++].rate = f.rate;
+          live[i++]->rate = f.rate;
         }
         ReferenceDrain(ref[c], 1.0);
-        const std::size_t before = active[c].flows.size();
+        const std::size_t before = active[c].live();
         const std::size_t finished = active[c].Drain(1.0);
-        EXPECT_EQ(active[c].flows.size(), before - finished);
+        EXPECT_EQ(active[c].live(), before - finished);
         EXPECT_EQ(Bits(active[c].sent), Bits(ref[c].sent));
-        ExpectWaveInvariants(active[c]);
+        ASSERT_NO_FATAL_FAILURE(ExpectWaveInvariants(active[c]));
       }
       for (std::size_t c = active.size(); c-- > 0;) {
-        if (!active[c].flows.empty()) continue;
+        if (active[c].live() > 0) continue;
         active.erase(active.begin() + static_cast<std::ptrdiff_t>(c));
         ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(c));
       }
@@ -385,13 +439,72 @@ TEST(Aalo, WavefrontOrderMatchesTraceOrderBitForBit) {
   EXPECT_GT(allocations, 900u);
 }
 
+TEST(Aalo, BatchedFinishesMatchAnEagerEraseBitForBit) {
+  // 144 flows of distinct sizes, 12 × 12 many-to-many. Each Drain runs to
+  // the earliest finish, so exactly one flow finishes per drain, and Aalo
+  // reallocates between drains. The reference erases each flow as it
+  // finishes; the ActiveCoflow keeps it at rate 0 until more than 1/32 of
+  // its entries are finished.
+  const AaloConfig config;
+  const Bandwidth bandwidth = Gbps(1);
+  const PortId ports = 12;
+  Rng rng(144);
+  std::vector<int> order(144);
+  for (std::size_t k = 0; k < order.size(); ++k)
+    order[k] = static_cast<int>(k);
+  rng.Shuffle(order);
+  std::vector<Flow> flows;
+  for (PortId s = 0; s < ports; ++s)
+    for (PortId d = 0; d < ports; ++d)
+      flows.push_back(
+          {s, d, MB(1 + 0.37 * order[static_cast<std::size_t>(s * ports + d)])});
+
+  ActiveCoflow a(1, 0.0, flows);
+  std::vector<ActiveCoflow*> pointers = {&a};
+  std::vector<RefCoflow> ref(1);
+  ref[0].id = 1;
+  for (const Flow& f : flows)
+    ref[0].flows.push_back({f.src, f.dst, f.bytes, f.bytes, 0});
+  auto aalo = MakeAaloAllocator(config);
+  int compactions = 0;
+  while (a.live() > 0) {
+    SCOPED_TRACE("live " + std::to_string(a.live()));
+    aalo->Allocate(pointers, ports, bandwidth, 0.0);
+    ReferenceAalo(config, ref, ports, bandwidth);
+    Time dt = kTimeInf;
+    for (const auto& f : ref[0].flows)
+      if (f.rate > 0) dt = std::min(dt, f.remaining / f.rate);
+    ReferenceDrain(ref[0], dt);
+    std::erase_if(ref[0].flows, [](const FlowState& f) { return f.done(); });
+    const std::size_t entries = a.flows.size();
+    ASSERT_EQ(a.Drain(dt), 1u);
+    compactions += a.flows.size() < entries ? 1 : 0;
+
+    const std::vector<const FlowState*> got = LiveFlows(a.flows);
+    ASSERT_EQ(got.size(), ref[0].flows.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const FlowState& want = ref[0].flows[i];
+      ASSERT_EQ(got[i]->src, want.src);
+      ASSERT_EQ(got[i]->dst, want.dst);
+      ASSERT_EQ(Bits(got[i]->rate), Bits(want.rate)) << "flow " << i;
+      ASSERT_EQ(Bits(got[i]->remaining), Bits(want.remaining)) << "flow " << i;
+    }
+    EXPECT_EQ(Bits(a.sent), Bits(ref[0].sent));
+    EXPECT_EQ(Bits(a.RemainingTpl(bandwidth)),
+              Bits(ReferenceRemainingTpl(ref[0].flows, bandwidth)));
+    ASSERT_NO_FATAL_FAILURE(ExpectWaveInvariants(a));
+  }
+  EXPECT_TRUE(a.flows.empty());
+  EXPECT_GE(compactions, 3);
+}
+
 TEST(Aalo, PortConstraintsHold) {
   SyntheticTraceConfig cfg;
   cfg.num_coflows = 25;
   cfg.num_ports = 12;
   const Trace trace = GenerateSyntheticTrace(cfg);
   auto aalo = MakeAaloAllocator();
-  // The packet scenario calls CheckRates after every allocation; a
+  // The packet scenario checks the port sums after every allocation; a
   // violation would throw.
   const auto result = ReplayPacketTrace(trace, *aalo, AaloReplayConfig());
   EXPECT_EQ(result.cct.size(), trace.coflows.size());
@@ -462,6 +575,83 @@ TEST(Replay, StallMessageNamesTheCoflowAndTheAllocator) {
   }
 }
 
+// Rates every flow, finished or not, at B/64 (one input port holds 40).
+class RateEveryFlowAllocator : public RateAllocator {
+ public:
+  const char* name() const override { return "RateEveryFlow"; }
+  bool reallocates_on_flow_completion() const override { return true; }
+  void Allocate(std::vector<ActiveCoflow*>& active, PortId /*num_ports*/,
+                Bandwidth bandwidth, Time /*now*/) override {
+    for (ActiveCoflow* c : active)
+      for (auto& f : c->flows) f.rate = bandwidth / 64;
+  }
+};
+
+TEST(Replay, RatedFinishedFlowNamesTheCoflowAndThePorts) {
+  // Coflow 42 sends 0 -> 1..40; 0 -> 7 is the smallest and finishes first.
+  // With 39 of 40 entries live the coflow does not compact, so the
+  // reallocation that follows rates the finished flow again.
+  std::vector<Flow> flows;
+  for (PortId d = 1; d <= 40; ++d) flows.push_back({0, d, MB(10 + d)});
+  flows[6].bytes = MB(1);
+  Trace trace;
+  trace.num_ports = 41;
+  trace.coflows.push_back(Coflow(42, 0.0, std::move(flows)));
+  RateEveryFlowAllocator allocator;
+  try {
+    ReplayPacketTrace(trace, allocator, VarysConfig());
+    FAIL() << "a rate on a finished flow must throw";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("finished flow 0 -> 7 of coflow 42 has rate"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("RateEveryFlow"), std::string::npos) << what;
+  }
+}
+
+// Runs Varys, and on its third reallocation gives every unfinished flow
+// out of input port 1 the full link rate.
+class OversubscribeThirdAllocator : public RateAllocator {
+ public:
+  const char* name() const override { return "OversubscribeThird"; }
+  void Allocate(std::vector<ActiveCoflow*>& active, PortId num_ports,
+                Bandwidth bandwidth, Time now) override {
+    varys_->Allocate(active, num_ports, bandwidth, now);
+    if (++calls != 3) return;
+    for (ActiveCoflow* c : active)
+      for (auto& f : c->flows)
+        if (f.src == 1 && !f.done()) f.rate = bandwidth;
+  }
+  int calls = 0;
+
+ private:
+  std::unique_ptr<RateAllocator> varys_ = MakeVarysAllocator();
+};
+
+TEST(Replay, PortCheckGuardsEveryReallocation) {
+  // Coflow 1 holds two flows out of input port 1 for 160 ms; arrivals at
+  // 1 and 2 ms make the second and third reallocations.
+  Trace trace;
+  trace.num_ports = 5;
+  trace.coflows.push_back(Coflow(1, 0.0, {{1, 0, MB(10)}, {1, 2, MB(10)}}));
+  trace.coflows.push_back(Coflow(2, Millis(1), {{3, 4, MB(1)}}));
+  trace.coflows.push_back(Coflow(3, Millis(2), {{3, 4, MB(1)}}));
+  OversubscribeThirdAllocator allocator;
+  const auto scenario = engine::MakePacketScenario(allocator, Gbps(1));
+  try {
+    engine::RunScenarioReplay(trace, *scenario, nullptr);
+    FAIL() << "an oversubscribed port must throw";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("input port 1 oversubscribed: 250000000 > "
+                        "125000124.99999999"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(allocator.calls, 3);
+}
+
 TEST(Fabric, PortCapacityConsume) {
   PortCapacity cap(3, 100.0);
   cap.Consume(0, 1, 60.0);
@@ -488,7 +678,7 @@ TEST(Fabric, CheckRatesNamesTheSumAndTheLimit) {
   a.flows[0].rate = 60.0;
   a.flows[1].rate = 40.5;
   try {
-    CheckRates({&a}, 3, 100.0);
+    CheckPortRates({&a}, 3, 100.0);
     FAIL() << "an oversubscribed port must throw";
   } catch (const CheckFailure& e) {
     const std::string what = e.what();
@@ -499,26 +689,6 @@ TEST(Fabric, CheckRatesNamesTheSumAndTheLimit) {
   }
 }
 
-// ActiveCoflow::RemainingTpl as it read before it called MaxPortSum: per
-// port, the remaining bytes of the unfinished flows in trace order, then
-// the largest load over the link rate. The reference of the check below.
-Time ReferenceRemainingTpl(const ActiveCoflow& c, Bandwidth bandwidth) {
-  PortId ports = 0;
-  for (const auto& f : c.flows)
-    ports = std::max({ports, f.src + 1, f.dst + 1});
-  std::vector<Bytes> in_load(static_cast<std::size_t>(ports), 0);
-  std::vector<Bytes> out_load(static_cast<std::size_t>(ports), 0);
-  for (const auto& f : c.flows) {
-    if (f.done()) continue;
-    in_load[static_cast<std::size_t>(f.src)] += f.remaining;
-    out_load[static_cast<std::size_t>(f.dst)] += f.remaining;
-  }
-  Bytes busiest = 0;
-  for (Bytes v : in_load) busiest = std::max(busiest, v);
-  for (Bytes v : out_load) busiest = std::max(busiest, v);
-  return busiest / bandwidth;
-}
-
 TEST(Fabric, RemainingTplMatchesPerPortSumBitForBit) {
   Rng rng(526150);
   for (int instance = 0; instance < 400; ++instance) {
@@ -526,8 +696,9 @@ TEST(Fabric, RemainingTplMatchesPerPortSumBitForBit) {
     const PortId ports = static_cast<PortId>(rng.UniformInt(2, 16));
     const int shape = static_cast<int>(rng.UniformInt(0, 3));
     ActiveCoflow a(1, 0.0, RandomFlows(rng, ports, shape));
-    // Drain part of the demand: Drain drops the flows it finishes, and a
-    // flow left at dust size stays in `flows` as finished.
+    // Drain part of the demand: the flows Drain finishes stay at rate 0
+    // until their coflow compacts, and a flow left at dust size counts as
+    // finished too.
     for (auto& f : a.flows) {
       const double u = rng.NextDouble();
       f.rate = u < 0.3 ? f.remaining : u < 0.6 ? f.remaining / 3 : 0;
@@ -537,7 +708,8 @@ TEST(Fabric, RemainingTplMatchesPerPortSumBitForBit) {
       if (rng.Bernoulli(0.2)) f.remaining = rng.Uniform(0, kBytesEps);
     }
     for (const Bandwidth bw : {Gbps(1), Gbps(40), 3.0}) {
-      EXPECT_EQ(Bits(a.RemainingTpl(bw)), Bits(ReferenceRemainingTpl(a, bw)));
+      EXPECT_EQ(Bits(a.RemainingTpl(bw)),
+                Bits(ReferenceRemainingTpl(a.flows, bw)));
     }
   }
 }
