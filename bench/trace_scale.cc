@@ -4,7 +4,7 @@
 //
 // The pipeline is the million-coflow path from docs/traces.md:
 //   1. GenerateSyntheticTrace streams i.i.d.-arrival coflows straight to a
-//      block-compressed .sft file (O(block) writer memory, emission order
+//      block-structured .sft file (O(block) writer memory, emission order
 //      deliberately NOT arrival order).
 //   2. ExternalSortTrace produces the arrival-ordered replay input with a
 //      bounded in-memory run budget (--run_mb).

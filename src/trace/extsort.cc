@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <queue>
-#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -32,20 +30,6 @@ std::size_t ApproxPayloadBytes(const Coflow& c) {
 bool ArrivalLess(const Coflow& a, const Coflow& b) {
   return a.arrival() < b.arrival() ||
          (a.arrival() == b.arrival() && a.id() < b.id());
-}
-
-/// rename(2) with a byte-copy fallback for cross-filesystem moves.
-void MoveFile(const std::string& from, const std::string& to) {
-  if (std::rename(from.c_str(), to.c_str()) == 0) return;
-  std::ifstream src(from, std::ios::binary);
-  std::ofstream dst(to, std::ios::binary | std::ios::trunc);
-  if (!src || !dst)
-    throw std::runtime_error("extsort: cannot move " + from + " to " + to);
-  dst << src.rdbuf();
-  dst.flush();
-  if (!dst) throw std::runtime_error("extsort: copy to " + to + " failed");
-  src.close();
-  std::remove(from.c_str());
 }
 
 /// One k-way merge of arrival-sorted stream files into `output`. The heap
@@ -99,6 +83,10 @@ ExtSortStats ExternalSortTrace(const std::string& input_path,
   SUNFLOW_CHECK(options.run_payload_bytes > 0);
   const std::string prefix = output_path + ".run";
   ExtSortStats stats;
+  // Runs and intermediate merge levels are temporary files, deleted after
+  // use, so they are stored; only output_path gets options.stream.codec.
+  ExtSortOptions temp = options;
+  temp.stream.codec = StreamCodec::kStore;
 
   // Phase 1: bounded-memory run generation. Each run is sorted in memory
   // and spilled as its own (already arrival-ordered) stream file.
@@ -107,45 +95,55 @@ ExtSortStats ExternalSortTrace(const std::string& input_path,
   const auto run_begin = Clock::now();
   {
     SUNFLOW_PROFILE_SCOPE("extsort.runs");
-    TraceReader reader(input_path, options.stream);
-    num_ports = reader.num_ports();
     std::vector<Coflow> buffer;
-    std::size_t buffered_bytes = 0;
-    auto spill = [&] {
-      if (buffer.empty()) return;
+    auto spill = [&](const std::string& path, const TraceStreamOptions& o) {
       std::stable_sort(buffer.begin(), buffer.end(), ArrivalLess);
-      const std::string path = prefix + "." + std::to_string(runs.size()) +
-                               ".sft";
-      TraceWriter writer(path, num_ports, options.stream);
+      TraceWriter writer(path, num_ports, o);
       for (const Coflow& c : buffer) writer.Append(c);
       writer.Close();
       runs.push_back(path);
       buffer.clear();
-      buffered_bytes = 0;
     };
-    Coflow c;
-    while (reader.Next(c)) {
-      buffered_bytes += ApproxPayloadBytes(c);
-      buffer.push_back(std::move(c));
-      if (buffered_bytes >= options.run_payload_bytes) spill();
+    auto run_path = [&] {
+      return prefix + "." + std::to_string(runs.size()) + ".sft";
+    };
+    {
+      TraceReader reader(input_path, options.stream);
+      num_ports = reader.num_ports();
+      std::size_t buffered_bytes = 0;
+      Coflow c;
+      while (reader.Next(c)) {
+        // A full run spills only once another coflow follows it, so the
+        // last run is always the one spilled below.
+        if (buffered_bytes >= options.run_payload_bytes) {
+          spill(run_path(), temp.stream);
+          buffered_bytes = 0;
+        }
+        buffered_bytes += ApproxPayloadBytes(c);
+        buffer.push_back(std::move(c));
+      }
+      stats.coflows = reader.stats().coflows;
+      stats.payload_bytes = reader.stats().payload_bytes;
     }
-    spill();
-    stats.coflows = reader.stats().coflows;
-    stats.payload_bytes = reader.stats().payload_bytes;
+    // An input that fits one run is its own output, in the requested
+    // codec; the reader has closed, so output_path may name the input.
+    if (!buffer.empty()) {
+      const bool lone = runs.empty() && !options.keep_runs;
+      spill(lone ? output_path : run_path(),
+            lone ? options.stream : temp.stream);
+    }
   }
   stats.runs = runs.size();
   stats.run_seconds = Seconds(run_begin, Clock::now());
 
-  // Phase 2: fan_in-way merge levels until one file remains. A single run
-  // (or an empty input) short-circuits: the run already is the answer.
+  // Phase 2: fan_in-way merge levels until one file remains. A lone run
+  // is already the output; an empty input gets an empty output file.
   const auto merge_begin = Clock::now();
   {
     SUNFLOW_PROFILE_SCOPE("extsort.merge");
     if (runs.empty()) {
       TraceWriter writer(output_path, num_ports, options.stream);
       writer.Close();
-    } else if (runs.size() == 1 && !options.keep_runs) {
-      MoveFile(runs[0], output_path);
     } else {
       std::size_t level = 0;
       while (runs.size() > 1 || options.keep_runs) {
@@ -162,7 +160,7 @@ ExtSortStats ExternalSortTrace(const std::string& input_path,
                          std::to_string(next_level.size()) + ".sft";
           // keep_runs preserves the *initial* runs only; intermediate
           // levels are always reclaimed.
-          ExtSortOptions merge_options = options;
+          ExtSortOptions merge_options = last ? options : temp;
           merge_options.keep_runs = options.keep_runs && level == 0;
           MergeRuns(group, out, num_ports, merge_options);
           next_level.push_back(out);

@@ -28,8 +28,9 @@ struct ExtSortOptions {
   /// Spilled run files are named "<output_path>.run*" and deleted as they
   /// are consumed unless keep_runs.
   bool keep_runs = false;
-  /// Block size / codec / read-ahead / decode pool for every stream
-  /// opened by the sorter.
+  /// Block size / read-ahead / decode pool for every stream opened by the
+  /// sorter. `codec` applies to the file at output_path only: run files
+  /// and intermediate merge levels are temporary, so they are always stored.
   TraceStreamOptions stream;
 };
 

@@ -156,6 +156,20 @@ Coflow DecodeCoflow(Cursor& cur) {
   return Coflow(id, arrival, std::move(flows));
 }
 
+/// The slicing-by-8 tables of the reflected IEEE polynomial 0xEDB88320.
+std::array<std::array<std::uint32_t, 256>, 8> Crc32Tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::uint32_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+  return t;
+}
+
 struct RawBlock {
   std::vector<std::uint8_t> stored;
   std::uint32_t raw_bytes = 0;
@@ -174,25 +188,23 @@ bool DeflateSupported() {
 #endif
 }
 
-StreamCodec DefaultStreamCodec() {
-  return DeflateSupported() ? StreamCodec::kDeflate : StreamCodec::kStore;
-}
-
+// Slicing-by-8: t[k][b] is the CRC step of byte b followed by k zero
+// bytes, so eight lookups fold one 8-byte word. Words load little-endian,
+// which the reader and writer both require of the host.
 std::uint32_t Crc32(const void* data, std::size_t n) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
+  static const auto t = Crc32Tables();
   const auto* p = static_cast<const std::uint8_t*>(data);
   std::uint32_t crc = 0xffffffffu;
-  for (std::size_t i = 0; i < n; ++i)
-    crc = table[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p, 8);
+    w ^= crc;
+    crc = t[7][w & 0xffu] ^ t[6][(w >> 8) & 0xffu] ^
+          t[5][(w >> 16) & 0xffu] ^ t[4][(w >> 24) & 0xffu] ^
+          t[3][(w >> 32) & 0xffu] ^ t[2][(w >> 40) & 0xffu] ^
+          t[1][(w >> 48) & 0xffu] ^ t[0][w >> 56];
+  }
+  for (; n > 0; --n, ++p) crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   return crc ^ 0xffffffffu;
 }
 

@@ -1,10 +1,11 @@
-// Block-compressed binary trace streams (".sft" — Sunflow trace format).
+// Binary block trace streams (".sft" — Sunflow trace format).
 //
 // The text coflow-benchmark format (trace/parser.h) materializes the
 // whole trace; this format is built for out-of-core pipelines: coflows
 // are serialized into fixed-target-size blocks, each independently
-// compressed and checksummed, so a reader touches O(block) bytes at a
-// time and a corrupt byte is caught at the block that holds it.
+// encoded (stored or deflated) and checksummed, so a reader touches
+// O(block) bytes at a time and a corrupt byte is caught at the block that
+// holds it.
 //
 // File layout (all integers little-endian; docs/traces.md has the full
 // schema):
@@ -22,9 +23,9 @@
 //
 // The writer patches num_coflows/payload_bytes into the header at
 // Close(); a reader of an unclosed file still works (counts unknown).
-// Compression is deflate (zlib) when the build has it, else store;
-// readers handle both regardless of build flags only for codec 0 —
-// a deflate file needs a deflate-enabled build (DeflateSupported()).
+// Blocks are stored raw unless the writer asks for deflate (zlib). Every
+// build reads store; a deflate file needs a deflate-enabled build
+// (DeflateSupported()).
 #pragma once
 
 #include <cstddef>
@@ -52,14 +53,16 @@ enum class StreamCodec : std::uint32_t { kStore = 0, kDeflate = 1 };
 /// True when this build can compress/decompress kDeflate blocks.
 bool DeflateSupported();
 
-/// kDeflate when supported, else kStore.
-StreamCodec DefaultStreamCodec();
-
 struct TraceStreamOptions {
   /// Uncompressed payload target per block. A single coflow larger than
   /// this still forms a (oversized) block — blocks are never split.
   std::size_t block_bytes = 256 * 1024;
-  StreamCodec codec = DefaultStreamCodec();
+  /// The writer's block codec; readers take each block's codec from its
+  /// header. Store by default: the generator's ±5%-perturbed sizes are
+  /// raw doubles with random mantissas, which deflate shrinks by about 7%
+  /// for about 4x the write time. Deflate pays on whole-MB sizes (4.7x
+  /// smaller) and throws in a build without zlib.
+  StreamCodec codec = StreamCodec::kStore;
   /// Decoded blocks the reader keeps in flight ahead of the consumer
   /// (>= 1). Bounds reader memory at readahead_blocks * block_bytes-ish.
   std::size_t readahead_blocks = 4;
@@ -166,7 +169,7 @@ Trace ReadTraceStream(const std::string& path, TraceStreamOptions options = {});
 bool IsTraceStreamFile(const std::string& path);
 
 /// CRC-32 (IEEE 802.3 polynomial, zlib-compatible) over `n` bytes.
-/// Exposed for tests and the auditor; the stream format uses it per block.
+/// Exposed for tests; the stream format checksums every raw block with it.
 std::uint32_t Crc32(const void* data, std::size_t n);
 
 }  // namespace sunflow

@@ -16,6 +16,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +30,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/fabric.h"
 #include "core/policy.h"
 #include "runtime/thread_pool.h"
@@ -40,6 +42,10 @@
 #include "trace/source.h"
 #include "trace/stream.h"
 
+#if defined(SUNFLOW_HAVE_ZLIB)
+#include <zlib.h>
+#endif
+
 namespace sunflow {
 namespace {
 
@@ -49,6 +55,32 @@ namespace {
 
 std::string TmpPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
+}
+
+// Deflate where the build has zlib, else store: the cases that take it
+// cover the deflate writer and reader (on pool threads too) in a zlib
+// build and still run in one without.
+StreamCodec DeflateIfBuilt() {
+  return DeflateSupported() ? StreamCodec::kDeflate : StreamCodec::kStore;
+}
+
+// The codec fields of an .sft file: the file header's (offset 12), then
+// each block header's (offset 16 of the block), in file order.
+std::vector<std::uint32_t> CodecFields(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string bytes = buf.str();
+  EXPECT_GE(bytes.size(), 32u) << path;
+  const auto u32 = [&](std::size_t at) {
+    std::uint32_t v = 0;
+    if (at + 4 <= bytes.size()) std::memcpy(&v, bytes.data() + at, 4);
+    return v;
+  };
+  std::vector<std::uint32_t> codecs = {u32(12)};
+  for (std::size_t at = 32; at + 24 <= bytes.size(); at += 24 + u32(at + 4))
+    codecs.push_back(u32(at + 16));
+  return codecs;
 }
 
 // Same workload the golden-equivalence suite replays.
@@ -113,6 +145,7 @@ TEST(TraceStream, PoolPrefetchMatchesSerialRead) {
   const std::string path = TmpPath("prefetch.sft");
   TraceStreamOptions o;
   o.block_bytes = 1024;
+  o.codec = DeflateIfBuilt();
   WriteTraceStream(path, trace, o);
 
   const Trace serial = ReadTraceStream(path, o);
@@ -140,6 +173,11 @@ TEST(TraceStream, WriterHeaderCountsAndSizeHint) {
     EXPECT_GT(writer.stats().file_bytes, 0u);
   }
   EXPECT_TRUE(IsTraceStreamFile(path));
+  // Default options store every block: codec 0 in the file header and in
+  // each block header.
+  const std::vector<std::uint32_t> codecs = CodecFields(path);
+  EXPECT_GT(codecs.size(), 2u);
+  EXPECT_EQ(codecs, std::vector<std::uint32_t>(codecs.size(), 0u));
   TraceReader reader(path, o);
   ASSERT_TRUE(reader.size_hint().has_value());
   EXPECT_EQ(*reader.size_hint(), 25u);
@@ -236,15 +274,18 @@ TEST(TraceStream, ErrorMessagesNameTheFile) {
   std::remove(path.c_str());
 }
 
-// The `sunflow_trace_tool generate --coflows=20 --ports=16 --stream_out`
-// file (one block) with the u32 at byte `offset` overwritten.
+// The `sunflow_trace_tool generate --coflows=20 --ports=16 --stream_out
+// --codec=deflate` file (one block) with the u32 at byte `offset`
+// overwritten.
 std::string PatchedStream(const std::string& name, std::streamoff offset,
                           std::uint32_t value) {
   SyntheticTraceConfig cfg;
   cfg.num_coflows = 20;
   cfg.num_ports = 16;
   const std::string path = TmpPath(name);
-  WriteTraceStream(path, GenerateSyntheticTrace(cfg));
+  TraceStreamOptions o;
+  o.codec = DeflateIfBuilt();
+  WriteTraceStream(path, GenerateSyntheticTrace(cfg), o);
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   f.seekp(offset);
   f.write(reinterpret_cast<const char*>(&value), sizeof(value));
@@ -260,8 +301,10 @@ void ExpectHeaderFieldRejected(const std::string& path,
     ADD_FAILURE() << "expected a format error for " << field;
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find(path), std::string::npos) << what;
-    EXPECT_NE(what.find(field), std::string::npos) << what;
+    const std::size_t at = what.find(path);
+    ASSERT_NE(at, std::string::npos) << what;
+    // The reason follows the path, which names the field too.
+    EXPECT_NE(what.find(field, at + path.size()), std::string::npos) << what;
   }
   std::remove(path.c_str());
 }
@@ -355,9 +398,47 @@ TEST(TraceStream, PortOutsideTheHeaderFabricRejected) {
       StoreBlockFile("port_range.sft", 8, OneFlowPayload(200)), "port 200");
 }
 
+// The byte-at-a-time table CRC-32, the oracle for the word-at-a-time
+// Crc32: same reflected polynomial, seed and final XOR.
+std::uint32_t BytewiseCrc32(const std::uint8_t* p, std::size_t n) {
+  static const auto table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k)
+        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t crc = 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i)
+    crc = table[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
+  return crc ^ 0xffffffffu;
+}
+
 TEST(TraceStream, Crc32MatchesKnownVector) {
   // The IEEE 802.3 check value: crc32("123456789") == 0xCBF43926.
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  // Five 8-byte words and a 3-byte tail.
+  const std::string fox = "The quick brown fox jumps over the lazy dog";
+  EXPECT_EQ(Crc32(fox.data(), fox.size()), 0x414FA339u);
+
+  // Every length 0..64 at every start offset 0..7 (each word alignment and
+  // tail length), then 1 MiB, against the bytewise loop and zlib's crc32().
+  std::vector<std::uint8_t> buf(std::size_t{1} << 20);
+  Rng rng(20161212);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng.NextU64());
+  const auto check = [](const std::uint8_t* p, std::size_t n) {
+    const std::uint32_t want = BytewiseCrc32(p, n);
+    EXPECT_EQ(Crc32(p, n), want) << n << " bytes";
+#if defined(SUNFLOW_HAVE_ZLIB)
+    EXPECT_EQ(crc32(0, p, static_cast<uInt>(n)), want) << n << " bytes";
+#endif
+  };
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t n = 0; n <= 64; ++n) check(buf.data() + offset, n);
+  check(buf.data(), buf.size());
 }
 
 // --- External sort ------------------------------------------------------
@@ -385,18 +466,28 @@ TEST(ExtSort, MultiRunMultiPassMergeIsASortedPermutation) {
   const std::string in = TmpPath("extsort_in.sft");
   const std::string out = TmpPath("extsort_out.sft");
   const auto cfg = ScrambledConfig(200);
-  {
-    TraceWriter writer(in, cfg.num_ports);
-    GenerateSyntheticTrace(cfg, [&](Coflow&& c) { writer.Append(c); });
-    writer.Close();
-  }
   ExtSortOptions o;
   o.run_payload_bytes = 16 * 1024;  // force many runs
   o.fan_in = 2;                     // force multiple merge passes
+  o.keep_runs = true;
+  o.stream.codec = DeflateIfBuilt();
+  {
+    TraceWriter writer(in, cfg.num_ports, o.stream);
+    GenerateSyntheticTrace(cfg, [&](Coflow&& c) { writer.Append(c); });
+    writer.Close();
+  }
   const auto stats = ExternalSortTrace(in, out, o);
   EXPECT_EQ(stats.coflows, 200u);
   EXPECT_GT(stats.runs, 4u) << "run budget did not force a spill";
   EXPECT_GT(stats.merge_passes, 1u) << "fan_in=2 should need several passes";
+
+  // Runs are temporary and spill stored; only the output takes the codec.
+  for (std::uint64_t i = 0; i < stats.runs; ++i) {
+    const std::string run = out + ".run." + std::to_string(i) + ".sft";
+    EXPECT_EQ(CodecFields(run)[0], 0u) << run;
+    std::remove(run.c_str());
+  }
+  EXPECT_EQ(CodecFields(out)[0], static_cast<std::uint32_t>(o.stream.codec));
 
   // Output is a permutation of the input...
   EXPECT_EQ(Keys(in), Keys(out));
@@ -411,11 +502,14 @@ TEST(ExtSort, SortedInputTakesTheSingleRunFastPath) {
   const Trace trace = GoldenTrace(50, 24);
   const std::string in = TmpPath("extsort_sorted_in.sft");
   const std::string out = TmpPath("extsort_sorted_out.sft");
-  WriteTraceStream(in, trace);
   ExtSortOptions o;  // default budget holds 50 coflows easily
+  o.stream.codec = DeflateIfBuilt();
+  WriteTraceStream(in, trace, o.stream);
   const auto stats = ExternalSortTrace(in, out, o);
   EXPECT_EQ(stats.runs, 1u);
   EXPECT_EQ(stats.merge_passes, 0u);
+  // The lone run is the output, so it takes the requested codec.
+  EXPECT_EQ(CodecFields(out)[0], static_cast<std::uint32_t>(o.stream.codec));
   ExpectTracesIdentical(trace, ReadTraceStream(out));
   std::remove(in.c_str());
   std::remove(out.c_str());
@@ -427,13 +521,14 @@ TEST(ExtSort, SortedStreamReplaysIdenticallyToInMemorySort) {
   const auto cfg = ScrambledConfig(120);
   const std::string in = TmpPath("extsort_eq_in.sft");
   const std::string out = TmpPath("extsort_eq_out.sft");
+  ExtSortOptions o;
+  o.run_payload_bytes = 32 * 1024;
+  o.stream.codec = DeflateIfBuilt();
   {
-    TraceWriter writer(in, cfg.num_ports);
+    TraceWriter writer(in, cfg.num_ports, o.stream);
     GenerateSyntheticTrace(cfg, [&](Coflow&& c) { writer.Append(c); });
     writer.Close();
   }
-  ExtSortOptions o;
-  o.run_payload_bytes = 32 * 1024;
   ExternalSortTrace(in, out, o);
   ExpectTracesIdentical(GenerateSyntheticTrace(cfg), ReadTraceStream(out));
   std::remove(in.c_str());
@@ -473,17 +568,18 @@ engine::EngineConfig BaseEngineConfig() {
 }
 
 // Replays `trace` both ways — whole-trace seeding vs pulling from a .sft
-// file through a decode pool of `threads` — on a fabric of `planes` planes,
-// and demands identical results. Both ways build the scenario from its
-// name alone.
+// file written in `codec` through a decode pool of `threads` — on a fabric
+// of `planes` planes, and demands identical results. Both ways build the
+// scenario from its name alone.
 void CheckStreamedEquivalence(const std::string& scenario_name, int planes,
-                              int threads) {
+                              int threads, StreamCodec codec) {
   const Trace trace = GoldenTrace(60, 24);
   const std::string path =
       TmpPath("replay_" + scenario_name + "_" + std::to_string(planes) + "_" +
               std::to_string(threads) + ".sft");
   TraceStreamOptions so;
   so.block_bytes = 2048;
+  so.codec = codec;
   WriteTraceStream(path, trace, so);
 
   const auto policy = MakeShortestFirstPolicy();
@@ -510,48 +606,48 @@ void CheckStreamedEquivalence(const std::string& scenario_name, int planes,
 }
 
 TEST(StreamedReplay, CircuitMatchesInMemorySerial) {
-  CheckStreamedEquivalence("circuit", 1, 1);
+  CheckStreamedEquivalence("circuit", 1, 1, StreamCodec::kStore);
 }
 TEST(StreamedReplay, CircuitMatchesInMemoryThreads8) {
-  CheckStreamedEquivalence("circuit", 1, 8);
+  CheckStreamedEquivalence("circuit", 1, 8, DeflateIfBuilt());
 }
 TEST(StreamedReplay, GuardedMatchesInMemorySerial) {
-  CheckStreamedEquivalence("guarded", 1, 1);
+  CheckStreamedEquivalence("guarded", 1, 1, StreamCodec::kStore);
 }
 TEST(StreamedReplay, GuardedMatchesInMemoryThreads8) {
-  CheckStreamedEquivalence("guarded", 1, 8);
+  CheckStreamedEquivalence("guarded", 1, 8, DeflateIfBuilt());
 }
 TEST(StreamedReplay, RotorMatchesInMemorySerial) {
-  CheckStreamedEquivalence("rotor", 1, 1);
+  CheckStreamedEquivalence("rotor", 1, 1, StreamCodec::kStore);
 }
 TEST(StreamedReplay, RotorMatchesInMemoryThreads8) {
-  CheckStreamedEquivalence("rotor", 1, 8);
+  CheckStreamedEquivalence("rotor", 1, 8, DeflateIfBuilt());
 }
 TEST(StreamedReplay, VarysMatchesInMemorySerial) {
-  CheckStreamedEquivalence("varys", 1, 1);
+  CheckStreamedEquivalence("varys", 1, 1, StreamCodec::kStore);
 }
 TEST(StreamedReplay, VarysMatchesInMemoryThreads8) {
-  CheckStreamedEquivalence("varys", 1, 8);
+  CheckStreamedEquivalence("varys", 1, 8, DeflateIfBuilt());
 }
 TEST(StreamedReplay, AaloMatchesInMemorySerial) {
-  CheckStreamedEquivalence("aalo", 1, 1);
+  CheckStreamedEquivalence("aalo", 1, 1, StreamCodec::kStore);
 }
 TEST(StreamedReplay, AaloMatchesInMemoryThreads8) {
-  CheckStreamedEquivalence("aalo", 1, 8);
+  CheckStreamedEquivalence("aalo", 1, 8, DeflateIfBuilt());
 }
 // Joint planning on a K-plane fabric is "circuit" there; "kcore" is the
 // per-core baseline on the same fabric.
 TEST(StreamedReplay, KCoreJointMatchesInMemorySerial) {
-  CheckStreamedEquivalence("circuit", 2, 1);
+  CheckStreamedEquivalence("circuit", 2, 1, StreamCodec::kStore);
 }
 TEST(StreamedReplay, KCoreJointMatchesInMemoryThreads8) {
-  CheckStreamedEquivalence("circuit", 2, 8);
+  CheckStreamedEquivalence("circuit", 2, 8, DeflateIfBuilt());
 }
 TEST(StreamedReplay, KCorePerCoreMatchesInMemorySerial) {
-  CheckStreamedEquivalence("kcore", 2, 1);
+  CheckStreamedEquivalence("kcore", 2, 1, StreamCodec::kStore);
 }
 TEST(StreamedReplay, KCorePerCoreMatchesInMemoryThreads8) {
-  CheckStreamedEquivalence("kcore", 2, 8);
+  CheckStreamedEquivalence("kcore", 2, 8, DeflateIfBuilt());
 }
 
 TEST(StreamedReplay, CompletionSinkMatchesResultMaps) {

@@ -160,14 +160,14 @@ def tool_traffic():
         (tool, ["info", "--coflows=60", "--ports=16"]),
         (tool, ["convert", "--in=gen.txt", "--out=gen.sft"]),
         (tool, ["convert", "--in=gen.sft", "--out=gen.back.txt"]),
-        (tool, ["convert", "--in=gen.txt", "--out=gen.store.sft",
-                "--codec=store"]),
+        (tool, ["convert", "--in=gen.txt", "--out=gen.deflate.sft",
+                "--codec=deflate"]),
         # 17 runs and 5 merge passes at fan-in 2, with either codec.
         (tool, ["sort", "--in=big.sft", "--out=big.sorted.sft", "--run_mb=1",
                 "--fan_in=2", "--threads=2"]),
-        (tool, ["sort", "--in=big.sft", "--out=big.store.sft", "--run_mb=1",
-                "--fan_in=2", "--codec=store"]),
-        (tool, ["cat", "--in=big.sorted.sft", "--limit=5"]),
+        (tool, ["sort", "--in=big.sft", "--out=big.deflate.sft", "--run_mb=1",
+                "--fan_in=2", "--codec=deflate"]),
+        (tool, ["cat", "--in=big.deflate.sft", "--limit=5"]),
         (tool, ["bench", "--coflows=400", "--ports=24", "--run_mb=1",
                 "--block_kb=8", "--threads=2",
                 "--manifest_out=trace_io.manifest.json"]),

@@ -61,8 +61,9 @@ double MbPerSec(std::uint64_t bytes, double seconds) {
 
 StreamCodec CodecFromFlags(CliFlags& flags) {
   const std::string name = flags.GetString(
-      "codec", DeflateSupported() ? "deflate" : "store",
-      "stream block codec: store | deflate");
+      "codec", "store",
+      "stream block codec: store | deflate (smaller files for whole-MB "
+      "sizes, slower writes)");
   if (name == "store") return StreamCodec::kStore;
   if (name == "deflate") return StreamCodec::kDeflate;
   throw std::runtime_error("unknown --codec '" + name + "'");
